@@ -234,7 +234,7 @@ sim::Time FqCoDelQueue::control_law(const Bucket& b, sim::Time t) const {
                  std::sqrt(static_cast<double>(std::max(b.drop_count, 1u))));
 }
 
-bool FqCoDelQueue::shed(Bucket* b, Entry* e) {
+bool FqCoDelQueue::shed(Entry* e) {
   if (config_.ecn && e->packet.ect) {
     e->packet.ce = true;
     ++marks_;
@@ -273,7 +273,7 @@ std::optional<Packet> FqCoDelQueue::bucket_pop(Bucket* b, sim::Time now) {
                           : 1;
       b->drop_next = control_law(*b, now);
       b->last_drop_count = b->drop_count;
-      if (shed(b, &e)) continue;
+      if (shed(&e)) continue;
       return std::move(e.packet);
     }
     if (!above) {
@@ -284,7 +284,7 @@ std::optional<Packet> FqCoDelQueue::bucket_pop(Bucket* b, sim::Time now) {
     if (now >= b->drop_next) {
       ++b->drop_count;
       b->drop_next = control_law(*b, b->drop_next);
-      if (shed(b, &e)) continue;
+      if (shed(&e)) continue;
       return std::move(e.packet);
     }
     return std::move(e.packet);

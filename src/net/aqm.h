@@ -82,9 +82,9 @@ struct QdiscConfig {
 /// Returns false (out untouched) on an unknown spec.
 [[nodiscard]] bool parse_qdisc_spec(std::string_view spec, QdiscConfig* out);
 
-/// The measured status quo: a byte-bounded FIFO that tail-drops, plus the
-/// per-packet timestamps the sojourn metrics need. Behaviour (and the
-/// drop/depth accounting) matches net::DropTailQueue exactly.
+/// The measured status quo: a byte-bounded FIFO that tail-drops (an
+/// arrival that would overflow the byte capacity is refused), plus the
+/// per-packet timestamps the sojourn metrics need.
 class DropTailQdisc final : public QueueDiscipline {
  public:
   explicit DropTailQdisc(std::uint64_t capacity_bytes)
@@ -253,7 +253,7 @@ class FqCoDelQueue final : public QueueDiscipline {
   [[nodiscard]] sim::Time control_law(const Bucket& b, sim::Time t) const;
   /// CoDel dequeue for one bucket; nullopt when the bucket ran dry.
   std::optional<Packet> bucket_pop(Bucket* b, sim::Time now);
-  [[nodiscard]] bool shed(Bucket* b, Entry* e);
+  [[nodiscard]] bool shed(Entry* e);
 
   Config config_;
   std::vector<Bucket> buckets_;

@@ -138,40 +138,71 @@ void Link::try_transmit() {
     transmitting_ = false;
     return;
   }
-  Packet p = std::move(*popped);
+  tx_packet_ = std::move(*popped);
   if (sojourn_ms_ != nullptr) {
     const double sojourn = sim::to_millis(qdisc_->last_sojourn());
     sojourn_ms_->observe(sojourn);
     if (sojourn_d_ != nullptr) sojourn_d_->observe(sojourn);
   }
   ++in_transit_packets_;
-  const double bits = 8.0 * static_cast<double>(p.size_bytes);
+  const double bits = 8.0 * static_cast<double>(tx_packet_.size_bytes);
   const auto tx_time = static_cast<sim::Time>(
       bits / rate * static_cast<double>(sim::kSecond));
-  sim_->schedule_in(tx_time, "net.link_tx",
-                    [this, p = std::move(p)]() mutable {
-    finish_transmit(std::move(p));
-  });
+  sim_->schedule_in(tx_time, "net.link_tx", [this] { finish_transmit(); });
 }
 
-void Link::finish_transmit(Packet p) {
+void Link::finish_transmit() {
   sim::Time delay = config_.prop_delay;
-  if (config_.extra_delay_fn) delay += config_.extra_delay_fn(p);
+  if (config_.extra_delay_fn) delay += config_.extra_delay_fn(tx_packet_);
   if (fault_ != nullptr) delay += fault_->link_extra_delay(config_.name);
   --in_transit_packets_;
   ++delivered_packets_;
-  delivered_bytes_ += p.size_bytes;
+  delivered_bytes_ += tx_packet_.size_bytes;
   if (sink_ != nullptr) {
     // In-order delivery: per-packet jitter (HARQ retransmissions) delays
     // followers too, exactly like an RLC reordering buffer would.
     const sim::Time at = std::max(sim_->now() + delay, last_delivery_at_);
     last_delivery_at_ = at;
-    sim_->schedule_at(at, "net.link_deliver",
-                      [this, p = std::move(p)]() mutable {
-      if (sink_ != nullptr) sink_->deliver(std::move(p));
-    });
+    // The sequence number is taken now, so the delivery ties with other
+    // events at its instant as if it were scheduled here; only the FIFO
+    // head holds an actual event.
+    in_flight_.push({at, sim_->reserve_seq(), std::move(tx_packet_)});
+    if (in_flight_.size() == 1) schedule_delivery();
   }
   try_transmit();
+}
+
+void Link::schedule_delivery() {
+  const InFlight& head = in_flight_.front();
+  sim_->schedule_reserved(head.at, head.seq, "net.link_deliver",
+                          [this] { deliver_head(); });
+}
+
+void Link::deliver_head() {
+  Packet p = in_flight_.pop().packet;
+  if (!in_flight_.empty()) schedule_delivery();
+  if (sink_ != nullptr) sink_->deliver(std::move(p));
+}
+
+// The capacity is always a power of two, so indices wrap with a mask.
+void Link::InFlightRing::push(InFlight e) {
+  if (size_ == buf_.size()) {
+    std::vector<InFlight> grown(std::max<std::size_t>(8, 2 * buf_.size()));
+    for (std::size_t i = 0; i < size_; ++i) {
+      grown[i] = std::move(buf_[(head_ + i) & (buf_.size() - 1)]);
+    }
+    buf_ = std::move(grown);
+    head_ = 0;
+  }
+  buf_[(head_ + size_) & (buf_.size() - 1)] = std::move(e);
+  ++size_;
+}
+
+Link::InFlight Link::InFlightRing::pop() {
+  InFlight e = std::move(buf_[head_]);
+  head_ = (head_ + 1) & (buf_.size() - 1);
+  --size_;
+  return e;
 }
 
 }  // namespace fiveg::net

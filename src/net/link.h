@@ -3,12 +3,19 @@
 // RED for the AQM experiments), propagation delay, optional per-packet
 // extra delay (HARQ retransmissions) and an optional outage predicate
 // (hand-off interruptions). Two Links back-to-back make a duplex hop.
+//
+// Packets never ride inside simulator events: the one being serialised
+// sits in a tx slot, the ones propagating in an in-flight FIFO, and each
+// link has at most one pending net.link_tx and one pending
+// net.link_deliver event, both capturing only `this`.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "fault/fault.h"
 #include "net/aqm.h"
@@ -96,8 +103,36 @@ class Link {
   }
 
  private:
+  // A packet handed to the pipe: due at `at` under the event sequence
+  // number reserved when it left the transmitter.
+  struct InFlight {
+    sim::Time at = 0;
+    std::uint64_t seq = 0;
+    Packet packet;
+  };
+
+  // FIFO ring that doubles when full. It allocates nothing until the first
+  // packet and its storage stays within twice the in-flight high-water
+  // mark, even on a bottleneck that never drains.
+  class InFlightRing {
+   public:
+    [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+    [[nodiscard]] std::size_t size() const noexcept { return size_; }
+    [[nodiscard]] const InFlight& front() const { return buf_[head_]; }
+    void push(InFlight e);
+    InFlight pop();
+
+   private:
+    std::vector<InFlight> buf_;
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
+  };
+
   void try_transmit();
-  void finish_transmit(Packet p);
+  void finish_transmit();
+  // Schedules the net.link_deliver event for the FIFO head.
+  void schedule_delivery();
+  void deliver_head();
   /// Folds any drop/mark counter movement since the last call into the
   /// metrics and the trace (one event per batch, like the old per-push
   /// accounting).
@@ -108,6 +143,8 @@ class Link {
   PacketSink* sink_;
   std::unique_ptr<QueueDiscipline> qdisc_;
   bool transmitting_ = false;
+  Packet tx_packet_;        // in service while transmitting_ (one at a time)
+  InFlightRing in_flight_;  // serialised, awaiting delivery (in order)
 
   // Observability handles, resolved once at construction (null without a
   // scope). Every discipline reports the sojourn of each delivered packet

@@ -156,4 +156,10 @@ Summary summarize(const std::vector<MetricSnapshot>& wall) {
   return out;
 }
 
+double heap_allocs_per_event(const Summary& s) {
+  return s.events_scheduled > 0 ? static_cast<double>(s.heap_allocs) /
+                                      static_cast<double>(s.events_scheduled)
+                                : 0.0;
+}
+
 }  // namespace fiveg::obs::prof

@@ -100,4 +100,13 @@ struct Summary {
 /// ExperimentResult::profile).
 [[nodiscard]] Summary summarize(const std::vector<MetricSnapshot>& wall);
 
+/// fiveg_prof flags a run whose Callable heap allocations exceed this
+/// fraction of its scheduled events. The event core is built to run
+/// allocation-free, so a ratio this high means some per-event capture has
+/// outgrown Callable's inline buffer.
+inline constexpr double kHighHeapAllocsPerEvent = 0.10;
+
+/// Callable heap allocations per scheduled event; 0 with no events.
+[[nodiscard]] double heap_allocs_per_event(const Summary& s);
+
 }  // namespace fiveg::obs::prof

@@ -1,9 +1,11 @@
 // Move-only type-erased `void()` callable with a small-buffer store.
 // The event queue keeps one per pending event; std::function heap-allocates
 // for all but the tiniest captures, and that allocation dominated
-// schedule() in protocol-heavy runs. Captures up to kInlineBytes (enough
-// for the repo's timer lambdas: a `this` pointer plus a few scalars) live
-// in place; larger ones fall back to the heap.
+// schedule() in protocol-heavy runs. Captures up to kInlineBytes live in
+// place: a `this` pointer plus up to five 8-byte scalars, which covers the
+// timer, pacing and link lambdas. Larger ones fall back to the heap and
+// are counted; a capture holding a net::Packet (80 bytes) is one of them,
+// which is why links keep packets in their own FIFOs instead.
 #pragma once
 
 #include <cstddef>

@@ -1,11 +1,31 @@
 #include "sim/event_queue.h"
 
+#include <algorithm>
 #include <cassert>
+#include <functional>
 #include <utility>
 
 namespace fiveg::sim {
+namespace {
+
+// Below this many heap items compaction is not worth a pass.
+constexpr std::size_t kCompactMinItems = 64;
+
+}  // namespace
 
 EventId EventQueue::schedule(Time at, const char* label, Callable action) {
+  return push(at, seq_++, label, std::move(action));
+}
+
+EventId EventQueue::schedule_reserved(Time at, std::uint64_t seq,
+                                      const char* label, Callable action) {
+  assert(reserved_ > 0 && seq < seq_);
+  --reserved_;
+  return push(at, seq, label, std::move(action));
+}
+
+EventId EventQueue::push(Time at, std::uint64_t seq, const char* label,
+                         Callable action) {
   std::uint32_t slot;
   if (free_.empty()) {
     slot = static_cast<std::uint32_t>(slots_.size());
@@ -18,7 +38,8 @@ EventId EventQueue::schedule(Time at, const char* label, Callable action) {
   s.action = std::move(action);
   s.label = label;
   s.live = true;
-  heap_.push(HeapItem{at, seq_++, slot, s.gen});
+  heap_.push_back(HeapItem{{at, seq}, slot, s.gen});
+  std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
   return (static_cast<EventId>(s.gen) << 32) | slot;
 }
 
@@ -36,14 +57,37 @@ void EventQueue::cancel(EventId id) {
   s.live = false;
   ++s.gen;  // invalidates the id and the pending heap item
   free_.push_back(slot);
+  ++stale_;
+  if (heap_.size() >= kCompactMinItems && 2 * stale_ > heap_.size()) {
+    compact();
+  }
+}
+
+// (at, seq) keys are unique, so neither the heap layout nor moving keys
+// between heap_ and ghosts_ can change which event pops next.
+void EventQueue::compact() {
+  const auto stale = std::partition(
+      heap_.begin(), heap_.end(),
+      [this](const HeapItem& it) { return is_live(it); });
+  for (auto it = stale; it != heap_.end(); ++it) {
+    ghosts_.push_back(*it);
+    std::push_heap(ghosts_.begin(), ghosts_.end(), std::greater<>{});
+  }
+  heap_.erase(stale, heap_.end());
+  std::make_heap(heap_.begin(), heap_.end(), std::greater<>{});
+  stale_ = 0;
 }
 
 void EventQueue::skip_stale() const {
-  while (!heap_.empty()) {
-    const HeapItem& it = heap_.top();
-    const Slot& s = slots_[it.slot];
-    if (s.live && s.gen == it.gen) return;
-    heap_.pop();
+  while (!heap_.empty() && !is_live(heap_.front())) {
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    heap_.pop_back();
+    --stale_;
+  }
+  while (!ghosts_.empty() &&
+         (heap_.empty() || heap_.front() > ghosts_.front())) {
+    std::pop_heap(ghosts_.begin(), ghosts_.end(), std::greater<>{});
+    ghosts_.pop_back();
   }
 }
 
@@ -55,14 +99,15 @@ bool EventQueue::empty() const noexcept {
 Time EventQueue::next_time() const {
   skip_stale();
   assert(!heap_.empty());
-  return heap_.top().at;
+  return heap_.front().at;
 }
 
 EventQueue::Popped EventQueue::pop() {
   skip_stale();
   assert(!heap_.empty());
-  const HeapItem it = heap_.top();
-  heap_.pop();
+  std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+  const HeapItem it = heap_.back();
+  heap_.pop_back();
   Slot& s = slots_[it.slot];
   // Detach the callback before it can run: it may schedule into (or cancel
   // within) this queue, including its own — now stale — id.

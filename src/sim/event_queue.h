@@ -11,10 +11,19 @@
 // Cancelling an already-fired or unknown id compares generations and does
 // nothing, so no per-id bookkeeping ever accumulates: total storage is
 // bounded by the high-water mark of concurrently pending events.
+//
+// Cancelled items that would otherwise wait in the heap until their
+// deadline (re-armed protocol timers, mostly) are compacted out once they
+// outnumber the live ones; only their keys are kept, so size() still
+// counts them exactly as a purely lazy heap would.
+//
+// A caller that queues work of its own (a link's in-flight FIFO) can take
+// a sequence number early with reserve_seq() and schedule under it later
+// with schedule_reserved(): the event then ties with same-instant events
+// as if it had been scheduled at reservation time.
 #pragma once
 
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "sim/callable.h"
@@ -39,6 +48,23 @@ class EventQueue {
   /// outlives the queue (string literals, in practice); null means
   /// unlabelled. Carrying the pointer costs unlabelled callers nothing.
   EventId schedule(Time at, const char* label, Callable action);
+
+  /// Takes the next sequence number without scheduling anything. Pass it
+  /// to schedule_reserved() later: the event keeps the same-instant tie
+  /// order it would have had if scheduled now. Each reserved number must
+  /// be scheduled exactly once. Until then it counts towards size(), as
+  /// the pending event it stands for. size() equals a lazy heap's count
+  /// only while every reserved number sorts after some scheduled event
+  /// whenever the queue is inspected, as with a FIFO whose head is always
+  /// scheduled.
+  [[nodiscard]] std::uint64_t reserve_seq() noexcept {
+    ++reserved_;
+    return seq_++;
+  }
+
+  /// Schedules `action` at `at` under a number from reserve_seq().
+  EventId schedule_reserved(Time at, std::uint64_t seq, const char* label,
+                            Callable action);
 
   /// Cancels a pending event. Cancelling an already-fired or unknown
   /// handle is a harmless no-op (the common race in protocol timers).
@@ -77,10 +103,14 @@ class EventQueue {
     return cancelled_;
   }
 
-  /// Heap occupancy, an upper bound on the runnable-event count (lazily
-  /// reaped cancelled items are included until they surface). Used for
-  /// queue-depth high-water marks, where the bound is tight enough.
-  [[nodiscard]] std::size_t size() const noexcept { return heap_.size(); }
+  /// Pending-set occupancy with lazy-deletion accounting: runnable events,
+  /// reserved-but-unscheduled numbers, and cancelled events until they
+  /// would have surfaced at the top of the heap (compaction does not end
+  /// that early). An upper bound on the runnable-event count; queue-depth
+  /// high-water marks and traces are recorded from it.
+  [[nodiscard]] std::size_t size() const noexcept {
+    return heap_.size() + ghosts_.size() + reserved_;
+  }
 
   /// Number of action slots ever allocated: the high-water mark of
   /// concurrently pending events. Stays flat however many ids are
@@ -90,14 +120,17 @@ class EventQueue {
   }
 
  private:
-  struct HeapItem {
+  struct Key {
     Time at;
-    std::uint64_t seq;   // schedule order: FIFO tie-break at equal times
-    std::uint32_t slot;  // index into slots_
-    std::uint32_t gen;   // slot generation at schedule time
-    friend bool operator>(const HeapItem& a, const HeapItem& b) noexcept {
+    std::uint64_t seq;  // schedule order: FIFO tie-break at equal times
+    friend bool operator>(const Key& a, const Key& b) noexcept {
       return a.at != b.at ? a.at > b.at : a.seq > b.seq;
     }
+  };
+
+  struct HeapItem : Key {
+    std::uint32_t slot;  // index into slots_
+    std::uint32_t gen;   // slot generation at schedule time
   };
 
   struct Slot {
@@ -107,15 +140,27 @@ class EventQueue {
     bool live = false;
   };
 
-  // Drops heap items whose slot was cancelled (generation mismatch).
+  [[nodiscard]] bool is_live(const HeapItem& it) const noexcept {
+    const Slot& s = slots_[it.slot];
+    return s.live && s.gen == it.gen;
+  }
+  EventId push(Time at, std::uint64_t seq, const char* label,
+               Callable action);
+  // Drops cancelled items (generation mismatch) from the top of the heap,
+  // and compacted keys that sort before the earliest runnable event: the
+  // items a lazy heap would have reaped by now.
   void skip_stale() const;
+  // Moves every cancelled item's key out of the heap into ghosts_.
+  void compact();
 
-  mutable std::priority_queue<HeapItem, std::vector<HeapItem>,
-                              std::greater<>>
-      heap_;
+  // Min-heaps (std::push_heap/pop_heap with std::greater).
+  mutable std::vector<HeapItem> heap_;
+  mutable std::vector<Key> ghosts_;  // keys of compacted cancelled items
+  mutable std::size_t stale_ = 0;    // cancelled items still in heap_
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;  // recycled slot indices (LIFO)
   std::uint64_t seq_ = 0;
+  std::uint64_t reserved_ = 0;  // reserved numbers not yet scheduled
   std::uint64_t cancelled_ = 0;
 };
 

@@ -10,9 +10,11 @@
 // tracked. Without a scope (the default), each step pays a single branch.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 
 #include "sim/callable.h"
 #include "sim/event_queue.h"
@@ -65,6 +67,22 @@ class Simulator {
 
   /// Labelled variant of `schedule_in` (see `schedule_at`).
   EventId schedule_in(Time delay, const char* label, Callable action);
+
+  /// Takes the next event sequence number for a later schedule_reserved()
+  /// (see EventQueue::reserve_seq): a component that queues work itself
+  /// keeps the same-instant tie order its events would have had if it had
+  /// scheduled each one now.
+  [[nodiscard]] std::uint64_t reserve_seq() noexcept {
+    return queue_.reserve_seq();
+  }
+
+  /// Schedules `action` at `at` (clamped to `now()`) under a number from
+  /// reserve_seq(); `label` as for `schedule_at`.
+  EventId schedule_reserved(Time at, std::uint64_t seq, const char* label,
+                            Callable action) {
+    return queue_.schedule_reserved(std::max(at, now_), seq, label,
+                                    std::move(action));
+  }
 
   /// Cancels a pending event (no-op if already fired).
   void cancel(EventId id) { queue_.cancel(id); }
@@ -125,7 +143,8 @@ class Simulator {
     return executed_;
   }
 
-  /// Pending-event-set occupancy (upper bound; see EventQueue::size).
+  /// Pending-event-set occupancy (lazy-deletion count; see
+  /// EventQueue::size).
   [[nodiscard]] std::size_t queue_depth() const noexcept {
     return queue_.size();
   }

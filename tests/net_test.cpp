@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "net/aqm.h"
@@ -12,12 +15,16 @@
 #include "net/link.h"
 #include "net/packet.h"
 #include "net/path.h"
-#include "net/queue.h"
 #include "net/ran_link.h"
 #include "net/topology.h"
 #include "net/traceroute.h"
 #include "net/udp.h"
+#include "obs/metrics.h"
+#include "obs/obs.h"
+#include "obs/prof.h"
 #include "sim/simulator.h"
+#include "tcp/tcp_receiver.h"
+#include "tcp/tcp_sender.h"
 
 namespace fiveg::net {
 namespace {
@@ -33,18 +40,6 @@ Packet make_packet(std::uint32_t flow, std::uint64_t seq, std::uint32_t bytes) {
   p.seq = seq;
   p.size_bytes = bytes;
   return p;
-}
-
-TEST(DropTailQueueTest, DropsWhenFull) {
-  DropTailQueue q(3000);
-  EXPECT_TRUE(q.push(make_packet(1, 0, 1500)));
-  EXPECT_TRUE(q.push(make_packet(1, 1, 1500)));
-  EXPECT_FALSE(q.push(make_packet(1, 2, 1500)));  // 4500 > 3000
-  EXPECT_EQ(q.drops(), 1u);
-  EXPECT_EQ(q.size_packets(), 2u);
-  EXPECT_EQ(q.pop().seq, 0u);  // FIFO
-  EXPECT_TRUE(q.push(make_packet(1, 3, 1500)));
-  EXPECT_EQ(q.max_depth_bytes(), 3000u);
 }
 
 TEST(LinkTest, SerializationAndPropagation) {
@@ -379,6 +374,180 @@ TEST(TopologyTest, PathOptionsScaleWithDistance) {
   EXPECT_LE(far.wired_hops, 11);
 }
 
+// A delivery waiting in a link's in-flight FIFO fires, among events at its
+// instant, where it would have if it had been scheduled when it left the
+// transmitter: after events scheduled before that, before events scheduled
+// after it — even though its event is only created when the packet ahead
+// of it is delivered.
+TEST(LinkTest, DeliveryKeepsScheduleOrderTieBreak) {
+  sim::Simulator simr;
+  Link::Config cfg;
+  cfg.rate_bps = 12e6;  // 1500 B = 1 ms serialisation
+  cfg.prop_delay = from_millis(5);
+  std::vector<std::string> order;
+  LambdaSink sink([&](Packet p) {
+    if (p.seq == 1) order.push_back("deliver");
+  });
+  Link link(&simr, cfg, &sink);
+  const sim::Time t = from_millis(7);  // packet 1: sent 1-2 ms, lands at 7
+  simr.schedule_at(t, [&] { order.push_back("before"); });
+  link.send(make_packet(1, 0, 1500));
+  link.send(make_packet(1, 1, 1500));
+  // Runs at 2 ms right after packet 1 leaves the transmitter (that link_tx
+  // event was scheduled at 1 ms, before this one).
+  simr.schedule_at(from_millis(1.5), [&] {
+    simr.schedule_at(from_millis(2), [&] {
+      simr.schedule_at(t, [&] { order.push_back("after_tx"); });
+    });
+  });
+  // Runs at 6 ms just before packet 0 is delivered, which is when packet
+  // 1's delivery event is actually created.
+  simr.schedule_at(from_millis(6), [&] {
+    simr.schedule_at(t, [&] { order.push_back("late"); });
+  });
+  simr.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"before", "deliver", "after_tx",
+                                             "late"}));
+}
+
+TEST(LinkTest, HarqJitteredDeliveriesStayInOrder) {
+  sim::Simulator simr;
+  Link::Config cfg;
+  cfg.rate_bps = 12e6;
+  cfg.prop_delay = from_millis(2);
+  // Every third packet needs 8 ms of retransmissions.
+  cfg.extra_delay_fn = [](const Packet& p) {
+    return p.seq % 3 == 0 ? from_millis(8) : sim::Time{0};
+  };
+  std::vector<std::pair<std::uint64_t, sim::Time>> got;
+  LambdaSink sink([&](Packet p) { got.emplace_back(p.seq, simr.now()); });
+  Link link(&simr, cfg, &sink);
+  for (int i = 0; i < 20; ++i) link.send(make_packet(1, i, 1500));
+  simr.run();
+  ASSERT_EQ(got.size(), 20u);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].first, i);
+    if (i > 0) {
+      EXPECT_GE(got[i].second, got[i - 1].second);
+    }
+  }
+  // Packet 0 (1 ms tx + 2 + 8 ms) holds back packet 1 (2 + 2 ms).
+  EXPECT_EQ(got[0].second, from_millis(11));
+  EXPECT_EQ(got[1].second, from_millis(11));
+  // Packet 19 (20 ms + 2 ms) waits for packet 18 (19 + 2 + 8 ms).
+  EXPECT_EQ(got[19].second, from_millis(29));
+}
+
+// Per-packet delay that grows with the sequence number: the in-flight FIFO
+// deepens while its head keeps moving, so it grows across a wrapped ring.
+TEST(LinkTest, InFlightFifoKeepsOrderWhileGrowing) {
+  sim::Simulator simr;
+  Link::Config cfg;
+  cfg.rate_bps = 12e6;
+  cfg.prop_delay = from_millis(1);
+  cfg.extra_delay_fn = [](const Packet& p) {
+    return static_cast<sim::Time>(p.seq) * from_millis(0.5);
+  };
+  std::vector<std::pair<std::uint64_t, sim::Time>> got;
+  LambdaSink sink([&](Packet p) { got.emplace_back(p.seq, simr.now()); });
+  Link link(&simr, cfg, &sink);
+  for (int i = 0; i < 100; ++i) link.send(make_packet(1, i, 1500));
+  simr.run();
+  ASSERT_EQ(got.size(), 100u);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].first, i);
+    // Sent (i + 1) ms, then 1 ms propagation and i / 2 ms of extra delay.
+    EXPECT_EQ(got[i].second,
+              from_millis(static_cast<double>(i + 2) + 0.5 * i));
+  }
+}
+
+TEST(LinkTest, ClearingSinkDropsInFlightPacketsSafely) {
+  sim::Simulator simr;
+  Link::Config cfg;
+  cfg.rate_bps = 12e6;
+  cfg.prop_delay = from_millis(10);
+  CountingSink sink;
+  Link link(&simr, cfg, &sink);
+  for (int i = 0; i < 5; ++i) link.send(make_packet(1, i, 1500));
+  // At 3 ms: 3 packets in the in-flight FIFO, 1 in service, 1 queued.
+  simr.run_until(from_millis(3));
+  link.set_sink(nullptr);
+  simr.run();
+  EXPECT_EQ(sink.packets(), 0u);
+  EXPECT_EQ(link.delivered_packets(), 5u);
+  EXPECT_EQ(link.in_transit_packets(), 0u);
+  // Reattached, the link delivers again.
+  link.set_sink(&sink);
+  link.send(make_packet(1, 5, 1500));
+  simr.run();
+  EXPECT_EQ(sink.packets(), 1u);
+}
+
+// The conservation ledger (offered = fault-dropped + dropped + delivered +
+// queued + in transit) holds at every instant, with packets both queued
+// and in the in-flight FIFO, and every ledger-delivered packet reaches the
+// sink once the pipe drains.
+TEST(LinkTest, ConservationLedgerHoldsWithInFlightFifo) {
+  sim::Simulator simr;
+  Link::Config cfg;
+  cfg.rate_bps = 20e6;
+  cfg.prop_delay = from_millis(4);
+  cfg.queue_bytes = 12 * 1500;
+  cfg.extra_delay_fn = [](const Packet& p) {
+    return p.seq % 5 == 0 ? from_millis(3) : sim::Time{0};
+  };
+  CountingSink sink;
+  Link link(&simr, cfg, &sink);
+  UdpSource src(&simr, {1, 40e6, 1500}, [&](Packet p) { link.send(p); });
+  src.start(from_millis(200));
+  for (int step = 1; step <= 60; ++step) {
+    simr.run_until(from_millis(5 * step));
+    const std::uint64_t accounted =
+        link.fault_dropped_packets() + link.dropped_packets() +
+        link.delivered_packets() + link.queue_packets() +
+        link.in_transit_packets();
+    ASSERT_EQ(link.offered_packets(), accounted) << "at step " << step;
+    ASSERT_LE(sink.packets(), link.delivered_packets());
+  }
+  EXPECT_GT(link.dropped_packets(), 0u);
+  EXPECT_EQ(sink.packets(), link.delivered_packets());
+}
+
+// Tier-1 allocation guard for the packet path: packets ride in link slots
+// and FIFOs, never inside event callables, so a multi-hop TCP transfer
+// schedules its events without heap allocations.
+TEST(LinkTest, TcpPathSchedulesEventsWithoutHeapAllocations) {
+  obs::MetricsRegistry reg;
+  const obs::ScopedObs scope(nullptr, &reg);
+  sim::Simulator simr;
+  std::vector<Link::Config> hops(3);
+  hops[0].rate_bps = 200e6;
+  hops[1].rate_bps = 50e6;  // the bottleneck
+  hops[1].queue_bytes = 60 * 1500;
+  hops[2].rate_bps = 1e9;
+  for (Link::Config& h : hops) h.prop_delay = from_millis(3);
+  PathNetwork path(&simr, hops);
+  tcp::TcpConfig cfg;
+  tcp::TcpSender sender(&simr, cfg, 1,
+                        [&](Packet p) { path.send_a_to_b(std::move(p)); });
+  tcp::TcpReceiver receiver(&simr, cfg, 1,
+                            [&](Packet p) { path.send_b_to_a(std::move(p)); });
+  path.attach_b(&receiver);
+  path.attach_a(&sender);
+  sender.start_bulk();
+  simr.run_until(kSecond);
+  const double scheduled = static_cast<double>(
+      reg.counter(obs::prof::kScheduledMetric, obs::MetricClock::kWall)
+          .value());
+  const double allocs = static_cast<double>(
+      reg.counter(obs::prof::kHeapAllocMetric, obs::MetricClock::kWall)
+          .value());
+  EXPECT_GT(scheduled, 10000.0);
+  EXPECT_GT(sender.bytes_acked(), 0u);
+  EXPECT_LT(allocs, 0.01 * scheduled);
+}
+
 // Property sweep: packet conservation on a congested path — everything
 // sent is either delivered or accounted as a drop, across load levels.
 class ConservationTest : public ::testing::TestWithParam<double> {};
@@ -406,7 +575,7 @@ INSTANTIATE_TEST_SUITE_P(Loads, ConservationTest,
 
 // --- queue disciplines (aqm.h) ---
 
-TEST(DropTailQdiscTest, MatchesDropTailQueueSemantics) {
+TEST(DropTailQdiscTest, TailDropsBytesAndKeepsFifoOrder) {
   DropTailQdisc q(3000);
   EXPECT_TRUE(q.push(make_packet(1, 0, 1500), 0));
   EXPECT_TRUE(q.push(make_packet(1, 1, 1500), 0));

@@ -173,5 +173,16 @@ TEST(ProfTest, SummarizeOfEmptySnapshotIsZero) {
   EXPECT_TRUE(label_rows({}).empty());
 }
 
+TEST(ProfTest, HeapAllocsPerEventFlagsOnlyAboveTenPercent) {
+  Summary s;
+  EXPECT_EQ(heap_allocs_per_event(s), 0.0);  // no events: nothing to flag
+  s.events_scheduled = 1000;
+  s.heap_allocs = 100;
+  EXPECT_DOUBLE_EQ(heap_allocs_per_event(s), 0.1);
+  EXPECT_FALSE(heap_allocs_per_event(s) > kHighHeapAllocsPerEvent);
+  s.heap_allocs = 101;
+  EXPECT_TRUE(heap_allocs_per_event(s) > kHighHeapAllocsPerEvent);
+}
+
 }  // namespace
 }  // namespace fiveg::obs::prof

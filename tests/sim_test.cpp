@@ -4,8 +4,17 @@
 
 #include <array>
 #include <cmath>
+#include <cstdint>
+#include <deque>
+#include <functional>
 #include <memory>
+#include <iterator>
+#include <queue>
+#include <set>
 #include <string>
+#include <type_traits>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -212,12 +221,248 @@ TEST(EventQueueTest, SizeIsUpperBoundOnPending) {
   const EventId b = q.schedule(2, [] {});
   EXPECT_EQ(q.size(), 2u);
   q.cancel(b);
-  // Lazily-cancelled entries may still be counted until skipped over.
-  EXPECT_GE(q.size(), 1u);
+  // Lazy-deletion accounting: a cancelled event counts until it would have
+  // surfaced at the top of the heap.
+  EXPECT_EQ(q.size(), 2u);
   q.pop_and_run();
-  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_TRUE(q.empty());  // reaps b
   EXPECT_EQ(q.size(), 0u);
 }
+
+TEST(EventQueueTest, ReservedSeqFiresBeforeLaterSameInstantEvents) {
+  EventQueue q;
+  std::vector<char> order;
+  q.schedule(5, [&] { order.push_back('a'); });
+  const std::uint64_t seq = q.reserve_seq();
+  q.schedule(5, [&] { order.push_back('c'); });
+  q.schedule(4, [&] { order.push_back('0'); });
+  EXPECT_EQ(q.size(), 4u);  // the reservation counts as pending
+  q.schedule_reserved(5, seq, nullptr, [&] { order.push_back('b'); });
+  EXPECT_EQ(q.size(), 4u);
+  EXPECT_EQ(q.scheduled_count(), 4u);
+  while (!q.empty()) q.pop_and_run();
+  EXPECT_EQ(order, (std::vector<char>{'0', 'a', 'b', 'c'}));
+}
+
+TEST(SimulatorTest, ReservedScheduleClampsToNow) {
+  Simulator s;
+  std::vector<Time> stamps;
+  s.schedule_at(10, [&] {
+    const std::uint64_t seq = s.reserve_seq();
+    s.schedule_at(10, [&] { stamps.push_back(-s.now()); });
+    s.schedule_reserved(3, seq, "test.reserved",
+                        [&] { stamps.push_back(s.now()); });
+  });
+  s.run();
+  EXPECT_EQ(stamps, (std::vector<Time>{10, -10}));
+}
+
+// The pending set as it was before compaction and reserved numbers: a
+// lazy-deletion binary heap whose size() counts cancelled items until they
+// surface at the top. The property test below holds EventQueue to its pop
+// order and to its size() after every operation.
+class LazyReferenceQueue {
+ public:
+  EventId schedule(Time at, std::function<void()> action) {
+    const EventId id = next_id_++;
+    heap_.push(Item{at, seq_++, id});
+    actions_.emplace(id, std::move(action));
+    return id;
+  }
+  void cancel(EventId id) { actions_.erase(id); }
+  bool empty() {
+    skip_stale();
+    return heap_.empty();
+  }
+  Time pop_and_run() {
+    skip_stale();
+    const Item it = heap_.top();
+    heap_.pop();
+    std::function<void()> action = std::move(actions_.at(it.id));
+    actions_.erase(it.id);
+    action();
+    return it.at;
+  }
+  [[nodiscard]] std::size_t size() const { return heap_.size(); }
+
+ private:
+  struct Item {
+    Time at;
+    std::uint64_t seq;
+    EventId id;
+    friend bool operator>(const Item& a, const Item& b) {
+      return a.at != b.at ? a.at > b.at : a.seq > b.seq;
+    }
+  };
+  void skip_stale() {
+    while (!heap_.empty() && actions_.count(heap_.top().id) == 0) {
+      heap_.pop();
+    }
+  }
+
+  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap_;
+  std::unordered_map<EventId, std::function<void()>> actions_;
+  std::uint64_t seq_ = 0;
+  EventId next_id_ = 0;
+};
+
+// Drives one queue through a seeded random script: schedules with many
+// same-instant ties, cancels (fired ids, the head, mid-heap, from inside
+// callbacks, and bursts that leave most of the heap cancelled), pops, and
+// in-order "link deliveries". On EventQueue a delivery takes a reserved
+// number and waits in a FIFO whose head alone is scheduled, as net::Link
+// does; on the reference it is scheduled outright. Two harnesses with the
+// same seed must produce the same log.
+template <class Q>
+class QueueHarness {
+ public:
+  explicit QueueHarness(std::uint64_t seed) : rng_(seed) {}
+
+  // Fired tags (with their times) and size() after every operation.
+  struct Log {
+    std::vector<std::pair<int, Time>> fired;
+    std::vector<std::size_t> sizes;
+  };
+
+  Log run(int steps) {
+    for (int i = 0; i < steps; ++i) {
+      step();
+      log_.sizes.push_back(q_.size());
+    }
+    while (!q_.empty()) {
+      now_ = q_.pop_and_run();
+      log_.sizes.push_back(q_.size());
+    }
+    log_.sizes.push_back(q_.size());
+    return log_;
+  }
+
+ private:
+  struct Timer {
+    EventId id;
+    Time at;
+  };
+
+  struct Delivery {
+    Time at;
+    std::uint64_t seq;
+    int tag;
+  };
+
+  void step() {
+    const std::int64_t op = rng_.uniform_int(0, 99);
+    if (op < 35) {
+      schedule(now_ + rng_.uniform_int(0, 60));
+    } else if (op < 48) {
+      cancel_random();  // fired, cancelled or pending alike
+    } else if (op < 52) {
+      if (!pending_.empty()) cancel(pending_.begin()->second);  // the head
+    } else if (op < 55) {
+      if (!pending_.empty()) {  // mid-heap
+        cancel(std::next(pending_.begin(),
+                         static_cast<std::ptrdiff_t>(pending_.size() / 2))
+                   ->second);
+      }
+    } else if (op < 57) {
+      burst();
+    } else if (op < 67) {
+      enqueue_delivery();
+    } else if (!q_.empty()) {
+      now_ = q_.pop_and_run();
+    }
+  }
+
+  void schedule(Time at) {
+    const int tag = next_tag_++;
+    timers_.emplace(tag, Timer{q_.schedule(at, [this, tag] { fire(tag); }),
+                               at});
+    tags_.push_back(tag);
+    pending_.emplace(at, tag);
+  }
+
+  void cancel(int tag) {
+    const Timer& t = timers_.at(tag);
+    q_.cancel(t.id);
+    pending_.erase({t.at, tag});
+  }
+
+  void cancel_random() {
+    if (tags_.empty()) return;
+    const auto k =
+        rng_.uniform_int(0, static_cast<std::int64_t>(tags_.size()) - 1);
+    cancel(tags_[static_cast<std::size_t>(k)]);
+  }
+
+  // Enough cancelled items to outnumber the live ones and force EventQueue
+  // to compact, spread in time so some outlive many later pops.
+  void burst() {
+    const std::size_t first = tags_.size();
+    for (int i = 0; i < 200; ++i) schedule(now_ + rng_.uniform_int(1, 2000));
+    for (std::size_t i = first; i < tags_.size(); ++i) {
+      if (rng_.uniform_int(0, 9) != 0) cancel(tags_[i]);
+    }
+  }
+
+  void fire(int tag) {
+    log_.fired.emplace_back(tag, now_);
+    if (const auto it = timers_.find(tag); it != timers_.end()) {
+      pending_.erase({it->second.at, tag});
+    }
+    // Callbacks cancel and schedule too, as protocol timers do.
+    if (tag % 3 == 0) cancel_random();
+    if (tag % 7 == 0) schedule(now_ + rng_.uniform_int(0, 30));
+  }
+
+  void enqueue_delivery() {
+    last_delivery_ = std::max(now_ + rng_.uniform_int(0, 40), last_delivery_);
+    const int tag = next_tag_++;
+    if constexpr (std::is_same_v<Q, EventQueue>) {
+      fifo_.push_back({last_delivery_, q_.reserve_seq(), tag});
+      if (fifo_.size() == 1) schedule_fifo_head();
+    } else {
+      q_.schedule(last_delivery_, [this, tag] { fire(tag); });
+    }
+  }
+
+  void schedule_fifo_head() {
+    const Delivery& d = fifo_.front();
+    q_.schedule_reserved(d.at, d.seq, nullptr, [this] {
+      const int tag = fifo_.front().tag;
+      fifo_.pop_front();
+      if (!fifo_.empty()) schedule_fifo_head();
+      fire(tag);
+    });
+  }
+
+  Q q_;
+  Rng rng_;
+  Time now_ = 0;
+  Time last_delivery_ = 0;
+  int next_tag_ = 0;
+  std::unordered_map<int, Timer> timers_;   // cancellable events by tag
+  std::vector<int> tags_;                   // timer tags in schedule order
+  std::set<std::pair<Time, int>> pending_;  // uncancelled, unfired timers
+  std::deque<Delivery> fifo_;
+  Log log_;
+};
+
+class EventQueuePropertyTest
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(EventQueuePropertyTest, MatchesLazyReferenceQueue) {
+  const auto got = QueueHarness<EventQueue>(GetParam()).run(4000);
+  const auto want = QueueHarness<LazyReferenceQueue>(GetParam()).run(4000);
+  EXPECT_GT(got.fired.size(), 1000u);
+  EXPECT_EQ(got.fired, want.fired);
+  ASSERT_EQ(got.sizes.size(), want.sizes.size());
+  for (std::size_t i = 0; i < got.sizes.size(); ++i) {
+    ASSERT_EQ(got.sizes[i], want.sizes[i]) << "after operation " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EventQueuePropertyTest,
+                         ::testing::Values(1u, 2u, 3u, 42u, 777u, 2024u));
 
 TEST(SimulatorTest, LabelledSchedulingBehavesLikeUnlabelled) {
   Simulator s;

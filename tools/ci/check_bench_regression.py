@@ -15,10 +15,11 @@ A baseline without a "compare" list falls back to the bench_hotpath metric
 set, keeping the original BENCH_hotpath.json working unchanged. An "after"
 entry may be a bare number or a {"median_of_runs": N} object.
 
-Shared CI runners are too noisy to gate on, so this script always exits 0.
-It emits a GitHub `::warning::` annotation for every metric that regresses
-more than the threshold (default 15%), and a plain error line if a
-checksum diverges (that one signals a correctness change, not noise).
+Shared CI runners are too noisy to gate on speed: the script emits a
+GitHub `::warning::` annotation for every metric that regresses more than
+the threshold (default 15%) and never fails for it. A checksum that
+diverges signals a correctness change, not noise: it is always annotated,
+and when the baseline sets "gate_checksums": true the script exits 1.
 """
 import json
 import sys
@@ -84,17 +85,24 @@ def main(argv):
 
     # Any *_checksum field present in both documents must agree exactly:
     # checksum drift signals changed output, not noise.
+    gate = baseline.get("gate_checksums") is True
+    drifted = 0
     for key, base in after.items():
         if not key.endswith(CHECKSUM_SUFFIX):
             continue
         now = fresh.get(key)
-        if now is not None and base != now:
-            print(f"::warning::perf-smoke checksum drift in {key}: "
+        if gate and now is None:
+            print(f"::error::perf-smoke: fresh run has no {key}")
+            drifted += 1
+        elif now is not None and base != now:
+            level = "error" if gate else "warning"
+            print(f"::{level}::perf-smoke checksum drift in {key}: "
                   f"{now} vs {base} — output changed, not just speed")
+            drifted += 1
 
     print(f"perf-smoke: {regressed} metric(s) past the {threshold:.0f}% "
           "threshold (informational only)")
-    return 0
+    return 1 if gate and drifted else 0
 
 
 if __name__ == "__main__":

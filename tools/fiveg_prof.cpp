@@ -13,6 +13,10 @@
 // status is non-zero — this is the cheap end-of-campaign audit that the
 // durable artifacts actually agree.
 //
+// Runs whose Callable heap allocations exceed 10% of their scheduled
+// events are flagged in both outputs (a warning; the exit status ignores
+// it).
+//
 // usage: fiveg_prof LEDGER... [--store DIR] [--top N] [--json]
 #include <algorithm>
 #include <cstdint>
@@ -38,7 +42,8 @@ using fiveg::core::RunStatus;
 constexpr const char* kUsage = R"(usage: fiveg_prof LEDGER... [options]
 
 Aggregates campaign run ledgers (fiveg_runall --ledger) into wall-time and
-flakiness tables.
+flakiness tables, and flags runs whose event-core heap allocations exceed
+10% of their scheduled events.
 
 options:
   --store DIR  also load the fiveg-rs/v1 store the campaign wrote with
@@ -59,6 +64,12 @@ std::string fmt_ms(double ms) {
 std::string fmt_us(double us) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.2f", us);
+  return buf;
+}
+
+std::string fmt_ratio(double r) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.3f", r);
   return buf;
 }
 
@@ -273,6 +284,15 @@ int main(int argc, char** argv) {
             });
   if (label_rows.size() > top) label_rows.resize(top);
 
+  using fiveg::obs::prof::heap_allocs_per_event;
+  using fiveg::obs::prof::kHighHeapAllocsPerEvent;
+  std::vector<const Run*> high_alloc;
+  for (const Run& run : runs) {
+    if (heap_allocs_per_event(run.prof) > kHighHeapAllocsPerEvent) {
+      high_alloc.push_back(&run);
+    }
+  }
+
   std::vector<std::pair<std::string, const PerExperiment*>> flaky;
   for (const auto& [name, e] : per_exp) {
     if (e.mixed_status() || e.nondeterministic()) flaky.emplace_back(name, &e);
@@ -345,6 +365,22 @@ int main(int argc, char** argv) {
       w.end_object();
     }
     w.end_array();
+    w.key("high_heap_allocs");
+    w.begin_object();
+    w.kv("threshold", kHighHeapAllocsPerEvent);
+    w.key("runs");
+    w.begin_array();
+    for (const Run* run : high_alloc) {
+      w.begin_object();
+      w.kv("name", run->result.name);
+      w.kv("seed", run->result.seed);
+      w.kv("events_scheduled", run->prof.events_scheduled);
+      w.kv("heap_allocs", run->prof.heap_allocs);
+      w.kv("allocs_per_event", heap_allocs_per_event(run->prof));
+      w.end_object();
+    }
+    w.end_array();
+    w.end_object();
     w.key("flaky");
     w.begin_array();
     for (const auto& [name, e] : flaky) {
@@ -413,6 +449,23 @@ int main(int argc, char** argv) {
            fmt_us(agg.events > 0 ? agg.total_ms * 1000.0 /
                                        static_cast<double>(agg.events)
                                  : 0.0)});
+    }
+    table.print(std::cout);
+  }
+
+  if (!high_alloc.empty()) {
+    std::cout << "warning: " << high_alloc.size()
+              << " run(s) heap-allocate for more than "
+              << fmt_ms(100.0 * kHighHeapAllocsPerEvent)
+              << "% of their scheduled events\n";
+    fiveg::measure::TextTable table(
+        "high heap allocation",
+        {"experiment", "seed", "events", "heap allocs", "allocs/event"});
+    for (const Run* run : high_alloc) {
+      table.add_row({run->result.name, std::to_string(run->result.seed),
+                     std::to_string(run->prof.events_scheduled),
+                     std::to_string(run->prof.heap_allocs),
+                     fmt_ratio(heap_allocs_per_event(run->prof))});
     }
     table.print(std::cout);
   }

@@ -14,13 +14,12 @@
 //   {"reps": ..., "geometry_qps_median": ..., "geometry_checksum": ...,
 //    "sinr_sweep_qps_median": ..., "sinr_checksum": ...,
 //    "event_churn_eps_median": ...}
-#include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <vector>
 
+#include "bench_common.h"
 #include "geo/campus.h"
 #include "geo/geometry.h"
 #include "ran/cell.h"
@@ -31,11 +30,7 @@
 namespace {
 
 using namespace fiveg;  // NOLINT: benchmark file brevity
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
+using bench::Clock;
 
 struct GeoResult {
   double qps = 0;
@@ -79,7 +74,7 @@ GeoResult geometry_rep(const geo::CampusMap& campus) {
       ++queries;
     }
   }
-  const double secs = seconds_since(start);
+  const double secs = bench::seconds_since(start);
   return {static_cast<double>(queries) / secs, checksum};
 }
 
@@ -106,7 +101,7 @@ GeoResult sinr_rep(const geo::CampusMap& campus, const ran::Deployment& dep) {
       }
     }
   }
-  const double secs = seconds_since(start);
+  const double secs = bench::seconds_since(start);
   return {static_cast<double>(cell_evals) / secs, checksum};
 }
 
@@ -131,13 +126,8 @@ double event_churn_rep(std::uint64_t target_events) {
     q.pop_and_run();
     q.pop_and_run();
   }
-  const double secs = seconds_since(start);
+  const double secs = bench::seconds_since(start);
   return static_cast<double>(fired) / secs;
-}
-
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
 }
 
 }  // namespace
@@ -163,7 +153,7 @@ int main() {
       "{\"reps\": %d, \"geometry_qps_median\": %.0f, "
       "\"geometry_checksum\": %.6f, \"sinr_sweep_qps_median\": %.0f, "
       "\"sinr_checksum\": %.6f, \"event_churn_eps_median\": %.0f}\n",
-      kReps, median(geo_qps), geo_sum, median(sinr_qps), sinr_sum,
-      median(churn_eps));
+      kReps, bench::median(geo_qps), geo_sum, bench::median(sinr_qps), sinr_sum,
+      bench::median(churn_eps));
   return 0;
 }

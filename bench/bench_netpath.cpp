@@ -19,7 +19,6 @@
 //    "events_per_s_median": ..., "heap_allocs_per_event": ...,
 //    "queue_depth_hwm": ..., "netpath_checksum": "..."}
 #include <algorithm>
-#include <chrono>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -28,6 +27,7 @@
 #include <vector>
 
 #include "app/iperf.h"
+#include "bench_common.h"
 #include "core/scenario.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
@@ -38,7 +38,7 @@
 namespace {
 
 using namespace fiveg;  // NOLINT: benchmark file brevity
-using Clock = std::chrono::steady_clock;
+using bench::Clock;
 
 constexpr int kReps = 5;
 constexpr sim::Time kDuration = sim::kSecond;
@@ -46,21 +46,6 @@ constexpr std::uint64_t kTestbedSeed = 0x7cb0b01c;
 constexpr tcp::CcAlgo kAlgos[] = {tcp::CcAlgo::kBbr, tcp::CcAlgo::kCubic,
                                   tcp::CcAlgo::kReno, tcp::CcAlgo::kVegas,
                                   tcp::CcAlgo::kVeno};
-
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
-
-struct Fnv {
-  std::uint64_t h = 1469598103934665603ULL;
-  void add(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ULL;
-    }
-  }
-};
 
 struct RepResult {
   double seconds = 0;
@@ -90,13 +75,13 @@ RepResult run_rep() {
   const std::uint64_t allocs_before = sim::Callable::heap_fallbacks();
   const auto start = Clock::now();
   simr.run_until(kDuration);
-  out.seconds = std::chrono::duration<double>(Clock::now() - start).count();
+  out.seconds = bench::seconds_since(start);
   out.events = simr.executed_events();
   out.scheduled = simr.scheduled_total();
   out.heap_allocs = sim::Callable::heap_fallbacks() - allocs_before;
   out.depth_hwm = simr.queue_depth_high_water();
 
-  Fnv sum;
+  bench::Fnv sum;
   net::PathNetwork& path = bed.path();
   for (std::size_t i = 0; i < path.hop_count(); ++i) {
     for (const net::Link* l : {&path.forward_link(i), &path.reverse_link(i)}) {
@@ -148,7 +133,7 @@ int main() {
       "\"heap_allocs_per_event\": %.4f, \"queue_depth_hwm\": %" PRIu64
       ", \"netpath_checksum\": \"%016" PRIx64 "\"}\n",
       kReps, std::size(kAlgos), sim::to_seconds(kDuration), last.events,
-      median(rate),
+      bench::median(rate),
       static_cast<double>(last.heap_allocs) /
           static_cast<double>(last.scheduled),
       observed.depth_hwm, sums[0]);

@@ -9,21 +9,20 @@
 // Prints a small JSON document on stdout so the driver can diff runs:
 //   {"events": ..., "reps": ..., "events_per_sec_median": ...,
 //    "profiled_events_per_sec_median": ..., "profiled_overhead_pct": ...}
-#include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
+#include <utility>
 #include <vector>
 
-#include <functional>
-
+#include "bench_common.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "sim/simulator.h"
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
+using fiveg::bench::Clock;
 
 // One rep: a self-rescheduling event chain plus a fan of one-shot timers,
 // roughly the schedule/pop mix of a TCP experiment's hot loop. The chain
@@ -44,8 +43,7 @@ double events_per_sec(std::uint64_t chain_events) {
   }
   const auto start = Clock::now();
   simr.run();
-  const double secs =
-      std::chrono::duration<double>(Clock::now() - start).count();
+  const double secs = fiveg::bench::seconds_since(start);
   return static_cast<double>(simr.executed_events()) / secs;
 }
 
@@ -53,8 +51,7 @@ double median_rate(std::uint64_t chain_events, int reps) {
   std::vector<double> rates;
   rates.reserve(static_cast<std::size_t>(reps));
   for (int r = 0; r < reps; ++r) rates.push_back(events_per_sec(chain_events));
-  std::sort(rates.begin(), rates.end());
-  return rates[static_cast<std::size_t>(reps) / 2];
+  return fiveg::bench::median(std::move(rates));
 }
 
 }  // namespace

@@ -15,44 +15,24 @@
 //    "serial_events_per_s_median": ..., "parallel_events_per_s_median":
 //    ..., "speedup_median": ..., "serial_checksum": ...,
 //    "parallel_checksum": ...}
-#include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <memory>
-#include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "core/scenario.h"
-#include "geo/route.h"
-#include "ran/ue_cohort.h"
 #include "sim/parsim.h"
-#include "sim/rng.h"
 
 namespace {
 
 using namespace fiveg;  // NOLINT: benchmark file brevity
-using Clock = std::chrono::steady_clock;
+using bench::Clock;
 
 constexpr int kReps = 5;
 constexpr int kDistricts = 4;
 constexpr int kUesPerDistrict = 2500;
 constexpr sim::Time kDuration = 2 * sim::kSecond;  // 10 sweeps at 200 ms
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
-
-struct District {
-  std::unique_ptr<core::CityScenario> sc;
-  std::unique_ptr<ran::UeCohort> cohort;
-};
 
 struct RepResult {
   double events_per_s = 0;
@@ -70,44 +50,20 @@ RepResult run_rep(int threads) {
   cfg.threads = threads;
   cfg.lookahead = core::city_partition_lookahead(part);
   sim::ParSim par(cfg);
-
-  std::vector<District> districts(static_cast<std::size_t>(part.districts));
-  for (int k = 0; k < part.districts; ++k) {
-    par.with_lane(k, [&, k] {
-      District& d = districts[static_cast<std::size_t>(k)];
-      const std::string tag = "district" + std::to_string(k);
-      d.sc = std::make_unique<core::CityScenario>(
-          sim::Rng(42).fork(tag).seed(), part.district);
-      ran::CohortConfig ccfg;
-      ccfg.name = "bench.d" + std::to_string(k);
-      ccfg.domain = k;
-      d.cohort = std::make_unique<ran::UeCohort>(
-          &d.sc->deployment(), ccfg, sim::Rng(42).fork(tag + ".cohort"));
-      sim::Rng place = sim::Rng(42).fork(tag + ".ues");
-      const int n_walk = kUesPerDistrict * 35 / 1000;
-      const int n_drive = kUesPerDistrict * 15 / 1000;
-      for (int i = 0; i < n_walk; ++i) {
-        d.cohort->add_route(geo::make_waypoint_route(d.sc->campus(), place, 6),
-                            1.4);
-      }
-      for (int i = 0; i < n_drive; ++i) {
-        d.cohort->add_route(geo::make_waypoint_route(d.sc->campus(), place, 4),
-                            11.0);
-      }
-      for (int i = n_walk + n_drive; i < kUesPerDistrict; ++i) {
-        d.cohort->add_stationary(d.sc->campus().random_point(place));
-      }
-      d.cohort->start(&par.lane(k), kDuration);
-    });
-  }
+  core::CityPopulation pop;
+  pop.n_ue = kUesPerDistrict;
+  pop.walk_frac = 0.035;
+  pop.drive_frac = 0.015;
+  const std::vector<core::CityDistrict> districts =
+      core::build_city_districts(par, 42, part, "bench", pop, kDuration);
 
   const auto start = Clock::now();
   par.run_until(kDuration);
-  const double secs = seconds_since(start);
+  const double secs = bench::seconds_since(start);
   par.finish();
 
   double checksum = 0;
-  for (const District& d : districts) {
+  for (const core::CityDistrict& d : districts) {
     const ran::UeCohort& cohort = *d.cohort;
     const ran::UeCohort::Stats& st = cohort.stats();
     checksum += static_cast<double>(st.sweeps) +
@@ -116,7 +72,7 @@ RepResult run_rep(int threads) {
     for (const radio::Rat rat : {radio::Rat::kLte, radio::Rat::kNr}) {
       const auto& block = cohort.block(rat);
       const std::size_t n =
-          d.sc->deployment().cells(rat).size() * cohort.size();
+          d.scenario->deployment().cells(rat).size() * cohort.size();
       for (std::size_t i = 0; i < n; ++i) {
         checksum += block.rsrp_dbm[i] + block.sinr_db[i];
       }
@@ -158,7 +114,7 @@ int main() {
       "\"serial_checksum\": %.6f, \"parallel_checksum\": %.6f}\n",
       kReps, kDistricts, kDistricts * kUesPerDistrict,
       static_cast<int>(kDuration / sim::from_millis(200)), hw, par_threads,
-      median(serial_rate), median(parallel_rate), median(speedup), serial_sum,
-      parallel_sum);
+      bench::median(serial_rate), bench::median(parallel_rate),
+      bench::median(speedup), serial_sum, parallel_sum);
   return serial_sum == parallel_sum ? 0 : 1;
 }

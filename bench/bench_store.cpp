@@ -14,8 +14,6 @@
 //   {"reps": ..., "records": ..., "write_records_per_s_median": ...,
 //    "merge_records_per_s_median": ..., "store_bytes": ...,
 //    "json_bytes": ..., "store_to_json_ratio": ...}
-#include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -25,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_common.h"
 #include "core/runner.h"
 #include "core/store.h"
 #include "obs/metrics.h"
@@ -33,17 +32,8 @@
 namespace {
 
 using namespace fiveg;  // NOLINT: benchmark file brevity
-using Clock = std::chrono::steady_clock;
+using bench::Clock;
 namespace fs = std::filesystem;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
 
 constexpr int kReps = 5;
 constexpr int kRecords = 400;
@@ -124,7 +114,7 @@ int main() {
         if (!writers[i % kShards]->append(records[i])) return 1;
       }
     }
-    write_rps.push_back(kRecords / seconds_since(wstart));
+    write_rps.push_back(kRecords / bench::seconds_since(wstart));
 
     const auto mstart = Clock::now();
     core::StoreDirLoad load = core::load_store_dir(rep_dir.string());
@@ -132,7 +122,7 @@ int main() {
     const std::vector<core::StoreRecord> view =
         core::canonical_view(std::move(load.records));
     if (view.size() != kRecords) return 1;
-    merge_rps.push_back(kRecords / seconds_since(mstart));
+    merge_rps.push_back(kRecords / bench::seconds_since(mstart));
 
     if (rep == 0) {
       for (const auto& entry : fs::directory_iterator(rep_dir)) {
@@ -147,8 +137,8 @@ int main() {
       "\"write_records_per_s_median\": %.0f, "
       "\"merge_records_per_s_median\": %.0f, \"store_bytes\": %zu, "
       "\"json_bytes\": %zu, \"store_to_json_ratio\": %.4f}\n",
-      kReps, kRecords, median(write_rps), median(merge_rps), store_bytes,
-      json_bytes, static_cast<double>(store_bytes) /
-                      static_cast<double>(json_bytes));
+      kReps, kRecords, bench::median(write_rps), bench::median(merge_rps),
+      store_bytes, json_bytes,
+      static_cast<double>(store_bytes) / static_cast<double>(json_bytes));
   return 0;
 }

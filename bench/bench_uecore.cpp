@@ -15,14 +15,12 @@
 //   {"reps": ..., "ues": ..., "cells_per_rat": ..., "sweeps_per_rep": ...,
 //    "scalar_evals_per_s_median": ..., "batch_evals_per_s_median": ...,
 //    "speedup_median": ..., "scalar_checksum": ..., "batch_checksum": ...}
-#include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <vector>
 
-#include "geo/campus.h"
-#include "geo/route.h"
+#include "bench_common.h"
+#include "core/scenario.h"
 #include "ran/cell.h"
 #include "ran/deployment.h"
 #include "ran/ue_cohort.h"
@@ -31,37 +29,12 @@
 namespace {
 
 using namespace fiveg;  // NOLINT: benchmark file brevity
-using Clock = std::chrono::steady_clock;
+using bench::Clock;
 
 constexpr int kReps = 5;
 constexpr int kUes = 1000;
 constexpr int kSweeps = 10;
 constexpr sim::Time kPeriod = sim::from_millis(200);
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
-
-// Populates the cohort exactly like the city_grid_1k experiment: walkers
-// and drivers first, then the stationary majority.
-void populate(ran::UeCohort& cohort, const geo::CampusMap& campus,
-              sim::Rng& place) {
-  const int n_walk = kUes / 10, n_drive = kUes / 20;
-  for (int i = 0; i < n_walk; ++i) {
-    cohort.add_route(geo::make_waypoint_route(campus, place, 6), 1.4);
-  }
-  for (int i = 0; i < n_drive; ++i) {
-    cohort.add_route(geo::make_waypoint_route(campus, place, 4), 11.0);
-  }
-  for (int i = n_walk + n_drive; i < kUes; ++i) {
-    cohort.add_stationary(campus.random_point(place));
-  }
-}
 
 struct RepResult {
   double evals_per_s = 0;
@@ -88,7 +61,7 @@ RepResult scalar_rep(ran::UeCohort& cohort, const ran::Deployment& dep) {
       }
     }
   }
-  const double secs = seconds_since(start);
+  const double secs = bench::seconds_since(start);
   return {static_cast<double>(evals) / secs, checksum};
 }
 
@@ -112,24 +85,24 @@ RepResult batch_rep(ran::UeCohort& cohort) {
       }
     }
   }
-  const double secs = seconds_since(start);
+  const double secs = bench::seconds_since(start);
   return {static_cast<double>(evals) / secs, checksum};
 }
 
 }  // namespace
 
 int main() {
-  const geo::CampusMap campus =
-      geo::make_city_campus(sim::Rng(42).fork("city_campus"), 1280.0, 1280.0,
-                            0.35);
-  const ran::Deployment dep =
-      ran::make_city_deployment(&campus, sim::Rng(42).fork("city_deployment"));
+  // The city_grid_1k set-up (default city, same forks and UE mix) at seed 42.
+  const core::CityScenario sc(42);
+  const ran::Deployment& dep = sc.deployment();
 
   ran::CohortConfig cfg;
   cfg.name = "bench";
   ran::UeCohort cohort(&dep, cfg, sim::Rng(42).fork("cohort"));
   sim::Rng place = sim::Rng(42).fork("city_ues");
-  populate(cohort, campus, place);
+  core::CityPopulation pop;
+  pop.n_ue = kUes;
+  core::populate_city_cohort(cohort, sc.campus(), pop, place);
 
   std::vector<double> scalar_rate, batch_rate, speedup;
   double scalar_sum = 0, batch_sum = 0;
@@ -149,7 +122,7 @@ int main() {
       "\"sweeps_per_rep\": %d, \"scalar_evals_per_s_median\": %.0f, "
       "\"batch_evals_per_s_median\": %.0f, \"speedup_median\": %.2f, "
       "\"scalar_checksum\": %.6f, \"batch_checksum\": %.6f}\n",
-      kReps, kUes, cells, kSweeps, median(scalar_rate), median(batch_rate),
-      median(speedup), scalar_sum, batch_sum);
+      kReps, kUes, cells, kSweeps, bench::median(scalar_rate),
+      bench::median(batch_rate), bench::median(speedup), scalar_sum, batch_sum);
   return 0;
 }

@@ -1,8 +1,7 @@
 #include "core/experiment.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <iostream>
+#include <ostream>
 #include <memory>
 #include <stdexcept>
 
@@ -113,23 +112,6 @@ std::vector<std::string> ExperimentRegistry::names() const {
   for (const Entry& e : entries_) out.push_back(e.name);
   std::sort(out.begin(), out.end());
   return out;
-}
-
-int run_experiment_main(const std::string& name, int argc, char** argv) {
-  ExperimentContext ctx;
-  ctx.out = &std::cout;
-  if (argc > 1) ctx.seed = std::strtoull(argv[1], nullptr, 10);
-
-  auto& registry = ExperimentRegistry::instance();
-  if (!name.empty()) {
-    if (!registry.run(name, ctx)) {
-      std::cerr << "unknown experiment: " << name << "\n";
-      return 1;
-    }
-    return 0;
-  }
-  for (const std::string& n : registry.names()) registry.run(n, ctx);
-  return 0;
 }
 
 }  // namespace fiveg::core

@@ -1,8 +1,8 @@
 // Experiment framework: every reproduced table/figure is an Experiment
-// registered by name. Bench binaries look experiments up and run them; the
-// output is a text table with the paper's values printed beside ours, plus
-// an optional structured result (status, wall-clock, named metric series)
-// consumed by the parallel Runner and the JSON emitter.
+// registered by name, and fiveg_runall runs it by name. The output is a
+// text table with the paper's values printed beside ours, plus an optional
+// structured result (status, wall-clock, named metric series) consumed by
+// the parallel Runner and the JSON emitter.
 #pragma once
 
 #include <cstdint>
@@ -162,9 +162,5 @@ void register_city_experiments();
 /// every experiment's tables (shared by the registry and the Runner).
 void print_banner(const Experiment& exp, std::uint64_t seed,
                   std::ostream& os);
-
-/// Standard bench-binary main body: runs one experiment (or all when
-/// `name` is empty) with an optional seed argument.
-int run_experiment_main(const std::string& name, int argc, char** argv);
 
 }  // namespace fiveg::core

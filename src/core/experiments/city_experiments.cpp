@@ -3,14 +3,12 @@
 // lives in one ran::UeCohort (structure-of-arrays), advanced by a single
 // batched sweep event per sample period; KPIs aggregate into cohort-level
 // digests and the summary tables below — never per-UE series.
-#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
 
 #include "core/experiment.h"
 #include "core/scenario.h"
-#include "geo/route.h"
 #include "measure/table.h"
 #include "ran/ue_cohort.h"
 #include "sim/parsim.h"
@@ -19,19 +17,106 @@ namespace fiveg::core {
 namespace {
 
 using measure::TextTable;
-using ran::HandoffType;
+
+// Sums cohort KPIs over cohorts in the order they are added (district
+// index order for the partitioned city, the canonical merge) and emits
+// the table rows and metrics both city runs share.
+class CityKpis {
+ public:
+  void add(const ran::UeCohort& cohort, const ran::Deployment& dep) {
+    const ran::UeCohort::Stats& st = cohort.stats();
+    sum_.sweeps += st.sweeps;
+    sum_.rows_computed += st.rows_computed;
+    sum_.rows_reused += st.rows_reused;
+    sum_.a3_triggers += st.a3_triggers;
+    sum_.handoffs += st.handoffs;
+    sum_.vertical_handoffs += st.vertical_handoffs;
+    ues_ += cohort.size();
+    // Final-sweep serving KPIs.
+    const std::size_t n_lte = dep.cells(radio::Rat::kLte).size();
+    const std::size_t n_nr = dep.cells(radio::Rat::kNr).size();
+    const auto& lte = cohort.block(radio::Rat::kLte);
+    const auto& nr = cohort.block(radio::Rat::kNr);
+    for (std::size_t u = 0; u < cohort.size(); ++u) {
+      if (const int s = cohort.serving_cell(radio::Rat::kLte, u); s >= 0) {
+        lte_rsrp_sum_ += lte.rsrp_dbm[u * n_lte + static_cast<std::size_t>(s)];
+        ++lte_attached_;
+      }
+      if (const int s = cohort.serving_cell(radio::Rat::kNr, u); s >= 0) {
+        nr_rsrp_sum_ += nr.rsrp_dbm[u * n_nr + static_cast<std::size_t>(s)];
+        nr_sinr_sum_ += nr.sinr_db[u * n_nr + static_cast<std::size_t>(s)];
+        ++nr_attached_;
+      }
+    }
+  }
+
+  /// Appends the shared rows to `t` (after the caller's own header rows),
+  /// prints it, then records the shared metrics (after the caller's own).
+  void emit(const ExperimentContext& ctx, TextTable& t) const {
+    const double nr_frac =
+        ues_ > 0 ? static_cast<double>(nr_attached_) / static_cast<double>(ues_)
+                 : 0.0;
+    const double reuse_frac =
+        sum_.rows_computed + sum_.rows_reused > 0
+            ? static_cast<double>(sum_.rows_reused) /
+                  static_cast<double>(sum_.rows_computed + sum_.rows_reused)
+            : 0.0;
+
+    t.add_row({"UEs", std::to_string(ues_)});
+    t.add_row({"sweeps", std::to_string(sum_.sweeps)});
+    t.add_row({"rows computed", std::to_string(sum_.rows_computed)});
+    t.add_row({"rows reused", std::to_string(sum_.rows_reused)});
+    t.add_row({"row reuse", TextTable::pct(reuse_frac)});
+    t.add_row({"A3 triggers", std::to_string(sum_.a3_triggers)});
+    t.add_row({"hand-offs", std::to_string(sum_.handoffs)});
+    t.add_row({"vertical hand-offs", std::to_string(sum_.vertical_handoffs)});
+    t.add_row({"NR attached", TextTable::pct(nr_frac)});
+    if (nr_attached_ > 0) {
+      t.add_row({"serving NR RSRP mean (dBm)",
+                 TextTable::num(nr_rsrp_sum_ / nr_attached_, 1)});
+      t.add_row({"serving NR SINR mean (dB)",
+                 TextTable::num(nr_sinr_sum_ / nr_attached_, 1)});
+    }
+    if (lte_attached_ > 0) {
+      t.add_row({"serving LTE RSRP mean (dBm)",
+                 TextTable::num(lte_rsrp_sum_ / lte_attached_, 1)});
+    }
+    t.print(*ctx.out);
+
+    ctx.metric("ue_count", static_cast<double>(ues_), "count");
+    ctx.metric("sweeps", static_cast<double>(sum_.sweeps), "count");
+    ctx.metric("row_reuse_frac", reuse_frac, "fraction");
+    ctx.metric("a3_triggers", static_cast<double>(sum_.a3_triggers), "count");
+    ctx.metric("handoffs_total", static_cast<double>(sum_.handoffs), "count");
+    ctx.metric("vertical_handoffs",
+               static_cast<double>(sum_.vertical_handoffs), "count");
+    ctx.metric("nr_attached_frac", nr_frac, "fraction");
+    if (nr_attached_ > 0) {
+      ctx.metric("serving_nr_rsrp_mean_dbm", nr_rsrp_sum_ / nr_attached_,
+                 "dBm");
+      ctx.metric("serving_nr_sinr_mean_db", nr_sinr_sum_ / nr_attached_, "dB");
+    }
+    if (lte_attached_ > 0) {
+      ctx.metric("serving_lte_rsrp_mean_dbm", lte_rsrp_sum_ / lte_attached_,
+                 "dBm");
+    }
+  }
+
+ private:
+  ran::UeCohort::Stats sum_;
+  double nr_rsrp_sum_ = 0, nr_sinr_sum_ = 0, lte_rsrp_sum_ = 0;
+  std::size_t nr_attached_ = 0, lte_attached_ = 0, ues_ = 0;
+};
 
 struct CityRunSpec {
   std::string cohort_name;
   CityConfig city;
-  int n_ue = 100;
-  double walk_frac = 0.10;   // 1.4 m/s waypoint walkers
-  double drive_frac = 0.05;  // 11 m/s waypoint drivers
+  CityPopulation ues;
   sim::Time duration = 60 * sim::kSecond;
 };
 
-// Builds the city, populates one cohort (stationary majority + waypoint
-// movers), runs it to `duration` and prints/records the aggregate KPIs.
+// Builds the city, populates one cohort, runs it to `duration` and
+// prints/records the aggregate KPIs.
 void run_city(const ExperimentContext& ctx, const CityRunSpec& spec) {
   const CityScenario sc(ctx.seed, spec.city);
   const ran::Deployment& dep = sc.deployment();
@@ -40,103 +125,27 @@ void run_city(const ExperimentContext& ctx, const CityRunSpec& spec) {
   ran::CohortConfig ccfg;
   ccfg.name = spec.cohort_name;
   ran::UeCohort cohort(&dep, ccfg, sim::Rng(ctx.seed).fork("cohort"));
-
   sim::Rng place = sim::Rng(ctx.seed).fork("city_ues");
-  const int n_walk = static_cast<int>(spec.n_ue * spec.walk_frac);
-  const int n_drive = static_cast<int>(spec.n_ue * spec.drive_frac);
-  for (int i = 0; i < n_walk; ++i) {
-    cohort.add_route(geo::make_waypoint_route(sc.campus(), place, 6), 1.4);
-  }
-  for (int i = 0; i < n_drive; ++i) {
-    cohort.add_route(geo::make_waypoint_route(sc.campus(), place, 4), 11.0);
-  }
-  for (int i = n_walk + n_drive; i < spec.n_ue; ++i) {
-    cohort.add_stationary(sc.campus().random_point(place));
-  }
+  populate_city_cohort(cohort, sc.campus(), spec.ues, place);
 
   cohort.start(&simr, spec.duration);
   simr.run_until(spec.duration);
 
-  const ran::UeCohort::Stats& st = cohort.stats();
-  const std::size_t n_lte = dep.cells(radio::Rat::kLte).size();
-  const std::size_t n_nr = dep.cells(radio::Rat::kNr).size();
-
-  // Final-sweep serving KPIs, aggregated across the cohort.
-  const auto& lte = cohort.block(radio::Rat::kLte);
-  const auto& nr = cohort.block(radio::Rat::kNr);
-  double nr_rsrp_sum = 0, nr_sinr_sum = 0, lte_rsrp_sum = 0;
-  std::size_t nr_attached = 0, lte_attached = 0;
-  for (std::size_t u = 0; u < cohort.size(); ++u) {
-    if (const int s = cohort.serving_cell(radio::Rat::kLte, u); s >= 0) {
-      lte_rsrp_sum += lte.rsrp_dbm[u * n_lte + static_cast<std::size_t>(s)];
-      ++lte_attached;
-    }
-    if (const int s = cohort.serving_cell(radio::Rat::kNr, u); s >= 0) {
-      nr_rsrp_sum += nr.rsrp_dbm[u * n_nr + static_cast<std::size_t>(s)];
-      nr_sinr_sum += nr.sinr_db[u * n_nr + static_cast<std::size_t>(s)];
-      ++nr_attached;
-    }
-  }
-  const double nr_frac =
-      cohort.size() > 0
-          ? static_cast<double>(nr_attached) / static_cast<double>(cohort.size())
-          : 0.0;
-  const double reuse_frac =
-      st.rows_computed + st.rows_reused > 0
-          ? static_cast<double>(st.rows_reused) /
-                static_cast<double>(st.rows_computed + st.rows_reused)
-          : 0.0;
-
+  CityKpis kpis;
+  kpis.add(cohort, dep);
   TextTable t("City cohort \"" + spec.cohort_name + "\" — aggregate KPIs",
               {"metric", "value"});
   t.add_row({"sites", std::to_string(dep.site_count(radio::Rat::kLte))});
   t.add_row({"cells (LTE + NR)",
-             std::to_string(n_lte) + " + " + std::to_string(n_nr)});
-  t.add_row({"UEs", std::to_string(cohort.size())});
-  t.add_row({"sweeps", std::to_string(st.sweeps)});
-  t.add_row({"rows computed", std::to_string(st.rows_computed)});
-  t.add_row({"rows reused", std::to_string(st.rows_reused)});
-  t.add_row({"row reuse", TextTable::pct(reuse_frac)});
-  t.add_row({"A3 triggers", std::to_string(st.a3_triggers)});
-  t.add_row({"hand-offs", std::to_string(st.handoffs)});
-  t.add_row({"vertical hand-offs", std::to_string(st.vertical_handoffs)});
-  t.add_row({"NR attached", TextTable::pct(nr_frac)});
-  if (nr_attached > 0) {
-    t.add_row({"serving NR RSRP mean (dBm)",
-               TextTable::num(nr_rsrp_sum / nr_attached, 1)});
-    t.add_row({"serving NR SINR mean (dB)",
-               TextTable::num(nr_sinr_sum / nr_attached, 1)});
-  }
-  if (lte_attached > 0) {
-    t.add_row({"serving LTE RSRP mean (dBm)",
-               TextTable::num(lte_rsrp_sum / lte_attached, 1)});
-  }
-  t.print(*ctx.out);
-
-  ctx.metric("ue_count", static_cast<double>(cohort.size()), "count");
-  ctx.metric("sweeps", static_cast<double>(st.sweeps), "count");
-  ctx.metric("row_reuse_frac", reuse_frac, "fraction");
-  ctx.metric("a3_triggers", static_cast<double>(st.a3_triggers), "count");
-  ctx.metric("handoffs_total", static_cast<double>(st.handoffs), "count");
-  ctx.metric("vertical_handoffs", static_cast<double>(st.vertical_handoffs),
-             "count");
-  ctx.metric("nr_attached_frac", nr_frac, "fraction");
-  if (nr_attached > 0) {
-    ctx.metric("serving_nr_rsrp_mean_dbm", nr_rsrp_sum / nr_attached, "dBm");
-    ctx.metric("serving_nr_sinr_mean_db", nr_sinr_sum / nr_attached, "dB");
-  }
-  if (lte_attached > 0) {
-    ctx.metric("serving_lte_rsrp_mean_dbm", lte_rsrp_sum / lte_attached,
-               "dBm");
-  }
+             std::to_string(dep.cells(radio::Rat::kLte).size()) + " + " +
+                 std::to_string(dep.cells(radio::Rat::kNr).size())});
+  kpis.emit(ctx, t);
 }
 
 struct CityParSpec {
   std::string prefix;
   PartitionedCityConfig part;
-  int ue_per_district = 100;
-  double walk_frac = 0.10;
-  double drive_frac = 0.05;
+  CityPopulation ues;  // per district
   sim::Time duration = 60 * sim::kSecond;
 };
 
@@ -152,93 +161,17 @@ void run_city_partitioned(const ExperimentContext& ctx,
   pcfg.threads = ctx.sim_threads;
   pcfg.lookahead = city_partition_lookahead(spec.part);
   sim::ParSim par(pcfg);
-
-  struct District {
-    std::unique_ptr<CityScenario> sc;
-    std::unique_ptr<ran::UeCohort> cohort;
-  };
-  std::vector<District> districts(
-      static_cast<std::size_t>(spec.part.districts));
-  for (int k = 0; k < spec.part.districts; ++k) {
-    // Construction happens under the lane scope: the cohort's metric
-    // handles and the district's fault stream must live in lane k's
-    // registry/runtime, never the experiment's.
-    par.with_lane(k, [&, k] {
-      District& d = districts[static_cast<std::size_t>(k)];
-      const std::string tag = "district" + std::to_string(k);
-      d.sc = std::make_unique<CityScenario>(
-          sim::Rng(ctx.seed).fork(tag).seed(), spec.part.district);
-      ran::CohortConfig ccfg;
-      ccfg.name = spec.prefix + ".d" + std::to_string(k);
-      ccfg.domain = k;
-      d.cohort = std::make_unique<ran::UeCohort>(
-          &d.sc->deployment(), ccfg,
-          sim::Rng(ctx.seed).fork(tag + ".cohort"));
-      sim::Rng place = sim::Rng(ctx.seed).fork(tag + ".ues");
-      const int n_walk =
-          static_cast<int>(spec.ue_per_district * spec.walk_frac);
-      const int n_drive =
-          static_cast<int>(spec.ue_per_district * spec.drive_frac);
-      for (int i = 0; i < n_walk; ++i) {
-        d.cohort->add_route(geo::make_waypoint_route(d.sc->campus(), place, 6),
-                            1.4);
-      }
-      for (int i = 0; i < n_drive; ++i) {
-        d.cohort->add_route(geo::make_waypoint_route(d.sc->campus(), place, 4),
-                            11.0);
-      }
-      for (int i = n_walk + n_drive; i < spec.ue_per_district; ++i) {
-        d.cohort->add_stationary(d.sc->campus().random_point(place));
-      }
-      d.cohort->start(&par.lane(k), spec.duration);
-    });
-  }
+  const std::vector<CityDistrict> districts = build_city_districts(
+      par, ctx.seed, spec.part, spec.prefix, spec.ues, spec.duration);
 
   par.run_until(spec.duration);
   par.finish();
 
-  // Aggregate KPIs across districts in index order (canonical merge).
-  std::uint64_t sweeps = 0, rows_computed = 0, rows_reused = 0;
-  std::uint64_t a3 = 0, handoffs = 0, vertical = 0;
-  double nr_rsrp_sum = 0, nr_sinr_sum = 0, lte_rsrp_sum = 0;
-  std::size_t nr_attached = 0, lte_attached = 0, total_ues = 0;
-  for (const District& d : districts) {
-    const ran::UeCohort& cohort = *d.cohort;
-    const ran::UeCohort::Stats& st = cohort.stats();
-    sweeps += st.sweeps;
-    rows_computed += st.rows_computed;
-    rows_reused += st.rows_reused;
-    a3 += st.a3_triggers;
-    handoffs += st.handoffs;
-    vertical += st.vertical_handoffs;
-    total_ues += cohort.size();
-    const std::size_t n_lte =
-        d.sc->deployment().cells(radio::Rat::kLte).size();
-    const std::size_t n_nr = d.sc->deployment().cells(radio::Rat::kNr).size();
-    const auto& lte = cohort.block(radio::Rat::kLte);
-    const auto& nr = cohort.block(radio::Rat::kNr);
-    for (std::size_t u = 0; u < cohort.size(); ++u) {
-      if (const int s = cohort.serving_cell(radio::Rat::kLte, u); s >= 0) {
-        lte_rsrp_sum += lte.rsrp_dbm[u * n_lte + static_cast<std::size_t>(s)];
-        ++lte_attached;
-      }
-      if (const int s = cohort.serving_cell(radio::Rat::kNr, u); s >= 0) {
-        nr_rsrp_sum += nr.rsrp_dbm[u * n_nr + static_cast<std::size_t>(s)];
-        nr_sinr_sum += nr.sinr_db[u * n_nr + static_cast<std::size_t>(s)];
-        ++nr_attached;
-      }
-    }
+  CityKpis kpis;
+  for (const CityDistrict& d : districts) {
+    kpis.add(*d.cohort, d.scenario->deployment());
   }
-  const double nr_frac =
-      total_ues > 0
-          ? static_cast<double>(nr_attached) / static_cast<double>(total_ues)
-          : 0.0;
-  const double reuse_frac =
-      rows_computed + rows_reused > 0
-          ? static_cast<double>(rows_reused) /
-                static_cast<double>(rows_computed + rows_reused)
-          : 0.0;
-  const ran::Deployment& dep0 = districts.front().sc->deployment();
+  const ran::Deployment& dep0 = districts.front().scenario->deployment();
 
   // Note: nothing below may depend on the thread count — stdout is part
   // of the determinism contract. windows() and the lookahead are pure
@@ -252,44 +185,9 @@ void run_city_partitioned(const ExperimentContext& ctx,
   t.add_row({"lookahead (us)",
              std::to_string(par.lookahead() / sim::kMicrosecond)});
   t.add_row({"lock-step windows", std::to_string(par.windows())});
-  t.add_row({"UEs", std::to_string(total_ues)});
-  t.add_row({"sweeps", std::to_string(sweeps)});
-  t.add_row({"rows computed", std::to_string(rows_computed)});
-  t.add_row({"rows reused", std::to_string(rows_reused)});
-  t.add_row({"row reuse", TextTable::pct(reuse_frac)});
-  t.add_row({"A3 triggers", std::to_string(a3)});
-  t.add_row({"hand-offs", std::to_string(handoffs)});
-  t.add_row({"vertical hand-offs", std::to_string(vertical)});
-  t.add_row({"NR attached", TextTable::pct(nr_frac)});
-  if (nr_attached > 0) {
-    t.add_row({"serving NR RSRP mean (dBm)",
-               TextTable::num(nr_rsrp_sum / nr_attached, 1)});
-    t.add_row({"serving NR SINR mean (dB)",
-               TextTable::num(nr_sinr_sum / nr_attached, 1)});
-  }
-  if (lte_attached > 0) {
-    t.add_row({"serving LTE RSRP mean (dBm)",
-               TextTable::num(lte_rsrp_sum / lte_attached, 1)});
-  }
-  t.print(*ctx.out);
-
   ctx.metric("districts", static_cast<double>(spec.part.districts), "count");
   ctx.metric("parsim_windows", static_cast<double>(par.windows()), "count");
-  ctx.metric("ue_count", static_cast<double>(total_ues), "count");
-  ctx.metric("sweeps", static_cast<double>(sweeps), "count");
-  ctx.metric("row_reuse_frac", reuse_frac, "fraction");
-  ctx.metric("a3_triggers", static_cast<double>(a3), "count");
-  ctx.metric("handoffs_total", static_cast<double>(handoffs), "count");
-  ctx.metric("vertical_handoffs", static_cast<double>(vertical), "count");
-  ctx.metric("nr_attached_frac", nr_frac, "fraction");
-  if (nr_attached > 0) {
-    ctx.metric("serving_nr_rsrp_mean_dbm", nr_rsrp_sum / nr_attached, "dBm");
-    ctx.metric("serving_nr_sinr_mean_db", nr_sinr_sum / nr_attached, "dB");
-  }
-  if (lte_attached > 0) {
-    ctx.metric("serving_lte_rsrp_mean_dbm", lte_rsrp_sum / lte_attached,
-               "dBm");
-  }
+  kpis.emit(ctx, t);
 }
 
 class CityGridSmokeExperiment final : public Experiment {
@@ -310,7 +208,7 @@ class CityGridSmokeExperiment final : public Experiment {
     spec.city.width_m = 640.0;
     spec.city.height_m = 640.0;
     spec.city.grid.rings = 1;  // 7 sites
-    spec.n_ue = 160;
+    spec.ues.n_ue = 160;
     spec.duration = 20 * sim::kSecond;
     run_city(ctx, spec);
   }
@@ -330,7 +228,7 @@ class CityGrid1kExperiment final : public Experiment {
   void run(const ExperimentContext& ctx) override {
     CityRunSpec spec;
     spec.cohort_name = "city_1k";
-    spec.n_ue = 1000;
+    spec.ues.n_ue = 1000;
     run_city(ctx, spec);
   }
 };
@@ -349,9 +247,9 @@ class CityGrid10kExperiment final : public Experiment {
   void run(const ExperimentContext& ctx) override {
     CityRunSpec spec;
     spec.cohort_name = "city_10k";
-    spec.n_ue = 10000;
-    spec.walk_frac = 0.035;
-    spec.drive_frac = 0.015;
+    spec.ues.n_ue = 10000;
+    spec.ues.walk_frac = 0.035;
+    spec.ues.drive_frac = 0.015;
     run_city(ctx, spec);
   }
 };
@@ -375,7 +273,7 @@ class CityParSmokeExperiment final : public Experiment {
     spec.part.district.width_m = 640.0;
     spec.part.district.height_m = 640.0;
     spec.part.district.grid.rings = 1;  // 7 sites per district
-    spec.ue_per_district = 40;
+    spec.ues.n_ue = 40;
     spec.duration = 20 * sim::kSecond;
     run_city_partitioned(ctx, spec);
   }
@@ -396,9 +294,9 @@ class CityPar100kExperiment final : public Experiment {
     CityParSpec spec;
     spec.prefix = "city_100k";
     spec.part.districts = 8;
-    spec.ue_per_district = 12500;
-    spec.walk_frac = 0.035;
-    spec.drive_frac = 0.015;
+    spec.ues.n_ue = 12500;
+    spec.ues.walk_frac = 0.035;
+    spec.ues.drive_frac = 0.015;
     run_city_partitioned(ctx, spec);
   }
 };

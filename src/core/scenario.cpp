@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "core/paper.h"
+#include "geo/route.h"
 #include "obs/prof.h"
 
 namespace fiveg::core {
@@ -51,6 +52,46 @@ CityScenario::CityScenario(std::uint64_t seed, const CityConfig& config)
         return ran::make_city_deployment(
             &campus_, sim::Rng(seed).fork("city_deployment"), config.grid);
       })) {}
+
+void populate_city_cohort(ran::UeCohort& cohort, const geo::CampusMap& campus,
+                          const CityPopulation& pop, sim::Rng& place) {
+  const int n_walk = static_cast<int>(pop.n_ue * pop.walk_frac);
+  const int n_drive = static_cast<int>(pop.n_ue * pop.drive_frac);
+  for (int i = 0; i < n_walk; ++i) {
+    cohort.add_route(geo::make_waypoint_route(campus, place, 6), 1.4);
+  }
+  for (int i = 0; i < n_drive; ++i) {
+    cohort.add_route(geo::make_waypoint_route(campus, place, 4), 11.0);
+  }
+  for (int i = n_walk + n_drive; i < pop.n_ue; ++i) {
+    cohort.add_stationary(campus.random_point(place));
+  }
+}
+
+std::vector<CityDistrict> build_city_districts(
+    sim::ParSim& par, std::uint64_t seed, const PartitionedCityConfig& part,
+    const std::string& cohort_prefix, const CityPopulation& pop,
+    sim::Time until) {
+  std::vector<CityDistrict> districts(static_cast<std::size_t>(part.districts));
+  for (int k = 0; k < part.districts; ++k) {
+    par.with_lane(k, [&, k] {
+      CityDistrict& d = districts[static_cast<std::size_t>(k)];
+      const std::string tag = "district" + std::to_string(k);
+      d.scenario = std::make_unique<CityScenario>(
+          sim::Rng(seed).fork(tag).seed(), part.district);
+      ran::CohortConfig ccfg;
+      ccfg.name = cohort_prefix + ".d" + std::to_string(k);
+      ccfg.domain = k;
+      d.cohort = std::make_unique<ran::UeCohort>(
+          &d.scenario->deployment(), ccfg,
+          sim::Rng(seed).fork(tag + ".cohort"));
+      sim::Rng place = sim::Rng(seed).fork(tag + ".ues");
+      populate_city_cohort(*d.cohort, d.scenario->campus(), pop, place);
+      d.cohort->start(&par.lane(k), until);
+    });
+  }
+  return districts;
+}
 
 double baseline_rate_bps(radio::Rat rat, ran::LoadRegime regime,
                          Direction direction) noexcept {

@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "app/iperf.h"
 #include "geo/campus.h"
@@ -14,6 +16,8 @@
 #include "net/path.h"
 #include "ran/deployment.h"
 #include "ran/prb_scheduler.h"
+#include "ran/ue_cohort.h"
+#include "sim/parsim.h"
 #include "sim/simulator.h"
 
 namespace fiveg::core {
@@ -87,6 +91,38 @@ struct PartitionedCityConfig {
 /// ParSim falls back to the serial core) bounds the window width.
 [[nodiscard]] sim::Time city_partition_lookahead(
     const PartitionedCityConfig& config);
+
+/// The UE mix of a city cohort: `walk_frac` of the `n_ue` UEs walk at
+/// 1.4 m/s along 6-waypoint routes, `drive_frac` drive at 11 m/s along
+/// 4-waypoint routes, and the rest stand still.
+struct CityPopulation {
+  int n_ue = 100;
+  double walk_frac = 0.10;
+  double drive_frac = 0.05;
+};
+
+/// Adds `pop` to `cohort` in a fixed order (walkers, then drivers, then
+/// the stationary rest), drawing every route and position from `place`.
+void populate_city_cohort(ran::UeCohort& cohort, const geo::CampusMap& campus,
+                          const CityPopulation& pop, sim::Rng& place);
+
+/// One district of a partitioned city: its scenario and its cohort.
+struct CityDistrict {
+  std::unique_ptr<CityScenario> scenario;
+  std::unique_ptr<ran::UeCohort> cohort;
+};
+
+/// Builds district k of `part` on lane k of `par`, inside par.with_lane(k)
+/// so the cohort's metric handles and fault stream are lane k's. District
+/// k draws its scenario, cohort and UE placement from the `district<k>`,
+/// `district<k>.cohort` and `district<k>.ues` forks of `seed`, names its
+/// cohort `<cohort_prefix>.d<k>`, pins it to lane k and starts its sweeps
+/// until `until`. `par` must have `part.districts` lanes, and the
+/// districts must outlive every later run of `par`.
+[[nodiscard]] std::vector<CityDistrict> build_city_districts(
+    sim::ParSim& par, std::uint64_t seed, const PartitionedCityConfig& part,
+    const std::string& cohort_prefix, const CityPopulation& pop,
+    sim::Time until);
 
 /// Which endpoint sends the payload.
 enum class Direction { kDownlink, kUplink };

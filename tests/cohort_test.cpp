@@ -288,6 +288,51 @@ TEST_F(CohortFixture, CohortSweepEventLoop) {
   }
 }
 
+// The shared city population at 1,000 UEs with 10% walkers and 5%
+// drivers: 100 walkers (1.4 m/s, 6-waypoint routes), then 50 drivers
+// (11 m/s, 4 waypoints), then 850 stationary UEs, all drawn from the one
+// placement stream. Pinned against that sequence written out by hand, so
+// a changed count, order, speed or route length moves positions.
+TEST_F(CohortFixture, PopulateCityCohortIsWalkersThenDriversThenStationary) {
+  CohortConfig cfg;
+  sim::Rng place = sim::Rng(42).fork("place");
+  UeCohort cohort(&dep_, cfg, sim::Rng(42).fork("cohort"));
+  core::populate_city_cohort(
+      cohort, campus_, {.n_ue = 1000, .walk_frac = 0.10, .drive_frac = 0.05},
+      place);
+
+  sim::Rng ref_place = sim::Rng(42).fork("place");
+  UeCohort ref(&dep_, cfg, sim::Rng(42).fork("cohort"));
+  for (int i = 0; i < 100; ++i) {
+    ref.add_route(geo::make_waypoint_route(campus_, ref_place, 6), 1.4);
+  }
+  for (int i = 0; i < 50; ++i) {
+    ref.add_route(geo::make_waypoint_route(campus_, ref_place, 4), 11.0);
+  }
+  for (int i = 0; i < 850; ++i) {
+    ref.add_stationary(campus_.random_point(ref_place));
+  }
+
+  ASSERT_EQ(cohort.size(), 1000u);
+  EXPECT_EQ(place.next_u64(), ref_place.next_u64());
+  std::vector<geo::Point> start(cohort.size());
+  for (std::size_t u = 0; u < cohort.size(); ++u) start[u] = cohort.position(u);
+  for (const sim::Time at : {sim::kSecond, 30 * sim::kSecond}) {
+    cohort.advance_positions(at);
+    ref.advance_positions(at);
+    for (std::size_t u = 0; u < cohort.size(); ++u) {
+      ASSERT_EQ(cohort.position(u).x, ref.position(u).x) << "ue " << u;
+      ASSERT_EQ(cohort.position(u).y, ref.position(u).y) << "ue " << u;
+    }
+  }
+  // Only the first 150 UEs move.
+  for (std::size_t u = 0; u < cohort.size(); ++u) {
+    const bool moved = cohort.position(u).x != start[u].x ||
+                       cohort.position(u).y != start[u].y;
+    EXPECT_EQ(moved, u < 150) << "ue " << u;
+  }
+}
+
 // City scenario determinism: same seed, same construction, twice.
 TEST(CityScenarioTest, DeterministicPerSeed) {
   const core::CityScenario a(77), b(77);

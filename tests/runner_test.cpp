@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/runner.h"
 #include "obs/json_check.h"
@@ -144,6 +145,18 @@ TEST(RunnerTest, FilterSelectsSubstring) {
   RunnerOptions opt;
   opt.filter = "fake_1";  // fake_1, fake_10, fake_11
   EXPECT_EQ(Runner(opt, &reg).selected().size(), 3u);
+}
+
+// `fiveg_runall --filter <id>` runs exactly experiment <id>: no
+// registered name is a substring of another.
+TEST(RunnerTest, FilterByFullNameSelectsExactlyThatExperiment) {
+  const std::vector<std::string> names = Runner(RunnerOptions{}).selected();
+  ASSERT_FALSE(names.empty());
+  for (const std::string& name : names) {
+    RunnerOptions opt;
+    opt.filter = name;
+    EXPECT_EQ(Runner(opt).selected(), std::vector<std::string>{name});
+  }
 }
 
 TEST(RunnerTest, ThrowingExperimentIsReportedNotFatal) {

@@ -2,31 +2,10 @@
 
 #include <algorithm>
 #include <ostream>
-#include <memory>
 #include <stdexcept>
+#include <utility>
 
 namespace fiveg::core {
-
-namespace {
-
-void ensure_registered() {
-  static const bool once = [] {
-    register_coverage_experiments();
-    register_handoff_experiments();
-    register_throughput_experiments();
-    register_latency_experiments();
-    register_app_experiments();
-    register_energy_experiments();
-    register_ablation_experiments();
-    register_extension_experiments();
-    register_aqm_experiments();
-    register_city_experiments();
-    return true;
-  }();
-  (void)once;
-}
-
-}  // namespace
 
 std::string_view to_string(RunStatus status) {
   switch (status) {
@@ -67,51 +46,49 @@ void ExperimentContext::metric_point(std::string_view series, double x,
 }
 
 ExperimentRegistry& ExperimentRegistry::instance() {
-  static ExperimentRegistry registry;
+  static ExperimentRegistry registry = [] {
+    ExperimentRegistry reg;
+    register_coverage_experiments(reg);
+    register_handoff_experiments(reg);
+    register_throughput_experiments(reg);
+    register_latency_experiments(reg);
+    register_app_experiments(reg);
+    register_energy_experiments(reg);
+    register_ablation_experiments(reg);
+    register_extension_experiments(reg);
+    register_aqm_experiments(reg);
+    register_city_experiments(reg);
+    return reg;
+  }();
   return registry;
 }
 
-void ExperimentRegistry::add(Factory factory) {
-  const std::string name = factory()->name();
-  for (const Entry& e : entries_) {
-    if (e.name == name) {
-      throw std::invalid_argument("duplicate experiment name: " + name);
-    }
+void ExperimentRegistry::add(ExperimentSpec spec) {
+  if (find(spec.name) != nullptr) {
+    throw std::invalid_argument("duplicate experiment name: " + spec.name);
   }
-  entries_.push_back({name, std::move(factory)});
+  specs_.push_back(std::move(spec));
 }
 
-std::unique_ptr<Experiment> ExperimentRegistry::create(
-    const std::string& name) const {
-  ensure_registered();
-  for (const Entry& e : entries_) {
-    if (e.name == name) return e.factory();
+const ExperimentSpec* ExperimentRegistry::find(std::string_view name) const {
+  for (const ExperimentSpec& spec : specs_) {
+    if (spec.name == name) return &spec;
   }
   return nullptr;
 }
 
-void print_banner(const Experiment& exp, std::uint64_t seed,
-                  std::ostream& os) {
-  os << "### " << exp.name() << " — reproduces " << exp.paper_ref()
-     << "\n### " << exp.description() << "\n### seed " << seed << "\n\n";
-}
-
-bool ExperimentRegistry::run(const std::string& name,
-                             const ExperimentContext& ctx) {
-  const auto exp = create(name);
-  if (exp == nullptr) return false;
-  print_banner(*exp, ctx.seed, *ctx.out);
-  exp->run(ctx);
-  return true;
-}
-
 std::vector<std::string> ExperimentRegistry::names() const {
-  ensure_registered();
   std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const Entry& e : entries_) out.push_back(e.name);
+  out.reserve(specs_.size());
+  for (const ExperimentSpec& spec : specs_) out.push_back(spec.name);
   std::sort(out.begin(), out.end());
   return out;
+}
+
+void print_banner(const ExperimentSpec& spec, std::uint64_t seed,
+                  std::ostream& os) {
+  os << "### " << spec.name << " — reproduces " << spec.paper_ref
+     << "\n### " << spec.description << "\n### seed " << seed << "\n\n";
 }
 
 }  // namespace fiveg::core

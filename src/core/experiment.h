@@ -1,4 +1,4 @@
-// Experiment framework: every reproduced table/figure is an Experiment
+// Experiment framework: every reproduced table/figure is an ExperimentSpec
 // registered by name, and fiveg_runall runs it by name. The output is a
 // text table with the paper's values printed beside ours, plus an optional
 // structured result (status, wall-clock, named metric series) consumed by
@@ -73,7 +73,7 @@ struct ExperimentResult {
 /// Everything an experiment run needs.
 struct ExperimentContext {
   std::uint64_t seed = 42;
-  std::ostream* out = nullptr;         // never null when run via the registry
+  std::ostream* out = nullptr;         // never null when run via the Runner
   ExperimentResult* result = nullptr;  // null when structured capture is off
   // Worker threads this experiment may give sim::ParSim (>= 1; the
   // Runner's --sim-threads budget after the inter/intra split). Thread
@@ -91,76 +91,54 @@ struct ExperimentContext {
                     std::string_view unit = "") const;
 };
 
-/// One reproducible table/figure.
-class Experiment {
- public:
-  virtual ~Experiment() = default;
-
-  /// Stable id, e.g. "fig7_throughput".
-  [[nodiscard]] virtual std::string name() const = 0;
-  /// Which paper artifact this regenerates, e.g. "Figure 7".
-  [[nodiscard]] virtual std::string paper_ref() const = 0;
-  [[nodiscard]] virtual std::string description() const = 0;
-
-  /// True for experiments cheap enough for the CI smoke tier (sub-second
-  /// to a few seconds). The default is the full tier.
-  [[nodiscard]] virtual bool smoke() const { return false; }
-
-  virtual void run(const ExperimentContext& ctx) = 0;
+/// One reproducible table/figure: which paper artifact it regenerates and
+/// the body that regenerates it.
+struct ExperimentSpec {
+  std::string name;       // stable id, e.g. "fig7_throughput"
+  std::string paper_ref;  // the paper artifact, e.g. "Figure 7"
+  std::string description;
+  // True for experiments cheap enough for the CI smoke tier (sub-second to
+  // a few seconds). The default is the full tier.
+  bool smoke = false;
+  std::function<void(const ExperimentContext&)> run;
 };
 
-/// Global experiment registry (populated by static registrars).
+/// The experiment table. The global instance holds every experiment of the
+/// paper; tests build local registries of synthetic specs.
 class ExperimentRegistry {
  public:
-  using Factory = std::function<std::unique_ptr<Experiment>()>;
-
   static ExperimentRegistry& instance();
 
-  /// Registers a factory. Throws std::invalid_argument if an experiment
-  /// with the same name is already registered.
-  void add(Factory factory);
+  /// Throws std::invalid_argument if an experiment with the same name is
+  /// already registered.
+  void add(ExperimentSpec spec);
 
-  /// Instantiates the named experiment; null if unknown.
-  [[nodiscard]] std::unique_ptr<Experiment> create(
-      const std::string& name) const;
-
-  /// Runs the named experiment; returns false if unknown.
-  bool run(const std::string& name, const ExperimentContext& ctx);
+  /// The named experiment, or null if unknown. Valid until the next add().
+  [[nodiscard]] const ExperimentSpec* find(std::string_view name) const;
 
   /// All registered experiment names, sorted.
   [[nodiscard]] std::vector<std::string> names() const;
 
  private:
-  struct Entry {
-    std::string name;
-    Factory factory;
-  };
-  std::vector<Entry> entries_;
+  std::vector<ExperimentSpec> specs_;
 };
 
-/// Adds an experiment type to the registry.
-template <typename T>
-void register_experiment() {
-  ExperimentRegistry::instance().add([] { return std::make_unique<T>(); });
-}
-
-/// Explicit registration hooks, one per experiments translation unit.
-/// Called by the registry before any lookup — static registrars would be
-/// dropped when linking from a static archive.
-void register_coverage_experiments();
-void register_handoff_experiments();
-void register_throughput_experiments();
-void register_latency_experiments();
-void register_app_experiments();
-void register_energy_experiments();
-void register_ablation_experiments();
-void register_extension_experiments();
-void register_aqm_experiments();
-void register_city_experiments();
+/// Registration hooks, one per experiments translation unit; the global
+/// instance calls each once when it is first used.
+void register_coverage_experiments(ExperimentRegistry& reg);
+void register_handoff_experiments(ExperimentRegistry& reg);
+void register_throughput_experiments(ExperimentRegistry& reg);
+void register_latency_experiments(ExperimentRegistry& reg);
+void register_app_experiments(ExperimentRegistry& reg);
+void register_energy_experiments(ExperimentRegistry& reg);
+void register_ablation_experiments(ExperimentRegistry& reg);
+void register_extension_experiments(ExperimentRegistry& reg);
+void register_aqm_experiments(ExperimentRegistry& reg);
+void register_city_experiments(ExperimentRegistry& reg);
 
 /// Prints the standard "### name — reproduces ..." banner that precedes
-/// every experiment's tables (shared by the registry and the Runner).
-void print_banner(const Experiment& exp, std::uint64_t seed,
+/// every experiment's tables.
+void print_banner(const ExperimentSpec& spec, std::uint64_t seed,
                   std::ostream& os);
 
 }  // namespace fiveg::core

@@ -74,330 +74,288 @@ void require_conservation(const net::Link& link) {
   if (!checker.ok()) throw std::runtime_error(checker.report());
 }
 
-class AqmBufferbloatExperiment final : public Experiment {
- public:
-  std::string name() const override { return "aqm_bufferbloat"; }
-  std::string paper_ref() const override {
-    return "Table 3 / Sec. 4.2 (buffer sizing vs bufferbloat)";
-  }
-  std::string description() const override {
-    return "Queueing delay and goodput for every CC algorithm under "
-           "drop-tail vs CoDel / FQ-CoDel / RED / ECN as the bottleneck "
-           "buffer grows from 1x to 16x BDP";
-  }
-  bool smoke() const override { return true; }
-
-  void run(const ExperimentContext& ctx) override {
-    // 50 Mbps, 20 ms RTT -> BDP = 125 kB. Ratios {1, 4, 16} span the
-    // paper's "grow the buffer" fix and its bufferbloat downside.
-    constexpr double kRateBps = 50e6;
-    constexpr std::uint64_t kBdpBytes = 125 * 1000;
-    TextTable t("AQM sweep — mean bottleneck queueing delay (ms) / goodput "
-                "(Mbps) by buffer size",
-                {"algo", "qdisc", "1x BDP", "4x BDP", "16x BDP"});
-    // Each sub-run gets its own flow id so the merged trace keeps one
-    // monotonic tcp.cwnd track per flow instead of 75 restarts of flow 1.
-    std::uint32_t next_flow = 1;
-    for (const tcp::CcAlgo algo : kAlgos) {
-      for (const QdiscVariant& v : kVariants) {
-        std::vector<std::string> row = {to_string(algo), v.label};
-        for (const std::uint64_t ratio : {1ull, 4ull, 16ull}) {
-          net::QdiscConfig qdisc;
-          qdisc.kind = v.kind;
-          qdisc.ecn = v.ecn;
-          sim::Simulator simr;
-          net::PathNetwork path(
-              &simr, lab_path(kRateBps, ratio * kBdpBytes, qdisc));
-          app::PathFanout fanout(&path);
-          tcp::TcpConfig cfg;
-          cfg.algo = algo;
-          cfg.ecn = v.ecn;
-          app::TcpSession session(&simr, &path, &fanout, cfg, next_flow++);
-          session.sender().start_bulk();
-
-          // Sample the standing queue every 10 ms once the flow has had
-          // a second to settle; delay = backlog drained at line rate.
-          net::Link& bn = path.forward_link(1);
-          measure::RunningStats qdelay_ms;
-          for (int i = 100; i < 500; ++i) {
-            simr.schedule_in(i * 10 * sim::kMillisecond, [&] {
-              qdelay_ms.add(8e3 * static_cast<double>(bn.queue_bytes()) /
-                            kRateBps);
-            });
-          }
-          simr.run_until(5 * kSecond);
-          require_conservation(bn);
-
-          const double goodput_mbps =
-              session.receiver().mean_goodput_bps(kSecond, 5 * kSecond) /
-              1e6;
-          row.push_back(TextTable::num(qdelay_ms.mean(), 1) + " / " +
-                        TextTable::num(goodput_mbps, 1));
-          const std::string key =
-              std::string(to_string(algo)) + "_" + v.label;
-          ctx.metric_point("qdelay_ms_" + key,
-                           static_cast<double>(ratio), qdelay_ms.mean(),
-                           "ms");
-          ctx.metric_point("goodput_mbps_" + key,
-                           static_cast<double>(ratio), goodput_mbps,
-                           "Mbps");
-          if (v.ecn) {
-            ctx.metric_point("ecn_marks_" + key,
-                             static_cast<double>(ratio),
-                             static_cast<double>(bn.marked_packets()),
-                             "packets");
-          }
-        }
-        t.add_row(row);
-      }
-    }
-    t.print(*ctx.out);
-    *ctx.out << "drop-tail's delay scales with the buffer (bufferbloat); "
-                "CoDel and FQ-CoDel hold it near the 5 ms target at every "
-                "size, and ECN gets the same delay without the drops\n\n";
-  }
-};
-
-class AqmIncastExperiment final : public Experiment {
- public:
-  std::string name() const override { return "aqm_incast"; }
-  std::string paper_ref() const override {
-    return "Sec. 4.2 (shared wireline bottleneck under fan-in)";
-  }
-  std::string description() const override {
-    return "Eight synchronised short transfers through one bottleneck: "
-           "completion-time spread under drop-tail vs the AQMs";
-  }
-  bool smoke() const override { return true; }
-
-  void run(const ExperimentContext& ctx) override {
-    constexpr int kFlows = 8;
-    constexpr std::uint64_t kBytes = 384 * 1000;  // per-flow transfer
-    TextTable t("AQM incast — 8 x 384 kB through a 50 Mbps bottleneck",
-                {"qdisc", "median done (s)", "last done (s)", "retx"});
-    std::uint32_t flow_base = 0;  // fresh flow ids per variant (trace tracks)
+void run_aqm_bufferbloat(const ExperimentContext& ctx) {
+  // 50 Mbps, 20 ms RTT -> BDP = 125 kB. Ratios {1, 4, 16} span the
+  // paper's "grow the buffer" fix and its bufferbloat downside.
+  constexpr double kRateBps = 50e6;
+  constexpr std::uint64_t kBdpBytes = 125 * 1000;
+  TextTable t("AQM sweep — mean bottleneck queueing delay (ms) / goodput "
+              "(Mbps) by buffer size",
+              {"algo", "qdisc", "1x BDP", "4x BDP", "16x BDP"});
+  // Each sub-run gets its own flow id so the merged trace keeps one
+  // monotonic tcp.cwnd track per flow instead of 75 restarts of flow 1.
+  std::uint32_t next_flow = 1;
+  for (const tcp::CcAlgo algo : kAlgos) {
     for (const QdiscVariant& v : kVariants) {
-      net::QdiscConfig qdisc;
-      qdisc.kind = v.kind;
-      qdisc.ecn = v.ecn;
-      sim::Simulator simr;
-      // A shallow buffer (1x BDP) makes the synchronized burst hurt.
-      net::PathNetwork path(&simr, lab_path(50e6, 125 * 1000, qdisc));
-      app::PathFanout fanout(&path);
-      std::vector<std::unique_ptr<app::TcpSession>> sessions;
-      std::vector<double> done_s(kFlows, 0.0);
-      for (int f = 0; f < kFlows; ++f) {
+      std::vector<std::string> row = {to_string(algo), v.label};
+      for (const std::uint64_t ratio : {1ull, 4ull, 16ull}) {
+        net::QdiscConfig qdisc;
+        qdisc.kind = v.kind;
+        qdisc.ecn = v.ecn;
+        sim::Simulator simr;
+        net::PathNetwork path(
+            &simr, lab_path(kRateBps, ratio * kBdpBytes, qdisc));
+        app::PathFanout fanout(&path);
         tcp::TcpConfig cfg;
-        cfg.algo = tcp::CcAlgo::kCubic;
+        cfg.algo = algo;
         cfg.ecn = v.ecn;
-        sessions.push_back(std::make_unique<app::TcpSession>(
-            &simr, &path, &fanout, cfg,
-            flow_base + static_cast<std::uint32_t>(f + 1)));
-        sessions.back()->sender().send_bytes(
-            kBytes, [&done_s, f, &simr] {
-              done_s[static_cast<std::size_t>(f)] =
-                  sim::to_seconds(simr.now());
-            });
-      }
-      simr.run_until(30 * kSecond);
-      require_conservation(path.forward_link(1));
-      std::vector<double> sorted = done_s;
-      std::sort(sorted.begin(), sorted.end());
-      std::uint64_t retx = 0;
-      for (const auto& s : sessions) retx += s->sender().retransmissions();
-      const double median = sorted[kFlows / 2];
-      const double last = sorted.back();
-      t.add_row({v.label, TextTable::num(median, 2),
-                 TextTable::num(last, 2), std::to_string(retx)});
-      ctx.metric(std::string("incast_last_done_s_") + v.label, last, "s");
-      ctx.metric(std::string("incast_retx_") + v.label,
-                 static_cast<double>(retx), "packets");
-      flow_base += kFlows;
-    }
-    t.print(*ctx.out);
-    *ctx.out << "FQ-CoDel's per-flow queues keep the last straggler close "
-                "to the median; one drop-tail FIFO lets early losers "
-                "time out\n\n";
-  }
-};
+        app::TcpSession session(&simr, &path, &fanout, cfg, next_flow++);
+        session.sender().start_bulk();
 
-class AqmRttFairnessExperiment final : public Experiment {
- public:
-  std::string name() const override { return "aqm_rtt_fairness"; }
-  std::string paper_ref() const override {
-    return "Sec. 4.2 (metro bottleneck shared by heterogeneous paths)";
-  }
-  std::string description() const override {
-    return "Four bulk flows with 12..96 ms RTTs sharing one bottleneck: "
-           "Jain fairness under drop-tail vs the AQMs";
-  }
-  bool smoke() const override { return true; }
-
-  void run(const ExperimentContext& ctx) override {
-    constexpr double kRateBps = 50e6;
-    const sim::Time access_delay[] = {
-        sim::from_millis(1), sim::from_millis(7), sim::from_millis(19),
-        sim::from_millis(43)};  // RTTs 12/24/48/96 ms incl. bottleneck
-    TextTable t("AQM RTT fairness — four flows, one 50 Mbps bottleneck",
-                {"qdisc", "Jain index", "slowest/fastest",
-                 "goodputs (Mbps)"});
-    std::uint32_t flow_base = 0;  // fresh flow ids per variant (trace tracks)
-    for (const QdiscVariant& v : kVariants) {
-      net::QdiscConfig qdisc;
-      qdisc.kind = v.kind;
-      qdisc.ecn = v.ecn;
-      sim::Simulator simr;
-
-      // Star topology: per-flow access links (the RTT spread) feed one
-      // shared bottleneck link; ACKs return over per-flow delay only.
-      net::Link::Config bn_cfg;
-      bn_cfg.name = "fair-bottleneck";
-      bn_cfg.rate_bps = kRateBps;
-      bn_cfg.prop_delay = sim::from_millis(5);
-      bn_cfg.queue_bytes = 500 * 1000;  // 4x the 1x-BDP of the fastest path
-      bn_cfg.qdisc = qdisc;
-
-      std::vector<std::unique_ptr<tcp::TcpSender>> senders;
-      std::vector<std::unique_ptr<tcp::TcpReceiver>> receivers;
-      std::vector<std::unique_ptr<net::Link>> access;
-      net::FanoutSink receive_side;
-      net::Link bottleneck(&simr, bn_cfg, &receive_side);
-      net::LambdaSink into_bottleneck(
-          [&bottleneck](net::Packet p) { bottleneck.send(std::move(p)); });
-
-      for (int f = 0; f < 4; ++f) {
-        net::Link::Config acfg;
-        acfg.name = "fair-access-" + std::to_string(f);
-        acfg.rate_bps = 1e9;
-        acfg.prop_delay = access_delay[f];
-        access.push_back(
-            std::make_unique<net::Link>(&simr, acfg, &into_bottleneck));
-      }
-      for (int f = 0; f < 4; ++f) {
-        const std::uint32_t flow = flow_base + static_cast<std::uint32_t>(f + 1);
-        tcp::TcpConfig cfg;
-        cfg.algo = tcp::CcAlgo::kCubic;
-        cfg.ecn = v.ecn;
-        net::Link* alink = access[static_cast<std::size_t>(f)].get();
-        senders.push_back(std::make_unique<tcp::TcpSender>(
-            &simr, cfg, flow,
-            [alink](net::Packet p) { alink->send(std::move(p)); }));
-        // ACKs skip the queues and take the flow's one-way delay back.
-        tcp::TcpSender* snd = senders.back().get();
-        const sim::Time ack_delay =
-            access_delay[f] + bn_cfg.prop_delay;
-        receivers.push_back(std::make_unique<tcp::TcpReceiver>(
-            &simr, cfg, flow, [&simr, snd, ack_delay](net::Packet a) {
-              simr.schedule_in(ack_delay, "aqm.fair_ack",
-                               [snd, a = std::move(a)]() mutable {
-                                 snd->deliver(std::move(a));
-                               });
-            }));
-        receive_side.add(receivers.back().get());
-        senders.back()->start_bulk();
-      }
-      simr.run_until(10 * kSecond);
-      require_conservation(bottleneck);
-
-      double sum = 0.0, sumsq = 0.0;
-      std::vector<double> rates;
-      std::string rates_text;
-      for (int f = 0; f < 4; ++f) {
-        const double bps =
-            receivers[static_cast<std::size_t>(f)]->mean_goodput_bps(
-                2 * kSecond, 10 * kSecond);
-        rates.push_back(bps);
-        sum += bps;
-        sumsq += bps * bps;
-        if (!rates_text.empty()) rates_text += " / ";
-        rates_text += TextTable::num(bps / 1e6, 1);
-      }
-      const double jain = sum * sum / (4.0 * sumsq);
-      const auto [lo, hi] = std::minmax_element(rates.begin(), rates.end());
-      t.add_row({v.label, TextTable::num(jain, 3),
-                 TextTable::num(*lo / *hi, 2), rates_text});
-      ctx.metric(std::string("jain_") + v.label, jain, "index");
-      flow_base += 4;
-    }
-    t.print(*ctx.out);
-    *ctx.out << "DRR scheduling makes FQ-CoDel's allocation RTT-blind "
-                "(Jain -> 1); a shared FIFO rewards the short-RTT flow\n\n";
-  }
-};
-
-class AqmTable3MitigationExperiment final : public Experiment {
- public:
-  std::string name() const override { return "aqm_table3_mitigation"; }
-  std::string paper_ref() const override {
-    return "Table 3 (5G wireline buffer undersizing) / Sec. 4.2";
-  }
-  std::string description() const override {
-    return "The full 5G testbed's TCP anomaly under every qdisc: can AQM "
-           "or ECN substitute for growing the metro-bottleneck buffer?";
-  }
-
-  void run(const ExperimentContext& ctx) override {
-    TextTable t("AQM on the 5G metro bottleneck — utilisation / SRTT (ms)",
-                {"buffer", "qdisc", "reno", "cubic", "vegas", "veno",
-                 "bbr"});
-    std::uint32_t next_flow = 1;  // unique per sub-run (trace tracks)
-    for (const std::uint64_t ratio : {1ull, 4ull}) {
-      for (const QdiscVariant& v : kVariants) {
-        // RED is fully characterised by the lab sweeps; skipping it here
-        // keeps the 40-run testbed sweep inside the campaign timeout.
-        if (v.kind == net::QdiscKind::kRed) continue;
-        std::vector<std::string> row = {
-            ratio == 1 ? "1x (1.6 MB)" : "4x (6.5 MB)", v.label};
-        for (const tcp::CcAlgo algo : kAlgos) {
-          sim::Simulator simr;
-          TestbedOptions opt;
-          opt.bottleneck_buffer_bytes = ratio * 1638 * 1024;
-          net::QdiscConfig qdisc;
-          qdisc.kind = v.kind;
-          qdisc.ecn = v.ecn;
-          opt.bottleneck_qdisc = qdisc;
-          Testbed bed(&simr, opt, ctx.seed);
-          bed.start_cross_traffic(8 * kSecond);
-          tcp::TcpConfig cfg;
-          cfg.algo = algo;
-          cfg.ecn = v.ecn;
-          app::TcpSession session(&simr, &bed.path(), &bed.fanout(), cfg,
-                                  next_flow++);
-          session.sender().start_bulk();
-          simr.run_until(6 * kSecond);
-          require_conservation(bed.bottleneck());
-          const double util =
-              session.receiver().mean_goodput_bps(2 * kSecond,
-                                                  6 * kSecond) /
-              bed.ran_rate_bps();
-          const double srtt =
-              sim::to_millis(session.sender().rtt().smoothed_rtt());
-          row.push_back(TextTable::pct(util) + " / " +
-                        TextTable::num(srtt, 0));
-          ctx.metric_point(std::string("util_") + to_string(algo) + "_" +
-                               v.label,
-                           static_cast<double>(ratio), util, "fraction");
+        // Sample the standing queue every 10 ms once the flow has had
+        // a second to settle; delay = backlog drained at line rate.
+        net::Link& bn = path.forward_link(1);
+        measure::RunningStats qdelay_ms;
+        for (int i = 100; i < 500; ++i) {
+          simr.schedule_in(i * 10 * sim::kMillisecond, [&] {
+            qdelay_ms.add(8e3 * static_cast<double>(bn.queue_bytes()) /
+                          kRateBps);
+          });
         }
-        t.add_row(row);
+        simr.run_until(5 * kSecond);
+        require_conservation(bn);
+
+        const double goodput_mbps =
+            session.receiver().mean_goodput_bps(kSecond, 5 * kSecond) / 1e6;
+        row.push_back(TextTable::num(qdelay_ms.mean(), 1) + " / " +
+                      TextTable::num(goodput_mbps, 1));
+        const std::string key = std::string(to_string(algo)) + "_" + v.label;
+        ctx.metric_point("qdelay_ms_" + key, static_cast<double>(ratio),
+                         qdelay_ms.mean(), "ms");
+        ctx.metric_point("goodput_mbps_" + key, static_cast<double>(ratio),
+                         goodput_mbps, "Mbps");
+        if (v.ecn) {
+          ctx.metric_point("ecn_marks_" + key, static_cast<double>(ratio),
+                           static_cast<double>(bn.marked_packets()),
+                           "packets");
+        }
       }
+      t.add_row(row);
     }
-    t.print(*ctx.out);
-    *ctx.out << "on the real testbed only buffer growth repairs loss-based "
-                "CC (Reno 15% -> 60%, Cubic 38% -> 81%): against RAN-"
-                "variance loss AQM/ECN alone cannot substitute — matching "
-                "the paper's preference for deeper buffers or rate-based "
-                "CC (cf. ext_codel_aqm), unlike the clean wireline "
-                "bottleneck of aqm_bufferbloat where CoDel+ECN wins\n\n";
   }
-};
+  t.print(*ctx.out);
+  *ctx.out << "drop-tail's delay scales with the buffer (bufferbloat); "
+              "CoDel and FQ-CoDel hold it near the 5 ms target at every "
+              "size, and ECN gets the same delay without the drops\n\n";
+}
+
+void run_aqm_incast(const ExperimentContext& ctx) {
+  constexpr int kFlows = 8;
+  constexpr std::uint64_t kBytes = 384 * 1000;  // per-flow transfer
+  TextTable t("AQM incast — 8 x 384 kB through a 50 Mbps bottleneck",
+              {"qdisc", "median done (s)", "last done (s)", "retx"});
+  std::uint32_t flow_base = 0;  // fresh flow ids per variant (trace tracks)
+  for (const QdiscVariant& v : kVariants) {
+    net::QdiscConfig qdisc;
+    qdisc.kind = v.kind;
+    qdisc.ecn = v.ecn;
+    sim::Simulator simr;
+    // A shallow buffer (1x BDP) makes the synchronized burst hurt.
+    net::PathNetwork path(&simr, lab_path(50e6, 125 * 1000, qdisc));
+    app::PathFanout fanout(&path);
+    std::vector<std::unique_ptr<app::TcpSession>> sessions;
+    std::vector<double> done_s(kFlows, 0.0);
+    for (int f = 0; f < kFlows; ++f) {
+      tcp::TcpConfig cfg;
+      cfg.algo = tcp::CcAlgo::kCubic;
+      cfg.ecn = v.ecn;
+      sessions.push_back(std::make_unique<app::TcpSession>(
+          &simr, &path, &fanout, cfg,
+          flow_base + static_cast<std::uint32_t>(f + 1)));
+      sessions.back()->sender().send_bytes(kBytes, [&done_s, f, &simr] {
+            done_s[static_cast<std::size_t>(f)] = sim::to_seconds(simr.now());
+          });
+    }
+    simr.run_until(30 * kSecond);
+    require_conservation(path.forward_link(1));
+    std::vector<double> sorted = done_s;
+    std::sort(sorted.begin(), sorted.end());
+    std::uint64_t retx = 0;
+    for (const auto& s : sessions) retx += s->sender().retransmissions();
+    const double median = sorted[kFlows / 2];
+    const double last = sorted.back();
+    t.add_row({v.label, TextTable::num(median, 2),
+               TextTable::num(last, 2), std::to_string(retx)});
+    ctx.metric(std::string("incast_last_done_s_") + v.label, last, "s");
+    ctx.metric(std::string("incast_retx_") + v.label, static_cast<double>(retx),
+               "packets");
+    flow_base += kFlows;
+  }
+  t.print(*ctx.out);
+  *ctx.out << "FQ-CoDel's per-flow queues keep the last straggler close "
+              "to the median; one drop-tail FIFO lets early losers "
+              "time out\n\n";
+}
+
+void run_aqm_rtt_fairness(const ExperimentContext& ctx) {
+  constexpr double kRateBps = 50e6;
+  const sim::Time access_delay[] = {
+      sim::from_millis(1), sim::from_millis(7), sim::from_millis(19),
+      sim::from_millis(43)};  // RTTs 12/24/48/96 ms incl. bottleneck
+  TextTable t("AQM RTT fairness — four flows, one 50 Mbps bottleneck",
+              {"qdisc", "Jain index", "slowest/fastest",
+               "goodputs (Mbps)"});
+  std::uint32_t flow_base = 0;  // fresh flow ids per variant (trace tracks)
+  for (const QdiscVariant& v : kVariants) {
+    net::QdiscConfig qdisc;
+    qdisc.kind = v.kind;
+    qdisc.ecn = v.ecn;
+    sim::Simulator simr;
+
+    // Star topology: per-flow access links (the RTT spread) feed one
+    // shared bottleneck link; ACKs return over per-flow delay only.
+    net::Link::Config bn_cfg;
+    bn_cfg.name = "fair-bottleneck";
+    bn_cfg.rate_bps = kRateBps;
+    bn_cfg.prop_delay = sim::from_millis(5);
+    bn_cfg.queue_bytes = 500 * 1000;  // 4x the 1x-BDP of the fastest path
+    bn_cfg.qdisc = qdisc;
+
+    std::vector<std::unique_ptr<tcp::TcpSender>> senders;
+    std::vector<std::unique_ptr<tcp::TcpReceiver>> receivers;
+    std::vector<std::unique_ptr<net::Link>> access;
+    net::FanoutSink receive_side;
+    net::Link bottleneck(&simr, bn_cfg, &receive_side);
+    net::LambdaSink into_bottleneck(
+        [&bottleneck](net::Packet p) { bottleneck.send(std::move(p)); });
+
+    for (int f = 0; f < 4; ++f) {
+      net::Link::Config acfg;
+      acfg.name = "fair-access-" + std::to_string(f);
+      acfg.rate_bps = 1e9;
+      acfg.prop_delay = access_delay[f];
+      access.push_back(
+          std::make_unique<net::Link>(&simr, acfg, &into_bottleneck));
+    }
+    for (int f = 0; f < 4; ++f) {
+      const std::uint32_t flow = flow_base + static_cast<std::uint32_t>(f + 1);
+      tcp::TcpConfig cfg;
+      cfg.algo = tcp::CcAlgo::kCubic;
+      cfg.ecn = v.ecn;
+      net::Link* alink = access[static_cast<std::size_t>(f)].get();
+      senders.push_back(std::make_unique<tcp::TcpSender>(
+          &simr, cfg, flow,
+          [alink](net::Packet p) { alink->send(std::move(p)); }));
+      // ACKs skip the queues and take the flow's one-way delay back.
+      tcp::TcpSender* snd = senders.back().get();
+      const sim::Time ack_delay = access_delay[f] + bn_cfg.prop_delay;
+      receivers.push_back(std::make_unique<tcp::TcpReceiver>(
+          &simr, cfg, flow, [&simr, snd, ack_delay](net::Packet a) {
+            simr.schedule_in(ack_delay, "aqm.fair_ack",
+                             [snd, a = std::move(a)]() mutable {
+                               snd->deliver(std::move(a));
+                             });
+          }));
+      receive_side.add(receivers.back().get());
+      senders.back()->start_bulk();
+    }
+    simr.run_until(10 * kSecond);
+    require_conservation(bottleneck);
+
+    double sum = 0.0, sumsq = 0.0;
+    std::vector<double> rates;
+    std::string rates_text;
+    for (int f = 0; f < 4; ++f) {
+      const double bps =
+          receivers[static_cast<std::size_t>(f)]->mean_goodput_bps(
+              2 * kSecond, 10 * kSecond);
+      rates.push_back(bps);
+      sum += bps;
+      sumsq += bps * bps;
+      if (!rates_text.empty()) rates_text += " / ";
+      rates_text += TextTable::num(bps / 1e6, 1);
+    }
+    const double jain = sum * sum / (4.0 * sumsq);
+    const auto [lo, hi] = std::minmax_element(rates.begin(), rates.end());
+    t.add_row({v.label, TextTable::num(jain, 3),
+               TextTable::num(*lo / *hi, 2), rates_text});
+    ctx.metric(std::string("jain_") + v.label, jain, "index");
+    flow_base += 4;
+  }
+  t.print(*ctx.out);
+  *ctx.out << "DRR scheduling makes FQ-CoDel's allocation RTT-blind "
+              "(Jain -> 1); a shared FIFO rewards the short-RTT flow\n\n";
+}
+
+void run_aqm_table3_mitigation(const ExperimentContext& ctx) {
+  TextTable t("AQM on the 5G metro bottleneck — utilisation / SRTT (ms)",
+              {"buffer", "qdisc", "reno", "cubic", "vegas", "veno",
+               "bbr"});
+  std::uint32_t next_flow = 1;  // unique per sub-run (trace tracks)
+  for (const std::uint64_t ratio : {1ull, 4ull}) {
+    for (const QdiscVariant& v : kVariants) {
+      // RED is fully characterised by the lab sweeps; skipping it here
+      // keeps the 40-run testbed sweep inside the campaign timeout.
+      if (v.kind == net::QdiscKind::kRed) continue;
+      std::vector<std::string> row = {
+          ratio == 1 ? "1x (1.6 MB)" : "4x (6.5 MB)", v.label};
+      for (const tcp::CcAlgo algo : kAlgos) {
+        sim::Simulator simr;
+        TestbedOptions opt;
+        opt.bottleneck_buffer_bytes = ratio * 1638 * 1024;
+        net::QdiscConfig qdisc;
+        qdisc.kind = v.kind;
+        qdisc.ecn = v.ecn;
+        opt.bottleneck_qdisc = qdisc;
+        Testbed bed(&simr, opt, ctx.seed);
+        bed.start_cross_traffic(8 * kSecond);
+        tcp::TcpConfig cfg;
+        cfg.algo = algo;
+        cfg.ecn = v.ecn;
+        app::TcpSession session(&simr, &bed.path(), &bed.fanout(), cfg,
+                                next_flow++);
+        session.sender().start_bulk();
+        simr.run_until(6 * kSecond);
+        require_conservation(bed.bottleneck());
+        const double util =
+            session.receiver().mean_goodput_bps(2 * kSecond, 6 * kSecond) /
+            bed.ran_rate_bps();
+        const double srtt =
+            sim::to_millis(session.sender().rtt().smoothed_rtt());
+        row.push_back(TextTable::pct(util) + " / " + TextTable::num(srtt, 0));
+        ctx.metric_point(std::string("util_") + to_string(algo) + "_" +
+                             v.label,
+                         static_cast<double>(ratio), util, "fraction");
+      }
+      t.add_row(row);
+    }
+  }
+  t.print(*ctx.out);
+  *ctx.out << "on the real testbed only buffer growth repairs loss-based "
+              "CC (Reno 15% -> 60%, Cubic 38% -> 81%): against RAN-"
+              "variance loss AQM/ECN alone cannot substitute — matching "
+              "the paper's preference for deeper buffers or rate-based "
+              "CC (cf. ext_codel_aqm), unlike the clean wireline "
+              "bottleneck of aqm_bufferbloat where CoDel+ECN wins\n\n";
+}
 
 }  // namespace
 
-void register_aqm_experiments() {
-  register_experiment<AqmBufferbloatExperiment>();
-  register_experiment<AqmIncastExperiment>();
-  register_experiment<AqmRttFairnessExperiment>();
-  register_experiment<AqmTable3MitigationExperiment>();
+void register_aqm_experiments(ExperimentRegistry& reg) {
+  reg.add({"aqm_bufferbloat",
+           "Table 3 / Sec. 4.2 (buffer sizing vs bufferbloat)",
+           "Queueing delay and goodput for every CC algorithm under drop-tail "
+           "vs CoDel / FQ-CoDel / RED / ECN as the bottleneck buffer grows "
+           "from 1x to 16x BDP",
+           /*smoke=*/true,
+           run_aqm_bufferbloat});
+  reg.add({"aqm_incast", "Sec. 4.2 (shared wireline bottleneck under fan-in)",
+           "Eight synchronised short transfers through one bottleneck: "
+           "completion-time spread under drop-tail vs the AQMs",
+           /*smoke=*/true,
+           run_aqm_incast});
+  reg.add({"aqm_rtt_fairness",
+           "Sec. 4.2 (metro bottleneck shared by heterogeneous paths)",
+           "Four bulk flows with 12..96 ms RTTs sharing one bottleneck: Jain "
+           "fairness under drop-tail vs the AQMs",
+           /*smoke=*/true,
+           run_aqm_rtt_fairness});
+  reg.add({"aqm_table3_mitigation",
+           "Table 3 (5G wireline buffer undersizing) / Sec. 4.2",
+           "The full 5G testbed's TCP anomaly under every qdisc: can AQM or "
+           "ECN substitute for growing the metro-bottleneck buffer?",
+           /*smoke=*/false,
+           run_aqm_table3_mitigation});
 }
 
 }  // namespace fiveg::core

@@ -190,125 +190,83 @@ void run_city_partitioned(const ExperimentContext& ctx,
   kpis.emit(ctx, t);
 }
 
-class CityGridSmokeExperiment final : public Experiment {
- public:
-  std::string name() const override { return "city_grid_smoke"; }
-  std::string paper_ref() const override {
-    return "Extension (Sec. 3 coverage, densified grid)";
-  }
-  std::string description() const override {
-    return "Small hex-grid city cohort (7 sites, ~160 UEs) exercising the "
-           "batched SoA UE core end to end";
-  }
-  bool smoke() const override { return true; }
+void run_city_grid_smoke(const ExperimentContext& ctx) {
+  CityRunSpec spec;
+  spec.cohort_name = "city_smoke";
+  spec.city.width_m = 640.0;
+  spec.city.height_m = 640.0;
+  spec.city.grid.rings = 1;  // 7 sites
+  spec.ues.n_ue = 160;
+  spec.duration = 20 * sim::kSecond;
+  run_city(ctx, spec);
+}
 
-  void run(const ExperimentContext& ctx) override {
-    CityRunSpec spec;
-    spec.cohort_name = "city_smoke";
-    spec.city.width_m = 640.0;
-    spec.city.height_m = 640.0;
-    spec.city.grid.rings = 1;  // 7 sites
-    spec.ues.n_ue = 160;
-    spec.duration = 20 * sim::kSecond;
-    run_city(ctx, spec);
-  }
-};
+void run_city_grid_1k(const ExperimentContext& ctx) {
+  CityRunSpec spec;
+  spec.cohort_name = "city_1k";
+  spec.ues.n_ue = 1000;
+  run_city(ctx, spec);
+}
 
-class CityGrid1kExperiment final : public Experiment {
- public:
-  std::string name() const override { return "city_grid_1k"; }
-  std::string paper_ref() const override {
-    return "Extension (Sec. 3 coverage, densified grid)";
-  }
-  std::string description() const override {
-    return "1k-UE city: 19-site hex grid, 10% walkers + 5% drivers, "
-           "cohort-sweep digest KPIs";
-  }
+void run_city_grid_10k(const ExperimentContext& ctx) {
+  CityRunSpec spec;
+  spec.cohort_name = "city_10k";
+  spec.ues.n_ue = 10000;
+  spec.ues.walk_frac = 0.035;
+  spec.ues.drive_frac = 0.015;
+  run_city(ctx, spec);
+}
 
-  void run(const ExperimentContext& ctx) override {
-    CityRunSpec spec;
-    spec.cohort_name = "city_1k";
-    spec.ues.n_ue = 1000;
-    run_city(ctx, spec);
-  }
-};
+void run_city_par_smoke(const ExperimentContext& ctx) {
+  CityParSpec spec;
+  spec.prefix = "city_par";
+  spec.part.districts = 4;
+  spec.part.district.width_m = 640.0;
+  spec.part.district.height_m = 640.0;
+  spec.part.district.grid.rings = 1;  // 7 sites per district
+  spec.ues.n_ue = 40;
+  spec.duration = 20 * sim::kSecond;
+  run_city_partitioned(ctx, spec);
+}
 
-class CityGrid10kExperiment final : public Experiment {
- public:
-  std::string name() const override { return "city_grid_10k"; }
-  std::string paper_ref() const override {
-    return "Extension (Sec. 3 coverage, densified grid)";
-  }
-  std::string description() const override {
-    return "10k-UE city on the 19-site hex grid: the SoA cohort's row "
-           "cache keeps the stationary majority amortised";
-  }
-
-  void run(const ExperimentContext& ctx) override {
-    CityRunSpec spec;
-    spec.cohort_name = "city_10k";
-    spec.ues.n_ue = 10000;
-    spec.ues.walk_frac = 0.035;
-    spec.ues.drive_frac = 0.015;
-    run_city(ctx, spec);
-  }
-};
-
-class CityParSmokeExperiment final : public Experiment {
- public:
-  std::string name() const override { return "city_par_smoke"; }
-  std::string paper_ref() const override {
-    return "Extension (Sec. 3 coverage, partitioned metro)";
-  }
-  std::string description() const override {
-    return "4-district partitioned city (~160 UEs) on the parallel "
-           "lock-step core; byte-identical for any --sim-threads";
-  }
-  bool smoke() const override { return true; }
-
-  void run(const ExperimentContext& ctx) override {
-    CityParSpec spec;
-    spec.prefix = "city_par";
-    spec.part.districts = 4;
-    spec.part.district.width_m = 640.0;
-    spec.part.district.height_m = 640.0;
-    spec.part.district.grid.rings = 1;  // 7 sites per district
-    spec.ues.n_ue = 40;
-    spec.duration = 20 * sim::kSecond;
-    run_city_partitioned(ctx, spec);
-  }
-};
-
-class CityPar100kExperiment final : public Experiment {
- public:
-  std::string name() const override { return "city_par_100k"; }
-  std::string paper_ref() const override {
-    return "Extension (Sec. 3 coverage, partitioned metro)";
-  }
-  std::string description() const override {
-    return "100k-UE metro: 8 radio-isolated districts x 12.5k UEs on "
-           "19-site grids, swept by the parallel lock-step core";
-  }
-
-  void run(const ExperimentContext& ctx) override {
-    CityParSpec spec;
-    spec.prefix = "city_100k";
-    spec.part.districts = 8;
-    spec.ues.n_ue = 12500;
-    spec.ues.walk_frac = 0.035;
-    spec.ues.drive_frac = 0.015;
-    run_city_partitioned(ctx, spec);
-  }
-};
+void run_city_par_100k(const ExperimentContext& ctx) {
+  CityParSpec spec;
+  spec.prefix = "city_100k";
+  spec.part.districts = 8;
+  spec.ues.n_ue = 12500;
+  spec.ues.walk_frac = 0.035;
+  spec.ues.drive_frac = 0.015;
+  run_city_partitioned(ctx, spec);
+}
 
 }  // namespace
 
-void register_city_experiments() {
-  register_experiment<CityGridSmokeExperiment>();
-  register_experiment<CityGrid1kExperiment>();
-  register_experiment<CityGrid10kExperiment>();
-  register_experiment<CityParSmokeExperiment>();
-  register_experiment<CityPar100kExperiment>();
+void register_city_experiments(ExperimentRegistry& reg) {
+  reg.add({"city_grid_smoke", "Extension (Sec. 3 coverage, densified grid)",
+           "Small hex-grid city cohort (7 sites, ~160 UEs) exercising the "
+           "batched SoA UE core end to end",
+           /*smoke=*/true,
+           run_city_grid_smoke});
+  reg.add({"city_grid_1k", "Extension (Sec. 3 coverage, densified grid)",
+           "1k-UE city: 19-site hex grid, 10% walkers + 5% drivers, "
+           "cohort-sweep digest KPIs",
+           /*smoke=*/false,
+           run_city_grid_1k});
+  reg.add({"city_grid_10k", "Extension (Sec. 3 coverage, densified grid)",
+           "10k-UE city on the 19-site hex grid: the SoA cohort's row cache "
+           "keeps the stationary majority amortised",
+           /*smoke=*/false,
+           run_city_grid_10k});
+  reg.add({"city_par_smoke", "Extension (Sec. 3 coverage, partitioned metro)",
+           "4-district partitioned city (~160 UEs) on the parallel lock-step "
+           "core; byte-identical for any --sim-threads",
+           /*smoke=*/true,
+           run_city_par_smoke});
+  reg.add({"city_par_100k", "Extension (Sec. 3 coverage, partitioned metro)",
+           "100k-UE metro: 8 radio-isolated districts x 12.5k UEs on 19-site "
+           "grids, swept by the parallel lock-step core",
+           /*smoke=*/false,
+           run_city_par_100k});
 }
 
 }  // namespace fiveg::core

@@ -76,8 +76,8 @@ int split_sim_threads(const RunnerOptions& opt) {
 // obs scope is installed here — on the thread the body actually runs on —
 // so every Simulator and protocol object the experiment builds picks up
 // this experiment's private registry/tracer.
-void execute(Experiment& exp, std::uint64_t seed, ExecState& state,
-             ExecOptions obs_opt) {
+void execute(const ExperimentSpec& spec, std::uint64_t seed,
+             ExecState& state, ExecOptions obs_opt) {
   std::unique_ptr<obs::MetricsRegistry> registry;
   std::shared_ptr<obs::Tracer> tracer;
   if (obs_opt.collect_metrics) {
@@ -109,8 +109,8 @@ void execute(Experiment& exp, std::uint64_t seed, ExecState& state,
   ctx.result = &state.result;
   ctx.sim_threads = obs_opt.sim_threads;
   try {
-    print_banner(exp, seed, state.out);
-    exp.run(ctx);
+    print_banner(spec, seed, state.out);
+    spec.run(ctx);
     state.result.status = RunStatus::kOk;
   } catch (const std::exception& e) {
     state.result.status = RunStatus::kFailed;
@@ -143,7 +143,7 @@ bool RunSummary::all_ok() const {
   return count(RunStatus::kOk) == static_cast<int>(results.size());
 }
 
-Runner::Runner(RunnerOptions opt, ExperimentRegistry* registry)
+Runner::Runner(RunnerOptions opt, const ExperimentRegistry* registry)
     : opt_(std::move(opt)),
       registry_(registry != nullptr ? registry
                                     : &ExperimentRegistry::instance()) {}
@@ -163,19 +163,19 @@ std::vector<std::string> Runner::selected() const {
         name.find(opt_.filter) == std::string::npos) {
       continue;
     }
-    if (opt_.smoke_only && !registry_->create(name)->smoke()) continue;
+    if (opt_.smoke_only && !registry_->find(name)->smoke) continue;
     out.push_back(name);
   }
   return out;  // names() is already sorted
 }
 
 ExperimentResult Runner::run_one(const std::string& name) const {
-  auto exp = registry_->create(name);
+  const ExperimentSpec& spec = *registry_->find(name);
   auto state = std::make_shared<ExecState>();
   ExperimentResult& res = state->result;
   res.name = name;
-  res.paper_ref = exp->paper_ref();
-  res.description = exp->description();
+  res.paper_ref = spec.paper_ref;
+  res.description = spec.description;
   res.seed = fork_seed(opt_.seed, name);
 
   const ExecOptions obs_opt{opt_.collect_metrics, opt_.trace,
@@ -183,18 +183,19 @@ ExperimentResult Runner::run_one(const std::string& name) const {
                             split_sim_threads(opt_)};
   const auto start = Clock::now();
   if (opt_.timeout_s <= 0) {
-    execute(*exp, res.seed, *state, obs_opt);
+    execute(spec, res.seed, *state, obs_opt);
     res.wall_ms = ms_since(start);
     res.text = state->out.str();
     return std::move(res);
   }
 
   // Run the body on its own thread so a hang can be abandoned. The thread
-  // owns the experiment and a reference to the shared state; after a
-  // timeout nobody reads that state again.
-  std::shared_ptr<Experiment> owned = std::move(exp);
-  std::thread worker([owned, state, seed = res.seed, obs_opt] {
-    execute(*owned, seed, *state, obs_opt);
+  // owns a copy of the spec, never a reference into the registry (which
+  // may be destroyed while an abandoned run still executes), and a
+  // reference to the shared state; after a timeout nobody reads that state
+  // again.
+  std::thread worker([spec, state, seed = res.seed, obs_opt] {
+    execute(spec, seed, *state, obs_opt);
     const std::lock_guard<std::mutex> lock(state->mu);
     state->done = true;
     state->cv.notify_all();

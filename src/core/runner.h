@@ -37,7 +37,7 @@ struct RunnerOptions {
   int sim_threads = 1;
   std::uint64_t seed = 42;   // base seed; each experiment gets a fork of it
   std::string filter;        // substring match on the name; empty = all
-  bool smoke_only = false;   // only experiments with smoke() == true
+  bool smoke_only = false;   // only specs with smoke == true
   // Explicit run list (campaign sharding, see core/campaign.h): when
   // non-empty, exactly these experiments run — filter/smoke_only still
   // apply on top, and names unknown to the registry are ignored.
@@ -90,7 +90,8 @@ struct RunSummary {
 class Runner {
  public:
   /// `registry` is borrowed; null means the global instance.
-  explicit Runner(RunnerOptions opt, ExperimentRegistry* registry = nullptr);
+  explicit Runner(RunnerOptions opt,
+                  const ExperimentRegistry* registry = nullptr);
 
   /// Names selected by the filter/smoke options, sorted.
   [[nodiscard]] std::vector<std::string> selected() const;
@@ -107,7 +108,7 @@ class Runner {
   ExperimentResult run_one(const std::string& name) const;
 
   RunnerOptions opt_;
-  ExperimentRegistry* registry_;
+  const ExperimentRegistry* registry_;
 };
 
 /// Emits the campaign's captured text output in sorted-name order, followed

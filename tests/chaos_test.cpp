@@ -627,78 +627,70 @@ TEST(ParSimChaosTest, FaultedPartitionsConserveAndStayThreadInvariant) {
 // the fault plan (sector outage + burst loss + coverage hole) and the
 // campaign output must be byte-identical across every --jobs x
 // --sim-threads cell.
-class PartitionedCityChaosExperiment final : public core::Experiment {
- public:
-  std::string name() const override { return "par_city_chaos"; }
-  std::string paper_ref() const override { return "chaos"; }
-  std::string description() const override {
-    return "partitioned city under sector outage + coverage hole";
+void run_par_city_chaos(const core::ExperimentContext& ctx) {
+  core::PartitionedCityConfig part;
+  part.districts = 2;
+  part.district.width_m = 640.0;
+  part.district.height_m = 640.0;
+  part.district.grid.rings = 1;
+
+  sim::ParSimConfig pcfg;
+  pcfg.lanes = part.districts;
+  pcfg.threads = ctx.sim_threads;
+  pcfg.lookahead = core::city_partition_lookahead(part);
+  sim::ParSim par(pcfg);
+
+  struct District {
+    std::unique_ptr<core::CityScenario> sc;
+    std::unique_ptr<ran::UeCohort> cohort;
+  };
+  const sim::Time duration = 10 * kSecond;
+  std::vector<District> districts(static_cast<std::size_t>(part.districts));
+  for (int k = 0; k < part.districts; ++k) {
+    par.with_lane(k, [&, k] {
+      District& d = districts[static_cast<std::size_t>(k)];
+      const std::string tag = "district" + std::to_string(k);
+      d.sc = std::make_unique<core::CityScenario>(
+          sim::Rng(ctx.seed).fork(tag).seed(), part.district);
+      ran::CohortConfig ccfg;
+      ccfg.name = "chaos.d" + std::to_string(k);
+      ccfg.domain = k;
+      d.cohort = std::make_unique<ran::UeCohort>(
+          &d.sc->deployment(), ccfg, sim::Rng(ctx.seed).fork(tag + ".cohort"));
+      sim::Rng place = sim::Rng(ctx.seed).fork(tag + ".ues");
+      for (int i = 0; i < 4; ++i) {
+        d.cohort->add_route(
+            geo::make_waypoint_route(d.sc->campus(), place, 4), 1.4);
+      }
+      for (int i = 4; i < 30; ++i) {
+        d.cohort->add_stationary(d.sc->campus().random_point(place));
+      }
+      d.cohort->start(&par.lane(k), duration);
+    });
   }
-  bool smoke() const override { return true; }
+  par.run_until(duration);
+  par.finish();
 
-  void run(const core::ExperimentContext& ctx) override {
-    core::PartitionedCityConfig part;
-    part.districts = 2;
-    part.district.width_m = 640.0;
-    part.district.height_m = 640.0;
-    part.district.grid.rings = 1;
-
-    sim::ParSimConfig pcfg;
-    pcfg.lanes = part.districts;
-    pcfg.threads = ctx.sim_threads;
-    pcfg.lookahead = core::city_partition_lookahead(part);
-    sim::ParSim par(pcfg);
-
-    struct District {
-      std::unique_ptr<core::CityScenario> sc;
-      std::unique_ptr<ran::UeCohort> cohort;
-    };
-    const sim::Time duration = 10 * kSecond;
-    std::vector<District> districts(static_cast<std::size_t>(part.districts));
-    for (int k = 0; k < part.districts; ++k) {
-      par.with_lane(k, [&, k] {
-        District& d = districts[static_cast<std::size_t>(k)];
-        const std::string tag = "district" + std::to_string(k);
-        d.sc = std::make_unique<core::CityScenario>(
-            sim::Rng(ctx.seed).fork(tag).seed(), part.district);
-        ran::CohortConfig ccfg;
-        ccfg.name = "chaos.d" + std::to_string(k);
-        ccfg.domain = k;
-        d.cohort = std::make_unique<ran::UeCohort>(
-            &d.sc->deployment(), ccfg, sim::Rng(ctx.seed).fork(tag + ".cohort"));
-        sim::Rng place = sim::Rng(ctx.seed).fork(tag + ".ues");
-        for (int i = 0; i < 4; ++i) {
-          d.cohort->add_route(
-              geo::make_waypoint_route(d.sc->campus(), place, 4), 1.4);
-        }
-        for (int i = 4; i < 30; ++i) {
-          d.cohort->add_stationary(d.sc->campus().random_point(place));
-        }
-        d.cohort->start(&par.lane(k), duration);
-      });
-    }
-    par.run_until(duration);
-    par.finish();
-
-    std::uint64_t sweeps = 0, handoffs = 0, a3 = 0;
-    for (const District& d : districts) {
-      sweeps += d.cohort->stats().sweeps;
-      handoffs += d.cohort->stats().handoffs;
-      a3 += d.cohort->stats().a3_triggers;
-    }
-    EXPECT_GT(sweeps, 0u);
-    *ctx.out << name() << ": sweeps=" << sweeps << " handoffs=" << handoffs
-             << " a3=" << a3 << " windows=" << par.windows() << "\n\n";
-    ctx.metric("sweeps", static_cast<double>(sweeps), "count");
-    ctx.metric("handoffs_total", static_cast<double>(handoffs), "count");
-    ctx.metric("a3_triggers", static_cast<double>(a3), "count");
-    ctx.metric("parsim_windows", static_cast<double>(par.windows()), "count");
+  std::uint64_t sweeps = 0, handoffs = 0, a3 = 0;
+  for (const District& d : districts) {
+    sweeps += d.cohort->stats().sweeps;
+    handoffs += d.cohort->stats().handoffs;
+    a3 += d.cohort->stats().a3_triggers;
   }
-};
+  EXPECT_GT(sweeps, 0u);
+  *ctx.out << "par_city_chaos: sweeps=" << sweeps << " handoffs=" << handoffs
+           << " a3=" << a3 << " windows=" << par.windows() << "\n\n";
+  ctx.metric("sweeps", static_cast<double>(sweeps), "count");
+  ctx.metric("handoffs_total", static_cast<double>(handoffs), "count");
+  ctx.metric("a3_triggers", static_cast<double>(a3), "count");
+  ctx.metric("parsim_windows", static_cast<double>(par.windows()), "count");
+}
 
 TEST(ParSimChaosTest, FaultedPartitionedCityIsJobsAndSimThreadsDeterministic) {
   core::ExperimentRegistry reg;
-  reg.add([] { return std::make_unique<PartitionedCityChaosExperiment>(); });
+  reg.add({"par_city_chaos", "chaos",
+           "partitioned city under sector outage + coverage hole",
+           /*smoke=*/true, run_par_city_chaos});
 
   // Harvest a PCI that really exists in district 0 (same seed forks the
   // experiment will draw), so the sector outage genuinely fires.
@@ -759,18 +751,11 @@ TEST(ParSimChaosTest, FaultedPartitionedCityIsJobsAndSimThreadsDeterministic) {
 
 // An experiment whose outcome depends on the ambient fault runtime the
 // Runner installs: packets through a lossy-window link.
-class FaultedLinkExperiment final : public core::Experiment {
- public:
-  explicit FaultedLinkExperiment(int index) : index_(index) {}
-
-  std::string name() const override {
-    return "faulted_link_" + std::to_string(index_);
-  }
-  std::string paper_ref() const override { return "chaos"; }
-  std::string description() const override { return "lossy window probe"; }
-  bool smoke() const override { return true; }
-
-  void run(const core::ExperimentContext& ctx) override {
+core::ExperimentSpec faulted_link_spec(int index) {
+  const std::string name = "faulted_link_" + std::to_string(index);
+  core::ExperimentSpec spec{name, "chaos", "lossy window probe",
+                            /*smoke=*/true, nullptr};
+  spec.run = [name](const core::ExperimentContext& ctx) {
     sim::Simulator simr;
     net::Link::Config cfg;
     cfg.rate_bps = 12e6;
@@ -785,21 +770,17 @@ class FaultedLinkExperiment final : public core::Experiment {
     simr.run();
     fault::InvariantChecker checker;
     checker.check_link_conservation(link);
-    *ctx.out << name() << ": delivered=" << link.delivered_packets()
+    *ctx.out << name << ": delivered=" << link.delivered_packets()
              << " fault_dropped=" << link.fault_dropped_packets()
              << " invariants=" << (checker.ok() ? "ok" : checker.report())
              << " seed=" << ctx.seed << "\n\n";
-  }
-
- private:
-  int index_;
-};
+  };
+  return spec;
+}
 
 TEST(RunnerChaosTest, FaultedCampaignIsJobsDeterministic) {
   core::ExperimentRegistry reg;
-  for (int i = 0; i < 6; ++i) {
-    reg.add([i] { return std::make_unique<FaultedLinkExperiment>(i); });
-  }
+  for (int i = 0; i < 6; ++i) reg.add(faulted_link_spec(i));
   auto plan = std::make_shared<fault::FaultPlan>();
   plan->add(link_loss(kSecond, 3 * kSecond, 0.5));
 

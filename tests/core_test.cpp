@@ -3,13 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
-#include <sstream>
+#include <filesystem>
+#include <set>
 #include <stdexcept>
 
 #include "app/iperf.h"
 #include "core/experiment.h"
 #include "core/paper.h"
+#include "core/runner.h"
 #include "core/scenario.h"
 
 namespace fiveg::core {
@@ -53,33 +54,50 @@ TEST(RegistryTest, AllExperimentsRegistered) {
 }
 
 TEST(RegistryTest, UnknownExperimentRejected) {
-  std::ostringstream os;
-  ExperimentContext ctx;
-  ctx.out = &os;
-  EXPECT_FALSE(ExperimentRegistry::instance().run("nope", ctx));
+  EXPECT_EQ(ExperimentRegistry::instance().find("nope"), nullptr);
+  RunnerOptions opt;
+  opt.only_names = {"nope"};
+  EXPECT_TRUE(Runner(opt).selected().empty());
 }
 
 TEST(RegistryTest, DuplicateNameRejectedAtRegistration) {
-  class Dummy final : public Experiment {
-   public:
-    std::string name() const override { return "dup_experiment"; }
-    std::string paper_ref() const override { return "n/a"; }
-    std::string description() const override { return "dup"; }
-    void run(const ExperimentContext&) override {}
-  };
+  const ExperimentSpec dummy{"dup_experiment", "n/a", "dup", false,
+                             [](const ExperimentContext&) {}};
   ExperimentRegistry reg;  // local registry, not the global instance
-  reg.add([] { return std::make_unique<Dummy>(); });
-  EXPECT_THROW(reg.add([] { return std::make_unique<Dummy>(); }),
-               std::invalid_argument);
+  reg.add(dummy);
+  EXPECT_THROW(reg.add(dummy), std::invalid_argument);
   // The first registration survives the rejected duplicate.
-  EXPECT_NE(reg.create("dup_experiment"), nullptr);
+  EXPECT_NE(reg.find("dup_experiment"), nullptr);
+  EXPECT_EQ(reg.names().size(), 1u);
 }
 
-TEST(RegistryTest, CreateInstantiatesByName) {
-  auto exp = ExperimentRegistry::instance().create("table1_phy_info");
-  ASSERT_NE(exp, nullptr);
-  EXPECT_EQ(exp->paper_ref(), "Table 1");
-  EXPECT_EQ(ExperimentRegistry::instance().create("nope"), nullptr);
+TEST(RegistryTest, FindLooksUpByName) {
+  const ExperimentSpec* spec =
+      ExperimentRegistry::instance().find("table1_phy_info");
+  ASSERT_NE(spec, nullptr);
+  EXPECT_EQ(spec->paper_ref, "Table 1");
+  EXPECT_TRUE(spec->run != nullptr);
+  EXPECT_EQ(ExperimentRegistry::instance().find("nope"), nullptr);
+}
+
+// fiveg_report --check walks only the figures present in a run, so an
+// experiment that silently left the smoke tier would leave its golden
+// unchecked. The smoke tier is exactly the set of committed goldens.
+TEST(RegistryTest, SmokeTierMatchesGoldens) {
+  std::set<std::string> goldens;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(FIVEG_GOLDEN_DIR)) {
+    if (entry.path().extension() == ".json") {
+      goldens.insert(entry.path().stem().string());
+    }
+  }
+  std::set<std::string> smoke;
+  const ExperimentRegistry& reg = ExperimentRegistry::instance();
+  for (const std::string& name : reg.names()) {
+    if (reg.find(name)->smoke) smoke.insert(name);
+  }
+  EXPECT_FALSE(goldens.empty());
+  EXPECT_EQ(smoke, goldens);
 }
 
 TEST(ExperimentContextTest, MetricsAccumulateIntoResult) {
@@ -103,16 +121,16 @@ TEST(ExperimentContextTest, MetricsAccumulateIntoResult) {
 }
 
 TEST(RegistryTest, FastExperimentsProduceTables) {
-  for (const char* name :
-       {"table1_phy_info", "fig10_harq_retx", "fig22_energy_per_bit",
-        "table4_power_policies", "ablation_sa_handoff"}) {
-    std::ostringstream os;
-    ExperimentContext ctx;
-    ctx.seed = 42;
-    ctx.out = &os;
-    ASSERT_TRUE(ExperimentRegistry::instance().run(name, ctx)) << name;
-    EXPECT_NE(os.str().find("=="), std::string::npos) << name;
-    EXPECT_NE(os.str().find("reproduces"), std::string::npos) << name;
+  RunnerOptions opt;
+  opt.only_names = {"table1_phy_info", "fig10_harq_retx",
+                    "fig22_energy_per_bit", "table4_power_policies",
+                    "ablation_sa_handoff"};
+  const RunSummary s = Runner(opt).run();
+  ASSERT_EQ(s.results.size(), opt.only_names.size());
+  for (const ExperimentResult& r : s.results) {
+    EXPECT_EQ(r.status, RunStatus::kOk) << r.name << ": " << r.error;
+    EXPECT_NE(r.text.find("=="), std::string::npos) << r.name;
+    EXPECT_NE(r.text.find("reproduces"), std::string::npos) << r.name;
   }
 }
 

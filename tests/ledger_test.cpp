@@ -220,30 +220,21 @@ TEST(LedgerTest, WriterAppendsAndSealsTornTail) {
 // Side-effect counter proving resumed experiments never re-execute.
 std::atomic<int> g_executions{0};
 
-class CountingExperiment final : public Experiment {
- public:
-  explicit CountingExperiment(int index) : index_(index) {}
-  std::string name() const override {
-    return "counting_" + std::to_string(index_);
-  }
-  std::string paper_ref() const override { return "Figure 0"; }
-  std::string description() const override { return "counts executions"; }
-  void run(const ExperimentContext& ctx) override {
+ExperimentSpec counting_spec(int index) {
+  ExperimentSpec spec{"counting_" + std::to_string(index), "Figure 0",
+                      "counts executions", /*smoke=*/false, nullptr};
+  spec.run = [index](const ExperimentContext& ctx) {
     g_executions.fetch_add(1);
     sim::Rng rng = sim::Rng(ctx.seed).fork("counting");
-    *ctx.out << "counting " << index_ << ": " << rng.uniform(0, 1) << "\n\n";
+    *ctx.out << "counting " << index << ": " << rng.uniform(0, 1) << "\n\n";
     ctx.metric("draw", rng.uniform(0, 1));
-  }
-
- private:
-  int index_;
-};
+  };
+  return spec;
+}
 
 ExperimentRegistry make_counting_registry(int n) {
   ExperimentRegistry reg;
-  for (int i = 0; i < n; ++i) {
-    reg.add([i] { return std::make_unique<CountingExperiment>(i); });
-  }
+  for (int i = 0; i < n; ++i) reg.add(counting_spec(i));
   return reg;
 }
 

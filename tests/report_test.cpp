@@ -8,7 +8,6 @@
 
 #include <cmath>
 #include <map>
-#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -26,32 +25,24 @@ namespace {
 
 // Deterministic synthetic experiment mirroring runner_test's fake: a
 // metric series plus obs counters, enough to exercise every report path.
-class FakeExperiment final : public core::Experiment {
- public:
-  explicit FakeExperiment(int index) : index_(index) {}
-  std::string name() const override {
-    return "fake_" + std::to_string(index_);
-  }
-  std::string paper_ref() const override { return "Figure 0"; }
-  std::string description() const override { return "synthetic workload"; }
-  bool smoke() const override { return true; }
-  void run(const core::ExperimentContext& ctx) override {
+core::ExperimentSpec fake_spec(int index) {
+  core::ExperimentSpec spec{"fake_" + std::to_string(index), "Figure 0",
+                            "synthetic workload", /*smoke=*/true, nullptr};
+  spec.run = [index](const core::ExperimentContext& ctx) {
     sim::Rng rng = sim::Rng(ctx.seed).fork("fake");
     double acc = 0;
-    for (int i = 0; i < 100 + 10 * index_; ++i) acc += rng.uniform(0, 1);
-    *ctx.out << "fake table " << index_ << "\n";
+    for (int i = 0; i < 100 + 10 * index; ++i) acc += rng.uniform(0, 1);
+    *ctx.out << "fake table " << index << "\n";
     ctx.metric("acc", acc, "units");
-    ctx.metric_point("sweep", index_, acc / 2);
-    ctx.metric_point("sweep", index_ + 1, acc);
+    ctx.metric_point("sweep", index, acc / 2);
+    ctx.metric_point("sweep", index + 1, acc);
     if (auto* m = obs::metrics()) {
       m->counter("fake.runs").add();
-      m->digest("fake.lat_ms").observe(1.0 + index_);
+      m->digest("fake.lat_ms").observe(1.0 + index);
     }
-  }
-
- private:
-  int index_;
-};
+  };
+  return spec;
+}
 
 BuildResult build_from_summary(const core::RunSummary& s) {
   std::ostringstream os;
@@ -64,9 +55,7 @@ BuildResult build_from_summary(const core::RunSummary& s) {
 
 core::RunSummary run_fakes(int n) {
   core::ExperimentRegistry reg;
-  for (int i = 0; i < n; ++i) {
-    reg.add([i] { return std::make_unique<FakeExperiment>(i); });
-  }
+  for (int i = 0; i < n; ++i) reg.add(fake_spec(i));
   core::RunnerOptions opt;
   opt.seed = 42;
   return core::Runner(opt, &reg).run();

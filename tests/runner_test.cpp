@@ -2,12 +2,14 @@
 // deterministic seed forking, timeout abandonment and failure capture.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/runner.h"
@@ -21,61 +23,37 @@ namespace {
 
 // A deterministic synthetic experiment: draws from the forked seed, prints
 // a small table and records metrics. `index` varies the name/work.
-class FakeExperiment final : public Experiment {
- public:
-  explicit FakeExperiment(int index) : index_(index) {}
-
-  std::string name() const override {
-    return "fake_" + std::to_string(index_);
-  }
-  std::string paper_ref() const override { return "Figure 0"; }
-  std::string description() const override { return "synthetic workload"; }
-  bool smoke() const override { return true; }
-
-  void run(const ExperimentContext& ctx) override {
+ExperimentSpec fake_spec(int index) {
+  ExperimentSpec spec{"fake_" + std::to_string(index), "Figure 0",
+                      "synthetic workload", /*smoke=*/true, nullptr};
+  spec.run = [index](const ExperimentContext& ctx) {
     sim::Rng rng = sim::Rng(ctx.seed).fork("fake");
     double acc = 0;
-    for (int i = 0; i < 1000 + 100 * index_; ++i) acc += rng.uniform(0, 1);
-    *ctx.out << "fake table " << index_ << ": acc=" << acc
+    for (int i = 0; i < 1000 + 100 * index; ++i) acc += rng.uniform(0, 1);
+    *ctx.out << "fake table " << index << ": acc=" << acc
              << " seed=" << ctx.seed << "\n\n";
     ctx.metric("acc", acc, "units");
-    ctx.metric_point("sweep", index_, acc / 2);
+    ctx.metric_point("sweep", index, acc / 2);
     // Exercise the runner-installed obs scope like a real experiment would.
     if (auto* m = obs::metrics()) m->counter("fake.runs").add();
     if (auto* t = obs::tracer()) {
-      t->instant(1000 * index_, "fake.tick", "sim");
+      t->instant(1000 * index, "fake.tick", "sim");
     }
-  }
+  };
+  return spec;
+}
 
- private:
-  int index_;
-};
+void throw_deliberately(const ExperimentContext&) {
+  throw std::runtime_error("deliberate failure");
+}
 
-class ThrowingExperiment final : public Experiment {
- public:
-  std::string name() const override { return "always_throws"; }
-  std::string paper_ref() const override { return "n/a"; }
-  std::string description() const override { return "throws"; }
-  void run(const ExperimentContext&) override {
-    throw std::runtime_error("deliberate failure");
-  }
-};
-
-class HangingExperiment final : public Experiment {
- public:
-  std::string name() const override { return "hangs"; }
-  std::string paper_ref() const override { return "n/a"; }
-  std::string description() const override { return "sleeps past timeout"; }
-  void run(const ExperimentContext&) override {
-    std::this_thread::sleep_for(std::chrono::milliseconds(500));
-  }
-};
+void sleep_past_timeout(const ExperimentContext&) {
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+}
 
 ExperimentRegistry make_fake_registry(int n) {
   ExperimentRegistry reg;
-  for (int i = 0; i < n; ++i) {
-    reg.add([i] { return std::make_unique<FakeExperiment>(i); });
-  }
+  for (int i = 0; i < n; ++i) reg.add(fake_spec(i));
   return reg;
 }
 
@@ -161,7 +139,7 @@ TEST(RunnerTest, FilterByFullNameSelectsExactlyThatExperiment) {
 
 TEST(RunnerTest, ThrowingExperimentIsReportedNotFatal) {
   ExperimentRegistry reg = make_fake_registry(2);
-  reg.add([] { return std::make_unique<ThrowingExperiment>(); });
+  reg.add({"always_throws", "n/a", "throws", false, throw_deliberately});
   const RunSummary s = Runner(RunnerOptions{}, &reg).run();
   ASSERT_EQ(s.results.size(), 3u);
   EXPECT_EQ(s.count(RunStatus::kFailed), 1);
@@ -179,7 +157,7 @@ TEST(RunnerTest, ThrowingExperimentIsReportedNotFatal) {
 
 TEST(RunnerTest, HungExperimentTimesOutGracefully) {
   ExperimentRegistry reg = make_fake_registry(1);
-  reg.add([] { return std::make_unique<HangingExperiment>(); });
+  reg.add({"hangs", "n/a", "sleeps past timeout", false, sleep_past_timeout});
   RunnerOptions opt;
   opt.timeout_s = 0.05;
   const auto start = std::chrono::steady_clock::now();
@@ -197,6 +175,32 @@ TEST(RunnerTest, HungExperimentTimesOutGracefully) {
   EXPECT_NE(hung->error.find("timeout"), std::string::npos);
   // Give the abandoned thread time to drain before the test exits.
   std::this_thread::sleep_for(std::chrono::milliseconds(600));
+}
+
+// An abandoned worker owns a copy of its spec, never a reference into the
+// registry: a caller may destroy the registry as soon as run() returns,
+// while the timed-out body is still sleeping on its detached thread.
+TEST(RunnerTest, AbandonedRunOutlivesItsRegistry) {
+  auto read_size = std::make_shared<std::atomic<std::size_t>>(0);
+  {
+    ExperimentRegistry reg;
+    const std::string state(64, 'x');  // heap-allocated, owned by the body
+    auto body = [state, read_size](const ExperimentContext& ctx) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(400));
+      *ctx.out << state;
+      read_size->store(state.size());
+    };
+    reg.add({"hangs_with_state", "n/a", "reads its state after a sleep",
+             false, std::move(body)});
+    RunnerOptions opt;
+    opt.timeout_s = 0.05;
+    const RunSummary s = Runner(opt, &reg).run();
+    ASSERT_EQ(s.results.size(), 1u);
+    EXPECT_EQ(s.results.front().status, RunStatus::kTimedOut);
+  }  // the registry and its specs are destroyed mid-sleep
+  EXPECT_EQ(read_size->load(), 0u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(1000));
+  EXPECT_EQ(read_size->load(), 64u);
 }
 
 TEST(RunnerTest, SmokeTierOfRealRegistryIsNonEmpty) {

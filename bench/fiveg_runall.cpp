@@ -4,12 +4,15 @@
 //
 // stdout is byte-identical for any --jobs value at the same seed; timing
 // goes to stderr.
+#include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -91,23 +94,51 @@ options:
   -h, --help    this message
 )";
 
+// The numeric flag parsers accept a whole string that fits the target
+// exactly: strtoull would wrap a signed "-1" and strtol's long would be
+// truncated to int, and strtod would pass "inf" and "nan" through.
 bool parse_u64(const char* s, std::uint64_t* out) {
+  if (std::strchr(s, '-') != nullptr) return false;
   char* end = nullptr;
+  errno = 0;
   *out = std::strtoull(s, &end, 10);
-  return end != s && *end == '\0';
+  return end != s && *end == '\0' && errno != ERANGE;
 }
 
 bool parse_int(const char* s, int* out) {
   char* end = nullptr;
+  errno = 0;
   const long v = std::strtol(s, &end, 10);
   *out = static_cast<int>(v);
-  return end != s && *end == '\0';
+  return end != s && *end == '\0' && errno != ERANGE &&
+         v >= std::numeric_limits<int>::min() &&
+         v <= std::numeric_limits<int>::max();
 }
 
 bool parse_double(const char* s, double* out) {
   char* end = nullptr;
   *out = std::strtod(s, &end);
-  return end != s && *end == '\0';
+  return end != s && *end == '\0' && std::isfinite(*out);
+}
+
+// Loads the --resume ledger at `path`, warning about what it had to skip
+// (those runs re-run). Null, with the error printed, when it cannot be read.
+std::unique_ptr<fiveg::core::LedgerLoad> load_resume(const std::string& path) {
+  auto load = std::make_unique<fiveg::core::LedgerLoad>(
+      fiveg::core::load_ledger(path));
+  if (!load->ok()) {
+    std::cerr << load->error << "\n";
+    return nullptr;
+  }
+  if (load->dropped_lines > 0 || load->corrupt_records > 0 ||
+      load->truncated_tail) {
+    std::cerr << "fiveg_runall: ledger " << path << ": skipped "
+              << load->dropped_lines << " unparseable line(s), "
+              << load->corrupt_records << " corrupt record(s)"
+              << (load->truncated_tail ? ", torn final line" : "")
+              << "; those runs will re-run\n";
+  }
+  return load;
 }
 
 // Opens (creating the directory if needed) this invocation's shard file
@@ -188,21 +219,8 @@ int run_manifest(const std::string& manifest_path,
   fiveg::core::RunnerOptions base = base_opt;
   std::unique_ptr<fiveg::core::LedgerLoad> resume_load;
   if (!resume_path.empty()) {
-    fiveg::core::LedgerLoad load = fiveg::core::load_ledger(resume_path);
-    if (!load.ok()) {
-      std::cerr << load.error << "\n";
-      return 2;
-    }
-    if (load.dropped_lines > 0 || load.corrupt_records > 0 ||
-        load.truncated_tail) {
-      std::cerr << "fiveg_runall: ledger " << resume_path << ": skipped "
-                << load.dropped_lines << " unparseable line(s), "
-                << load.corrupt_records << " corrupt record(s)"
-                << (load.truncated_tail ? ", torn final line" : "")
-                << "; those runs will re-run\n";
-    }
-    resume_load =
-        std::make_unique<fiveg::core::LedgerLoad>(std::move(load));
+    resume_load = load_resume(resume_path);
+    if (resume_load == nullptr) return 2;
     if (base.ledger_path.empty()) base.ledger_path = resume_path;
   }
 
@@ -430,26 +448,14 @@ int main(int argc, char** argv) {
       std::cerr << "--resume cannot be combined with --trace\n";
       return 2;
     }
-    const fiveg::core::LedgerLoad load =
-        fiveg::core::load_ledger(resume_path);
-    if (!load.ok()) {
-      std::cerr << load.error << "\n";
-      return 2;
-    }
-    if (load.dropped_lines > 0 || load.corrupt_records > 0 ||
-        load.truncated_tail) {
-      std::cerr << "fiveg_runall: ledger " << resume_path << ": skipped "
-                << load.dropped_lines << " unparseable line(s), "
-                << load.corrupt_records << " corrupt record(s)"
-                << (load.truncated_tail ? ", torn final line" : "")
-                << "; those runs will re-run\n";
-    }
-    auto completed = std::make_shared<
+    const std::unique_ptr<fiveg::core::LedgerLoad> load =
+        load_resume(resume_path);
+    if (load == nullptr) return 2;
+    opt.resume = std::make_shared<
         const std::map<std::string, fiveg::core::ExperimentResult>>(
-        fiveg::core::completed_runs(load, opt.seed));
+        fiveg::core::completed_runs(*load, opt.seed));
     std::cerr << "fiveg_runall: resuming from " << resume_path << ": "
-              << completed->size() << " run(s) already complete\n";
-    opt.resume = std::move(completed);
+              << opt.resume->size() << " run(s) already complete\n";
     // Keep appending to the same ledger so a second interruption resumes
     // from the union.
     if (opt.ledger_path.empty()) opt.ledger_path = resume_path;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <utility>
 
 namespace fiveg::net {
@@ -46,94 +47,52 @@ std::unique_ptr<QueueDiscipline> make_qdisc(const QdiscConfig& config,
                                             std::string_view link_name) {
   switch (config.kind) {
     case QdiscKind::kDropTail:
-      return std::make_unique<DropTailQdisc>(capacity_bytes);
-    case QdiscKind::kCoDel: {
-      CoDelQueue::Config c;
-      c.target = config.target;
-      c.interval = config.interval;
-      c.capacity_bytes = capacity_bytes;
-      c.ecn = config.ecn;
-      return std::make_unique<CoDelQueue>(c);
-    }
-    case QdiscKind::kFqCoDel: {
-      FqCoDelQueue::Config c;
-      c.target = config.target;
-      c.interval = config.interval;
-      c.capacity_bytes = capacity_bytes;
-      c.quantum_bytes = config.quantum_bytes;
-      c.flows = config.flows;
-      c.ecn = config.ecn;
-      return std::make_unique<FqCoDelQueue>(c);
-    }
-    case QdiscKind::kRed: {
-      RedQueue::Config c;
-      c.capacity_bytes = capacity_bytes;
-      c.min_bytes = config.red_min_bytes;
-      c.max_bytes = config.red_max_bytes;
-      c.max_p = config.red_max_p;
-      c.weight = config.red_weight;
-      c.ecn = config.ecn;
+      break;
+    case QdiscKind::kCoDel:
+      return std::make_unique<CoDelQueue>(config, capacity_bytes);
+    case QdiscKind::kFqCoDel:
+      return std::make_unique<FqCoDelQueue>(config, capacity_bytes);
+    case QdiscKind::kRed:
       // A per-link fork keeps RED's probabilistic drops independent of
       // every model stream and of link construction order.
-      c.seed = sim::Rng(c.seed).fork(std::string("red.") +
-                                     std::string(link_name)).seed();
-      return std::make_unique<RedQueue>(c);
-    }
+      return std::make_unique<RedQueue>(
+          config, capacity_bytes,
+          sim::Rng(0x8ed).fork("red." + std::string(link_name)).seed());
   }
-  return std::make_unique<DropTailQdisc>(capacity_bytes);
+  return std::make_unique<DropTailQdisc>(config, capacity_bytes);
 }
 
-// --- DropTailQdisc ---------------------------------------------------------
+// --- QueueDiscipline -------------------------------------------------------
 
-bool DropTailQdisc::push(Packet p, sim::Time now) {
-  if (bytes_ + p.size_bytes > capacity_bytes_) {
-    ++drops_;
-    return false;
-  }
+QueueDiscipline::QueueDiscipline(QdiscKind kind, const QdiscConfig& config,
+                                 std::uint64_t capacity_bytes)
+    : config_(config), capacity_bytes_(capacity_bytes) {
+  config_.kind = kind;
+}
+
+bool QueueDiscipline::admit(Fifo* q, Packet p, sim::Time now) {
+  if (bytes_ + p.size_bytes > capacity_bytes_) return refuse();
+  ++packets_;
   bytes_ += p.size_bytes;
   max_depth_bytes_ = std::max(max_depth_bytes_, bytes_);
-  q_.push_back({std::move(p), now});
+  q->push_back({std::move(p), now});
   return true;
 }
 
-std::optional<Packet> DropTailQdisc::pop(sim::Time now) {
-  if (q_.empty()) return std::nullopt;
-  Entry e = std::move(q_.front());
-  q_.pop_front();
+QueueDiscipline::Entry QueueDiscipline::take(Fifo* q, sim::Time now) {
+  Entry e = std::move(q->front());
+  q->pop_front();
+  --packets_;
   bytes_ -= e.packet.size_bytes;
   last_sojourn_ = now - e.enqueued_at;
-  return std::move(e.packet);
+  return e;
 }
 
-// --- CoDelQueue ------------------------------------------------------------
-
-bool CoDelQueue::push(Packet p, sim::Time now) {
-  if (bytes_ + p.size_bytes > config_.capacity_bytes) {
-    ++drops_;
-    return false;
-  }
-  bytes_ += p.size_bytes;
-  max_depth_bytes_ = std::max(max_depth_bytes_, bytes_);
-  q_.push_back({std::move(p), now});
-  return true;
-}
-
-bool CoDelQueue::over_target(const Entry& e, sim::Time now) const {
-  return now - e.enqueued_at > config_.target;
-}
-
-sim::Time CoDelQueue::control_law(sim::Time t) const {
-  // interval / sqrt(drop_count): drops accelerate while congestion holds.
-  return t + static_cast<sim::Time>(
-                 static_cast<double>(config_.interval) /
-                 std::sqrt(static_cast<double>(std::max(drop_count_, 1u))));
-}
-
-bool CoDelQueue::shed(Entry* e) {
-  if (config_.ecn && e->packet.ect) {
-    // RFC 3168: signal instead of shoot. The state machine advances as if
+bool QueueDiscipline::shed(Packet* p) {
+  if (config_.ecn && p->ect) {
+    // RFC 3168: signal instead of shoot. The AQM's state advances as if
     // the packet had dropped, but the bytes still reach the receiver.
-    e->packet.ce = true;
+    p->ce = true;
     ++marks_;
     return false;
   }
@@ -141,61 +100,97 @@ bool CoDelQueue::shed(Entry* e) {
   return true;
 }
 
-std::optional<Packet> CoDelQueue::pop(sim::Time now) {
-  while (!q_.empty()) {
-    Entry e = std::move(q_.front());
-    q_.pop_front();
-    bytes_ -= e.packet.size_bytes;
-    last_sojourn_ = now - e.enqueued_at;
+bool QueueDiscipline::refuse() {
+  ++drops_;
+  return false;
+}
 
-    const bool above = over_target(e, now);
-    if (!dropping_) {
+namespace {
+
+// interval / sqrt(drop_count) after `t`: drops accelerate while congestion
+// holds.
+sim::Time control_law(sim::Time t, sim::Time interval,
+                      std::uint32_t drop_count) {
+  return t + static_cast<sim::Time>(
+                 static_cast<double>(interval) /
+                 std::sqrt(static_cast<double>(std::max(drop_count, 1u))));
+}
+
+}  // namespace
+
+std::optional<Packet> QueueDiscipline::codel_pop(CoDelFlow* f, sim::Time now) {
+  const sim::Time interval = config_.interval;
+  while (!f->q.empty()) {
+    Entry e = take(&f->q, now);
+    const bool above = now - e.enqueued_at > config_.target;
+    if (!f->dropping) {
       if (!above) {
-        first_above_time_ = 0;
+        f->first_above_time = 0;
         return std::move(e.packet);
       }
-      if (first_above_time_ == 0) {
-        first_above_time_ = now + config_.interval;
+      if (f->first_above_time == 0) {
+        f->first_above_time = now + interval;
         return std::move(e.packet);
       }
-      if (now < first_above_time_) return std::move(e.packet);
+      if (now < f->first_above_time) return std::move(e.packet);
       // Sojourn has exceeded target for a full interval: enter dropping.
-      dropping_ = true;
-      drop_count_ = drop_count_ > last_drop_count_ + 1 &&
-                            now - drop_next_ < 8 * config_.interval
-                        ? drop_count_ - last_drop_count_
-                        : 1;
-      drop_next_ = control_law(now);
-      last_drop_count_ = drop_count_;
-      if (shed(&e)) continue;
+      f->dropping = true;
+      f->drop_count = f->drop_count > f->last_drop_count + 1 &&
+                              now - f->drop_next < 8 * interval
+                          ? f->drop_count - f->last_drop_count
+                          : 1;
+      f->drop_next = control_law(now, interval, f->drop_count);
+      f->last_drop_count = f->drop_count;
+      if (shed(&e.packet)) continue;
       return std::move(e.packet);  // CE-marked instead of dropped
     }
 
     // Dropping state.
     if (!above) {
-      dropping_ = false;
-      first_above_time_ = 0;
+      f->dropping = false;
+      f->first_above_time = 0;
       return std::move(e.packet);
     }
-    if (now >= drop_next_) {
-      ++drop_count_;
-      drop_next_ = control_law(drop_next_);
-      if (shed(&e)) continue;
+    if (now >= f->drop_next) {
+      ++f->drop_count;
+      f->drop_next = control_law(f->drop_next, interval, f->drop_count);
+      if (shed(&e.packet)) continue;
       return std::move(e.packet);  // CE-marked instead of dropped
     }
     return std::move(e.packet);
   }
-  if (q_.empty()) {
-    dropping_ = false;
-    first_above_time_ = 0;
-  }
+  f->dropping = false;
+  f->first_above_time = 0;
   return std::nullopt;
+}
+
+// --- DropTailQdisc ---------------------------------------------------------
+
+bool DropTailQdisc::push(Packet p, sim::Time now) {
+  return admit(&q_, std::move(p), now);
+}
+
+std::optional<Packet> DropTailQdisc::pop(sim::Time now) {
+  if (q_.empty()) return std::nullopt;
+  return take(&q_, now).packet;
+}
+
+// --- CoDelQueue ------------------------------------------------------------
+
+bool CoDelQueue::push(Packet p, sim::Time now) {
+  return admit(&flow_.q, std::move(p), now);
+}
+
+std::optional<Packet> CoDelQueue::pop(sim::Time now) {
+  return codel_pop(&flow_, now);
 }
 
 // --- FqCoDelQueue ----------------------------------------------------------
 
-FqCoDelQueue::FqCoDelQueue(const Config& config)
-    : config_(config), buckets_(std::max(config.flows, 1u)) {}
+FqCoDelQueue::FqCoDelQueue(const QdiscConfig& config,
+                           std::uint64_t capacity_bytes)
+    : QueueDiscipline(QdiscKind::kFqCoDel, config, capacity_bytes),
+      buckets_(std::max(config.flows, 1u)) {}
 
 std::uint32_t FqCoDelQueue::bucket_of(std::uint32_t flow_id) const {
   // Knuth multiplicative hash: spreads small consecutive flow ids without
@@ -204,20 +199,12 @@ std::uint32_t FqCoDelQueue::bucket_of(std::uint32_t flow_id) const {
 }
 
 bool FqCoDelQueue::push(Packet p, sim::Time now) {
-  if (bytes_ + p.size_bytes > config_.capacity_bytes) {
-    // Linux sheds from the fattest flow on overflow; dropping the arrival
-    // is simpler and deterministic, and the AQM keeps queues far below
-    // capacity in every scenario we run.
-    ++drops_;
-    return false;
-  }
   const std::uint32_t idx = bucket_of(p.flow_id);
   Bucket& b = buckets_[idx];
-  bytes_ += p.size_bytes;
-  ++packets_;
-  max_depth_bytes_ = std::max(max_depth_bytes_, bytes_);
-  b.bytes += p.size_bytes;
-  b.q.push_back({std::move(p), now});
+  // Linux sheds from the fattest flow on overflow; dropping the arrival is
+  // simpler and deterministic, and the AQM keeps queues far below capacity
+  // in every scenario we run.
+  if (!admit(&b.q, std::move(p), now)) return false;
   if (!b.queued) {
     // A flow that was idle re-enters through the priority list with a
     // fresh quantum: sparse flows jump the heavy ones.
@@ -226,72 +213,6 @@ bool FqCoDelQueue::push(Packet p, sim::Time now) {
     new_flows_.push_back(idx);
   }
   return true;
-}
-
-sim::Time FqCoDelQueue::control_law(const Bucket& b, sim::Time t) const {
-  return t + static_cast<sim::Time>(
-                 static_cast<double>(config_.interval) /
-                 std::sqrt(static_cast<double>(std::max(b.drop_count, 1u))));
-}
-
-bool FqCoDelQueue::shed(Entry* e) {
-  if (config_.ecn && e->packet.ect) {
-    e->packet.ce = true;
-    ++marks_;
-    return false;
-  }
-  ++drops_;
-  return true;
-}
-
-std::optional<Packet> FqCoDelQueue::bucket_pop(Bucket* b, sim::Time now) {
-  // The per-bucket CoDel dequeue: identical state machine to CoDelQueue,
-  // but sojourn builds per flow, so only the flow at fault gets throttled.
-  while (!b->q.empty()) {
-    Entry e = std::move(b->q.front());
-    b->q.pop_front();
-    b->bytes -= e.packet.size_bytes;
-    bytes_ -= e.packet.size_bytes;
-    --packets_;
-    last_sojourn_ = now - e.enqueued_at;
-
-    const bool above = now - e.enqueued_at > config_.target;
-    if (!b->dropping) {
-      if (!above) {
-        b->first_above_time = 0;
-        return std::move(e.packet);
-      }
-      if (b->first_above_time == 0) {
-        b->first_above_time = now + config_.interval;
-        return std::move(e.packet);
-      }
-      if (now < b->first_above_time) return std::move(e.packet);
-      b->dropping = true;
-      b->drop_count = b->drop_count > b->last_drop_count + 1 &&
-                              now - b->drop_next < 8 * config_.interval
-                          ? b->drop_count - b->last_drop_count
-                          : 1;
-      b->drop_next = control_law(*b, now);
-      b->last_drop_count = b->drop_count;
-      if (shed(&e)) continue;
-      return std::move(e.packet);
-    }
-    if (!above) {
-      b->dropping = false;
-      b->first_above_time = 0;
-      return std::move(e.packet);
-    }
-    if (now >= b->drop_next) {
-      ++b->drop_count;
-      b->drop_next = control_law(*b, b->drop_next);
-      if (shed(&e)) continue;
-      return std::move(e.packet);
-    }
-    return std::move(e.packet);
-  }
-  b->dropping = false;
-  b->first_above_time = 0;
-  return std::nullopt;
 }
 
 std::optional<Packet> FqCoDelQueue::pop(sim::Time now) {
@@ -309,7 +230,8 @@ std::optional<Packet> FqCoDelQueue::pop(sim::Time now) {
       old_flows_.push_back(idx);
       continue;
     }
-    std::optional<Packet> p = bucket_pop(&b, now);
+    // Sojourn builds per bucket, so only the flow at fault gets throttled.
+    std::optional<Packet> p = codel_pop(&b, now);
     if (!p) {
       // Bucket ran dry. A new flow parks on the old list first (RFC 8290:
       // it must survive one rotation before leaving, or a sparse flow
@@ -330,17 +252,15 @@ std::optional<Packet> FqCoDelQueue::pop(sim::Time now) {
 
 // --- RedQueue --------------------------------------------------------------
 
-RedQueue::RedQueue(const Config& config)
-    : config_(config), rng_(config.seed) {
-  if (config_.min_bytes == 0) {
-    config_.min_bytes =
-        static_cast<std::uint64_t>(0.15 * static_cast<double>(
-                                              config_.capacity_bytes));
+RedQueue::RedQueue(const QdiscConfig& config, std::uint64_t capacity_bytes,
+                   std::uint64_t seed)
+    : QueueDiscipline(QdiscKind::kRed, config, capacity_bytes), rng_(seed) {
+  const auto cap = static_cast<double>(capacity_bytes);
+  if (config_.red_min_bytes == 0) {
+    config_.red_min_bytes = static_cast<std::uint64_t>(0.15 * cap);
   }
-  if (config_.max_bytes == 0) {
-    config_.max_bytes =
-        static_cast<std::uint64_t>(0.45 * static_cast<double>(
-                                              config_.capacity_bytes));
+  if (config_.red_max_bytes == 0) {
+    config_.red_max_bytes = static_cast<std::uint64_t>(0.45 * cap);
   }
 }
 
@@ -349,57 +269,41 @@ bool RedQueue::push(Packet p, sim::Time now) {
   // idle-time correction is omitted: arrivals on an idle link find
   // avg ~ 0 anyway at these weights, and the omission keeps the estimator
   // trivially deterministic.)
-  avg_bytes_ = (1.0 - config_.weight) * avg_bytes_ +
-               config_.weight * static_cast<double>(bytes_);
+  avg_bytes_ = (1.0 - config_.red_weight) * avg_bytes_ +
+               config_.red_weight * static_cast<double>(size_bytes());
 
-  if (bytes_ + p.size_bytes > config_.capacity_bytes) {
-    ++drops_;  // physical tail drop: ECN cannot conjure buffer space
-    return false;
+  if (size_bytes() + p.size_bytes > capacity_bytes_) {
+    return refuse();  // physical tail drop: ECN cannot conjure buffer space
   }
-  const auto min_th = static_cast<double>(config_.min_bytes);
-  const auto max_th = static_cast<double>(config_.max_bytes);
+  const auto min_th = static_cast<double>(config_.red_min_bytes);
+  const auto max_th = static_cast<double>(config_.red_max_bytes);
   if (avg_bytes_ >= max_th) {
     // Above max the estimator says sustained congestion: force a drop
     // even for ECT traffic (RFC 3168 Sec. 19.1 guidance).
-    ++drops_;
     count_ = 0;
-    return false;
+    return refuse();
   }
   if (avg_bytes_ > min_th) {
     ++count_;
     const double pb =
-        config_.max_p * (avg_bytes_ - min_th) / (max_th - min_th);
+        config_.red_max_p * (avg_bytes_ - min_th) / (max_th - min_th);
     // Spread early decisions out (Floyd & Jacobson's 1/(1 - count*pb)
     // correction makes inter-decision gaps uniform, not geometric).
     const double pa = pb / std::max(1.0 - static_cast<double>(count_) * pb,
                                     1e-9);
     if (rng_.bernoulli(std::min(pa, 1.0))) {
       count_ = 0;
-      if (config_.ecn && p.ect) {
-        p.ce = true;
-        ++marks_;
-        // marked arrivals still enqueue below
-      } else {
-        ++drops_;
-        return false;
-      }
+      if (shed(&p)) return false;  // a CE-marked arrival still enqueues
     }
   } else {
     count_ = -1;
   }
-  bytes_ += p.size_bytes;
-  max_depth_bytes_ = std::max(max_depth_bytes_, bytes_);
-  q_.push_back({std::move(p), now});
-  return true;
+  return admit(&q_, std::move(p), now);
 }
 
 std::optional<Packet> RedQueue::pop(sim::Time now) {
   if (q_.empty()) return std::nullopt;
-  Entry e = std::move(q_.front());
-  q_.pop_front();
-  bytes_ -= e.packet.size_bytes;
-  last_sojourn_ = now - e.enqueued_at;
-  return std::move(e.packet);
+  return take(&q_, now).packet;
 }
 
 }  // namespace fiveg::net

@@ -12,7 +12,6 @@
 #include <deque>
 #include <memory>
 #include <optional>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -21,31 +20,6 @@
 #include "sim/time.h"
 
 namespace fiveg::net {
-
-/// Queue discipline interface used by Link.
-class QueueDiscipline {
- public:
-  virtual ~QueueDiscipline() = default;
-
-  /// Offers a packet at time `now`; false = dropped on entry.
-  virtual bool push(Packet p, sim::Time now) = 0;
-
-  /// Dequeues the next packet to transmit at time `now`, or nullopt when
-  /// empty (AQMs may drop internally while dequeuing).
-  virtual std::optional<Packet> pop(sim::Time now) = 0;
-
-  [[nodiscard]] virtual bool empty() const = 0;
-  [[nodiscard]] virtual std::uint64_t size_packets() const = 0;
-  [[nodiscard]] virtual std::uint64_t size_bytes() const = 0;
-  [[nodiscard]] virtual std::uint64_t drops() const = 0;
-  [[nodiscard]] virtual std::uint64_t max_depth_bytes() const = 0;
-  /// Packets CE-marked instead of dropped (0 unless ECN is enabled).
-  [[nodiscard]] virtual std::uint64_t marks() const = 0;
-  /// Queueing delay of the most recently popped packet (enqueue -> pop).
-  [[nodiscard]] virtual sim::Time last_sojourn() const = 0;
-  /// Short stable id for metric labels: "droptail", "codel", ...
-  [[nodiscard]] virtual std::string_view kind_name() const = 0;
-};
 
 /// Which discipline a link runs, plus every tuning knob. One struct (not a
 /// variant) so experiment sweeps can tweak a field without re-dispatching.
@@ -71,6 +45,93 @@ struct QdiscConfig {
   double red_weight = 0.002;   // EWMA weight for the average queue
 };
 
+/// Queue discipline interface used by Link. The base owns what every
+/// discipline shares — its config, the byte capacity and the accounting
+/// behind the getters — so a discipline supplies only its push/pop policy,
+/// written with the protected helpers.
+class QueueDiscipline {
+ public:
+  virtual ~QueueDiscipline() = default;
+  QueueDiscipline(const QueueDiscipline&) = delete;
+  QueueDiscipline& operator=(const QueueDiscipline&) = delete;
+
+  /// Offers a packet at time `now`; false = dropped on entry.
+  virtual bool push(Packet p, sim::Time now) = 0;
+
+  /// Dequeues the next packet to transmit at time `now`, or nullopt when
+  /// empty (AQMs may drop internally while dequeuing).
+  virtual std::optional<Packet> pop(sim::Time now) = 0;
+
+  [[nodiscard]] bool empty() const noexcept { return packets_ == 0; }
+  [[nodiscard]] std::uint64_t size_packets() const noexcept {
+    return packets_;
+  }
+  [[nodiscard]] std::uint64_t size_bytes() const noexcept { return bytes_; }
+  [[nodiscard]] std::uint64_t drops() const noexcept { return drops_; }
+  [[nodiscard]] std::uint64_t max_depth_bytes() const noexcept {
+    return max_depth_bytes_;
+  }
+  /// Packets CE-marked instead of dropped (0 unless ECN is enabled).
+  [[nodiscard]] std::uint64_t marks() const noexcept { return marks_; }
+  /// Queueing delay of the most recently popped packet (enqueue -> pop).
+  [[nodiscard]] sim::Time last_sojourn() const noexcept {
+    return last_sojourn_;
+  }
+  /// Short stable id for metric labels: "droptail", "codel", ...
+  [[nodiscard]] std::string_view kind_name() const noexcept {
+    return to_string(config_.kind);
+  }
+
+ protected:
+  struct Entry {
+    Packet packet;
+    sim::Time enqueued_at;
+  };
+  using Fifo = std::deque<Entry>;
+
+  /// One CoDel instance (RFC 8289): a FIFO and its dequeue state machine.
+  /// CoDelQueue runs one; FQ-CoDel runs one per hash bucket.
+  struct CoDelFlow {
+    Fifo q;
+    bool dropping = false;
+    sim::Time first_above_time = 0;
+    sim::Time drop_next = 0;
+    std::uint32_t drop_count = 0;
+    std::uint32_t last_drop_count = 0;
+  };
+
+  /// `kind` overrides config.kind, so kind_name() names the real class.
+  QueueDiscipline(QdiscKind kind, const QdiscConfig& config,
+                  std::uint64_t capacity_bytes);
+
+  /// Tail-drops (false) when `p` would overflow the byte capacity;
+  /// otherwise counts it in and appends it to `q`.
+  bool admit(Fifo* q, Packet p, sim::Time now);
+  /// Removes the head of non-empty `q`, counts it out and records its
+  /// sojourn.
+  Entry take(Fifo* q, sim::Time now);
+  /// An AQM decision to shed `p`: with ECN on, an ECT packet is CE-marked
+  /// and must still be delivered (false); anything else counts as a drop
+  /// and the caller discards it (true).
+  bool shed(Packet* p);
+  /// Counts a drop that is not a shed (RED's forced drop); returns false.
+  bool refuse();
+  /// The CoDel dequeue on `f`: discards what the control law drops and
+  /// returns the next packet to deliver, or nullopt once `f` runs dry.
+  std::optional<Packet> codel_pop(CoDelFlow* f, sim::Time now);
+
+  QdiscConfig config_;
+  std::uint64_t capacity_bytes_;
+
+ private:
+  std::uint64_t packets_ = 0;
+  std::uint64_t bytes_ = 0;
+  std::uint64_t drops_ = 0;
+  std::uint64_t marks_ = 0;
+  std::uint64_t max_depth_bytes_ = 0;
+  sim::Time last_sojourn_ = 0;
+};
+
 /// Builds a discipline over `capacity_bytes` of buffer. `link_name` seeds
 /// RED's private drop stream so probabilistic drops are deterministic per
 /// link and independent of construction order.
@@ -87,41 +148,14 @@ struct QdiscConfig {
 /// per-packet timestamps the sojourn metrics need.
 class DropTailQdisc final : public QueueDiscipline {
  public:
-  explicit DropTailQdisc(std::uint64_t capacity_bytes)
-      : capacity_bytes_(capacity_bytes) {}
+  DropTailQdisc(const QdiscConfig& config, std::uint64_t capacity_bytes)
+      : QueueDiscipline(QdiscKind::kDropTail, config, capacity_bytes) {}
 
   bool push(Packet p, sim::Time now) override;
   std::optional<Packet> pop(sim::Time now) override;
 
-  [[nodiscard]] bool empty() const override { return q_.empty(); }
-  [[nodiscard]] std::uint64_t size_packets() const override {
-    return q_.size();
-  }
-  [[nodiscard]] std::uint64_t size_bytes() const override { return bytes_; }
-  [[nodiscard]] std::uint64_t drops() const override { return drops_; }
-  [[nodiscard]] std::uint64_t max_depth_bytes() const override {
-    return max_depth_bytes_;
-  }
-  [[nodiscard]] std::uint64_t marks() const override { return 0; }
-  [[nodiscard]] sim::Time last_sojourn() const override {
-    return last_sojourn_;
-  }
-  [[nodiscard]] std::string_view kind_name() const override {
-    return "droptail";
-  }
-
  private:
-  struct Entry {
-    Packet packet;
-    sim::Time enqueued_at;
-  };
-
-  std::uint64_t capacity_bytes_;
-  std::deque<Entry> q_;
-  std::uint64_t bytes_ = 0;
-  std::uint64_t drops_ = 0;
-  std::uint64_t max_depth_bytes_ = 0;
-  sim::Time last_sojourn_ = 0;
+  Fifo q_;
 };
 
 /// RFC 8289 CoDel on top of a byte-bounded FIFO. With `ecn` on, a
@@ -129,62 +163,14 @@ class DropTailQdisc final : public QueueDiscipline {
 /// delivered; the state machine advances exactly as if it had dropped.
 class CoDelQueue final : public QueueDiscipline {
  public:
-  struct Config {
-    sim::Time target = 5 * sim::kMillisecond;     // acceptable sojourn
-    sim::Time interval = 100 * sim::kMillisecond; // initial drop spacing
-    std::uint64_t capacity_bytes = 4 * 1024 * 1024;
-    bool ecn = false;
-  };
-
-  CoDelQueue() : CoDelQueue(Config{}) {}
-  explicit CoDelQueue(const Config& config) : config_(config) {}
+  CoDelQueue(const QdiscConfig& config, std::uint64_t capacity_bytes)
+      : QueueDiscipline(QdiscKind::kCoDel, config, capacity_bytes) {}
 
   bool push(Packet p, sim::Time now) override;
   std::optional<Packet> pop(sim::Time now) override;
 
-  [[nodiscard]] bool empty() const override { return q_.empty(); }
-  [[nodiscard]] std::uint64_t size_packets() const override {
-    return q_.size();
-  }
-  [[nodiscard]] std::uint64_t size_bytes() const override { return bytes_; }
-  [[nodiscard]] std::uint64_t drops() const override { return drops_; }
-  [[nodiscard]] std::uint64_t max_depth_bytes() const override {
-    return max_depth_bytes_;
-  }
-  [[nodiscard]] std::uint64_t marks() const override { return marks_; }
-  [[nodiscard]] sim::Time last_sojourn() const override {
-    return last_sojourn_;
-  }
-  [[nodiscard]] std::string_view kind_name() const override {
-    return "codel";
-  }
-
  private:
-  struct Entry {
-    Packet packet;
-    sim::Time enqueued_at;
-  };
-
-  [[nodiscard]] bool over_target(const Entry& e, sim::Time now) const;
-  [[nodiscard]] sim::Time control_law(sim::Time t) const;
-  /// True when the entry should be shed: ECT packets get CE-marked and the
-  /// caller must deliver them; others are dropped (caller discards).
-  [[nodiscard]] bool shed(Entry* e);
-
-  Config config_;
-  std::deque<Entry> q_;
-  std::uint64_t bytes_ = 0;
-  std::uint64_t drops_ = 0;
-  std::uint64_t marks_ = 0;
-  std::uint64_t max_depth_bytes_ = 0;
-  sim::Time last_sojourn_ = 0;
-
-  // CoDel state machine.
-  bool dropping_ = false;
-  sim::Time first_above_time_ = 0;
-  sim::Time drop_next_ = 0;
-  std::uint32_t drop_count_ = 0;
-  std::uint32_t last_drop_count_ = 0;
+  CoDelFlow flow_;
 };
 
 /// FQ-CoDel (RFC 8290 shape): packets hash by flow id into buckets, each
@@ -192,136 +178,50 @@ class CoDelQueue final : public QueueDiscipline {
 /// scheduler with a new-flow priority list serves the buckets. Heavy flows
 /// build sojourn (and get throttled) in their own bucket; sparse flows
 /// pass through untouched — the flow-isolation property the incast and
-/// mixed-RTT experiments measure.
+/// mixed-RTT experiments measure. The byte capacity is shared by all
+/// buckets.
 class FqCoDelQueue final : public QueueDiscipline {
  public:
-  struct Config {
-    sim::Time target = 5 * sim::kMillisecond;
-    sim::Time interval = 100 * sim::kMillisecond;
-    std::uint64_t capacity_bytes = 4 * 1024 * 1024;  // shared across flows
-    std::uint32_t quantum_bytes = 1514;
-    std::uint32_t flows = 64;
-    bool ecn = false;
-  };
-
-  FqCoDelQueue() : FqCoDelQueue(Config{}) {}
-  explicit FqCoDelQueue(const Config& config);
+  FqCoDelQueue(const QdiscConfig& config, std::uint64_t capacity_bytes);
 
   bool push(Packet p, sim::Time now) override;
   std::optional<Packet> pop(sim::Time now) override;
-
-  [[nodiscard]] bool empty() const override { return packets_ == 0; }
-  [[nodiscard]] std::uint64_t size_packets() const override {
-    return packets_;
-  }
-  [[nodiscard]] std::uint64_t size_bytes() const override { return bytes_; }
-  [[nodiscard]] std::uint64_t drops() const override { return drops_; }
-  [[nodiscard]] std::uint64_t max_depth_bytes() const override {
-    return max_depth_bytes_;
-  }
-  [[nodiscard]] std::uint64_t marks() const override { return marks_; }
-  [[nodiscard]] sim::Time last_sojourn() const override {
-    return last_sojourn_;
-  }
-  [[nodiscard]] std::string_view kind_name() const override {
-    return "fq_codel";
-  }
 
   /// Which bucket a flow hashes to (exposed so tests can build collision-
   /// free flow sets).
   [[nodiscard]] std::uint32_t bucket_of(std::uint32_t flow_id) const;
 
  private:
-  struct Entry {
-    Packet packet;
-    sim::Time enqueued_at;
-  };
-  // One hash bucket: its own FIFO, CoDel state and DRR deficit.
-  struct Bucket {
-    std::deque<Entry> q;
-    std::uint64_t bytes = 0;
+  // One hash bucket: its CoDel flow plus its DRR deficit.
+  struct Bucket : CoDelFlow {
     int deficit = 0;
     bool queued = false;  // on new_flows_ or old_flows_
-    // Per-bucket CoDel state machine.
-    bool dropping = false;
-    sim::Time first_above_time = 0;
-    sim::Time drop_next = 0;
-    std::uint32_t drop_count = 0;
-    std::uint32_t last_drop_count = 0;
   };
 
-  [[nodiscard]] sim::Time control_law(const Bucket& b, sim::Time t) const;
-  /// CoDel dequeue for one bucket; nullopt when the bucket ran dry.
-  std::optional<Packet> bucket_pop(Bucket* b, sim::Time now);
-  [[nodiscard]] bool shed(Entry* e);
-
-  Config config_;
   std::vector<Bucket> buckets_;
   std::deque<std::uint32_t> new_flows_;  // bucket indices, served first
   std::deque<std::uint32_t> old_flows_;
-  std::uint64_t packets_ = 0;
-  std::uint64_t bytes_ = 0;
-  std::uint64_t drops_ = 0;
-  std::uint64_t marks_ = 0;
-  std::uint64_t max_depth_bytes_ = 0;
-  sim::Time last_sojourn_ = 0;
 };
 
 /// Random Early Detection (Floyd & Jacobson 1993): an EWMA of the queue
 /// depth gates probabilistic early drops between a min and max threshold;
 /// above max every arrival drops. With `ecn` on, an early "drop" of an ECT
-/// packet becomes a CE mark (forced drops above max still drop).
+/// packet becomes a CE mark (forced drops above max still drop). `seed`
+/// seeds the private drop stream.
 class RedQueue final : public QueueDiscipline {
  public:
-  struct Config {
-    std::uint64_t capacity_bytes = 4 * 1024 * 1024;
-    std::uint64_t min_bytes = 0;  // 0 = 15% of capacity
-    std::uint64_t max_bytes = 0;  // 0 = 45% of capacity
-    double max_p = 0.1;           // early-drop probability at max_bytes
-    double weight = 0.002;        // EWMA weight
-    bool ecn = false;
-    std::uint64_t seed = 0x8ed;   // private drop stream
-  };
-
-  RedQueue() : RedQueue(Config{}) {}
-  explicit RedQueue(const Config& config);
+  RedQueue(const QdiscConfig& config, std::uint64_t capacity_bytes,
+           std::uint64_t seed);
 
   bool push(Packet p, sim::Time now) override;
   std::optional<Packet> pop(sim::Time now) override;
-
-  [[nodiscard]] bool empty() const override { return q_.empty(); }
-  [[nodiscard]] std::uint64_t size_packets() const override {
-    return q_.size();
-  }
-  [[nodiscard]] std::uint64_t size_bytes() const override { return bytes_; }
-  [[nodiscard]] std::uint64_t drops() const override { return drops_; }
-  [[nodiscard]] std::uint64_t max_depth_bytes() const override {
-    return max_depth_bytes_;
-  }
-  [[nodiscard]] std::uint64_t marks() const override { return marks_; }
-  [[nodiscard]] sim::Time last_sojourn() const override {
-    return last_sojourn_;
-  }
-  [[nodiscard]] std::string_view kind_name() const override { return "red"; }
 
   /// Current EWMA of the queue depth in bytes (for tests).
   [[nodiscard]] double avg_bytes() const noexcept { return avg_bytes_; }
 
  private:
-  struct Entry {
-    Packet packet;
-    sim::Time enqueued_at;
-  };
-
-  Config config_;
   sim::Rng rng_;
-  std::deque<Entry> q_;
-  std::uint64_t bytes_ = 0;
-  std::uint64_t drops_ = 0;
-  std::uint64_t marks_ = 0;
-  std::uint64_t max_depth_bytes_ = 0;
-  sim::Time last_sojourn_ = 0;
-
+  Fifo q_;
   double avg_bytes_ = 0.0;  // EWMA of the instantaneous depth
   int count_ = -1;          // arrivals since the last early drop/mark
 };

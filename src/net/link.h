@@ -98,9 +98,6 @@ class Link {
     return qdisc_->marks();
   }
   [[nodiscard]] const Config& config() const noexcept { return config_; }
-  [[nodiscard]] const QueueDiscipline& qdisc() const noexcept {
-    return *qdisc_;
-  }
 
  private:
   // A packet handed to the pipe: due at `at` under the event sequence

@@ -1,8 +1,8 @@
 // Structured tracing for the simulated stack — the reproduction's answer to
 // the paper's XCAL-Mobile timeline. Layers emit spans (begin/end), instant
-// events and counter tracks into a TraceSink; the default sink is a
-// ring-buffered Tracer whose contents export to the Chrome trace_event JSON
-// format (chrome://tracing, Perfetto) via obs/chrome_trace.h.
+// events and counter tracks into a ring-buffered Tracer whose contents
+// export to the Chrome trace_event JSON format (chrome://tracing, Perfetto)
+// via obs/chrome_trace.h.
 //
 // Every event is stamped in *simulated* time, so a trace is a pure function
 // of the experiment seed: byte-identical across --jobs values and safe to
@@ -44,18 +44,10 @@ struct TraceEvent {
   TraceArgs args;
 };
 
-/// Destination for trace events. The ring-buffered Tracer below is the
-/// default; tests substitute capturing sinks.
-class TraceSink {
- public:
-  virtual ~TraceSink() = default;
-  virtual void emit(TraceEvent e) = 0;
-};
-
 /// Ring-buffered tracer: keeps the most recent `capacity` events, counts
 /// what it had to drop. Single-threaded, like everything else in one
 /// experiment run.
-class Tracer final : public TraceSink {
+class Tracer final {
  public:
   static constexpr std::size_t kDefaultCapacity = 1 << 18;  // events
 
@@ -83,7 +75,7 @@ class Tracer final : public TraceSink {
     return clock_ ? clock_() : 0;
   }
 
-  void emit(TraceEvent e) override;
+  void emit(TraceEvent e);
 
   void begin(sim::Time at, std::string_view name, std::string_view cat,
              TraceArgs args = {});

@@ -29,8 +29,11 @@ net::Packet packet(std::uint32_t bytes = 1500) {
   return p;
 }
 
+// The buffer the CoDel unit tests run over (4 MiB: never the limit).
+constexpr std::uint64_t kCoDelBuffer = 4 * 1024 * 1024;
+
 TEST(CoDelTest, PassesThroughWhenUncongested) {
-  net::CoDelQueue q;
+  net::CoDelQueue q({}, kCoDelBuffer);
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(q.push(packet(), i * from_millis(1)));
     // Dequeued almost immediately: sojourn < target, no drops.
@@ -42,7 +45,7 @@ TEST(CoDelTest, PassesThroughWhenUncongested) {
 }
 
 TEST(CoDelTest, DropsWhenSojournExceedsTargetForAnInterval) {
-  net::CoDelQueue q;
+  net::CoDelQueue q({}, kCoDelBuffer);
   // Fill, then drain slowly so sojourn stays far above the 5 ms target.
   sim::Time now = 0;
   for (int i = 0; i < 200; ++i) q.push(packet(), now);
@@ -56,9 +59,7 @@ TEST(CoDelTest, DropsWhenSojournExceedsTargetForAnInterval) {
 }
 
 TEST(CoDelTest, RespectsByteCapacity) {
-  net::CoDelQueue::Config cfg;
-  cfg.capacity_bytes = 3000;
-  net::CoDelQueue q(cfg);
+  net::CoDelQueue q({}, 3000);
   EXPECT_TRUE(q.push(packet(), 0));
   EXPECT_TRUE(q.push(packet(), 0));
   EXPECT_FALSE(q.push(packet(), 0));
@@ -66,7 +67,7 @@ TEST(CoDelTest, RespectsByteCapacity) {
 }
 
 TEST(CoDelTest, RecoversAfterCongestionClears) {
-  net::CoDelQueue q;
+  net::CoDelQueue q({}, kCoDelBuffer);
   sim::Time now = 0;
   for (int i = 0; i < 100; ++i) q.push(packet(), now);
   for (int i = 0; i < 100; ++i) {

@@ -22,6 +22,7 @@
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/prof.h"
+#include "sim/rng.h"
 #include "sim/simulator.h"
 #include "tcp/tcp_receiver.h"
 #include "tcp/tcp_sender.h"
@@ -576,7 +577,7 @@ INSTANTIATE_TEST_SUITE_P(Loads, ConservationTest,
 // --- queue disciplines (aqm.h) ---
 
 TEST(DropTailQdiscTest, TailDropsBytesAndKeepsFifoOrder) {
-  DropTailQdisc q(3000);
+  DropTailQdisc q({}, 3000);
   EXPECT_TRUE(q.push(make_packet(1, 0, 1500), 0));
   EXPECT_TRUE(q.push(make_packet(1, 1, 1500), 0));
   EXPECT_FALSE(q.push(make_packet(1, 2, 1500), 0));  // 4500 > 3000
@@ -594,9 +595,7 @@ TEST(CoDelControlLawTest, DropSpacingShrinksAsSqrtOfCount) {
   // Keep the sojourn pinned far above target and record when each drop
   // happens: the control law schedules drop n at interval/sqrt(n) after
   // its predecessor, so the gaps must shrink.
-  CoDelQueue::Config cfg;
-  cfg.capacity_bytes = 64 * 1024 * 1024;
-  CoDelQueue q(cfg);
+  CoDelQueue q({}, 64 * 1024 * 1024);
   sim::Time now = 0;
   std::uint64_t pushed = 0;
   std::vector<sim::Time> drop_times;
@@ -622,10 +621,9 @@ TEST(CoDelControlLawTest, DropSpacingShrinksAsSqrtOfCount) {
 }
 
 TEST(CoDelEcnTest, MarksEctInsteadOfDropping) {
-  CoDelQueue::Config cfg;
-  cfg.capacity_bytes = 64 * 1024 * 1024;
+  QdiscConfig cfg;
   cfg.ecn = true;
-  CoDelQueue q(cfg);
+  CoDelQueue q(cfg, 64 * 1024 * 1024);
   sim::Time now = 0;
   std::uint64_t pushed = 0, popped = 0, ce = 0;
   for (int i = 0; i < 2000; ++i) {
@@ -646,19 +644,21 @@ TEST(CoDelEcnTest, MarksEctInsteadOfDropping) {
   EXPECT_EQ(popped + q.size_packets(), pushed);
 }
 
+// RED's drop-stream seed before make_qdisc forks it per link.
+constexpr std::uint64_t kRedSeed = 0x8ed;
+
 TEST(RedQueueTest, ThresholdsGateEarlyDrops) {
-  RedQueue::Config cfg;
-  cfg.capacity_bytes = 200 * 1500;
-  cfg.min_bytes = 15 * 1500;
-  cfg.max_bytes = 45 * 1500;
-  cfg.weight = 0.5;  // fast EWMA so the test tracks the true depth
-  RedQueue q(cfg);
+  QdiscConfig cfg;
+  cfg.red_min_bytes = 15 * 1500;
+  cfg.red_max_bytes = 45 * 1500;
+  cfg.red_weight = 0.5;  // fast EWMA so the test tracks the true depth
+  RedQueue q(cfg, 200 * 1500, kRedSeed);
   // Below min: every arrival accepted, count stays reset.
   for (int i = 0; i < 10; ++i) {
     EXPECT_TRUE(q.push(make_packet(1, i, 1500), 0));
   }
   EXPECT_EQ(q.drops(), 0u);
-  EXPECT_LT(q.avg_bytes(), static_cast<double>(cfg.min_bytes));
+  EXPECT_LT(q.avg_bytes(), static_cast<double>(cfg.red_min_bytes));
   // Keep filling without draining: between min and max some arrivals are
   // shed early; past max every arrival is dropped.
   std::uint64_t accepted = 10;
@@ -667,7 +667,7 @@ TEST(RedQueueTest, ThresholdsGateEarlyDrops) {
   }
   EXPECT_GT(q.drops(), 0u);
   EXPECT_LT(accepted, 120u);
-  EXPECT_GT(q.avg_bytes(), static_cast<double>(cfg.max_bytes));
+  EXPECT_GT(q.avg_bytes(), static_cast<double>(cfg.red_max_bytes));
   const std::uint64_t drops_at_max = q.drops();
   for (int i = 120; i < 140; ++i) {
     EXPECT_FALSE(q.push(make_packet(1, i, 1500), 0));  // forced region
@@ -676,13 +676,12 @@ TEST(RedQueueTest, ThresholdsGateEarlyDrops) {
 }
 
 TEST(RedQueueTest, EcnMarksEarlyButStillDropsAtMax) {
-  RedQueue::Config cfg;
-  cfg.capacity_bytes = 200 * 1500;
-  cfg.min_bytes = 15 * 1500;
-  cfg.max_bytes = 45 * 1500;
-  cfg.weight = 0.5;
+  QdiscConfig cfg;
+  cfg.red_min_bytes = 15 * 1500;
+  cfg.red_max_bytes = 45 * 1500;
+  cfg.red_weight = 0.5;
   cfg.ecn = true;
-  RedQueue q(cfg);
+  RedQueue q(cfg, 200 * 1500, kRedSeed);
   for (int i = 0; i < 140; ++i) {
     Packet p = make_packet(1, i, 1500);
     p.ect = true;
@@ -695,9 +694,7 @@ TEST(RedQueueTest, EcnMarksEarlyButStillDropsAtMax) {
 }
 
 TEST(FqCoDelTest, IsolatesSparseFlowFromBulkFlow) {
-  FqCoDelQueue::Config cfg;
-  cfg.capacity_bytes = 64 * 1024 * 1024;
-  FqCoDelQueue q(cfg);
+  FqCoDelQueue q({}, 64 * 1024 * 1024);
   // Two flow ids in distinct buckets.
   const std::uint32_t bulk = 1;
   std::uint32_t sparse = 2;
@@ -730,6 +727,69 @@ TEST(FqCoDelTest, IsolatesSparseFlowFromBulkFlow) {
   EXPECT_EQ(sparse_delivered, sparse_seq);
   EXPECT_LT(worst_sparse_sojourn, from_millis(20));
 }
+
+// FQ-CoDel over a single flow id is CoDel: one bucket, one state machine,
+// and the DRR scheduler only rotates it. Seeded random traces (mixed sizes,
+// ECT and non-ECT packets, load phases that build and drain a standing
+// queue, a buffer small enough to overflow) must agree packet for packet.
+class FqCoDelOneFlowIsCoDel : public ::testing::TestWithParam<bool> {};
+
+TEST_P(FqCoDelOneFlowIsCoDel, PacketForPacket) {
+  QdiscConfig cfg;
+  cfg.ecn = GetParam();
+  std::uint64_t pops = 0, drops = 0, marks = 0, refused = 0;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    sim::Rng rng(seed);
+    const auto capacity =
+        static_cast<std::uint64_t>(rng.uniform_int(20'000, 200'000));
+    CoDelQueue codel(cfg, capacity);
+    FqCoDelQueue fq(cfg, capacity);
+    sim::Time now = 0;
+    std::uint64_t seq = 0;
+    for (int step = 0; step < 3000; ++step) {
+      // 600-step phases alternate overload (~3 arrivals per departure)
+      // with drain, so the state machine enters and leaves dropping.
+      const bool overload = (step / 600) % 2 == 0;
+      now += rng.uniform_int(0, 2 * kMillisecond);
+      const auto arrivals = rng.uniform_int(0, overload ? 5 : 1);
+      for (std::int64_t k = 0; k < arrivals; ++k) {
+        Packet p = make_packet(
+            7, seq++, static_cast<std::uint32_t>(rng.uniform_int(60, 1500)));
+        p.ect = rng.bernoulli(0.7);
+        const bool accepted = codel.push(p, now);
+        ASSERT_EQ(fq.push(std::move(p), now), accepted) << "seq " << seq;
+        refused += accepted ? 0 : 1;
+      }
+      const auto a = codel.pop(now);
+      const auto b = fq.pop(now);
+      ASSERT_EQ(b.has_value(), a.has_value()) << "step " << step;
+      if (a) {
+        ++pops;
+        ASSERT_EQ(b->seq, a->seq);
+        ASSERT_EQ(b->ce, a->ce);
+      }
+      ASSERT_EQ(fq.drops(), codel.drops());
+      ASSERT_EQ(fq.marks(), codel.marks());
+      ASSERT_EQ(fq.size_bytes(), codel.size_bytes());
+      ASSERT_EQ(fq.max_depth_bytes(), codel.max_depth_bytes());
+      ASSERT_EQ(fq.last_sojourn(), codel.last_sojourn());
+    }
+    drops += codel.drops();
+    marks += codel.marks();
+  }
+  // The traces really exercise overflow, CoDel drops and (with ECN) marks.
+  EXPECT_GT(pops, 0u);
+  EXPECT_GT(refused, 0u);
+  EXPECT_GT(drops, refused);
+  if (cfg.ecn) {
+    EXPECT_GT(marks, 0u);
+  } else {
+    EXPECT_EQ(marks, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Ecn, FqCoDelOneFlowIsCoDel, ::testing::Bool());
 
 TEST(QdiscSpecTest, ParsesKindsAndEcnSuffix) {
   QdiscConfig c;

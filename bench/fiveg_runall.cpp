@@ -8,7 +8,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -26,6 +25,7 @@
 #include "core/store.h"
 #include "fault/fault.h"
 #include "net/aqm.h"
+#include "obs/json_check.h"
 
 namespace {
 
@@ -95,16 +95,8 @@ options:
 )";
 
 // The numeric flag parsers accept a whole string that fits the target
-// exactly: strtoull would wrap a signed "-1" and strtol's long would be
-// truncated to int, and strtod would pass "inf" and "nan" through.
-bool parse_u64(const char* s, std::uint64_t* out) {
-  if (std::strchr(s, '-') != nullptr) return false;
-  char* end = nullptr;
-  errno = 0;
-  *out = std::strtoull(s, &end, 10);
-  return end != s && *end == '\0' && errno != ERANGE;
-}
-
+// exactly: strtol's long would be truncated to int, and strtod would pass
+// "inf" and "nan" through. Unsigned flags use obs::parse_u64.
 bool parse_int(const char* s, int* out) {
   char* end = nullptr;
   errno = 0;
@@ -320,7 +312,7 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--seed") {
       std::uint64_t seed = 0;
-      if (!parse_u64(need_value(), &seed)) {
+      if (!fiveg::obs::parse_u64(need_value(), &seed)) {
         std::cerr << "bad --seed value\n";
         return 2;
       }
@@ -344,7 +336,7 @@ int main(int argc, char** argv) {
       opt.trace = true;
     } else if (arg == "--trace-capacity") {
       std::uint64_t cap = 0;
-      if (!parse_u64(need_value(), &cap) || cap == 0) {
+      if (!fiveg::obs::parse_u64(need_value(), &cap) || cap == 0) {
         std::cerr << "bad --trace-capacity value\n";
         return 2;
       }

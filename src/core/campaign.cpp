@@ -1,7 +1,5 @@
 #include "core/campaign.h"
 
-#include <cerrno>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -24,18 +22,15 @@ bool axis_error(std::string* error, const std::string& msg) {
 // decimal string (full 64-bit range, same convention as the ledger).
 bool parse_seed_value(const JsonValue& v, std::uint64_t* out) {
   if (v.is(JsonValue::Type::kNumber)) {
-    if (v.number < 0 || v.number != static_cast<double>(
-                                        static_cast<std::uint64_t>(v.number))) {
-      return false;
-    }
-    *out = static_cast<std::uint64_t>(v.number);
+    // Range-check before the cast: converting a double at or past 2^64
+    // is undefined behaviour.
+    if (!(v.number >= 0 && v.number < 0x1p64)) return false;
+    const auto seed = static_cast<std::uint64_t>(v.number);
+    if (static_cast<double>(seed) != v.number) return false;
+    *out = seed;
     return true;
   }
-  if (!v.is(JsonValue::Type::kString)) return false;
-  errno = 0;
-  char* end = nullptr;
-  *out = std::strtoull(v.string.c_str(), &end, 10);
-  return errno == 0 && end != v.string.c_str() && *end == '\0';
+  return v.is(JsonValue::Type::kString) && obs::parse_u64(v.string, out);
 }
 
 }  // namespace
@@ -212,16 +207,12 @@ std::vector<CampaignUnit> shard_units(const std::vector<CampaignUnit>& units,
 bool parse_shard_spec(std::string_view spec, std::size_t* k, std::size_t* n) {
   const std::size_t slash = spec.find('/');
   if (slash == std::string_view::npos) return false;
-  const std::string ks(spec.substr(0, slash));
-  const std::string ns(spec.substr(slash + 1));
-  if (ks.empty() || ns.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long kv = std::strtoull(ks.c_str(), &end, 10);
-  if (errno != 0 || end != ks.c_str() + ks.size()) return false;
-  const unsigned long long nv = std::strtoull(ns.c_str(), &end, 10);
-  if (errno != 0 || end != ns.c_str() + ns.size()) return false;
-  if (nv == 0 || kv >= nv) return false;
+  std::uint64_t kv = 0;
+  std::uint64_t nv = 0;
+  if (!obs::parse_u64(spec.substr(0, slash), &kv) ||
+      !obs::parse_u64(spec.substr(slash + 1), &nv) || nv == 0 || kv >= nv) {
+    return false;
+  }
   *k = static_cast<std::size_t>(kv);
   *n = static_cast<std::size_t>(nv);
   return true;

@@ -300,10 +300,7 @@ bool parse_record(const JsonValue& v, ExperimentResult* out) {
   out->description = *description;
   out->text = *text;
   if (!status_from(*status, &out->status)) return false;
-  errno = 0;
-  char* end = nullptr;
-  out->seed = std::strtoull(seed->c_str(), &end, 10);
-  if (errno != 0 || end == seed->c_str() || *end != '\0') return false;
+  if (!obs::parse_u64(*seed, &out->seed)) return false;
   double wall_ms = 0;
   double peak = 0;
   if (!get_number(v, "wall_ms", &wall_ms) ||

@@ -41,7 +41,7 @@ struct FaultSpec {
   sim::Time begin = 0;
   sim::Time end = 0;
   int pci = -1;               // kSectorOutage: the cell to take down
-  std::string link;           // kLinkLoss/kLinkDelay: substring match on the
+  std::string link{};         // kLinkLoss/kLinkDelay: substring match on the
                               // Link name; empty matches every link
   double loss = 0.0;          // kLinkLoss: drop probability in [0, 1]
   sim::Time extra_delay = 0;  // kLinkDelay: added one-way delay

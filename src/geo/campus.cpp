@@ -87,33 +87,7 @@ void CampusMap::build_index() {
       }
     }
   }
-  // Memo capacities cover one coverage-grid KPI pass: a 50x46 grid is 2300
-  // point keys, and times ~20 distinct mast positions ~46k segment keys.
-  // Sets are 2-way, so at these sizes the expected set load stays below
-  // ~0.3 and hits dominate. Sizes must be powers of two (index is masked).
-  point_memo_.assign(8192, PointSlot{});
-  los_memo_.assign(131072, LosSlot{});
-  pen_memo_.assign(16384, PenSlot{});
-  point_lru_.assign(point_memo_.size() / 2, 0);
-  los_lru_.assign(los_memo_.size() / 2, 0);
-  pen_lru_.assign(pen_memo_.size() / 2, 0);
 }
-
-namespace {
-
-// Mixes coordinate bit patterns into a memo slot index.
-inline std::uint64_t mix_bits(std::uint64_t h) noexcept {
-  h *= 0x9e3779b97f4a7c15ULL;
-  h ^= h >> 29;
-  return h;
-}
-
-// Folds another coordinate's bit pattern into a running hash.
-inline std::uint64_t mix_key(std::uint64_t h, std::uint64_t k) noexcept {
-  return mix_bits(h ^ k);
-}
-
-}  // namespace
 
 int CampusMap::col(double x) const noexcept {
   const auto ix =
@@ -223,58 +197,19 @@ bool CampusMap::is_indoor(const Point& p) const noexcept {
 }
 
 const Building* CampusMap::containing_building(const Point& p) const noexcept {
-  // Memo hit: same exact coordinates resolve to the same building, so the
-  // cached answer is identical to a fresh scan.
-  const auto xb = std::bit_cast<std::uint64_t>(p.x);
-  const auto yb = std::bit_cast<std::uint64_t>(p.y);
-  const std::uint64_t h = mix_key(mix_bits(xb), yb);
-  const std::size_t base = h & (point_memo_.size() - 2);
-  for (std::size_t w = 0; w < 2; ++w) {
-    const PointSlot& slot = point_memo_[base + w];
-    if (slot.val != 0 && slot.xb == xb && slot.yb == yb) {
-      point_lru_[base >> 1] = static_cast<std::uint8_t>(1 - w);
-      return slot.val == 1 ? nullptr : &buildings_[slot.val - 2];
+  const std::uint32_t slot = point_memo_.get({p.x, p.y}, [&] {
+    const auto [it, end] = cell_items(col(p.x), row(p.y));
+    for (const std::uint32_t* i = it; i != end; ++i) {
+      if (buildings_[*i].contains(p)) return *i + 1;
     }
-  }
-  const Building* found = nullptr;
-  const auto [it, end] = cell_items(col(p.x), row(p.y));
-  for (const std::uint32_t* i = it; i != end; ++i) {
-    if (buildings_[*i].contains(p)) {
-      found = &buildings_[*i];
-      break;
-    }
-  }
-  const std::uint8_t w = point_lru_[base >> 1];
-  point_memo_[base + w] = PointSlot{
-      xb, yb,
-      found == nullptr
-          ? 1
-          : static_cast<std::uint32_t>(found - buildings_.data()) + 2};
-  point_lru_[base >> 1] = static_cast<std::uint8_t>(1 - w);
-  return found;
+    return std::uint32_t{0};
+  });
+  return slot == 0 ? nullptr : &buildings_[slot - 1];
 }
 
 bool CampusMap::has_los(const Segment& path) const noexcept {
-  const auto axb = std::bit_cast<std::uint64_t>(path.a.x);
-  const auto ayb = std::bit_cast<std::uint64_t>(path.a.y);
-  const auto bxb = std::bit_cast<std::uint64_t>(path.b.x);
-  const auto byb = std::bit_cast<std::uint64_t>(path.b.y);
-  const std::uint64_t h =
-      mix_key(mix_key(mix_key(mix_bits(axb), ayb), bxb), byb);
-  const std::size_t base = h & (los_memo_.size() - 2);
-  for (std::size_t w = 0; w < 2; ++w) {
-    const LosSlot& slot = los_memo_[base + w];
-    if (slot.val != 0 && slot.ax == axb && slot.ay == ayb &&
-        slot.bx == bxb && slot.by == byb) {
-      los_lru_[base >> 1] = static_cast<std::uint8_t>(1 - w);
-      return slot.val == 2;
-    }
-  }
-  const bool los = has_los_uncached(path);
-  const std::uint8_t w = los_lru_[base >> 1];
-  los_memo_[base + w] = {axb, ayb, bxb, byb, los ? 2u : 1u};
-  los_lru_[base >> 1] = static_cast<std::uint8_t>(1 - w);
-  return los;
+  return los_memo_.get({path.a.x, path.a.y, path.b.x, path.b.y},
+                       [&] { return has_los_uncached(path); });
 }
 
 bool CampusMap::has_los_uncached(const Segment& path) const noexcept {
@@ -307,27 +242,8 @@ bool CampusMap::has_los_uncached(const Segment& path) const noexcept {
 
 double CampusMap::penetration_db(const Segment& path,
                                  double freq_ghz) const noexcept {
-  const auto axb = std::bit_cast<std::uint64_t>(path.a.x);
-  const auto ayb = std::bit_cast<std::uint64_t>(path.a.y);
-  const auto bxb = std::bit_cast<std::uint64_t>(path.b.x);
-  const auto byb = std::bit_cast<std::uint64_t>(path.b.y);
-  const auto fb = std::bit_cast<std::uint64_t>(freq_ghz);
-  const std::uint64_t h = mix_key(
-      mix_key(mix_key(mix_key(mix_bits(axb), ayb), bxb), byb), fb);
-  const std::size_t base = h & (pen_memo_.size() - 2);
-  for (std::size_t w = 0; w < 2; ++w) {
-    const PenSlot& slot = pen_memo_[base + w];
-    if (slot.used != 0 && slot.ax == axb && slot.ay == ayb &&
-        slot.bx == bxb && slot.by == byb && slot.fb == fb) {
-      pen_lru_[base >> 1] = static_cast<std::uint8_t>(1 - w);
-      return slot.val;
-    }
-  }
-  const double pen = penetration_db_uncached(path, freq_ghz);
-  const std::uint8_t w = pen_lru_[base >> 1];
-  pen_memo_[base + w] = {axb, ayb, bxb, byb, fb, pen, 1u};
-  pen_lru_[base >> 1] = static_cast<std::uint8_t>(1 - w);
-  return pen;
+  return pen_memo_.get({path.a.x, path.a.y, path.b.x, path.b.y, freq_ghz},
+                       [&] { return penetration_db_uncached(path, freq_ghz); });
 }
 
 double CampusMap::penetration_db_uncached(const Segment& path,

@@ -10,8 +10,8 @@
 // predicates in the same (ascending) order as the original brute-force
 // scans, so every result — including floating-point penetration sums — is
 // bit-identical to the unindexed implementation. On top of the index,
-// small bounded memos keyed on the exact coordinate bit patterns absorb the
-// repeat lookups coverage sweeps generate (co-sited sectors share one
+// geo::ExactMemo caches keyed on the exact coordinate bit patterns absorb
+// the repeat lookups coverage sweeps generate (co-sited sectors share one
 // mast->UE segment; successive KPI passes revisit the same sample points).
 //
 // Thread-safety: point lookups go through a small internal memo, so const
@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "geo/building.h"
+#include "geo/exact_memo.h"
 #include "geo/geometry.h"
 #include "sim/rng.h"
 
@@ -104,36 +105,14 @@ class CampusMap {
   // cell instead of an item loop.
   std::vector<std::uint64_t> cell_mask_;
 
-  // Direct-mapped memos keyed on the exact bit patterns of the query
-  // coordinates. Coverage grids and KPI passes revisit the same sample
-  // points, and co-sited sectors ask for the same mast->UE segment several
-  // times per sample. Bounded (fixed slot count, deterministic eviction)
-  // and exact: values are pure functions of the keys, so a hit returns
-  // precisely what the scan would have recomputed.
-  struct PointSlot {
-    std::uint64_t xb = 0, yb = 0;
-    std::uint32_t val = 0;  // 0 = empty, 1 = outdoor, i + 2 = buildings_[i]
-  };
-  struct LosSlot {
-    std::uint64_t ax = 0, ay = 0, bx = 0, by = 0;
-    std::uint32_t val = 0;  // 0 = empty, 1 = blocked, 2 = line-of-sight
-  };
-  struct PenSlot {
-    std::uint64_t ax = 0, ay = 0, bx = 0, by = 0, fb = 0;
-    double val = 0.0;
-    std::uint32_t used = 0;
-  };
-  // Each memo is 2-way set-associative with LRU replacement. Replacement
-  // state evolves as a pure function of the (deterministic) query sequence,
-  // and hits return exactly what a fresh scan would recompute, so results
-  // are identical whatever the hit pattern.
-  mutable std::vector<PointSlot> point_memo_;
-  mutable std::vector<LosSlot> los_memo_;
-  mutable std::vector<PenSlot> pen_memo_;
-  // One LRU way index per 2-slot set.
-  mutable std::vector<std::uint8_t> point_lru_;
-  mutable std::vector<std::uint8_t> los_lru_;
-  mutable std::vector<std::uint8_t> pen_lru_;
+  // Exact memos (see geo/exact_memo.h). Capacities cover one coverage-grid
+  // KPI pass: a 50x46 grid is 2300 point keys, and times ~20 distinct mast
+  // positions ~46k segment keys, so the expected 2-way set load stays below
+  // ~0.3 and hits dominate. A point maps to 0 (outdoor) or i + 1 for
+  // buildings_[i].
+  mutable ExactMemo<2, std::uint32_t> point_memo_{8192};
+  mutable ExactMemo<4, bool> los_memo_{131072};
+  mutable ExactMemo<5, double> pen_memo_{16384};
 
   [[nodiscard]] bool has_los_uncached(const Segment& path) const noexcept;
   [[nodiscard]] double penetration_db_uncached(const Segment& path,

@@ -11,14 +11,14 @@ void KpiLogger::log(const std::string& kpi, sim::Time at, double value) {
     it->second.add(at, value);
     return;
   }
-  if (series_.size() >= series_cap_) {
+  if (series_.size() >= kSeriesCap) {
     ++refused_;
     if (!warned_) {
       warned_ = true;
       std::fprintf(stderr,
                    "KpiLogger: series cap (%zu) reached; dropping new KPI "
                    "\"%s\" (aggregate per-UE KPIs into obs digests instead)\n",
-                   series_cap_, kpi.c_str());
+                   kSeriesCap, kpi.c_str());
     }
     return;
   }

@@ -26,15 +26,18 @@ struct SignalingEvent {
 /// Cross-layer measurement log, keyed by KPI name.
 ///
 /// The logger caps the number of DISTINCT series it will create
-/// (set_series_cap, default 1024): city-scale cohorts must aggregate into
-/// labeled obs digests, and a per-UE naming bug (e.g. "rsrp_ue_4711")
-/// would otherwise silently mint one series per UE. Observations for a
+/// (kSeriesCap): city-scale cohorts must aggregate into labeled obs
+/// digests, and a per-UE naming bug (e.g. "rsrp_ue_4711") would
+/// otherwise silently mint one series per UE. Observations for a
 /// new KPI beyond the cap are dropped (a one-time stderr warning), while
 /// existing series keep growing.
 class KpiLogger {
  public:
+  /// Max number of distinct KPI series this logger will create.
+  static constexpr std::size_t kSeriesCap = 1024;
+
   /// Appends a numeric KPI observation. Dropped (with a one-time warning)
-  /// if `kpi` is new and the logger already holds series_cap() series.
+  /// if `kpi` is new and the logger already holds kSeriesCap series.
   void log(const std::string& kpi, sim::Time at, double value);
 
   /// Appends a signalling event.
@@ -65,12 +68,6 @@ class KpiLogger {
   /// All KPI names seen so far, sorted.
   [[nodiscard]] std::vector<std::string> kpi_names() const;
 
-  /// Max number of distinct KPI series this logger will create.
-  [[nodiscard]] std::size_t series_cap() const noexcept { return series_cap_; }
-  /// Adjusts the cap. Series already created are never evicted, so
-  /// lowering the cap below the current count only blocks new names.
-  void set_series_cap(std::size_t cap) noexcept { series_cap_ = cap; }
-
   /// Observations dropped because their (new) KPI hit the series cap.
   [[nodiscard]] std::uint64_t refused_observations() const noexcept {
     return refused_;
@@ -79,7 +76,6 @@ class KpiLogger {
  private:
   std::map<std::string, TimeSeries> series_;
   std::vector<SignalingEvent> events_;
-  std::size_t series_cap_ = 1024;
   std::uint64_t refused_ = 0;
   bool warned_ = false;
 };

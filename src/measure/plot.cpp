@@ -52,24 +52,18 @@ std::string fmt(double v) {
   return ss.str();
 }
 
-// Shared renderer: plots one or two point sets on a character grid.
-std::string render(const std::vector<TimePoint>& a,
-                   const std::vector<TimePoint>* b, Range xr, Range yr,
+// Shared renderer: plots one point set on a character grid.
+std::string render(const std::vector<TimePoint>& pts, Range xr, Range yr,
                    const PlotOptions& o) {
   const int w = std::max(o.width, 16);
   const int h = std::max(o.height, 4);
   std::vector<std::string> grid(static_cast<std::size_t>(h),
                                 std::string(static_cast<std::size_t>(w), ' '));
-  const auto put = [&](const std::vector<TimePoint>& pts, char mark) {
-    for (const TimePoint& p : pts) {
-      const int col = xr.bucket(sim::to_seconds(p.at), w);
-      const int row = h - 1 - yr.bucket(p.value, h);
-      grid[static_cast<std::size_t>(row)][static_cast<std::size_t>(col)] =
-          mark;
-    }
-  };
-  put(a, '*');
-  if (b != nullptr) put(*b, 'o');
+  for (const TimePoint& p : pts) {
+    const int col = xr.bucket(sim::to_seconds(p.at), w);
+    const int row = h - 1 - yr.bucket(p.value, h);
+    grid[static_cast<std::size_t>(row)][static_cast<std::size_t>(col)] = '*';
+  }
 
   std::ostringstream os;
   if (!o.title.empty()) os << o.title << "\n";
@@ -96,15 +90,7 @@ std::string render(const std::vector<TimePoint>& a,
 
 std::string line_chart(const std::vector<TimePoint>& points,
                        const PlotOptions& options) {
-  return render(points, nullptr, x_range(points), y_range(points), options);
-}
-
-std::string line_chart2(const std::vector<TimePoint>& a,
-                        const std::vector<TimePoint>& b,
-                        const PlotOptions& options) {
-  std::vector<TimePoint> all = a;
-  all.insert(all.end(), b.begin(), b.end());
-  return render(a, &b, x_range(all), y_range(all), options);
+  return render(points, x_range(points), y_range(points), options);
 }
 
 std::string cdf_chart(const Cdf& cdf, const PlotOptions& options) {
@@ -118,7 +104,7 @@ std::string cdf_chart(const Cdf& cdf, const PlotOptions& options) {
   }
   PlotOptions o = options;
   if (o.y_label.empty()) o.y_label = "CDF";
-  return render(pts, nullptr, x_range(pts), Range{0.0, 1.0}, o);
+  return render(pts, x_range(pts), Range{0.0, 1.0}, o);
 }
 
 }  // namespace fiveg::measure

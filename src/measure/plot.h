@@ -24,11 +24,6 @@ struct PlotOptions {
 [[nodiscard]] std::string line_chart(const std::vector<TimePoint>& points,
                                      const PlotOptions& options);
 
-/// Renders two series on one chart ('*' and 'o'), sharing axes.
-[[nodiscard]] std::string line_chart2(const std::vector<TimePoint>& a,
-                                      const std::vector<TimePoint>& b,
-                                      const PlotOptions& options);
-
 /// Renders an empirical CDF (y: 0..1).
 [[nodiscard]] std::string cdf_chart(const Cdf& cdf,
                                     const PlotOptions& options);

@@ -1,6 +1,7 @@
 #include "obs/json_check.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <istream>
@@ -321,6 +322,14 @@ std::unique_ptr<JsonValue> json_parse(std::string_view text,
 
 bool json_valid(std::string_view text, std::string* error) {
   return json_parse(text, error) != nullptr;
+}
+
+bool parse_u64(std::string_view text, std::uint64_t* out) noexcept {
+  // from_chars takes no sign for an unsigned type, skips no whitespace and
+  // reports overflow, so only the whole-string check is left to do here.
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc{} && ptr == end;
 }
 
 TraceCheck check_chrome_trace(std::string_view text) {

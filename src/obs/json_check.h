@@ -2,6 +2,7 @@
 // emits: tests parse Chrome traces back (escaping, structure) and the
 // fiveg_trace_check CLI gates trace artifacts in CI. Deliberately minimal —
 // full DOM, no streaming — because trace files in the smoke tier are small.
+// Also home to the strict decimal parser every numeric input goes through.
 #pragma once
 
 #include <cstdint>
@@ -39,6 +40,12 @@ struct JsonValue {
 /// True iff `text` is a complete, valid JSON document.
 [[nodiscard]] bool json_valid(std::string_view text,
                               std::string* error = nullptr);
+
+/// Strict decimal uint64: digits only (no sign, no whitespace, no trailing
+/// bytes) and no overflow. The one parser for numeric command-line flags,
+/// manifest seed strings and ledger seeds, so "-1" can never wrap.
+[[nodiscard]] bool parse_u64(std::string_view text,
+                             std::uint64_t* out) noexcept;
 
 /// Structural validation of a Chrome trace_event document.
 struct TraceCheck {

@@ -1,25 +1,10 @@
 #include "radio/link_budget.h"
 
-#include <bit>
-#include <cmath>
 
 #include "radio/pathloss.h"
-#include "radio/units.h"
 
 namespace fiveg::radio {
 namespace {
-
-// Mixes key bit patterns into a memo slot index (same scheme as the campus
-// memos: multiply-xorshift folds per 64-bit key part).
-inline std::uint64_t mix_bits(std::uint64_t h) noexcept {
-  h *= 0x9e3779b97f4a7c15ULL;
-  h ^= h >> 29;
-  return h;
-}
-
-inline std::uint64_t mix_key(std::uint64_t h, std::uint64_t k) noexcept {
-  return mix_bits(h ^ k);
-}
 
 // Shadowing offsets so the two bands draw distinct fields from one seed.
 constexpr std::uint64_t kLteFieldSalt = 0x17e'000;
@@ -33,12 +18,7 @@ RadioEnvironment::RadioEnvironment(const geo::CampusMap* campus,
     : campus_(campus),
       shadow_lte_(seed ^ kLteFieldSalt, sigma_db, corr_dist_m),
       shadow_nr_(seed ^ kNrFieldSalt, sigma_db, corr_dist_m),
-      fault_(fault::runtime()) {
-  // Sized for one coverage-grid sweep of the full deployment: ~2.3k grid
-  // points times ~19 distinct mast positions over two bands.
-  link_memo_.assign(65536, LinkSlot{});
-  link_lru_.assign(link_memo_.size() / 2, 0);
-}
+      fault_(fault::runtime()) {}
 
 const ShadowingField& RadioEnvironment::field_for(
     const CarrierConfig& c) const noexcept {
@@ -48,91 +28,30 @@ const ShadowingField& RadioEnvironment::field_for(
 RadioEnvironment::LinkTerms RadioEnvironment::link_terms(
     const geo::Point& site, const geo::Point& ue,
     double freq_ghz) const noexcept {
-  const auto px = std::bit_cast<std::uint64_t>(site.x);
-  const auto py = std::bit_cast<std::uint64_t>(site.y);
-  const auto ux = std::bit_cast<std::uint64_t>(ue.x);
-  const auto uy = std::bit_cast<std::uint64_t>(ue.y);
-  const auto fb = std::bit_cast<std::uint64_t>(freq_ghz);
-  const std::uint64_t h =
-      mix_key(mix_key(mix_key(mix_key(mix_bits(px), py), ux), uy), fb);
-  const auto base = static_cast<std::size_t>(h) & (link_memo_.size() - 2);
-  for (std::size_t w = 0; w < 2; ++w) {
-    const LinkSlot& s = link_memo_[base + w];
-    if (s.used != 0 && s.px == px && s.py == py && s.ux == ux && s.uy == uy &&
-        s.fb == fb) {
-      link_lru_[base >> 1] = static_cast<std::uint8_t>(1 - w);
-      return s.terms;
-    }
-  }
-  const geo::Segment path{site, ue};
-  const bool los = campus_->has_los(path);
-  const LinkTerms t{geo::azimuth_deg(site, ue),
-                    campus_pathloss_db(path.length(), freq_ghz, los)};
-  const std::size_t w = link_lru_[base >> 1];
-  link_memo_[base + w] = LinkSlot{px, py, ux, uy, fb, t, 1};
-  link_lru_[base >> 1] = static_cast<std::uint8_t>(1 - w);
-  return t;
+  return link_memo_.get({site.x, site.y, ue.x, ue.y, freq_ghz}, [&] {
+    const geo::Segment path{site, ue};
+    const bool los = campus_->has_los(path);
+    return LinkTerms{geo::azimuth_deg(site, ue),
+                     campus_pathloss_db(path.length(), freq_ghz, los)};
+  });
 }
 
-double RadioEnvironment::path_gain_db(const CarrierConfig& c, const TxSite& tx,
-                                      const geo::Point& ue) const noexcept {
+double RadioEnvironment::rsrp_dbm(const CarrierConfig& c, const TxSite& tx,
+                                  const geo::Point& ue) const noexcept {
   const LinkTerms lt = link_terms(tx.pos, ue, c.freq_ghz);
   // Outdoor blockage is statistically inside the NLoS fit; explicit
   // penetration applies only when the UE itself is indoors (O2I).
   double pen = campus_->o2i_loss_db(ue, c.freq_ghz);
   // Coverage-hole fault windows add a flat offset here so every cell and
-  // both bands see the same hole (same association as rsrp_dbm_all).
+  // both bands see the same hole.
   if (fault_ != nullptr) pen += fault_->coverage_offset_db();
   // The shadowing field is sampled at the UE end; using one end keeps the
   // field consistent when comparing co-sited cells from the same spot.
   const double shadow = field_for(c).at(ue);
   // gain_toward(a, b) is gain_dbi(azimuth_deg(a, b)) by definition, so
   // applying the pattern to the memoized azimuth is the same value.
-  return tx.antenna.gain_dbi(lt.az) - lt.pl - pen - shadow;
-}
-
-void RadioEnvironment::rsrp_dbm_all(const CarrierConfig& c,
-                                    const std::vector<TxSite>& sites,
-                                    const geo::Point& ue,
-                                    std::vector<double>& out) const {
-  rsrp_dbm_all(
-      c, sites.begin(), sites.end(),
-      [](const TxSite& s) -> const TxSite& { return s; }, ue, out);
-}
-
-void RadioEnvironment::rsrp_dbm_all_planned(const CarrierConfig& c,
-                                            const SectorPlan& plan,
-                                            const geo::Point& ue,
-                                            double* out) const {
-  double pen = campus_->o2i_loss_db(ue, c.freq_ghz);
-  if (fault_ != nullptr) pen += fault_->coverage_offset_db();
-  const double shadow = field_for(c).at(ue);
-  LinkTerms lt{};
-  std::size_t i = 0;
-  for (const SectorPlan::Entry& e : plan.entries) {
-    if (e.new_pos) lt = link_terms(e.pos, ue, c.freq_ghz);
-    // Same association as rsrp_dbm_all(): tx power + (((gain - pl) - pen)
-    // - shadow), so each value is bit-identical to the unplanned sweep.
-    out[i++] = c.tx_re_power_dbm +
-               (e.antenna.gain_dbi(lt.az) - lt.pl - pen - shadow);
-  }
-}
-
-double RadioEnvironment::rsrp_dbm(const CarrierConfig& c, const TxSite& tx,
-                                  const geo::Point& ue) const noexcept {
-  return c.tx_re_power_dbm + path_gain_db(c, tx, ue);
-}
-
-double RadioEnvironment::sinr_db(const CarrierConfig& c, const TxSite& serving,
-                                 const geo::Point& ue,
-                                 const std::vector<TxSite>& interferers,
-                                 double interferer_load) const noexcept {
-  const double s = db_to_linear(rsrp_dbm(c, serving, ue));
-  double denom = db_to_linear(c.noise_per_re_dbm());
-  for (const TxSite& i : interferers) {
-    denom += interferer_load * db_to_linear(rsrp_dbm(c, i, ue));
-  }
-  return linear_to_db(s / denom);
+  return c.tx_re_power_dbm +
+         (tx.antenna.gain_dbi(lt.az) - lt.pl - pen - shadow);
 }
 
 }  // namespace fiveg::radio

@@ -14,10 +14,10 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "fault/fault.h"
 #include "geo/campus.h"
+#include "geo/exact_memo.h"
 #include "radio/antenna.h"
 #include "radio/carrier.h"
 #include "radio/shadowing.h"
@@ -30,38 +30,6 @@ struct TxSite {
   SectorAntenna antenna;
 };
 
-/// A precompiled sweep plan over a fixed sector list. Each entry carries
-/// the sector's position and antenna plus whether it opens a new co-site
-/// group (`new_pos`), decided with the same position-equality test
-/// `rsrp_dbm_all` applies per call. Building the plan once per cohort
-/// hoists those comparisons out of the per-UE loop; the planned sweep is
-/// otherwise the identical computation, so results stay bit-identical.
-struct SectorPlan {
-  struct Entry {
-    geo::Point pos;
-    SectorAntenna antenna;
-    bool new_pos = true;  // first entry of its co-site run in list order
-  };
-  std::vector<Entry> entries;
-
-  [[nodiscard]] std::size_t size() const noexcept { return entries.size(); }
-
-  /// Compiles the plan for [first, last): `proj` maps each element to a
-  /// `const TxSite&`, exactly as in rsrp_dbm_all.
-  template <class Iter, class Proj>
-  [[nodiscard]] static SectorPlan build(Iter first, Iter last, Proj proj) {
-    SectorPlan plan;
-    const geo::Point* prev = nullptr;
-    for (Iter it = first; it != last; ++it) {
-      const TxSite& tx = proj(*it);
-      Entry e{tx.pos, tx.antenna, prev == nullptr || !(tx.pos == *prev)};
-      prev = &tx.pos;
-      plan.entries.push_back(e);
-    }
-    return plan;
-  }
-};
-
 /// Radio propagation environment over a campus. Holds per-band shadowing
 /// fields (shadowing decorrelates across the 1.8 / 3.5 GHz bands).
 class RadioEnvironment {
@@ -70,24 +38,18 @@ class RadioEnvironment {
   RadioEnvironment(const geo::CampusMap* campus, std::uint64_t seed,
                    double sigma_db = 6.0, double corr_dist_m = 50.0);
 
-  /// End-to-end channel gain in dB (negative): antenna gain minus path
-  /// loss, wall penetration and shadowing.
-  [[nodiscard]] double path_gain_db(const CarrierConfig& c, const TxSite& tx,
-                                    const geo::Point& ue) const noexcept;
-
   /// Reference-signal received power at the UE, dBm.
   [[nodiscard]] double rsrp_dbm(const CarrierConfig& c, const TxSite& tx,
                                 const geo::Point& ue) const noexcept;
 
   /// Batched RSRP toward every site in [first, last): `proj` maps each
-  /// element to a `const TxSite&`. Appends one dBm value per site to `out`
-  /// (cleared first), each bit-identical to the corresponding rsrp_dbm()
-  /// call. Per-UE penetration and shadowing are evaluated once, and sites
+  /// element to a `const TxSite&`. Writes one dBm value per site to `out`,
+  /// each bit-identical to the corresponding rsrp_dbm() call. Per-UE
+  /// penetration and shadowing are evaluated once, and consecutive sites
   /// at one position (co-sited sectors) share one LoS + path-loss lookup.
   template <class Iter, class Proj>
   void rsrp_dbm_all(const CarrierConfig& c, Iter first, Iter last, Proj proj,
-                    const geo::Point& ue, std::vector<double>& out) const {
-    out.clear();
+                    const geo::Point& ue, double* out) const {
     double pen = campus_->o2i_loss_db(ue, c.freq_ghz);
     // Coverage-hole windows add a flat shadowing offset on top of the O2I
     // term; inert (and bit-identical) when no fault runtime is installed.
@@ -103,29 +65,10 @@ class RadioEnvironment {
       }
       // Same association as rsrp_dbm(): tx power + (((gain - pl) - pen) -
       // shadow), so each element is bit-identical to the scalar call.
-      out.push_back(c.tx_re_power_dbm +
-                    (tx.antenna.gain_dbi(lt.az) - lt.pl - pen - shadow));
+      *out++ = c.tx_re_power_dbm +
+               (tx.antenna.gain_dbi(lt.az) - lt.pl - pen - shadow);
     }
   }
-
-  /// Batched RSRP over a plain site vector.
-  void rsrp_dbm_all(const CarrierConfig& c, const std::vector<TxSite>& sites,
-                    const geo::Point& ue, std::vector<double>& out) const;
-
-  /// Batched RSRP along a precompiled SectorPlan: writes one dBm value per
-  /// plan entry into `out` (capacity >= plan.size()), each bit-identical
-  /// to the corresponding rsrp_dbm() / rsrp_dbm_all() value. Per-UE
-  /// penetration and shadowing are hoisted exactly as in rsrp_dbm_all; the
-  /// co-site sharing decision comes from the plan's `new_pos` flags.
-  void rsrp_dbm_all_planned(const CarrierConfig& c, const SectorPlan& plan,
-                            const geo::Point& ue, double* out) const;
-
-  /// SINR with co-channel interference from `interferers` (all transmitting
-  /// at `interferer_load` activity factor) plus thermal noise.
-  [[nodiscard]] double sinr_db(const CarrierConfig& c, const TxSite& serving,
-                               const geo::Point& ue,
-                               const std::vector<TxSite>& interferers,
-                               double interferer_load = 0.5) const noexcept;
 
   [[nodiscard]] const geo::CampusMap& campus() const noexcept {
     return *campus_;
@@ -142,8 +85,7 @@ class RadioEnvironment {
     double az = 0.0;
     double pl = 0.0;
   };
-  // Memoized lookup, keyed on the exact bit patterns of the five inputs;
-  // 2-way set-associative with LRU replacement (see geo::CampusMap).
+  // Memoized on the exact bit patterns of the five inputs.
   [[nodiscard]] LinkTerms link_terms(const geo::Point& site,
                                      const geo::Point& ue,
                                      double freq_ghz) const noexcept;
@@ -154,13 +96,9 @@ class RadioEnvironment {
   // Captured at construction; null when fault injection is off.
   fault::Runtime* fault_;
 
-  struct LinkSlot {
-    std::uint64_t px = 0, py = 0, ux = 0, uy = 0, fb = 0;
-    LinkTerms terms;
-    std::uint32_t used = 0;
-  };
-  mutable std::vector<LinkSlot> link_memo_;
-  mutable std::vector<std::uint8_t> link_lru_;  // LRU way per 2-slot set
+  // Sized for one coverage-grid sweep of the full deployment: ~2.3k grid
+  // points times ~19 distinct mast positions over two bands.
+  mutable geo::ExactMemo<5, LinkTerms> link_memo_{65536};
 };
 
 }  // namespace fiveg::radio

@@ -1,6 +1,5 @@
 #include "radio/shadowing.h"
 
-#include <bit>
 #include <cmath>
 
 namespace fiveg::radio {
@@ -32,12 +31,7 @@ ShadowingField::ShadowingField(std::uint64_t seed, double sigma_db,
                                double corr_dist_m)
     : seed_(seed),
       sigma_db_(sigma_db + g_sigma_offset_db),
-      corr_dist_m_(corr_dist_m) {
-  // One coverage-grid KPI pass is ~2.3k distinct points; at 8192 sets the
-  // expected 2-way set load stays low enough that repeat passes mostly hit.
-  memo_.assign(16384, Slot{});
-  lru_.assign(memo_.size() / 2, 0);
-}
+      corr_dist_m_(corr_dist_m) {}
 
 double ShadowingField::node_value(std::int64_t ix,
                                   std::int64_t iy) const noexcept {
@@ -50,22 +44,7 @@ double ShadowingField::node_value(std::int64_t ix,
 }
 
 double ShadowingField::at(const geo::Point& p) const noexcept {
-  const auto xb = std::bit_cast<std::uint64_t>(p.x);
-  const auto yb = std::bit_cast<std::uint64_t>(p.y);
-  const std::uint64_t h = mix64(xb ^ mix64(yb));
-  const auto base = static_cast<std::size_t>(h) & (memo_.size() - 2);
-  for (std::size_t w = 0; w < 2; ++w) {
-    const Slot& s = memo_[base + w];
-    if (s.used != 0 && s.xb == xb && s.yb == yb) {
-      lru_[base >> 1] = static_cast<std::uint8_t>(1 - w);
-      return s.val;
-    }
-  }
-  const double v = at_uncached(p);
-  const std::size_t w = lru_[base >> 1];
-  memo_[base + w] = Slot{xb, yb, v, 1};
-  lru_[base >> 1] = static_cast<std::uint8_t>(1 - w);
-  return v;
+  return memo_.get({p.x, p.y}, [&] { return at_uncached(p); });
 }
 
 double ShadowingField::at_uncached(const geo::Point& p) const noexcept {

@@ -46,8 +46,7 @@ void derive_interference(const double* rsrp_dbm, double* lin_scratch,
                          double interferer_load, double* sinr_db,
                          double* rsrq_db) {
   // Every other cell interferes with each one, so SINR falls out of the
-  // running total (keeps a 34-cell sweep O(n)). Both loops are the
-  // original measure_cells() arithmetic, index order included.
+  // running total (keeps a 34-cell sweep O(n)).
   double total_linear_mw = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     const double lin = radio::db_to_linear(rsrp_dbm[i]);
@@ -64,27 +63,40 @@ void derive_interference(const double* rsrp_dbm, double* lin_scratch,
   }
 }
 
+void measure_cells_row(const radio::RadioEnvironment& env,
+                       const radio::CarrierConfig& carrier,
+                       const std::vector<Cell>& cells, const geo::Point& pos,
+                       double interferer_load, double* rsrp_dbm,
+                       double* sinr_db, double* rsrq_db,
+                       double* lin_scratch) {
+  // Batched RSRP: the per-UE link-budget terms are evaluated once for the
+  // whole cell list and co-sited sectors share their geometry terms.
+  env.rsrp_dbm_all(
+      carrier, cells.begin(), cells.end(),
+      [](const Cell& c) -> const radio::TxSite& { return c.site; }, pos,
+      rsrp_dbm);
+  derive_interference(rsrp_dbm, lin_scratch, cells.size(),
+                      carrier.noise_per_re_dbm(), interferer_load, sinr_db,
+                      rsrq_db);
+}
+
 void measure_cells(const radio::RadioEnvironment& env,
                    const radio::CarrierConfig& carrier,
                    const std::vector<Cell>& cells, const geo::Point& ue,
                    double interferer_load, std::vector<CellMeasurement>& out) {
-  // Batched RSRP: the per-UE link-budget terms are evaluated once for the
-  // whole cell list and co-sited sectors share their geometry terms.
   // Scratch buffers are reused across calls (coverage sweeps call this
   // once per sample) and fully rewritten, so results don't depend on them.
   static thread_local std::vector<double> rsrp;
   static thread_local std::vector<double> lin;
   static thread_local std::vector<double> sinr;
   static thread_local std::vector<double> rsrq;
-  env.rsrp_dbm_all(
-      carrier, cells.begin(), cells.end(),
-      [](const Cell& c) -> const radio::TxSite& { return c.site; }, ue, rsrp);
   const std::size_t n = cells.size();
+  rsrp.resize(n);
   lin.resize(n);
   sinr.resize(n);
   rsrq.resize(n);
-  derive_interference(rsrp.data(), lin.data(), n, carrier.noise_per_re_dbm(),
-                      interferer_load, sinr.data(), rsrq.data());
+  measure_cells_row(env, carrier, cells, ue, interferer_load, rsrp.data(),
+                    sinr.data(), rsrq.data(), lin.data());
   out.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     out[i].cell = &cells[i];
@@ -101,36 +113,6 @@ std::vector<CellMeasurement> measure_cells(
   std::vector<CellMeasurement> out;
   measure_cells(env, carrier, cells, ue, interferer_load, out);
   return out;
-}
-
-void measure_cells_row(const radio::RadioEnvironment& env,
-                       const radio::CarrierConfig& carrier,
-                       const radio::SectorPlan& plan, const geo::Point& pos,
-                       double interferer_load, double* rsrp_dbm,
-                       double* sinr_db, double* rsrq_db,
-                       double* lin_scratch) {
-  env.rsrp_dbm_all_planned(carrier, plan, pos, rsrp_dbm);
-  derive_interference(rsrp_dbm, lin_scratch, plan.size(),
-                      carrier.noise_per_re_dbm(), interferer_load, sinr_db,
-                      rsrq_db);
-}
-
-void measure_cells_batch(const radio::RadioEnvironment& env,
-                         const radio::CarrierConfig& carrier,
-                         const radio::SectorPlan& plan,
-                         const geo::Point* positions,
-                         const std::uint32_t* order, std::size_t n_ue,
-                         double interferer_load, double* rsrp_dbm,
-                         double* sinr_db, double* rsrq_db) {
-  static thread_local std::vector<double> lin;
-  const std::size_t n = plan.size();
-  lin.resize(n);
-  for (std::size_t k = 0; k < n_ue; ++k) {
-    const std::size_t u = order != nullptr ? order[k] : k;
-    measure_cells_row(env, carrier, plan, positions[u], interferer_load,
-                      rsrp_dbm + u * n, sinr_db + u * n, rsrq_db + u * n,
-                      lin.data());
-  }
 }
 
 CellMeasurement best_cell(const radio::RadioEnvironment& env,

@@ -34,9 +34,8 @@ struct CellMeasurement {
 /// Derives SINR and RSRQ for `n` co-channel cells from their RSRP values:
 /// every other cell interferes at `interferer_load` on top of thermal
 /// noise. `rsrp_dbm` is read, `lin_scratch` (capacity >= n) receives the
-/// linear-mW conversions. The arithmetic — accumulation order included —
-/// is the measure_cells() loop verbatim, so the scalar path and the
-/// cohort batch stay bit-identical.
+/// linear-mW conversions. This is the one SINR/RSRQ formula: every
+/// measurement path (measure_cells, the cohort rows) goes through it.
 void derive_interference(const double* rsrp_dbm, double* lin_scratch,
                          std::size_t n, double noise_per_re_dbm,
                          double interferer_load, double* sinr_db,
@@ -56,27 +55,15 @@ void measure_cells(const radio::RadioEnvironment& env,
                    const std::vector<Cell>& cells, const geo::Point& ue,
                    double interferer_load, std::vector<CellMeasurement>& out);
 
-/// Fills one flat measurement row — rsrp/sinr/rsrq, one value per plan
-/// entry — for a UE at `pos`. `lin_scratch` needs capacity >= plan.size().
-/// Bit-identical, value for value, to measure_cells() over the same cells.
+/// Fills one flat measurement row — rsrp/sinr/rsrq, one value per cell —
+/// for a UE at `pos`. `lin_scratch` needs capacity >= cells.size().
+/// Bit-identical, value for value, to rsrp_dbm() per cell followed by
+/// derive_interference().
 void measure_cells_row(const radio::RadioEnvironment& env,
                        const radio::CarrierConfig& carrier,
-                       const radio::SectorPlan& plan, const geo::Point& pos,
+                       const std::vector<Cell>& cells, const geo::Point& pos,
                        double interferer_load, double* rsrp_dbm,
                        double* sinr_db, double* rsrq_db, double* lin_scratch);
-
-/// Cross-UE batched measurement: one row of plan.size() values per UE,
-/// written at [u * plan.size()] in the flat output arrays. `order` (when
-/// non-null, a permutation of [0, n_ue)) sets the visit order — spatial
-/// ordering improves memo locality but never changes a value, because
-/// each row is a pure function of its UE's position.
-void measure_cells_batch(const radio::RadioEnvironment& env,
-                         const radio::CarrierConfig& carrier,
-                         const radio::SectorPlan& plan,
-                         const geo::Point* positions,
-                         const std::uint32_t* order, std::size_t n_ue,
-                         double interferer_load, double* rsrp_dbm,
-                         double* sinr_db, double* rsrq_db);
 
 /// The strongest cell by RSRP, or nullptr-celled measurement when `cells`
 /// is empty.

@@ -26,17 +26,8 @@ UeCohort::UeCohort(const Deployment* deployment, CohortConfig config,
       config_(std::move(config)),
       rng_(rng),
       fault_(fault::runtime()) {
-  const auto site_of = [](const Cell& c) -> const radio::TxSite& {
-    return c.site;
-  };
-  const std::vector<Cell>& lte_cells = dep_->cells(radio::Rat::kLte);
-  const std::vector<Cell>& nr_cells = dep_->cells(radio::Rat::kNr);
-  lte_.plan = radio::SectorPlan::build(lte_cells.begin(), lte_cells.end(),
-                                       site_of);
-  lte_.n_cells = lte_cells.size();
-  nr_.plan =
-      radio::SectorPlan::build(nr_cells.begin(), nr_cells.end(), site_of);
-  nr_.n_cells = nr_cells.size();
+  lte_.n_cells = dep_->cells(radio::Rat::kLte).size();
+  nr_.n_cells = dep_->cells(radio::Rat::kNr).size();
   lin_scratch_.resize(std::max(lte_.n_cells, nr_.n_cells));
 
   const std::string& name = config_.name;
@@ -140,7 +131,7 @@ void UeCohort::build_sweep_order() {
 
 void UeCohort::fill_row(radio::Rat rat, MeasBlock& block, std::size_t ue) {
   const std::size_t n = block.n_cells;
-  measure_cells_row(dep_->env(), dep_->carrier(rat), block.plan,
+  measure_cells_row(dep_->env(), dep_->carrier(rat), dep_->cells(rat),
                     {x_[ue], y_[ue]}, config_.interferer_load,
                     block.rsrp_dbm.data() + ue * n,
                     block.sinr_db.data() + ue * n,

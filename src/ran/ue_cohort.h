@@ -5,13 +5,14 @@
 // per-UE mobility events.
 //
 // The measurement half fills flat per-RAT rows (rsrp/sinr/rsrq, one value
-// per (UE, cell)) through the precompiled radio::SectorPlan, walking UEs
-// in spatial-index order for memo/cache locality. Rows are pure functions
+// per (UE, cell)) through ran::measure_cells_row, walking UEs in
+// spatial-index order for memo/cache locality. Rows are pure functions
 // of (UE position bits, fault coverage offset), so a row whose key is
 // unchanged since the last sweep is reused verbatim — exact, because a
 // recompute would bit-identically reproduce it — and every computed value
-// matches the scalar ran::measure_cells() path bit for bit (property
-// tested in tests/cohort_test.cpp).
+// matches the per-site RadioEnvironment::rsrp_dbm() reference followed by
+// derive_interference() bit for bit (property tested in
+// tests/cohort_test.cpp).
 //
 // The trigger half iterates UEs in index order (so hand-off latency draws
 // consume the cohort's single RNG in a deterministic sequence) and applies
@@ -62,7 +63,6 @@ class UeCohort {
   /// Flat per-RAT measurement rows: the value for (ue, cell) lives at
   /// [ue * n_cells + cell], cells indexed as in Deployment::cells(rat).
   struct MeasBlock {
-    radio::SectorPlan plan;
     std::size_t n_cells = 0;
     std::vector<double> rsrp_dbm, sinr_db, rsrq_db;
     // Row-cache keys: exact position bit patterns and the fault coverage

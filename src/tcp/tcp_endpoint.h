@@ -24,7 +24,7 @@ struct TcpConfig {
   // off once per RTT without any packet having been lost.
   bool ecn = false;
   // Deterministic-start hint (BBR only): skip slow start entirely.
-  CcSeed seed;
+  CcSeed seed{};
 };
 
 }  // namespace fiveg::tcp

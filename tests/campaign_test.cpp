@@ -117,6 +117,14 @@ TEST(CampaignTest, ParseErrorsNameTheOffence) {
   EXPECT_FALSE(parse_error(R"({"schema":"fiveg-campaign/v1","name":"x",
                                "axes":{"seed":[1.5]}})")
                    .empty());
+  // A signed string must not wrap to 2^64 - 1, and a number past 2^64 is
+  // rejected before any conversion.
+  EXPECT_FALSE(parse_error(R"({"schema":"fiveg-campaign/v1","name":"x",
+                               "axes":{"seed":["-1"]}})")
+                   .empty());
+  EXPECT_FALSE(parse_error(R"({"schema":"fiveg-campaign/v1","name":"x",
+                               "axes":{"seed":[1e20]}})")
+                   .empty());
   // An explicitly empty axis is an error, not an empty campaign.
   EXPECT_FALSE(parse_error(R"({"schema":"fiveg-campaign/v1","name":"x",
                                "axes":{"seed":[]}})")
@@ -185,6 +193,7 @@ TEST(CampaignTest, ShardSpecParses) {
   EXPECT_FALSE(parse_shard_spec("a/b", &k, &n));
   EXPECT_FALSE(parse_shard_spec("1/2/3", &k, &n));
   EXPECT_FALSE(parse_shard_spec("-1/2", &k, &n));
+  EXPECT_FALSE(parse_shard_spec("0/-1", &k, &n));
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
-// Property tests for the city-scale UE core: the batched SoA measurement
-// path must be bit-identical to the scalar per-UE path, the row cache must
-// reuse only when a recompute would reproduce the row, and the extracted
-// a3_step/nsa_step helpers must match their stateful counterparts.
+// Property tests for the city-scale UE core: the co-site-sharing sweep
+// and the batched SoA rows must be bit-identical to the per-site path,
+// the row cache must reuse only when a recompute would reproduce the row,
+// and the extracted a3_step/nsa_step helpers must match their stateful
+// counterparts.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -33,11 +34,12 @@ std::vector<geo::Point> random_ues(const geo::CampusMap& campus,
   return ues;
 }
 
-// measure_cells_batch vs. the scalar per-UE measure_cells loop, across
+// measure_cells (one co-site-sharing sweep per UE) vs. the per-site
+// reference: rsrp_dbm() per cell, then derive_interference(). Across
 // campus sizes, RATs, indoor/outdoor mixes and repeated sweeps (the
 // memo-hit regime). EXPECT_EQ on doubles is exact: any bit difference
 // between the paths fails.
-TEST(CohortBatchTest, BatchMatchesScalarBitExact) {
+TEST(CohortBatchTest, SweepMatchesPerSiteReferenceBitExact) {
   const struct {
     double width_m, height_m, open_frac;
     int rings, n_ue;
@@ -59,30 +61,25 @@ TEST(CohortBatchTest, BatchMatchesScalarBitExact) {
 
     for (const radio::Rat rat : {radio::Rat::kLte, radio::Rat::kNr}) {
       const std::vector<Cell>& cells = dep.cells(rat);
-      const auto plan = radio::SectorPlan::build(
-          cells.begin(), cells.end(),
-          [](const Cell& cell) -> const radio::TxSite& { return cell.site; });
+      const radio::CarrierConfig& carrier = dep.carrier(rat);
       const std::size_t n = cells.size();
-      std::vector<double> rsrp(ues.size() * n), sinr(ues.size() * n),
-          rsrq(ues.size() * n);
-      // Visit in a non-trivial order to exercise the order parameter.
-      std::vector<std::uint32_t> order(ues.size());
-      for (std::size_t u = 0; u < ues.size(); ++u) {
-        order[u] = static_cast<std::uint32_t>(ues.size() - 1 - u);
-      }
+      std::vector<double> rsrp(n), lin(n), sinr(n), rsrq(n);
       // Two sweeps: the second runs entirely in the memo-hit regime.
       for (int sweep = 0; sweep < 2; ++sweep) {
-        measure_cells_batch(dep.env(), dep.carrier(rat), plan, ues.data(),
-                            order.data(), ues.size(), 0.5, rsrp.data(),
-                            sinr.data(), rsrq.data());
-        for (std::size_t u = 0; u < ues.size(); ++u) {
-          const auto scalar =
-              measure_cells(dep.env(), dep.carrier(rat), cells, ues[u], 0.5);
-          ASSERT_EQ(scalar.size(), n);
+        for (const geo::Point& ue : ues) {
+          const auto swept =
+              measure_cells(dep.env(), carrier, cells, ue, 0.5);
+          ASSERT_EQ(swept.size(), n);
           for (std::size_t i = 0; i < n; ++i) {
-            EXPECT_EQ(scalar[i].rsrp_dbm, rsrp[u * n + i]);
-            EXPECT_EQ(scalar[i].sinr_db, sinr[u * n + i]);
-            EXPECT_EQ(scalar[i].rsrq_db, rsrq[u * n + i]);
+            rsrp[i] = dep.env().rsrp_dbm(carrier, cells[i].site, ue);
+          }
+          derive_interference(rsrp.data(), lin.data(), n,
+                              carrier.noise_per_re_dbm(), 0.5, sinr.data(),
+                              rsrq.data());
+          for (std::size_t i = 0; i < n; ++i) {
+            EXPECT_EQ(swept[i].rsrp_dbm, rsrp[i]);
+            EXPECT_EQ(swept[i].sinr_db, sinr[i]);
+            EXPECT_EQ(swept[i].rsrq_db, rsrq[i]);
           }
         }
       }

@@ -5,6 +5,7 @@
 
 #include "geo/building.h"
 #include "geo/campus.h"
+#include "geo/exact_memo.h"
 #include "geo/geometry.h"
 #include "geo/route.h"
 #include "sim/rng.h"
@@ -123,6 +124,41 @@ TEST(CampusTest, PenetrationZeroForOpenPath) {
   const Segment edge{{1.0, 1.0}, {1.0, 919.0}};
   EXPECT_DOUBLE_EQ(campus.penetration_db(edge, 3.5), 0.0);
   EXPECT_TRUE(campus.has_los(edge));
+}
+
+// The one memo behind every campus/radio cache: exact keys, hits never
+// recompute, and a full 2-way set evicts its least-recently-used way.
+TEST(ExactMemoTest, ExactKeysHitsAndLruEviction) {
+  int calls = 0;
+  const auto lookup = [&calls](ExactMemo<2, double>& memo, double x,
+                               double y) {
+    return memo.get({x, y}, [&] {
+      ++calls;
+      return x + 2.0 * y;
+    });
+  };
+  ExactMemo<2, double> big(1024);
+  EXPECT_EQ(lookup(big, 0.0, 1.0), 2.0);
+  EXPECT_EQ(lookup(big, -0.0, 1.0), 2.0);  // -0.0 is a distinct key
+  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(lookup(big, 0.0, 1.0), 2.0);
+  EXPECT_EQ(lookup(big, -0.0, 1.0), 2.0);
+  EXPECT_EQ(calls, 2);  // hits never recompute
+
+  ExactMemo<2, double> two(2);  // a single 2-way set
+  calls = 0;
+  lookup(two, 1.0, 0.0);  // a
+  lookup(two, 2.0, 0.0);  // b
+  lookup(two, 1.0, 0.0);  // a hits; b is now least recently used
+  EXPECT_EQ(calls, 2);
+  lookup(two, 3.0, 0.0);  // c evicts b
+  EXPECT_EQ(calls, 3);
+  lookup(two, 1.0, 0.0);  // a still hits
+  EXPECT_EQ(calls, 3);
+  EXPECT_EQ(lookup(two, 2.0, 0.0), 2.0);  // b recomputes
+  EXPECT_EQ(calls, 4);
+
+  EXPECT_THROW((ExactMemo<1, int>(3)), std::invalid_argument);
 }
 
 TEST(RouteTest, LengthAndInterpolation) {

@@ -12,6 +12,7 @@
 #include "radio/mcs.h"
 #include "radio/pathloss.h"
 #include "radio/shadowing.h"
+#include "ran/cell.h"
 #include "sim/rng.h"
 
 namespace fiveg::radio {
@@ -253,11 +254,17 @@ TEST_F(LinkBudgetTest, FiveGCoverageShorterThanFourGAtEqualPower) {
 TEST_F(LinkBudgetTest, SinrDropsWithInterference) {
   const CarrierConfig nr = nr3500();
   const TxSite serving{{250, 460}, SectorAntenna(0.0)};
+  const TxSite interferer{{250, 520}, SectorAntenna(180.0)};
   const geo::Point ue{320, 460};
-  const double clean = env_.sinr_db(nr, serving, ue, {});
-  const std::vector<TxSite> interferers{{{250, 520}, SectorAntenna(180.0)}};
-  const double interfered = env_.sinr_db(nr, serving, ue, interferers, 1.0);
-  EXPECT_LT(interfered, clean);
+  double rsrp[2] = {env_.rsrp_dbm(nr, serving, ue),
+                    env_.rsrp_dbm(nr, interferer, ue)};
+  double lin[2], sinr[2], rsrq[2];
+  ran::derive_interference(rsrp, lin, 1, nr.noise_per_re_dbm(), 1.0, sinr,
+                           rsrq);
+  const double clean = sinr[0];
+  ran::derive_interference(rsrp, lin, 2, nr.noise_per_re_dbm(), 1.0, sinr,
+                           rsrq);
+  EXPECT_LT(sinr[0], clean);
 }
 
 TEST_F(LinkBudgetTest, IndoorWeakerThanOutdoor) {

@@ -1,35 +1,62 @@
 # Out-of-range numeric flags must be usage errors (exit 2), never silently
 # coerced: a non-finite --timeout, an --jobs/--sim-threads value outside
-# int, and a negative --seed. Each case runs with --list, which would
-# otherwise exit 0 without running anything. Runs as a ctest test:
-#   cmake -DRUNALL=<fiveg_runall> -P runall_bad_flags.cmake
+# int, and a negative --seed or --shard count. Each fiveg_runall case runs
+# with --list, which would otherwise exit 0 without running anything. The
+# tools take the same strict parser: fiveg_trace_check --min-events and
+# fiveg_prof --top run against an empty trace and an empty ledger, which
+# both pass with valid flags. Runs as a ctest test:
+#   cmake -DRUNALL=<fiveg_runall> -DTRACE_CHECK=<fiveg_trace_check>
+#         -DPROF=<fiveg_prof> -DWORK_DIR=<dir> -P runall_bad_flags.cmake
 cmake_minimum_required(VERSION 3.16)
 
-if(NOT DEFINED RUNALL)
-  message(FATAL_ERROR "usage: cmake -DRUNALL=<fiveg_runall> -P "
-    "runall_bad_flags.cmake")
+if(NOT DEFINED RUNALL OR NOT DEFINED TRACE_CHECK OR NOT DEFINED PROF OR
+   NOT DEFINED WORK_DIR)
+  message(FATAL_ERROR "usage: cmake -DRUNALL=<fiveg_runall> "
+    "-DTRACE_CHECK=<fiveg_trace_check> -DPROF=<fiveg_prof> "
+    "-DWORK_DIR=<dir> -P runall_bad_flags.cmake")
 endif()
 
-# One "flag:value" pair per entry.
-set(cases
-  "--timeout:inf"
-  "--timeout:nan"
-  "--jobs:4294967297"
-  "--sim-threads:4294967296"
-  "--seed:-1")
+file(MAKE_DIRECTORY ${WORK_DIR})
+set(empty_trace ${WORK_DIR}/empty.trace.json)
+set(empty_ledger ${WORK_DIR}/empty.jsonl)
+file(WRITE ${empty_trace} "{\"traceEvents\":[]}")
+file(WRITE ${empty_ledger} "")
 
-foreach(pair IN LISTS cases)
+# One "command|flag:value" entry per case; the command's other arguments
+# make it exit 0 once the flag is dropped.
+set(cases
+  "RUNALL|--timeout:inf"
+  "RUNALL|--timeout:nan"
+  "RUNALL|--jobs:4294967297"
+  "RUNALL|--sim-threads:4294967296"
+  "RUNALL|--seed:-1"
+  "RUNALL|--shard:0/-1"
+  "TRACE_CHECK|--min-events:x"
+  "PROF|--top:-1")
+
+foreach(entry IN LISTS cases)
+  string(REPLACE "|" ";" parts "${entry}")
+  list(GET parts 0 tool)
+  list(GET parts 1 pair)
   string(REPLACE ":" ";" argv "${pair}")
   string(REPLACE ":" " " shown "${pair}")
+  if(tool STREQUAL "RUNALL")
+    set(rest --list)
+  elseif(tool STREQUAL "TRACE_CHECK")
+    set(rest ${empty_trace})
+  else()
+    set(rest ${empty_ledger})
+  endif()
   execute_process(
-    COMMAND ${RUNALL} ${argv} --list
+    COMMAND ${${tool}} ${argv} ${rest}
     OUTPUT_QUIET
     ERROR_VARIABLE err
     RESULT_VARIABLE rc)
+  get_filename_component(name "${${tool}}" NAME)
   if(NOT rc STREQUAL "2")
-    message(FATAL_ERROR "fiveg_runall ${shown} --list exited '${rc}', "
+    message(FATAL_ERROR "${name} ${shown} exited '${rc}', "
       "want 2 (usage error); stderr: ${err}")
   endif()
   string(STRIP "${err}" err)
-  message(STATUS "ok: ${shown} -> exit 2 (${err})")
+  message(STATUS "ok: ${name} ${shown} -> exit 2 (${err})")
 endforeach()

@@ -32,6 +32,7 @@
 #include "core/store.h"
 #include "measure/json.h"
 #include "measure/table.h"
+#include "obs/json_check.h"
 #include "obs/prof.h"
 
 namespace {
@@ -173,7 +174,7 @@ StoreAudit audit_store(const std::string& store_dir,
 int main(int argc, char** argv) {
   std::vector<std::string> paths;
   std::string store_dir;
-  std::size_t top = 10;
+  std::uint64_t top = 10;
   bool as_json = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -181,10 +182,8 @@ int main(int argc, char** argv) {
     if (arg == "--store" && i + 1 < argc) {
       store_dir = argv[++i];
     } else if (arg == "--top" && i + 1 < argc) {
-      char* end = nullptr;
-      top = std::strtoull(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || top == 0) {
-        std::cerr << "bad --top value\n";
+      if (!fiveg::obs::parse_u64(argv[++i], &top) || top == 0) {
+        std::cerr << "bad --top value: " << argv[i] << "\n";
         return 2;
       }
     } else if (arg == "--json") {

@@ -3,8 +3,6 @@
 //
 // usage: fiveg_trace_check FILE [--min-events N] [--require-cats a,b,c]
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -35,7 +33,10 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--min-events" && i + 1 < argc) {
-      min_events = std::strtoull(argv[++i], nullptr, 10);
+      if (!fiveg::obs::parse_u64(argv[++i], &min_events)) {
+        std::cerr << "bad --min-events value: " << argv[i] << "\n";
+        return 2;
+      }
     } else if (arg == "--require-cats" && i + 1 < argc) {
       required_cats = split_csv(argv[++i]);
     } else if (arg == "-h" || arg == "--help" || arg[0] == '-') {

@@ -2,6 +2,11 @@
 // registry (or a filtered/smoke subset) across a thread pool and emits the
 // text tables on stdout plus an optional machine-readable JSON document.
 //
+// Every invocation is a campaign of core::CampaignCell values: the plain
+// --seed/--qdisc/--faults flags give one cell, --manifest gives a grid.
+// Both run through the same shard, resume, store and Runner loop, and the
+// cell alone decides a run's base seed and store labels.
+//
 // stdout is byte-identical for any --jobs value at the same seed; timing
 // goes to stderr.
 #include <cerrno>
@@ -42,7 +47,9 @@ options:
                 (sim::ParSim); 1 = serial core (default), 0 = auto
                 (hardware concurrency split across --jobs). Output is
                 byte-identical for every value
-  --seed N      base seed; every experiment runs on its own fork (default 42)
+  --seed N      base seed; every experiment runs on its own fork (default 42).
+                With a non-default --qdisc or --faults the runs fork from
+                the cell seed instead (see --manifest)
   --filter S    only experiments whose name contains the substring S
   --smoke       only the fast smoke-tier experiments (CI per-commit tier)
   --timeout S   per-experiment wall-clock cap in seconds, 0 = off
@@ -65,13 +72,11 @@ options:
   --ledger PATH append one fiveg-ledger/v1 JSONL record per completed run
                 (crash-safe; feeds --resume and tools/fiveg_prof)
   --resume PATH reload the ledger at PATH, skip every run it already has at
-                the current seed, and keep appending to it; the merged
+                its cell's seed, and keep appending to it; the merged
                 output is byte-identical to an uninterrupted campaign.
                 Incompatible with --trace (ledgers carry no event traces)
-  --progress    heartbeat line on stderr every few seconds with
+  --progress    heartbeat line on stderr every 2 seconds with
                 done/failed/running counts and an ETA from ledger history
-  --progress-period S
-                heartbeat period in seconds (default 2)
   --store DIR   append one fiveg-rs/v1 columnar record per completed run to
                 DIR/shard-<k>-of-<n>.fgrs (compact binary; merge and query
                 with tools/fiveg_query). Composes with --ledger/--resume:
@@ -79,9 +84,12 @@ options:
   --manifest PATH
                 run the fiveg-campaign/v1 parameter grid at PATH (seeds x
                 qdisc x fault plans), cells sequentially at their own
-                derived seeds. The manifest supplies seed/filter/smoke;
-                incompatible with --seed/--filter/--smoke/--json/--trace
-                (export merged JSON with fiveg_query instead)
+                seeds: the drop-tail, fault-free cell at its axis seed,
+                every other cell at a fork of it. Plain flags describe one
+                such cell. The manifest supplies seed/filter/smoke/qdisc/
+                faults; incompatible with --seed/--filter/--smoke/--qdisc/
+                --faults/--json/--trace (export merged JSON with
+                fiveg_query instead)
   --shard K/N   run only this invocation's share of the campaign: work
                 unit i (cell-major, experiment-name order) belongs to
                 shard K iff i mod N == K. The union of shards 0..N-1 is
@@ -158,124 +166,14 @@ std::shared_ptr<fiveg::core::StoreWriter> open_store(
   return store;
 }
 
-// Manifest mode: expand the parameter grid, take this shard's units, and
-// run cell by cell (sequentially — the qdisc default and fault plan are
-// campaign-wide globals within one cell). Cells share one ledger and one
-// store shard file; each runs at its own derived base seed, so resume
-// records never cross cells.
-int run_manifest(const std::string& manifest_path,
-                 const fiveg::core::RunnerOptions& base_opt,
-                 const std::string& resume_path, const std::string& store_dir,
-                 std::size_t shard_k, std::size_t shard_n, bool quiet,
-                 bool print_metrics, bool include_timing, bool list_only) {
-  fiveg::core::CampaignManifest manifest;
-  std::string error;
-  if (!fiveg::core::load_manifest(manifest_path, &manifest, &error)) {
-    std::cerr << error << "\n";
-    return 2;
-  }
-  const std::vector<fiveg::core::CampaignCell> cells = manifest.cells();
-
-  // Experiment selection is cell-independent: the manifest's filter/smoke
-  // applied to the registry.
-  fiveg::core::RunnerOptions probe;
-  probe.filter = manifest.filter;
-  probe.smoke_only = manifest.smoke;
-  const std::vector<std::string> names =
-      fiveg::core::Runner(probe).selected();
-  if (names.empty()) {
-    std::cerr << "no experiments match the manifest selection\n";
-    return 2;
-  }
-  const std::vector<fiveg::core::CampaignUnit> mine = fiveg::core::shard_units(
-      fiveg::core::campaign_units(cells.size(), names), shard_k, shard_n);
-
-  if (list_only) {
-    for (const fiveg::core::CampaignUnit& u : mine) {
-      std::cout << "seed=" << cells[u.cell].axis_seed << ";"
-                << cells[u.cell].tag() << " " << u.experiment << "\n";
-    }
-    return 0;
-  }
-  if (mine.empty()) {
-    std::cerr << "fiveg_runall: shard " << shard_k << "/" << shard_n
-              << " has no work units\n";
-    return 0;
-  }
-
-  std::vector<std::vector<std::string>> per_cell(cells.size());
-  for (const fiveg::core::CampaignUnit& u : mine) {
-    per_cell[u.cell].push_back(u.experiment);
-  }
-
-  fiveg::core::RunnerOptions base = base_opt;
-  std::unique_ptr<fiveg::core::LedgerLoad> resume_load;
-  if (!resume_path.empty()) {
-    resume_load = load_resume(resume_path);
-    if (resume_load == nullptr) return 2;
-    if (base.ledger_path.empty()) base.ledger_path = resume_path;
-  }
-
-  if (!store_dir.empty()) {
-    base.store = open_store(store_dir, shard_k, shard_n);
-    if (base.store == nullptr) return 2;
-  }
-
-  fiveg::core::RunSummary merged;
-  bool all_ok = true;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (per_cell[i].empty()) continue;
-    const fiveg::core::CampaignCell& cell = cells[i];
-    fiveg::core::RunnerOptions opt = base;
-    opt.seed = cell.base_seed();
-    opt.only_names = per_cell[i];
-    opt.filter.clear();
-    opt.smoke_only = false;
-    opt.store_labels = cell.labels();
-    if (!cell.faults.empty()) {
-      try {
-        opt.faults = std::make_shared<fiveg::fault::FaultPlan>(
-            fiveg::fault::FaultPlan::load(cell.faults));
-      } catch (const std::exception& e) {
-        std::cerr << e.what() << "\n";
-        return 2;
-      }
-    }
-    fiveg::net::QdiscConfig qdisc;
-    if (!fiveg::net::parse_qdisc_spec(cell.qdisc, &qdisc)) {
-      std::cerr << "bad qdisc spec in manifest: " << cell.qdisc << "\n";
-      return 2;
-    }
-    fiveg::core::set_campaign_bottleneck_qdisc(qdisc);
-    if (resume_load != nullptr) {
-      opt.resume = std::make_shared<
-          const std::map<std::string, fiveg::core::ExperimentResult>>(
-          fiveg::core::completed_runs(*resume_load, opt.seed));
-    }
-    std::cerr << "fiveg_runall: cell seed=" << cell.axis_seed << ";"
-              << cell.tag() << ": " << per_cell[i].size() << " run(s)\n";
-    const fiveg::core::RunSummary summary = fiveg::core::Runner(opt).run();
-    all_ok = all_ok && summary.all_ok();
-    merged.wall_ms += summary.wall_ms;
-    for (const fiveg::core::ExperimentResult& r : summary.results) {
-      merged.results.push_back(r);
-    }
-  }
-
-  if (!quiet) fiveg::core::write_text(merged, std::cout);
-  if (print_metrics) {
-    fiveg::core::write_metrics(merged, std::cerr, include_timing);
-  }
-  fiveg::core::write_timing(merged, std::cerr);
-  return all_ok ? 0 : 1;
-}
-
 }  // namespace
+
 
 int main(int argc, char** argv) {
   fiveg::core::RunnerOptions opt;
   opt.jobs = 0;  // hardware concurrency
   opt.timeout_s = 600;
+  fiveg::core::CampaignCell plain_cell;  // the one cell the plain flags give
   std::string json_path;
   std::string trace_path;
   std::string resume_path;
@@ -283,9 +181,7 @@ int main(int argc, char** argv) {
   std::string manifest_path;
   std::size_t shard_k = 0;
   std::size_t shard_n = 1;
-  bool seed_set = false;
-  bool filter_set = false;
-  bool smoke_set = false;
+  bool cell_flag_set = false;  // a flag a manifest supplies itself
   bool print_metrics = false;
   bool include_timing = true;
   bool quiet = false;
@@ -311,19 +207,17 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--seed") {
-      std::uint64_t seed = 0;
-      if (!fiveg::obs::parse_u64(need_value(), &seed)) {
+      if (!fiveg::obs::parse_u64(need_value(), &plain_cell.axis_seed)) {
         std::cerr << "bad --seed value\n";
         return 2;
       }
-      opt.seed = seed;
-      seed_set = true;
+      cell_flag_set = true;
     } else if (arg == "--filter") {
       opt.filter = need_value();
-      filter_set = true;
+      cell_flag_set = true;
     } else if (arg == "--smoke") {
       opt.smoke_only = true;
-      smoke_set = true;
+      cell_flag_set = true;
     } else if (arg == "--timeout") {
       if (!parse_double(need_value(), &opt.timeout_s) || opt.timeout_s < 0) {
         std::cerr << "bad --timeout value\n";
@@ -342,23 +236,17 @@ int main(int argc, char** argv) {
       }
       opt.trace_capacity = static_cast<std::size_t>(cap);
     } else if (arg == "--faults") {
-      const char* path = need_value();
-      try {
-        opt.faults = std::make_shared<fiveg::fault::FaultPlan>(
-            fiveg::fault::FaultPlan::load(path));
-      } catch (const std::exception& e) {
-        std::cerr << e.what() << "\n";
-        return 2;
-      }
+      plain_cell.faults = need_value();
+      cell_flag_set = true;
     } else if (arg == "--qdisc") {
       fiveg::net::QdiscConfig qdisc;
-      const char* spec = need_value();
-      if (!fiveg::net::parse_qdisc_spec(spec, &qdisc)) {
-        std::cerr << "bad --qdisc value: " << spec
+      plain_cell.qdisc = need_value();
+      if (!fiveg::net::parse_qdisc_spec(plain_cell.qdisc, &qdisc)) {
+        std::cerr << "bad --qdisc value: " << plain_cell.qdisc
                   << " (want droptail|codel|fq_codel|red, optionally +ecn)\n";
         return 2;
       }
-      fiveg::core::set_campaign_bottleneck_qdisc(qdisc);
+      cell_flag_set = true;
     } else if (arg == "--ledger") {
       opt.ledger_path = need_value();
     } else if (arg == "--resume") {
@@ -376,12 +264,6 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--progress") {
       opt.progress = true;
-    } else if (arg == "--progress-period") {
-      if (!parse_double(need_value(), &opt.progress_period_s) ||
-          opt.progress_period_s <= 0) {
-        std::cerr << "bad --progress-period value\n";
-        return 2;
-      }
     } else if (arg == "--metrics") {
       print_metrics = true;
     } else if (arg == "--no-timing") {
@@ -399,10 +281,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!manifest_path.empty()) {
-    if (seed_set || filter_set || smoke_set) {
-      std::cerr << "--manifest supplies seed/filter/smoke; drop the "
-                   "conflicting flags\n";
+  // The cells to run: the manifest's grid, or the one plain cell.
+  const bool manifest = !manifest_path.empty();
+  std::vector<fiveg::core::CampaignCell> cells{plain_cell};
+  if (manifest) {
+    if (cell_flag_set) {
+      std::cerr << "--manifest supplies seed/filter/smoke/qdisc/faults; drop "
+                   "the conflicting flags\n";
       return 2;
     }
     if (!json_path.empty() || opt.trace) {
@@ -410,29 +295,40 @@ int main(int argc, char** argv) {
                    "export merged JSON with fiveg_query\n";
       return 2;
     }
-    return run_manifest(manifest_path, opt, resume_path, store_dir, shard_k,
-                        shard_n, quiet, print_metrics, include_timing,
-                        list_only);
+    fiveg::core::CampaignManifest m;
+    std::string error;
+    if (!fiveg::core::load_manifest(manifest_path, &m, &error)) {
+      std::cerr << error << "\n";
+      return 2;
+    }
+    cells = m.cells();
+    opt.filter = m.filter;
+    opt.smoke_only = m.smoke;
+  }
+  std::vector<std::shared_ptr<const fiveg::fault::FaultPlan>> plans;
+  for (const fiveg::core::CampaignCell& cell : cells) {
+    std::shared_ptr<const fiveg::fault::FaultPlan> plan;
+    if (!cell.faults.empty()) {
+      try {
+        plan = std::make_shared<fiveg::fault::FaultPlan>(
+            fiveg::fault::FaultPlan::load(cell.faults));
+      } catch (const std::exception& e) {
+        std::cerr << e.what() << "\n";
+        return 2;
+      }
+    }
+    plans.push_back(std::move(plan));
   }
 
-  if (shard_n > 1) {
-    // Plain-mode sharding: the single implicit cell's experiments, split
-    // by the same unit rule manifests use.
-    const std::vector<fiveg::core::CampaignUnit> mine =
-        fiveg::core::shard_units(
-            fiveg::core::campaign_units(
-                1, fiveg::core::Runner(opt).selected()),
-            shard_k, shard_n);
-    if (mine.empty()) {
-      std::cerr << "fiveg_runall: shard " << shard_k << "/" << shard_n
-                << " has no work units\n";
-      return 0;
-    }
-    for (const fiveg::core::CampaignUnit& u : mine) {
-      opt.only_names.push_back(u.experiment);
-    }
-  }
+  const std::vector<std::string> names = fiveg::core::Runner(opt).selected();
+  const std::vector<fiveg::core::CampaignUnit> mine = fiveg::core::shard_units(
+      fiveg::core::campaign_units(cells.size(), names), shard_k, shard_n);
 
+  // Resume: one ledger, read per cell at that cell's base seed, so a run
+  // of one cell never stands in for another's.
+  std::vector<std::shared_ptr<
+      const std::map<std::string, fiveg::core::ExperimentResult>>>
+      resumes(cells.size());
   if (!resume_path.empty()) {
     if (opt.trace) {
       // Ledger records carry the full result but not the event trace, so a
@@ -443,34 +339,76 @@ int main(int argc, char** argv) {
     const std::unique_ptr<fiveg::core::LedgerLoad> load =
         load_resume(resume_path);
     if (load == nullptr) return 2;
-    opt.resume = std::make_shared<
-        const std::map<std::string, fiveg::core::ExperimentResult>>(
-        fiveg::core::completed_runs(*load, opt.seed));
+    std::size_t complete = 0;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      resumes[i] = std::make_shared<
+          const std::map<std::string, fiveg::core::ExperimentResult>>(
+          fiveg::core::completed_runs(*load, cells[i].base_seed()));
+      complete += resumes[i]->size();
+    }
     std::cerr << "fiveg_runall: resuming from " << resume_path << ": "
-              << opt.resume->size() << " run(s) already complete\n";
+              << complete << " run(s) already complete\n";
     // Keep appending to the same ledger so a second interruption resumes
     // from the union.
     if (opt.ledger_path.empty()) opt.ledger_path = resume_path;
   }
 
-  if (!store_dir.empty() && !list_only) {
+  if (list_only) {
+    for (const fiveg::core::CampaignUnit& u : mine) {
+      if (manifest) {
+        std::cout << "seed=" << cells[u.cell].axis_seed << ";"
+                  << cells[u.cell].tag() << " ";
+      }
+      std::cout << u.experiment << "\n";
+    }
+    return 0;
+  }
+  if (names.empty()) {
+    std::cerr << (manifest ? "no experiments match the manifest selection\n"
+                           : "no experiments match\n");
+    return 2;
+  }
+  if (mine.empty()) {
+    std::cerr << "fiveg_runall: shard " << shard_k << "/" << shard_n
+              << " has no work units\n";
+    return 0;
+  }
+  if (!store_dir.empty()) {
     opt.store = open_store(store_dir, shard_k, shard_n);
     if (opt.store == nullptr) return 2;
   }
 
-  const fiveg::core::Runner runner(opt);
-  if (list_only) {
-    for (const std::string& name : runner.selected()) {
-      std::cout << name << "\n";
+  // Cells run one after another: the bottleneck qdisc is a process-wide
+  // default that holds for one cell at a time.
+  std::vector<std::vector<std::string>> per_cell(cells.size());
+  for (const fiveg::core::CampaignUnit& u : mine) {
+    per_cell[u.cell].push_back(u.experiment);
+  }
+  fiveg::core::RunSummary summary;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    if (per_cell[i].empty()) continue;
+    const fiveg::core::CampaignCell& cell = cells[i];
+    fiveg::core::RunnerOptions cell_opt = opt;
+    cell_opt.seed = cell.base_seed();
+    cell_opt.only_names = std::move(per_cell[i]);
+    cell_opt.store_labels = cell.labels();
+    cell_opt.faults = plans[i];
+    cell_opt.resume = resumes[i];
+    fiveg::net::QdiscConfig qdisc;
+    (void)fiveg::net::parse_qdisc_spec(cell.qdisc, &qdisc);  // validated
+    fiveg::core::set_campaign_bottleneck_qdisc(qdisc);
+    if (manifest) {
+      std::cerr << "fiveg_runall: cell seed=" << cell.axis_seed << ";"
+                << cell.tag() << ": " << cell_opt.only_names.size()
+                << " run(s)\n";
     }
-    return 0;
+    fiveg::core::RunSummary cell_summary =
+        fiveg::core::Runner(cell_opt).run();
+    summary.wall_ms += cell_summary.wall_ms;
+    for (fiveg::core::ExperimentResult& r : cell_summary.results) {
+      summary.results.push_back(std::move(r));
+    }
   }
-  if (runner.selected().empty()) {
-    std::cerr << "no experiments match\n";
-    return 2;
-  }
-
-  const fiveg::core::RunSummary summary = runner.run();
 
   if (json_path == "-") {
     fiveg::core::write_json(summary, std::cout, include_timing);

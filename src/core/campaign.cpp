@@ -44,6 +44,7 @@ std::string CampaignCell::tag() const {
 }
 
 std::uint64_t CampaignCell::base_seed() const {
+  if (qdisc == "droptail" && faults.empty()) return axis_seed;
   return sim::Rng(axis_seed).fork(tag()).seed();
 }
 

@@ -1,9 +1,11 @@
-// Campaign manifests (schema "fiveg-campaign/v1"): a JSON description of
-// a parameter grid — seeds × bottleneck qdisc × fault plans — that
-// `fiveg_runall --manifest` expands into cells and runs, and that
-// `--shard k/N` splits across independent invocations (different
-// machines, CI matrix jobs) with no coordination beyond the manifest
-// file itself.
+// Campaign cells and manifests. A cell is one full parameter assignment
+// (axis seed, bottleneck qdisc, fault plan) and the only thing that
+// decides a fiveg_runall run's identity: its base seed and its store
+// labels. Plain `fiveg_runall --seed/--qdisc/--faults` runs one cell; a
+// manifest (schema "fiveg-campaign/v1") describes a grid of them that
+// `fiveg_runall --manifest` expands and runs, and that `--shard k/N`
+// splits across independent invocations (different machines, CI matrix
+// jobs) with no coordination beyond the manifest file itself.
 //
 // Example:
 //
@@ -21,10 +23,12 @@
 //
 // Every axis is optional; a missing axis contributes its single default
 // value (seed 42, qdisc "droptail", no fault plan). Cells are the cross
-// product in seed-major order. Each cell runs at its own base seed,
-// derived by forking the axis seed with the cell's parameter tag —
-// two cells that differ only in qdisc therefore never collide in the
-// (name, seed)-keyed ledger, and re-running any shard is idempotent.
+// product in seed-major order. The default cell (drop-tail, no faults)
+// runs at its axis seed, so it reproduces the plain `--seed S` run; every
+// other cell runs at the axis seed forked with the cell's parameter tag.
+// Two cells that differ only in qdisc or fault plan therefore never
+// collide in the (name, seed)-keyed ledger, and re-running any shard is
+// idempotent.
 //
 // The work unit of sharding is (cell, experiment), not cell: units are
 // enumerated in canonical order and unit i belongs to shard i mod N, so
@@ -45,15 +49,16 @@ inline constexpr std::string_view kCampaignSchema = "fiveg-campaign/v1";
 /// One grid cell: a full parameter assignment for a campaign run.
 struct CampaignCell {
   std::uint64_t axis_seed = 42;  // the seed-axis value
-  std::string qdisc;             // qdisc spec, e.g. "codel+ecn"
-  std::string faults;            // fault plan path; "" = no injection
+  std::string qdisc = "droptail";  // qdisc spec, e.g. "codel+ecn"
+  std::string faults;              // fault plan path; "" = no injection
 
   /// The cell's parameter tag, e.g. "qdisc=codel;faults=f.json" — the
   /// fork key its base seed is derived from, and the human-readable cell
   /// id in logs.
   [[nodiscard]] std::string tag() const;
 
-  /// The base seed this cell's experiments fork from:
+  /// The base seed this cell's experiments fork from: axis_seed itself
+  /// for the default cell (qdisc "droptail", no fault plan), otherwise
   /// Rng(axis_seed).fork(tag()).seed(). Distinct for every cell of a
   /// campaign, so ledger records (keyed by experiment name + seed) from
   /// different cells never satisfy each other's resume checks.

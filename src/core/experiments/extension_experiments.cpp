@@ -34,8 +34,10 @@ void run_ext_codel_aqm(const ExperimentContext& ctx) {
     double cubic_srtt = 0;
     for (const tcp::CcAlgo algo :
          {tcp::CcAlgo::kCubic, tcp::CcAlgo::kBbr}) {
-      // CoDel is a Link::Config flag, so build the path by hand rather
-      // than through Testbed.
+      // Built by hand rather than through Testbed (whose
+      // bottleneck_qdisc option could set CoDel): Testbed forks its own
+      // RNG substreams, so moving onto it would change this experiment's
+      // draws.
       sim::Simulator simr2;
       net::CellularPathOptions popt;
       popt.ran.bitrate_bps = paper::kNrUdpDayMbps * 1e6;

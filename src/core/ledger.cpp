@@ -13,6 +13,7 @@
 #include "measure/json.h"
 #include "obs/json_check.h"
 #include "obs/prof.h"
+#include "sim/rng.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
@@ -24,31 +25,10 @@ namespace fiveg::core {
 
 namespace {
 
-// FNV-1a 64-bit: tiny, dependency-free, and plenty to catch the failure
-// modes a ledger actually sees (torn writes, disk corruption, hand edits).
-// Not cryptographic and not meant to be.
-std::uint64_t fnv1a64(std::string_view s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 std::string to_hex16(std::uint64_t v) {
   char buf[17];
   std::snprintf(buf, sizeof buf, "%016" PRIx64, v);
   return std::string(buf, 16);
-}
-
-// Seeds are full-range 64-bit hashes; a JSON number survives only 53 bits
-// through the double-typed parser, so the ledger stores them as decimal
-// strings.
-std::string seed_to_string(std::uint64_t seed) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, seed);
-  return std::string(buf);
 }
 
 const char* kind_name(obs::MetricSnapshot::Kind kind) {
@@ -156,7 +136,10 @@ void write_series(measure::JsonWriter& w,
 // same keys inside the full record).
 void write_core_members(measure::JsonWriter& w, const ExperimentResult& r) {
   w.kv("name", r.name);
-  w.kv("seed", seed_to_string(r.seed));
+  // Seeds are full-range 64-bit hashes; a JSON number survives only 53
+  // bits through the double-typed parser, so the ledger stores them as
+  // decimal strings.
+  w.kv("seed", std::to_string(r.seed));
   w.kv("status", to_string(r.status));
   w.kv("error", r.error);
   w.kv("paper_ref", r.paper_ref);
@@ -327,7 +310,9 @@ std::string ledger_core_json(const ExperimentResult& r) {
 }
 
 std::string ledger_checksum(const ExperimentResult& r) {
-  return to_hex16(fnv1a64(ledger_core_json(r)));
+  // FNV-1a catches what a ledger actually sees (torn writes, disk
+  // corruption, hand edits); it is not meant to be cryptographic.
+  return to_hex16(sim::fnv1a(ledger_core_json(r)));
 }
 
 std::string ledger_line(const ExperimentResult& r) {

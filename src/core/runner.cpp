@@ -235,6 +235,9 @@ ExperimentResult Runner::run_one(const std::string& name) const {
 
 namespace {
 
+// How often the --progress heartbeat prints.
+constexpr std::chrono::seconds kHeartbeatPeriod{2};
+
 // Shared progress accounting for the heartbeat thread. Completed wall
 // times feed the ETA; the resume set's recorded timings seed it so the
 // very first heartbeat of a resumed campaign already has history.
@@ -355,13 +358,10 @@ RunSummary Runner::run() const {
   std::condition_variable hb_cv;
   bool hb_stop = false;
   if (opt_.progress && !names.empty()) {
-    const double period = opt_.progress_period_s > 0 ? opt_.progress_period_s
-                                                     : 2.0;
-    heartbeat = std::thread([&, period] {
+    heartbeat = std::thread([&] {
       std::unique_lock<std::mutex> lock(hb_mu);
       for (;;) {
-        if (hb_cv.wait_for(lock, std::chrono::duration<double>(period),
-                           [&] { return hb_stop; })) {
+        if (hb_cv.wait_for(lock, kHeartbeatPeriod, [&] { return hb_stop; })) {
           return;
         }
         print_heartbeat(progress, names.size(), jobs, std::cerr);

@@ -69,12 +69,11 @@ struct RunnerOptions {
   // backfills exactly the store records a crash lost and no more.
   std::shared_ptr<StoreWriter> store;
   std::vector<std::pair<std::string, std::string>> store_labels;
-  // Live telemetry: a heartbeat line on stderr every `progress_period_s`
-  // (done/failed/running counts plus an ETA extrapolated from completed
-  // wall_ms history, seeded by the resume set's recorded timings). stderr
-  // only — stdout stays byte-identical with or without it.
+  // Live telemetry: a heartbeat line on stderr every 2 s (done/failed/
+  // running counts plus an ETA extrapolated from completed wall_ms history,
+  // seeded by the resume set's recorded timings). stderr only — stdout
+  // stays byte-identical with or without it.
   bool progress = false;
-  double progress_period_s = 2.0;
 };
 
 /// Outcome of a whole campaign. `results` is sorted by experiment name,

@@ -146,8 +146,9 @@ struct TestbedOptions {
 };
 
 /// Campaign-wide bottleneck qdisc default, applied by every Testbed whose
-/// options leave bottleneck_qdisc unset. Set once from the CLI (--qdisc)
-/// before the runner spawns worker threads; read-only afterwards.
+/// options leave bottleneck_qdisc unset. fiveg_runall sets it once per
+/// campaign cell (--qdisc or a manifest's qdisc axis), before that cell's
+/// runner spawns worker threads; read-only while the cell runs.
 void set_campaign_bottleneck_qdisc(const net::QdiscConfig& qdisc);
 [[nodiscard]] const net::QdiscConfig& campaign_bottleneck_qdisc() noexcept;
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cinttypes>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -11,6 +9,7 @@
 #include <utility>
 
 #include "obs/codec.h"
+#include "sim/rng.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
@@ -32,17 +31,6 @@ constexpr std::uint8_t kFrameRecord = 'R';
 constexpr std::size_t kHeaderSize = 10;
 // u64 payload checksum.
 constexpr std::size_t kTrailerSize = 8;
-
-// Same checksum family as the ledger: catches torn writes and disk
-// corruption, not adversaries.
-std::uint64_t fnv1a64(std::string_view s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 void put_u32le(std::string* out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) {
@@ -81,7 +69,7 @@ void append_frame(std::string* out, std::uint8_t type,
   out->push_back(static_cast<char>(type));
   put_u32le(out, static_cast<std::uint32_t>(payload.size()));
   out->append(payload);
-  put_u64le(out, fnv1a64(payload));
+  put_u64le(out, sim::fnv1a(payload));
 }
 
 std::uint8_t status_byte(RunStatus status) {
@@ -233,7 +221,7 @@ ParseState parse_impl(std::string_view bytes) {
     if (bytes.size() - pos - kHeaderSize - kTrailerSize < len) break;
     const std::string_view payload = bytes.substr(pos + kHeaderSize, len);
     if (get_u64le(bytes.data() + pos + kHeaderSize + len) !=
-        fnv1a64(payload)) {
+        sim::fnv1a(payload)) {
       break;
     }
 
@@ -271,12 +259,6 @@ ParseState parse_impl(std::string_view bytes) {
   return st;
 }
 
-std::string seed_to_string(std::uint64_t seed) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, seed);
-  return std::string(buf);
-}
-
 }  // namespace
 
 std::string StoreRecord::key() const {
@@ -284,7 +266,7 @@ std::string StoreRecord::key() const {
   // keys/values, so the join is unambiguous.
   std::string out = result.name;
   out += '\x1f';
-  out += seed_to_string(result.seed);
+  out += std::to_string(result.seed);
   for (const auto& [k, v] : labels) {
     out += '\x1f';
     out += k;

@@ -40,24 +40,4 @@ double PrbScheduler::grant_fraction(sim::Rng& rng) const {
   return fraction;
 }
 
-double observed_prb_fraction(radio::Rat rat, LoadRegime regime,
-                             sim::Rng& rng) {
-  double fraction;
-  if (rat == radio::Rat::kNr) {
-    // 260-264 of 264 PRBs regardless of time of day.
-    fraction = rng.uniform(260.0, 264.0) / 264.0;
-  } else if (regime == LoadRegime::kDay) {
-    fraction = rng.uniform(40.0, 85.0) / 100.0;  // 40-85 of 100 PRBs
-  } else {
-    fraction = rng.uniform(95.0, 100.0) / 100.0;  // 95-100 of 100 PRBs
-  }
-  observe_prb(rat, fraction);
-  return fraction;
-}
-
-int typical_competing_users(radio::Rat rat, LoadRegime regime) {
-  if (rat == radio::Rat::kNr) return 0;  // 5G was nearly empty in 2019/2020
-  return regime == LoadRegime::kDay ? 1 : 0;
-}
-
 }  // namespace fiveg::ran

@@ -22,22 +22,9 @@ class PrbScheduler {
   /// (jittered around the fair share).
   [[nodiscard]] double grant_fraction(sim::Rng& rng) const;
 
-  [[nodiscard]] int competing_users() const noexcept {
-    return competing_users_;
-  }
-
  private:
   radio::CarrierConfig carrier_;
   int competing_users_;
 };
-
-/// The paper's observed PRB share for a RAT/regime: NR ~ 1.0 always;
-/// LTE day ~ 0.40-0.85, LTE night ~ 0.95-1.0.
-[[nodiscard]] double observed_prb_fraction(radio::Rat rat, LoadRegime regime,
-                                           sim::Rng& rng);
-
-/// Number of competing users consistent with the observed shares, used to
-/// configure schedulers in end-to-end experiments.
-[[nodiscard]] int typical_competing_users(radio::Rat rat, LoadRegime regime);
 
 }  // namespace fiveg::ran

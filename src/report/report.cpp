@@ -60,61 +60,9 @@ void write_csv_row(std::ostream& os, const std::string& figure,
   os << figure << ',' << metric << ',' << json_number(value) << '\n';
 }
 
-// One runall schema version's document parser, filling `out` (error or
-// figures). Registered in kSchemaTable below.
-void build_from_runall_v3(const obs::JsonValue& doc, BuildResult& out);
-
-// Schema version dispatch: every runall schema this binary understands,
-// mapped to its parser. v4 is a strict superset of v3 (it only adds
-// timing-gated fields the report never reads), so both dispatch to the
-// same parser; a future v5 that reshapes the document gets its own entry
-// without touching the version check.
-struct SchemaEntry {
-  std::string_view schema;
-  void (*build)(const obs::JsonValue& doc, BuildResult& out);
-};
-constexpr SchemaEntry kSchemaTable[] = {
-    {"fiveg-runall/v3", &build_from_runall_v3},
-    {"fiveg-runall/v4", &build_from_runall_v3},
-};
-
-}  // namespace
-
-std::vector<std::string> supported_runall_schemas() {
-  std::vector<std::string> out;
-  for (const SchemaEntry& e : kSchemaTable) out.emplace_back(e.schema);
-  return out;
-}
-
-BuildResult build_reports(const obs::JsonValue& doc) {
-  BuildResult out;
-  if (!doc.is(obs::JsonValue::Type::kObject)) {
-    out.error = "top-level value is not an object";
-    return out;
-  }
-  const obs::JsonValue* schema = doc.get("schema");
-  if (schema == nullptr || !schema->is(obs::JsonValue::Type::kString)) {
-    out.error = "missing \"schema\" string";
-    return out;
-  }
-  for (const SchemaEntry& e : kSchemaTable) {
-    if (schema->string == e.schema) {
-      e.build(doc, out);
-      return out;
-    }
-  }
-  std::string supported;
-  for (const SchemaEntry& e : kSchemaTable) {
-    if (!supported.empty()) supported += ", ";
-    supported += e.schema;
-  }
-  out.error = "unsupported schema \"" + schema->string + "\" (supported: " +
-              supported + "; re-run fiveg_runall or upgrade fiveg_report)";
-  return out;
-}
-
-namespace {
-
+// Parses a fiveg-runall/v3 or v4 document into `out` (error or figures).
+// v4 is a strict superset of v3: it only adds timing-gated fields the
+// report never reads.
 void build_from_runall_v3(const obs::JsonValue& doc, BuildResult& out) {
   const obs::JsonValue* experiments = doc.get("experiments");
   if (experiments == nullptr ||
@@ -169,6 +117,28 @@ void build_from_runall_v3(const obs::JsonValue& doc, BuildResult& out) {
 }
 
 }  // namespace
+
+BuildResult build_reports(const obs::JsonValue& doc) {
+  BuildResult out;
+  if (!doc.is(obs::JsonValue::Type::kObject)) {
+    out.error = "top-level value is not an object";
+    return out;
+  }
+  const obs::JsonValue* schema = doc.get("schema");
+  if (schema == nullptr || !schema->is(obs::JsonValue::Type::kString)) {
+    out.error = "missing \"schema\" string";
+    return out;
+  }
+  if (schema->string != "fiveg-runall/v3" &&
+      schema->string != "fiveg-runall/v4") {
+    out.error = "unsupported schema \"" + schema->string +
+                "\" (supported: fiveg-runall/v3, fiveg-runall/v4; re-run "
+                "fiveg_runall or upgrade fiveg_report)";
+    return out;
+  }
+  build_from_runall_v3(doc, out);
+  return out;
+}
 
 Tolerance default_tolerance(double value) {
   Tolerance t;

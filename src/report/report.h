@@ -43,14 +43,9 @@ struct BuildResult {
 };
 
 /// Builds one FigureReport per experiment from a parsed fiveg-runall
-/// document. Schema versions are resolved through a dispatch table
-/// (currently v3 and v4, which share a parser); an unknown version is an
-/// error naming the offending schema string and the supported list.
+/// document (schema v3 or v4); any other version is an error naming the
+/// offending schema string and the supported list.
 [[nodiscard]] BuildResult build_reports(const obs::JsonValue& doc);
-
-/// The runall schema versions build_reports understands, in dispatch
-/// order (e.g. {"fiveg-runall/v3", "fiveg-runall/v4"}).
-[[nodiscard]] std::vector<std::string> supported_runall_schemas();
 
 /// Per-metric drift tolerance; pass iff
 /// |actual - expected| <= abs_tol + rel_tol * |expected|.

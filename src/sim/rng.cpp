@@ -3,9 +3,7 @@
 #include <algorithm>
 
 namespace fiveg::sim {
-namespace {
 
-// 64-bit FNV-1a over a string, used to key named substreams.
 std::uint64_t fnv1a(std::string_view s) noexcept {
   std::uint64_t h = 14695981039346656037ull;
   for (const char c : s) {
@@ -14,8 +12,6 @@ std::uint64_t fnv1a(std::string_view s) noexcept {
   }
   return h;
 }
-
-}  // namespace
 
 // splitmix64 finaliser: decorrelates adjacent seeds before feeding the
 // Mersenne Twister, whose own seeding is weak for small seed deltas.

@@ -9,6 +9,10 @@
 
 namespace fiveg::sim {
 
+/// 64-bit FNV-1a over a string: the key of named substreams (Rng::fork)
+/// and the ledger and store checksums. Not cryptographic.
+[[nodiscard]] std::uint64_t fnv1a(std::string_view s) noexcept;
+
 /// Deterministic random source wrapping a 64-bit Mersenne Twister with the
 /// distribution helpers the models need.
 class Rng {

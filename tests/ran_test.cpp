@@ -285,21 +285,6 @@ TEST(PrbSchedulerTest, FairShareWithContention) {
   EXPECT_NEAR(s.mean(), 0.25, 0.02);
 }
 
-TEST(PrbSchedulerTest, ObservedFractionsMatchPaper) {
-  sim::Rng rng(3);
-  measure::RunningStats nr_day, lte_day, lte_night;
-  for (int i = 0; i < 2000; ++i) {
-    nr_day.add(observed_prb_fraction(radio::Rat::kNr, LoadRegime::kDay, rng));
-    lte_day.add(observed_prb_fraction(radio::Rat::kLte, LoadRegime::kDay, rng));
-    lte_night.add(
-        observed_prb_fraction(radio::Rat::kLte, LoadRegime::kNight, rng));
-  }
-  EXPECT_GT(nr_day.min(), 0.98);            // 260/264
-  EXPECT_NEAR(lte_day.mean(), 0.625, 0.02);  // 40-85 PRBs
-  EXPECT_GT(lte_night.min(), 0.94);          // 95-100 PRBs
-  EXPECT_GT(lte_night.mean(), lte_day.mean());
-}
-
 TEST(NsaUeTest, AddsAndDropsNrLegWithDwell) {
   NsaUe ue;
   EXPECT_FALSE(ue.nr_attached());

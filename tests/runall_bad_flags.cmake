@@ -1,19 +1,22 @@
 # Out-of-range numeric flags must be usage errors (exit 2), never silently
 # coerced: a non-finite --timeout, an --jobs/--sim-threads value outside
-# int, and a negative --seed or --shard count. Each fiveg_runall case runs
-# with --list, which would otherwise exit 0 without running anything. The
+# int, and a negative --seed or --shard count. A campaign cell axis
+# (--qdisc, --faults) given next to --manifest, which supplies its own,
+# is a usage error too. Each fiveg_runall case runs with --list, which
+# would otherwise exit 0 without running anything. The
 # tools take the same strict parser: fiveg_trace_check --min-events and
 # fiveg_prof --top run against an empty trace and an empty ledger, which
 # both pass with valid flags. Runs as a ctest test:
 #   cmake -DRUNALL=<fiveg_runall> -DTRACE_CHECK=<fiveg_trace_check>
-#         -DPROF=<fiveg_prof> -DWORK_DIR=<dir> -P runall_bad_flags.cmake
+#         -DPROF=<fiveg_prof> -DDATA_DIR=<tests/data> -DWORK_DIR=<dir>
+#         -P runall_bad_flags.cmake
 cmake_minimum_required(VERSION 3.16)
 
 if(NOT DEFINED RUNALL OR NOT DEFINED TRACE_CHECK OR NOT DEFINED PROF OR
-   NOT DEFINED WORK_DIR)
+   NOT DEFINED DATA_DIR OR NOT DEFINED WORK_DIR)
   message(FATAL_ERROR "usage: cmake -DRUNALL=<fiveg_runall> "
     "-DTRACE_CHECK=<fiveg_trace_check> -DPROF=<fiveg_prof> "
-    "-DWORK_DIR=<dir> -P runall_bad_flags.cmake")
+    "-DDATA_DIR=<tests/data> -DWORK_DIR=<dir> -P runall_bad_flags.cmake")
 endif()
 
 file(MAKE_DIRECTORY ${WORK_DIR})
@@ -22,8 +25,10 @@ set(empty_ledger ${WORK_DIR}/empty.jsonl)
 file(WRITE ${empty_trace} "{\"traceEvents\":[]}")
 file(WRITE ${empty_ledger} "")
 
-# One "command|flag:value" entry per case; the command's other arguments
-# make it exit 0 once the flag is dropped.
+# One "command|flag:value[|flag:value...]" entry per case (the value is
+# everything after the flag's first ':'); the command's other arguments
+# make it exit 0 once the last flag is dropped.
+set(manifest "--manifest:${DATA_DIR}/campaign_smoke.json")
 set(cases
   "RUNALL|--timeout:inf"
   "RUNALL|--timeout:nan"
@@ -31,15 +36,23 @@ set(cases
   "RUNALL|--sim-threads:4294967296"
   "RUNALL|--seed:-1"
   "RUNALL|--shard:0/-1"
+  "RUNALL|${manifest}|--qdisc:codel"
+  "RUNALL|${manifest}|--faults:${DATA_DIR}/chaos_plan.json"
   "TRACE_CHECK|--min-events:x"
   "PROF|--top:-1")
 
 foreach(entry IN LISTS cases)
   string(REPLACE "|" ";" parts "${entry}")
-  list(GET parts 0 tool)
-  list(GET parts 1 pair)
-  string(REPLACE ":" ";" argv "${pair}")
-  string(REPLACE ":" " " shown "${pair}")
+  list(POP_FRONT parts tool)
+  set(argv)
+  foreach(pair IN LISTS parts)
+    string(FIND "${pair}" ":" colon)
+    string(SUBSTRING "${pair}" 0 ${colon} flag)
+    math(EXPR value_at "${colon} + 1")
+    string(SUBSTRING "${pair}" ${value_at} -1 value)
+    list(APPEND argv ${flag} ${value})
+  endforeach()
+  list(JOIN argv " " shown)
   if(tool STREQUAL "RUNALL")
     set(rest --list)
   elseif(tool STREQUAL "TRACE_CHECK")

@@ -5,13 +5,15 @@
 # skip the surviving runs, re-run the rest, and produce the same campaign
 # JSON as the uninterrupted reference — at every worker count. A second
 # resume from the now-complete ledger must execute nothing and leave the
-# ledger file byte-unchanged.
+# ledger file byte-unchanged. Finally, the clean ledger must not satisfy a
+# run of another campaign cell: `--qdisc codel` and `--faults FAULTS` at
+# the same --seed resume nothing and match the same run without --resume.
 #
 # Invoked as:
-#   cmake -DRUNALL=<path-to-fiveg_runall> -DWORK_DIR=<dir>
-#         -P runall_resume.cmake
-if(NOT RUNALL OR NOT WORK_DIR)
-  message(FATAL_ERROR "RUNALL and WORK_DIR must be set")
+#   cmake -DRUNALL=<path-to-fiveg_runall> -DFAULTS=<fault plan>
+#         -DWORK_DIR=<dir> -P runall_resume.cmake
+if(NOT RUNALL OR NOT FAULTS OR NOT WORK_DIR)
+  message(FATAL_ERROR "RUNALL, FAULTS and WORK_DIR must be set")
 endif()
 file(REMOVE_RECURSE ${WORK_DIR})
 file(MAKE_DIRECTORY ${WORK_DIR})
@@ -114,5 +116,52 @@ if(NOT ledger_diff EQUAL 0)
           "second resume modified the ledger (expected zero re-runs)")
 endif()
 
+# Another cell at the same --seed: the clean ledger (on a copy, so the
+# checks above keep their ledger) must resume none of its runs.
+set(cell_common --filter smoke_tcp_bulk --seed 42 --timeout 300 --no-timing
+                --quiet --jobs 1)
+set(cell_qdisc --qdisc codel)
+set(cell_faults --faults ${FAULTS})
+foreach(cell qdisc faults)
+  execute_process(
+    COMMAND ${RUNALL} ${cell_common} ${cell_${cell}}
+            --json ${WORK_DIR}/cell_${cell}_ref.json
+    OUTPUT_QUIET
+    ERROR_VARIABLE cell_err
+    RESULT_VARIABLE cell_rc)
+  if(NOT cell_rc EQUAL 0)
+    message(FATAL_ERROR "${cell} reference failed (rc=${cell_rc}): ${cell_err}")
+  endif()
+  execute_process(
+    COMMAND ${CMAKE_COMMAND} -E copy ${WORK_DIR}/full.jsonl
+            ${WORK_DIR}/cell_${cell}.jsonl)
+  execute_process(
+    COMMAND ${RUNALL} ${cell_common} ${cell_${cell}}
+            --resume ${WORK_DIR}/cell_${cell}.jsonl
+            --json ${WORK_DIR}/cell_${cell}_resume.json
+    OUTPUT_QUIET
+    ERROR_VARIABLE cell_err
+    RESULT_VARIABLE cell_rc)
+  if(NOT cell_rc EQUAL 0)
+    message(FATAL_ERROR
+            "${cell} resume failed (rc=${cell_rc}): ${cell_err}")
+  endif()
+  string(FIND "${cell_err}" ": 0 run(s) already complete" zero_at)
+  if(zero_at EQUAL -1)
+    message(FATAL_ERROR
+            "a clean ledger resumed runs of the ${cell} cell: ${cell_err}")
+  endif()
+  execute_process(
+    COMMAND ${CMAKE_COMMAND} -E compare_files
+            ${WORK_DIR}/cell_${cell}_ref.json
+            ${WORK_DIR}/cell_${cell}_resume.json
+    RESULT_VARIABLE cell_diff)
+  if(NOT cell_diff EQUAL 0)
+    message(FATAL_ERROR
+            "${cell} run resumed from a clean ledger differs from the same "
+            "run without --resume")
+  endif()
+endforeach()
+
 message(STATUS "runall resume: byte-identical JSON at jobs 1/2/8 and on a "
-               "no-op second resume")
+               "no-op second resume; other cells resume nothing")

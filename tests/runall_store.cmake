@@ -6,7 +6,9 @@
 # writer on reopen), and an intact store (pure key-dedup resume). In every
 # case the resumed shard plus its sibling must export the same bytes as
 # the uninterrupted reference, and fiveg_prof's ledger<->store audit must
-# pass.
+# pass. The store's reader is checked too: a one-cell manifest's default
+# cell exports the bytes of the plain `--seed` run, and fiveg_query's
+# --filter/--list and --percentiles answer from the reference store.
 #
 # Invoked as:
 #   cmake -DRUNALL=<fiveg_runall> -DQUERY=<fiveg_query> -DPROF=<fiveg_prof>
@@ -73,6 +75,76 @@ endfunction()
 # --- Reference: the whole campaign as one shard. --------------------------
 run_shard(ref 0/1 2 ${WORK_DIR}/ref.jsonl ${WORK_DIR}/ref_store)
 export_store(${WORK_DIR}/ref_store ${WORK_DIR}/ref.json)
+
+# --- fiveg_query answers from the reference store. ------------------------
+function(query out_var rc_var)
+  execute_process(
+    COMMAND ${QUERY} ${WORK_DIR}/ref_store ${ARGN}
+    OUTPUT_VARIABLE query_out
+    ERROR_VARIABLE query_err
+    RESULT_VARIABLE query_rc)
+  set(${out_var} "${query_out}" PARENT_SCOPE)
+  set(${rc_var} "${query_rc}" PARENT_SCOPE)
+endfunction()
+
+query(codel_list codel_rc --filter "{qdisc=codel}" --list)
+string(REGEX MATCHALL "[^\n]+" codel_lines "${codel_list}")
+list(LENGTH codel_lines codel_count)
+if(NOT codel_rc EQUAL 0 OR codel_count EQUAL 0)
+  message(FATAL_ERROR "fiveg_query --filter {qdisc=codel} --list "
+                      "(rc=${codel_rc}) listed nothing")
+endif()
+foreach(line IN LISTS codel_lines)
+  string(FIND "${line}" "qdisc=codel}" codel_at)
+  if(codel_at EQUAL -1)
+    message(FATAL_ERROR "--filter {qdisc=codel} listed \"${line}\"")
+  endif()
+endforeach()
+
+query(pct_out pct_rc --percentiles "radio.rsrp_dbm{rat=nr}")
+if(NOT pct_rc EQUAL 0 OR
+   NOT pct_out MATCHES "merged [0-9]+ digest\\(s\\)")
+  message(FATAL_ERROR "fiveg_query --percentiles failed (rc=${pct_rc}): "
+                      "${pct_out}")
+endif()
+query(unknown_out unknown_rc --percentiles no.such.metric)
+if(NOT unknown_rc EQUAL 1)
+  message(FATAL_ERROR "--percentiles on an unknown metric exited "
+                      "'${unknown_rc}', want 1")
+endif()
+
+# --- A one-cell manifest's default cell is the plain --seed run. ----------
+file(WRITE ${WORK_DIR}/one_cell.json [=[
+{"schema": "fiveg-campaign/v1", "name": "one-cell", "smoke": true,
+ "filter": "fig2", "axes": {"seed": [42]}}
+]=])
+execute_process(
+  COMMAND ${RUNALL} --manifest ${WORK_DIR}/one_cell.json --timeout 300
+          --quiet --store ${WORK_DIR}/one_cell_store
+  OUTPUT_QUIET
+  ERROR_VARIABLE one_err
+  RESULT_VARIABLE one_rc)
+if(NOT one_rc EQUAL 0)
+  message(FATAL_ERROR "one-cell manifest failed (rc=${one_rc}): ${one_err}")
+endif()
+export_store(${WORK_DIR}/one_cell_store ${WORK_DIR}/one_cell.export.json)
+execute_process(
+  COMMAND ${RUNALL} --smoke --filter fig2 --seed 42 --timeout 300 --quiet
+          --no-timing --json ${WORK_DIR}/plain.json
+  OUTPUT_QUIET
+  ERROR_VARIABLE plain_err
+  RESULT_VARIABLE plain_rc)
+if(NOT plain_rc EQUAL 0)
+  message(FATAL_ERROR "plain run failed (rc=${plain_rc}): ${plain_err}")
+endif()
+execute_process(
+  COMMAND ${CMAKE_COMMAND} -E compare_files
+          ${WORK_DIR}/plain.json ${WORK_DIR}/one_cell.export.json
+  RESULT_VARIABLE one_diff)
+if(NOT one_diff EQUAL 0)
+  message(FATAL_ERROR "the one-cell manifest's default cell differs from "
+                      "the plain --seed 42 run")
+endif()
 
 # --- Clean 2-way shard split must merge to the reference bytes. -----------
 run_shard(clean 0/2 2 ${WORK_DIR}/clean_0.jsonl ${WORK_DIR}/clean_store)

@@ -1,6 +1,7 @@
 // Per-figure KPI report generator and golden-baseline drift detector.
 //
-// Consumes a fiveg-runall/v3 JSON document (fiveg_runall --json) and emits
+// Consumes a fiveg-runall/v3 or v4 JSON document (fiveg_runall --json, or
+// `fiveg_query STORE --export-runall-json` for a columnar store) and emits
 // one machine-readable artifact pair per paper figure/table:
 //   <out-dir>/<figure>.json   (schema fiveg-report/v1)
 //   <out-dir>/<figure>.csv    (figure,metric,value rows)
@@ -11,13 +12,7 @@
 // golden prints a per-metric diff and exits non-zero. --update-golden
 // rewrites the baselines from the current run instead.
 //
-// Instead of a JSON document, --from-store DIR builds the same reports
-// incrementally from a fiveg-rs/v1 columnar store (fiveg_runall --store):
-// shards are merged into the canonical view and reconstructed into a
-// byte-identical v4 document, so a sharded campaign's figures — and its
-// golden --check verdict — match the unsharded run exactly.
-//
-// usage: fiveg_report --in results.json | --from-store DIR
+// usage: fiveg_report --in results.json
 //                     [--out-dir DIR] [--check | --update-golden]
 //                     [--golden-dir DIR] [--quiet]
 #include <filesystem>
@@ -27,8 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "core/runner.h"
-#include "core/store.h"
 #include "obs/json_check.h"
 #include "report/report.h"
 
@@ -40,9 +33,9 @@ using fiveg::report::FigureReport;
 using fiveg::report::GoldenFigure;
 
 int usage(int code) {
-  std::cerr << "usage: fiveg_report --in results.json | --from-store DIR\n"
-               "                    [--out-dir DIR] [--check | "
-               "--update-golden] [--golden-dir DIR] [--quiet]\n";
+  std::cerr << "usage: fiveg_report --in results.json [--out-dir DIR]\n"
+               "                    [--check | --update-golden] "
+               "[--golden-dir DIR] [--quiet]\n";
   return code;
 }
 
@@ -78,7 +71,6 @@ bool write_file(const fs::path& path, const std::string& content,
 
 int main(int argc, char** argv) {
   std::string in_path;
-  std::string store_dir;
   std::string out_dir;
   std::string golden_dir;
   bool check = false;
@@ -89,8 +81,6 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--in" && i + 1 < argc) {
       in_path = argv[++i];
-    } else if (arg == "--from-store" && i + 1 < argc) {
-      store_dir = argv[++i];
     } else if (arg == "--out-dir" && i + 1 < argc) {
       out_dir = argv[++i];
     } else if (arg == "--golden-dir" && i + 1 < argc) {
@@ -108,9 +98,8 @@ int main(int argc, char** argv) {
       return usage(2);
     }
   }
-  if (in_path.empty() == store_dir.empty()) {
-    std::cerr << "fiveg_report: exactly one of --in / --from-store is "
-                 "required\n";
+  if (in_path.empty()) {
+    std::cerr << "fiveg_report: --in is required\n";
     return usage(2);
   }
   if (check && update_golden) {
@@ -125,33 +114,7 @@ int main(int argc, char** argv) {
 
   std::string text;
   std::string error;
-  if (!store_dir.empty()) {
-    // Incremental path: merge the store shards and reconstruct the same
-    // v4 document fiveg_runall would have written with timing off, then
-    // feed it through the identical parse path — one report pipeline,
-    // two byte-equivalent inputs.
-    fiveg::core::StoreDirLoad load = fiveg::core::load_store_dir(store_dir);
-    if (!load.ok()) {
-      std::cerr << "fiveg_report: " << load.error << "\n";
-      return 2;
-    }
-    const std::vector<fiveg::core::StoreRecord> records =
-        fiveg::core::canonical_view(std::move(load.records));
-    if (!quiet) {
-      std::cout << "fiveg_report: " << load.files.size() << " shard(s), "
-                << records.size() << " record(s) after merge\n";
-    }
-    fiveg::core::RunSummary summary;
-    summary.results.reserve(records.size());
-    for (const fiveg::core::StoreRecord& rec : records) {
-      summary.results.push_back(rec.result);
-    }
-    std::ostringstream reconstructed;
-    fiveg::core::write_json(summary, reconstructed,
-                            /*include_timing=*/false);
-    text = reconstructed.str();
-    in_path = store_dir;
-  } else if (!read_file(in_path, &text, &error)) {
+  if (!read_file(in_path, &text, &error)) {
     std::cerr << "fiveg_report: " << error << "\n";
     return 2;
   }

@@ -1,14 +1,13 @@
 // Hot-path microbenchmarks guarding the three paths every figure sweep
-// leans on: campus geometry queries (LoS / penetration / indoor / O2I),
+// leans on: campus geometry queries (LoS / indoor / O2I),
 // full-interference SINR sweeps over the deployment, and event-queue churn
-// with cancellations. Medians are committed as BENCH_hotpath.json with
-// before/after numbers for the spatial-index + link-budget-memo + event-core
-// overhaul.
+// with cancellations. Medians are committed as BENCH_hotpath.json.
 //
 // Every radio/geometry benchmark also prints a checksum over the computed
-// values: the optimizations are exact (indexing and memoization, no
-// fast-math), so the checksums must be bit-identical across the rewrite —
-// a cheap exactness probe on top of the golden-based drift detector.
+// values: the optimizations are exact (spatial indexing and co-site
+// sharing, no fast-math), so the checksums must be bit-identical across
+// any rewrite — a cheap exactness probe on top of the golden-based drift
+// detector.
 //
 // Prints one JSON document on stdout:
 //   {"reps": ..., "geometry_qps_median": ..., "geometry_checksum": ...,
@@ -43,8 +42,8 @@ struct GeoResult {
 // LTE-1.8 + NR-3.5 link budgets) and LoS toward every *sector*. Sectors
 // are co-sited three to a mast, exactly as in the deployment (34 LTE
 // sectors on 13 masts), so most LoS queries repeat a mast->UE segment the
-// sweep just answered. One penetration query per point keeps that API in
-// the checksum. Eight passes model the several KPI sweeps per figure.
+// sweep just answered. Eight passes over the same points give the rep
+// enough work to time; no experiment repeats a grid like this.
 GeoResult geometry_rep(const geo::CampusMap& campus) {
   sim::Rng rng(1234);
   std::vector<geo::Point> masts;
@@ -70,8 +69,6 @@ GeoResult geometry_rep(const geo::CampusMap& campus) {
         checksum += campus.has_los({o, p}) ? 1.0 : 0.0;
         ++queries;
       }
-      checksum += campus.penetration_db({masts.front(), p}, 3.5);
-      ++queries;
     }
   }
   const double secs = bench::seconds_since(start);

@@ -3,14 +3,13 @@
 // 5% drivers) on the 19-site hex grid, swept for several sample periods.
 // The scalar baseline advances the same positions and calls the per-UE
 // measure_cells() loop; the batch path runs UeCohort::measure_batch with
-// its spatial visit order and exact row cache. Both fill their rows through
-// the same co-site-sharing sweep (measure_cells_row).
+// its exact row cache. Both fill their rows through the same
+// co-site-sharing sweep (measure_cells_row).
 //
 // Both paths print a checksum summed in UE-index order over every
-// (ue, cell) rsrp/sinr value. The batch optimizations are exact (visit
-// order never changes a row; cached rows are pure functions of their
-// keys), so the two checksums must be bit-identical — any divergence
-// means the fast path changed physics.
+// (ue, cell) rsrp/sinr value. The batch path is exact (cached rows are pure
+// functions of their keys), so the two checksums must be bit-identical —
+// any divergence means the fast path changed physics.
 //
 // Prints one JSON document on stdout:
 //   {"reps": ..., "ues": ..., "cells_per_rat": ..., "sweeps_per_rep": ...,

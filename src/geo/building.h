@@ -1,7 +1,6 @@
 // Buildings: rectangular footprints with a material that sets per-wall
 // penetration loss. The paper's campus has brick-and-concrete construction,
-// which drives its 50.59% indoor bit-rate drop at 3.5 GHz. Penetration is
-// defined inline: it runs once per candidate building per radio sample.
+// which drives its 50.59% indoor bit-rate drop at 3.5 GHz.
 #pragma once
 
 #include <string>
@@ -46,18 +45,6 @@ struct Building {
 
   [[nodiscard]] bool contains(const Point& p) const noexcept {
     return footprint.contains(p);
-  }
-
-  /// Total penetration loss a direct path through/into this building
-  /// accumulates, in dB at `freq_ghz`.
-  [[nodiscard]] double penetration_db(const Segment& path,
-                                      double freq_ghz) const noexcept {
-    const int walls = footprint.crossings(path);
-    if (walls == 0 && contains(path.a) && contains(path.b)) {
-      // Fully-indoor short hop: attenuate by interior clutter, not walls.
-      return 0.4 * wall_loss_db(material, freq_ghz);
-    }
-    return walls * wall_loss_db(material, freq_ghz);
   }
 };
 

@@ -181,38 +181,19 @@ bool CampusMap::for_each_segment_cell(const Segment& s, F&& f) const {
   return true;
 }
 
-// Gathers the union of candidate bitmasks over every cell the segment may
-// touch. Only valid when cell_mask_ is populated (<= 64 buildings).
-std::uint64_t CampusMap::segment_mask(const Segment& s) const noexcept {
-  std::uint64_t mask = 0;
-  for_each_segment_cell(s, [&](int ix, int iy) {
-    mask |= cell_mask_[static_cast<std::size_t>(iy) * nx_ + ix];
-    return true;
-  });
-  return mask;
-}
-
 bool CampusMap::is_indoor(const Point& p) const noexcept {
   return containing_building(p) != nullptr;
 }
 
 const Building* CampusMap::containing_building(const Point& p) const noexcept {
-  const std::uint32_t slot = point_memo_.get({p.x, p.y}, [&] {
-    const auto [it, end] = cell_items(col(p.x), row(p.y));
-    for (const std::uint32_t* i = it; i != end; ++i) {
-      if (buildings_[*i].contains(p)) return *i + 1;
-    }
-    return std::uint32_t{0};
-  });
-  return slot == 0 ? nullptr : &buildings_[slot - 1];
+  const auto [it, end] = cell_items(col(p.x), row(p.y));
+  for (const std::uint32_t* i = it; i != end; ++i) {
+    if (buildings_[*i].contains(p)) return &buildings_[*i];
+  }
+  return nullptr;
 }
 
 bool CampusMap::has_los(const Segment& path) const noexcept {
-  return los_memo_.get({path.a.x, path.a.y, path.b.x, path.b.y},
-                       [&] { return has_los_uncached(path); });
-}
-
-bool CampusMap::has_los_uncached(const Segment& path) const noexcept {
   // Candidates already seen in an earlier cell are skipped via the running
   // mask; the walk stops at the first blocking building, and the predicate
   // is the unmodified Rect::intersects, so the boolean matches the
@@ -238,56 +219,6 @@ bool CampusMap::has_los_uncached(const Segment& path) const noexcept {
     }
     return true;
   });
-}
-
-double CampusMap::penetration_db(const Segment& path,
-                                 double freq_ghz) const noexcept {
-  return pen_memo_.get({path.a.x, path.a.y, path.b.x, path.b.y, freq_ghz},
-                       [&] { return penetration_db_uncached(path, freq_ghz); });
-}
-
-double CampusMap::penetration_db_uncached(const Segment& path,
-                                          double freq_ghz) const noexcept {
-  // Candidates are deduplicated and then summed in ascending index order —
-  // the exact addition sequence of the brute-force scan (non-candidates
-  // contribute exactly +0.0 there, which never changes the running total).
-  double total = 0.0;
-  if (!cell_mask_.empty()) {
-    std::uint64_t mask = segment_mask(path);
-    while (mask != 0) {
-      const auto i = static_cast<std::size_t>(std::countr_zero(mask));
-      mask &= mask - 1;
-      total += buildings_[i].penetration_db(path, freq_ghz);
-    }
-    return total;
-  }
-  // Large maps: gather, sort, dedup.
-  std::uint32_t buf[256];
-  std::size_t n = 0;
-  bool overflow = false;
-  for_each_segment_cell(path, [&](int ix, int iy) {
-    const auto [it, end] = cell_items(ix, iy);
-    for (const std::uint32_t* i = it; i != end; ++i) {
-      if (n == std::size(buf)) {
-        overflow = true;
-        return false;
-      }
-      buf[n++] = *i;
-    }
-    return true;
-  });
-  if (overflow) {  // degenerate dense map: fall back to the full scan
-    for (const Building& b : buildings_) {
-      total += b.penetration_db(path, freq_ghz);
-    }
-    return total;
-  }
-  std::sort(buf, buf + n);
-  const std::uint32_t* last = std::unique(buf, buf + n);
-  for (const std::uint32_t* i = buf; i != last; ++i) {
-    total += buildings_[*i].penetration_db(path, freq_ghz);
-  }
-  return total;
 }
 
 double CampusMap::o2i_loss_db(const Point& p, double freq_ghz) const noexcept {

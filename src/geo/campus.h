@@ -1,23 +1,17 @@
 // The measurement campus: a 0.5 km x 0.92 km urban block with brick/concrete
 // buildings, matching the paper's survey area. The map answers the radio
 // model's questions: is a point indoor, is a path line-of-sight, and how much
-// penetration loss does a path accumulate.
+// outdoor-to-indoor loss does an indoor UE take.
 //
 // Queries are served by a uniform-grid spatial index over the building
 // footprints, so each lookup visits only the grid cells a point or segment
 // touches instead of scanning every building. The index is a pure
 // acceleration structure: candidate buildings are evaluated with the same
 // predicates in the same (ascending) order as the original brute-force
-// scans, so every result — including floating-point penetration sums — is
-// bit-identical to the unindexed implementation. On top of the index,
-// geo::ExactMemo caches keyed on the exact coordinate bit patterns absorb
-// the repeat lookups coverage sweeps generate (co-sited sectors share one
-// mast->UE segment; successive KPI passes revisit the same sample points).
+// scans, so every result is bit-identical to the unindexed implementation.
 //
-// Thread-safety: point lookups go through a small internal memo, so const
-// queries are NOT safe to call concurrently on one CampusMap instance. Every
-// user of the map (Scenario, experiments, benchmarks) constructs its own
-// instance per thread, matching the RadioEnvironment memo contract.
+// The map holds no mutable state: const queries may be shared across
+// threads.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +19,6 @@
 #include <vector>
 
 #include "geo/building.h"
-#include "geo/exact_memo.h"
 #include "geo/geometry.h"
 #include "sim/rng.h"
 
@@ -51,10 +44,6 @@ class CampusMap {
 
   /// True when no building blocks the direct path.
   [[nodiscard]] bool has_los(const Segment& path) const noexcept;
-
-  /// Total wall penetration loss along the direct path, in dB at `freq_ghz`.
-  [[nodiscard]] double penetration_db(const Segment& path,
-                                      double freq_ghz) const noexcept;
 
   /// Outdoor-to-indoor loss for a UE at `p`: one exterior wall of the
   /// containing building plus a small interior-clutter term; 0 outdoors.
@@ -85,10 +74,6 @@ class CampusMap {
   template <class F>
   bool for_each_segment_cell(const Segment& s, F&& f) const;
 
-  // Union of candidate bitmasks over every cell the segment may touch
-  // (only valid when cell_mask_ is populated, i.e. <= 64 buildings).
-  [[nodiscard]] std::uint64_t segment_mask(const Segment& s) const noexcept;
-
   Rect bounds_;
   std::vector<Building> buildings_;
 
@@ -101,22 +86,9 @@ class CampusMap {
   std::vector<std::uint32_t> cell_start_;
   std::vector<std::uint32_t> cell_items_;
   // When the map has <= 64 buildings (every paper campus), each cell also
-  // carries a bitmask of its candidates so segment traversal is one OR per
-  // cell instead of an item loop.
+  // carries a bitmask of its candidates, so a LoS walk tests each building
+  // once however many cells it spans.
   std::vector<std::uint64_t> cell_mask_;
-
-  // Exact memos (see geo/exact_memo.h). Capacities cover one coverage-grid
-  // KPI pass: a 50x46 grid is 2300 point keys, and times ~20 distinct mast
-  // positions ~46k segment keys, so the expected 2-way set load stays below
-  // ~0.3 and hits dominate. A point maps to 0 (outdoor) or i + 1 for
-  // buildings_[i].
-  mutable ExactMemo<2, std::uint32_t> point_memo_{8192};
-  mutable ExactMemo<4, bool> los_memo_{131072};
-  mutable ExactMemo<5, double> pen_memo_{16384};
-
-  [[nodiscard]] bool has_los_uncached(const Segment& path) const noexcept;
-  [[nodiscard]] double penetration_db_uncached(const Segment& path,
-                                               double freq_ghz) const noexcept;
 };
 
 /// Builds the paper's campus: `bounds` 500 m x 920 m, a street grid with

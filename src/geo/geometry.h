@@ -55,11 +55,6 @@ struct Rect {
     return {(min.x + max.x) / 2.0, (min.y + max.y) / 2.0};
   }
 
-  /// Number of rectangle edges a segment crosses: 0 (misses), 1 (one end
-  /// inside), or 2 (passes through). Each crossing is one wall for the
-  /// penetration-loss model.
-  [[nodiscard]] int crossings(const Segment& s) const noexcept;
-
   /// True if the segment intersects the rectangle's interior at all.
   [[nodiscard]] bool intersects(const Segment& s) const noexcept;
 };
@@ -100,15 +95,6 @@ inline std::optional<std::pair<double, double>> clip(const Rect& r,
 
 inline bool Rect::intersects(const Segment& s) const noexcept {
   return detail::clip(*this, s).has_value();
-}
-
-inline int Rect::crossings(const Segment& s) const noexcept {
-  if (!detail::clip(*this, s)) return 0;
-  const bool a_in = contains(s.a);
-  const bool b_in = contains(s.b);
-  if (a_in && b_in) return 0;  // fully indoor: no wall on the path
-  if (a_in || b_in) return 1;  // enters or leaves once
-  return 2;                    // passes through
 }
 
 }  // namespace fiveg::geo

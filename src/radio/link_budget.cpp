@@ -28,12 +28,10 @@ const ShadowingField& RadioEnvironment::field_for(
 RadioEnvironment::LinkTerms RadioEnvironment::link_terms(
     const geo::Point& site, const geo::Point& ue,
     double freq_ghz) const noexcept {
-  return link_memo_.get({site.x, site.y, ue.x, ue.y, freq_ghz}, [&] {
-    const geo::Segment path{site, ue};
-    const bool los = campus_->has_los(path);
-    return LinkTerms{geo::azimuth_deg(site, ue),
-                     campus_pathloss_db(path.length(), freq_ghz, los)};
-  });
+  const geo::Segment path{site, ue};
+  const bool los = campus_->has_los(path);
+  return LinkTerms{geo::azimuth_deg(site, ue),
+                   campus_pathloss_db(path.length(), freq_ghz, los)};
 }
 
 double RadioEnvironment::rsrp_dbm(const CarrierConfig& c, const TxSite& tx,
@@ -49,7 +47,7 @@ double RadioEnvironment::rsrp_dbm(const CarrierConfig& c, const TxSite& tx,
   // field consistent when comparing co-sited cells from the same spot.
   const double shadow = field_for(c).at(ue);
   // gain_toward(a, b) is gain_dbi(azimuth_deg(a, b)) by definition, so
-  // applying the pattern to the memoized azimuth is the same value.
+  // applying the pattern to the link's azimuth is the same value.
   return c.tx_re_power_dbm +
          (tx.antenna.gain_dbi(lt.az) - lt.pl - pen - shadow);
 }

@@ -2,22 +2,18 @@
 // and shadowing into the KPIs the paper measures — RSRP, SINR, RSRQ and
 // achievable bit-rate — for any transmitter/UE position pair.
 //
-// The environment memoizes the site-geometry terms of each link (azimuth
-// and path loss, keyed on the exact (site, UE, frequency) bit patterns) and
-// offers a batched `rsrp_dbm_all` that computes the per-UE terms (O2I
-// penetration, shadowing) once per call and shares the geometry terms
-// between co-sited sectors. Both are exact: every memoized value is a pure
-// function of its key, and sums are evaluated in the original expression
-// order, so results are bit-identical to the one-site-at-a-time path. The
-// memos make const queries NOT thread-safe on a shared instance (same
-// contract as geo::CampusMap: one owner per thread).
+// The batched `rsrp_dbm_all` computes the per-UE terms (O2I penetration,
+// shadowing) once per call and shares the site-geometry terms (azimuth and
+// path loss) between co-sited sectors. Sums are evaluated in the original
+// expression order, so results are bit-identical to the one-site-at-a-time
+// path. The environment holds no mutable state: const queries may be shared
+// across threads.
 #pragma once
 
 #include <cstdint>
 
 #include "fault/fault.h"
 #include "geo/campus.h"
-#include "geo/exact_memo.h"
 #include "radio/antenna.h"
 #include "radio/carrier.h"
 #include "radio/shadowing.h"
@@ -85,7 +81,6 @@ class RadioEnvironment {
     double az = 0.0;
     double pl = 0.0;
   };
-  // Memoized on the exact bit patterns of the five inputs.
   [[nodiscard]] LinkTerms link_terms(const geo::Point& site,
                                      const geo::Point& ue,
                                      double freq_ghz) const noexcept;
@@ -95,10 +90,6 @@ class RadioEnvironment {
   ShadowingField shadow_nr_;
   // Captured at construction; null when fault injection is off.
   fault::Runtime* fault_;
-
-  // Sized for one coverage-grid sweep of the full deployment: ~2.3k grid
-  // points times ~19 distinct mast positions over two bands.
-  mutable geo::ExactMemo<5, LinkTerms> link_memo_{65536};
 };
 
 }  // namespace fiveg::radio

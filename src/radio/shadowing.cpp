@@ -25,8 +25,6 @@ void set_shadowing_sigma_offset_db(double offset_db) noexcept {
   g_sigma_offset_db = offset_db;
 }
 
-double shadowing_sigma_offset_db() noexcept { return g_sigma_offset_db; }
-
 ShadowingField::ShadowingField(std::uint64_t seed, double sigma_db,
                                double corr_dist_m)
     : seed_(seed),
@@ -44,10 +42,6 @@ double ShadowingField::node_value(std::int64_t ix,
 }
 
 double ShadowingField::at(const geo::Point& p) const noexcept {
-  return memo_.get({p.x, p.y}, [&] { return at_uncached(p); });
-}
-
-double ShadowingField::at_uncached(const geo::Point& p) const noexcept {
   const double gx = p.x / corr_dist_m_;
   const double gy = p.y / corr_dist_m_;
   const auto ix = static_cast<std::int64_t>(std::floor(gx));

@@ -1,18 +1,12 @@
 // Spatially correlated log-normal shadowing. The field is a deterministic
 // function of (seed, position): lattice nodes get hashed Gaussian values and
 // intermediate points interpolate bilinearly, giving an exponential-like
-// correlation over the decorrelation distance without storing any state.
-//
-// `at()` runs once per (site, UE) link in every link budget, so each field
-// keeps a geo::ExactMemo keyed on the exact position bit pattern —
-// coverage sweeps sample the same points once per KPI pass. The memo makes
-// const queries NOT thread-safe on a shared instance (same contract as
-// geo::CampusMap: one owner per thread).
+// correlation over the decorrelation distance without storing any state, so
+// one field may be queried from several threads at once.
 #pragma once
 
 #include <cstdint>
 
-#include "geo/exact_memo.h"
 #include "geo/geometry.h"
 
 namespace fiveg::radio {
@@ -23,7 +17,6 @@ namespace fiveg::radio {
 /// paths never set it. Not thread-safe — set it before spawning workers (or
 /// run --jobs 1) and restore it to 0 afterwards.
 void set_shadowing_sigma_offset_db(double offset_db) noexcept;
-[[nodiscard]] double shadowing_sigma_offset_db() noexcept;
 
 /// Deterministic correlated shadowing field.
 class ShadowingField {
@@ -40,15 +33,10 @@ class ShadowingField {
  private:
   [[nodiscard]] double node_value(std::int64_t ix,
                                   std::int64_t iy) const noexcept;
-  [[nodiscard]] double at_uncached(const geo::Point& p) const noexcept;
 
   std::uint64_t seed_;
   double sigma_db_;
   double corr_dist_m_;
-
-  // One coverage-grid KPI pass is ~2.3k distinct points; at 16384 slots
-  // repeat passes mostly hit.
-  mutable geo::ExactMemo<2, double> memo_{16384};
 };
 
 }  // namespace fiveg::radio

@@ -1,6 +1,6 @@
 // dB <-> linear conversions shared across the radio and RAN layers. These
 // used to be re-implemented inline at several call sites; every caller must
-// use these exact expressions so memoized and recomputed link budgets stay
+// use these exact expressions so the batched and per-site link budgets stay
 // bit-identical.
 #pragma once
 

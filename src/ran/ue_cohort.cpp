@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -11,14 +10,6 @@
 #include "ran/cell.h"
 
 namespace fiveg::ran {
-
-namespace {
-
-// Spatial-order bucket edge: UEs are sorted by 64 m grid cell before the
-// measurement fill so neighbouring UEs hit the same campus/link memo sets.
-constexpr double kOrderCellM = 64.0;
-
-}  // namespace
 
 UeCohort::UeCohort(const Deployment* deployment, CohortConfig config,
                    sim::Rng rng)
@@ -106,29 +97,6 @@ void UeCohort::advance_positions(sim::Time at) {
   }
 }
 
-void UeCohort::build_sweep_order() {
-  const std::size_t n = x_.size();
-  sweep_order_.resize(n);
-  order_keys_.resize(n);
-  const geo::Rect& b = dep_->campus().bounds();
-  for (std::size_t u = 0; u < n; ++u) {
-    const auto ix = static_cast<std::uint64_t>(
-        std::max(0.0, (x_[u] - b.min.x) / kOrderCellM));
-    const auto iy = static_cast<std::uint64_t>(
-        std::max(0.0, (y_[u] - b.min.y) / kOrderCellM));
-    order_keys_[u] = (iy << 32) | (ix & 0xffffffffULL);
-    sweep_order_[u] = static_cast<std::uint32_t>(u);
-  }
-  // Deterministic spatial order: grid cell major, UE index as tie-break.
-  std::sort(sweep_order_.begin(), sweep_order_.end(),
-            [this](std::uint32_t a, std::uint32_t b2) {
-              if (order_keys_[a] != order_keys_[b2]) {
-                return order_keys_[a] < order_keys_[b2];
-              }
-              return a < b2;
-            });
-}
-
 void UeCohort::fill_row(radio::Rat rat, MeasBlock& block, std::size_t ue) {
   const std::size_t n = block.n_cells;
   measure_cells_row(dep_->env(), dep_->carrier(rat), dep_->cells(rat),
@@ -140,10 +108,9 @@ void UeCohort::fill_row(radio::Rat rat, MeasBlock& block, std::size_t ue) {
 
 const UeCohort::MeasBlock& UeCohort::measure_batch(radio::Rat rat) {
   MeasBlock& block = rat == radio::Rat::kLte ? lte_ : nr_;
-  build_sweep_order();
   const double offset =
       fault_ != nullptr ? fault_->coverage_offset_db() : 0.0;
-  for (const std::uint32_t u : sweep_order_) {
+  for (std::size_t u = 0; u < x_.size(); ++u) {
     const auto xb = std::bit_cast<std::uint64_t>(x_[u]);
     const auto yb = std::bit_cast<std::uint64_t>(y_[u]);
     if (block.valid[u] != 0 && block.key_x[u] == xb && block.key_y[u] == yb &&

@@ -5,14 +5,13 @@
 // per-UE mobility events.
 //
 // The measurement half fills flat per-RAT rows (rsrp/sinr/rsrq, one value
-// per (UE, cell)) through ran::measure_cells_row, walking UEs in
-// spatial-index order for memo/cache locality. Rows are pure functions
-// of (UE position bits, fault coverage offset), so a row whose key is
-// unchanged since the last sweep is reused verbatim — exact, because a
-// recompute would bit-identically reproduce it — and every computed value
-// matches the per-site RadioEnvironment::rsrp_dbm() reference followed by
-// derive_interference() bit for bit (property tested in
-// tests/cohort_test.cpp).
+// per (UE, cell)) through ran::measure_cells_row, in UE-index order. Rows
+// are pure functions of (UE position bits, fault coverage offset), so a
+// row whose key is unchanged since the last sweep is reused verbatim —
+// exact, because a recompute would bit-identically reproduce it — and
+// every computed value matches the per-site RadioEnvironment::rsrp_dbm()
+// reference followed by derive_interference() bit for bit (property tested
+// in tests/cohort_test.cpp).
 //
 // The trigger half iterates UEs in index order (so hand-off latency draws
 // consume the cohort's single RNG in a deterministic sequence) and applies
@@ -137,7 +136,6 @@ class UeCohort {
     return fault_ == nullptr || !fault_->cell_down(cell.pci);
   }
   void fill_row(radio::Rat rat, MeasBlock& block, std::size_t ue);
-  void build_sweep_order();
   void trigger_phase(sim::Time now);
   void apply_handoff(std::size_t ue, HandoffType type, int target,
                      sim::Time now);
@@ -166,8 +164,6 @@ class UeCohort {
   std::vector<geo::Route> routes_;
 
   MeasBlock lte_, nr_;
-  std::vector<std::uint32_t> sweep_order_;
-  std::vector<std::uint64_t> order_keys_;
   std::vector<double> lin_scratch_;
 
   Stats stats_;

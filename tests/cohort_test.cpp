@@ -5,7 +5,9 @@
 // counterparts.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <optional>
+#include <thread>
 #include <vector>
 
 #include "core/scenario.h"
@@ -36,9 +38,8 @@ std::vector<geo::Point> random_ues(const geo::CampusMap& campus,
 
 // measure_cells (one co-site-sharing sweep per UE) vs. the per-site
 // reference: rsrp_dbm() per cell, then derive_interference(). Across
-// campus sizes, RATs, indoor/outdoor mixes and repeated sweeps (the
-// memo-hit regime). EXPECT_EQ on doubles is exact: any bit difference
-// between the paths fails.
+// campus sizes, RATs and indoor/outdoor mixes. EXPECT_EQ on doubles is
+// exact: any bit difference between the paths fails.
 TEST(CohortBatchTest, SweepMatchesPerSiteReferenceBitExact) {
   const struct {
     double width_m, height_m, open_frac;
@@ -64,23 +65,19 @@ TEST(CohortBatchTest, SweepMatchesPerSiteReferenceBitExact) {
       const radio::CarrierConfig& carrier = dep.carrier(rat);
       const std::size_t n = cells.size();
       std::vector<double> rsrp(n), lin(n), sinr(n), rsrq(n);
-      // Two sweeps: the second runs entirely in the memo-hit regime.
-      for (int sweep = 0; sweep < 2; ++sweep) {
-        for (const geo::Point& ue : ues) {
-          const auto swept =
-              measure_cells(dep.env(), carrier, cells, ue, 0.5);
-          ASSERT_EQ(swept.size(), n);
-          for (std::size_t i = 0; i < n; ++i) {
-            rsrp[i] = dep.env().rsrp_dbm(carrier, cells[i].site, ue);
-          }
-          derive_interference(rsrp.data(), lin.data(), n,
-                              carrier.noise_per_re_dbm(), 0.5, sinr.data(),
-                              rsrq.data());
-          for (std::size_t i = 0; i < n; ++i) {
-            EXPECT_EQ(swept[i].rsrp_dbm, rsrp[i]);
-            EXPECT_EQ(swept[i].sinr_db, sinr[i]);
-            EXPECT_EQ(swept[i].rsrq_db, rsrq[i]);
-          }
+      for (const geo::Point& ue : ues) {
+        const auto swept = measure_cells(dep.env(), carrier, cells, ue, 0.5);
+        ASSERT_EQ(swept.size(), n);
+        for (std::size_t i = 0; i < n; ++i) {
+          rsrp[i] = dep.env().rsrp_dbm(carrier, cells[i].site, ue);
+        }
+        derive_interference(rsrp.data(), lin.data(), n,
+                            carrier.noise_per_re_dbm(), 0.5, sinr.data(),
+                            rsrq.data());
+        for (std::size_t i = 0; i < n; ++i) {
+          EXPECT_EQ(swept[i].rsrp_dbm, rsrp[i]);
+          EXPECT_EQ(swept[i].sinr_db, sinr[i]);
+          EXPECT_EQ(swept[i].rsrq_db, rsrq[i]);
         }
       }
     }
@@ -108,6 +105,45 @@ TEST(CohortBatchTest, ScratchOverloadMatches) {
         EXPECT_EQ(fresh[k].rsrq_db, out[k].rsrq_db);
       }
     }
+  }
+}
+
+// The geometry and radio layers hold no mutable state, so one deployment
+// may serve several threads at once: four threads sweeping the Fig. 2 grid
+// (50x46, both RATs) against one shared Scenario must each reproduce a
+// serial pass bit for bit.
+TEST(CohortBatchTest, SharedDeploymentSweepsMatchSerialAcrossThreads) {
+  const core::Scenario scenario(42);
+  const Deployment& dep = scenario.deployment();
+  const geo::Rect& b = scenario.campus().bounds();
+  const auto sweep = [&] {
+    std::vector<double> values;
+    for (const radio::Rat rat : {radio::Rat::kLte, radio::Rat::kNr}) {
+      for (int r = 0; r < 46; ++r) {
+        for (int c = 0; c < 50; ++c) {
+          const geo::Point p{b.min.x + (c + 0.5) * b.width() / 50,
+                             b.min.y + (r + 0.5) * b.height() / 46};
+          for (const CellMeasurement& m :
+               measure_cells(dep.env(), dep.carrier(rat), dep.cells(rat), p)) {
+            values.insert(values.end(), {m.rsrp_dbm, m.sinr_db, m.rsrq_db});
+          }
+        }
+      }
+    }
+    return values;
+  };
+  const std::vector<double> serial = sweep();
+  std::vector<std::vector<double>> parallel(4);
+  std::vector<std::thread> threads;
+  for (std::vector<double>& out : parallel) {
+    threads.emplace_back([&sweep, &out] { out = sweep(); });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const std::vector<double>& values : parallel) {
+    ASSERT_EQ(values.size(), serial.size());
+    EXPECT_EQ(std::memcmp(values.data(), serial.data(),
+                          serial.size() * sizeof(double)),
+              0);
   }
 }
 

@@ -5,7 +5,6 @@
 
 #include "geo/building.h"
 #include "geo/campus.h"
-#include "geo/exact_memo.h"
 #include "geo/geometry.h"
 #include "geo/route.h"
 #include "sim/rng.h"
@@ -47,20 +46,6 @@ TEST(RectTest, Contains) {
   EXPECT_FALSE(r.contains({-0.1, 5}));
 }
 
-TEST(RectTest, SegmentCrossings) {
-  const Rect r{{0, 0}, {10, 10}};
-  // Passes straight through: 2 walls.
-  EXPECT_EQ(r.crossings({{-5, 5}, {15, 5}}), 2);
-  // From outside to inside: 1 wall.
-  EXPECT_EQ(r.crossings({{-5, 5}, {5, 5}}), 1);
-  // Fully inside: 0 walls.
-  EXPECT_EQ(r.crossings({{2, 2}, {8, 8}}), 0);
-  // Misses entirely: 0.
-  EXPECT_EQ(r.crossings({{-5, 20}, {15, 20}}), 0);
-  // Diagonal through a corner region.
-  EXPECT_EQ(r.crossings({{-1, -1}, {11, 11}}), 2);
-}
-
 TEST(RectTest, Intersects) {
   const Rect r{{0, 0}, {10, 10}};
   EXPECT_TRUE(r.intersects({{-5, 5}, {15, 5}}));
@@ -80,14 +65,6 @@ TEST(BuildingTest, WallLossGrowsWithFrequency) {
   // Drywall is much lighter than concrete at either band.
   EXPECT_LT(wall_loss_db(Material::kDrywall, 3.5),
             0.5 * wall_loss_db(Material::kConcrete, 3.5));
-}
-
-TEST(BuildingTest, PenetrationCountsWalls) {
-  const Building b{Rect{{0, 0}, {10, 10}}, Material::kConcrete, "b"};
-  const double one_wall = b.penetration_db({{-5, 5}, {5, 5}}, 3.5);
-  const double two_walls = b.penetration_db({{-5, 5}, {15, 5}}, 3.5);
-  EXPECT_NEAR(two_walls, 2.0 * one_wall, 1e-9);
-  EXPECT_DOUBLE_EQ(b.penetration_db({{-5, 20}, {15, 20}}, 3.5), 0.0);
 }
 
 TEST(CampusTest, GeneratedCampusMatchesPaperDims) {
@@ -118,47 +95,11 @@ TEST(CampusTest, IndoorOutdoorAndLos) {
   EXPECT_FALSE(campus.has_los({outside, inside}));
 }
 
-TEST(CampusTest, PenetrationZeroForOpenPath) {
+TEST(CampusTest, OpenPathHasLos) {
   const CampusMap campus = make_campus(sim::Rng(42));
   // Walk along the outer boundary: streets are building-free by construction.
   const Segment edge{{1.0, 1.0}, {1.0, 919.0}};
-  EXPECT_DOUBLE_EQ(campus.penetration_db(edge, 3.5), 0.0);
   EXPECT_TRUE(campus.has_los(edge));
-}
-
-// The one memo behind every campus/radio cache: exact keys, hits never
-// recompute, and a full 2-way set evicts its least-recently-used way.
-TEST(ExactMemoTest, ExactKeysHitsAndLruEviction) {
-  int calls = 0;
-  const auto lookup = [&calls](ExactMemo<2, double>& memo, double x,
-                               double y) {
-    return memo.get({x, y}, [&] {
-      ++calls;
-      return x + 2.0 * y;
-    });
-  };
-  ExactMemo<2, double> big(1024);
-  EXPECT_EQ(lookup(big, 0.0, 1.0), 2.0);
-  EXPECT_EQ(lookup(big, -0.0, 1.0), 2.0);  // -0.0 is a distinct key
-  EXPECT_EQ(calls, 2);
-  EXPECT_EQ(lookup(big, 0.0, 1.0), 2.0);
-  EXPECT_EQ(lookup(big, -0.0, 1.0), 2.0);
-  EXPECT_EQ(calls, 2);  // hits never recompute
-
-  ExactMemo<2, double> two(2);  // a single 2-way set
-  calls = 0;
-  lookup(two, 1.0, 0.0);  // a
-  lookup(two, 2.0, 0.0);  // b
-  lookup(two, 1.0, 0.0);  // a hits; b is now least recently used
-  EXPECT_EQ(calls, 2);
-  lookup(two, 3.0, 0.0);  // c evicts b
-  EXPECT_EQ(calls, 3);
-  lookup(two, 1.0, 0.0);  // a still hits
-  EXPECT_EQ(calls, 3);
-  EXPECT_EQ(lookup(two, 2.0, 0.0), 2.0);  // b recomputes
-  EXPECT_EQ(calls, 4);
-
-  EXPECT_THROW((ExactMemo<1, int>(3)), std::invalid_argument);
 }
 
 TEST(RouteTest, LengthAndInterpolation) {

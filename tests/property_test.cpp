@@ -26,22 +26,15 @@ namespace {
 
 // ---------- Geometry: spatial index vs the brute-force scans ----------
 
-// The spatial index (and the memos in front of it) must reproduce the
-// original O(n) scans bit-for-bit on every query, for any campus. These
-// are the reference scans the index replaced.
+// The spatial index must reproduce the original O(n) scans bit-for-bit on
+// every query, for any campus. These are the reference scans the index
+// replaced.
 bool brute_has_los(const std::vector<geo::Building>& bs,
                    const geo::Segment& s) {
   for (const geo::Building& b : bs) {
     if (b.footprint.intersects(s)) return false;
   }
   return true;
-}
-
-double brute_penetration_db(const std::vector<geo::Building>& bs,
-                            const geo::Segment& s, double freq_ghz) {
-  double total = 0.0;
-  for (const geo::Building& b : bs) total += b.penetration_db(s, freq_ghz);
-  return total;
 }
 
 const geo::Building* brute_containing(const std::vector<geo::Building>& bs,
@@ -115,30 +108,22 @@ TEST_P(CampusIndexProperty, MatchesBruteForceBitForBit) {
       segs.push_back({pts[i], pts[i]});  // zero-length paths
     }
 
-    // Two rounds: the first may miss the memos, the second must hit them —
-    // both must agree with the brute-force scan exactly.
-    for (int round = 0; round < 2; ++round) {
-      for (const geo::Point& p : pts) {
-        EXPECT_EQ(campus.is_indoor(p), brute_containing(buildings, p) != nullptr);
-        const geo::Building* mine = campus.containing_building(p);
-        const geo::Building* ref = brute_containing(buildings, p);
-        ASSERT_EQ(mine == nullptr, ref == nullptr);
-        if (mine != nullptr) {
-          // Same building, by construction order (first match wins).
-          EXPECT_EQ(mine->footprint.min.x, ref->footprint.min.x);
-          EXPECT_EQ(mine->footprint.min.y, ref->footprint.min.y);
-        }
-        for (const double f : {1.8, 3.5}) {
-          EXPECT_EQ(campus.o2i_loss_db(p, f), brute_o2i_db(buildings, p, f));
-        }
+    for (const geo::Point& p : pts) {
+      EXPECT_EQ(campus.is_indoor(p), brute_containing(buildings, p) != nullptr);
+      const geo::Building* mine = campus.containing_building(p);
+      const geo::Building* ref = brute_containing(buildings, p);
+      ASSERT_EQ(mine == nullptr, ref == nullptr);
+      if (mine != nullptr) {
+        // Same building, by construction order (first match wins).
+        EXPECT_EQ(mine->footprint.min.x, ref->footprint.min.x);
+        EXPECT_EQ(mine->footprint.min.y, ref->footprint.min.y);
       }
-      for (const geo::Segment& s : segs) {
-        EXPECT_EQ(campus.has_los(s), brute_has_los(buildings, s));
-        for (const double f : {1.8, 3.5}) {
-          EXPECT_EQ(campus.penetration_db(s, f),
-                    brute_penetration_db(buildings, s, f));
-        }
+      for (const double f : {1.8, 3.5}) {
+        EXPECT_EQ(campus.o2i_loss_db(p, f), brute_o2i_db(buildings, p, f));
       }
+    }
+    for (const geo::Segment& s : segs) {
+      EXPECT_EQ(campus.has_los(s), brute_has_los(buildings, s));
     }
   }
 }

@@ -11,9 +11,7 @@ accepted numbers for the current tree.
 Which metrics to compare comes from the baseline itself: its "compare"
 list maps fresh-run keys to "after" keys, optionally with
 {"direction": "lower"} for metrics where smaller is better (size ratios).
-A baseline without a "compare" list falls back to the bench_hotpath metric
-set, keeping the original BENCH_hotpath.json working unchanged. An "after"
-entry may be a bare number or a {"median_of_runs": N} object.
+An "after" entry may be a bare number or a {"median_of_runs": N} object.
 
 Shared CI runners are too noisy to gate on speed: the script emits a
 GitHub `::warning::` annotation for every metric that regresses more than
@@ -25,12 +23,6 @@ import json
 import sys
 
 
-# Fallback for baselines predating the "compare" list (BENCH_hotpath.json).
-DEFAULT_COMPARE = [
-    {"fresh": "geometry_qps_median", "baseline": "geometry_qps"},
-    {"fresh": "sinr_sweep_qps_median", "baseline": "sinr_sweep_qps"},
-    {"fresh": "event_churn_eps_median", "baseline": "event_churn_eps"},
-]
 CHECKSUM_SUFFIX = "_checksum"
 
 
@@ -60,9 +52,10 @@ def main(argv):
         print(f"::warning::perf-smoke comparison skipped: {e}")
         return 0
 
-    compare = baseline.get("compare", DEFAULT_COMPARE)
+    if "compare" not in baseline:
+        print("::warning::perf-smoke: baseline has no compare list")
     regressed = 0
-    for entry in compare:
+    for entry in baseline.get("compare", []):
         fresh_key = entry.get("fresh")
         base_key = entry.get("baseline", fresh_key)
         lower_is_better = entry.get("direction") == "lower"

@@ -13,19 +13,20 @@ constexpr std::size_t kCompactMinItems = 64;
 
 }  // namespace
 
-EventId EventQueue::schedule(Time at, const char* label, Callable action) {
+EventId EventQueue::schedule(Time at, const char* label,
+                             Callable&& action) {
   return push(at, seq_++, label, std::move(action));
 }
 
 EventId EventQueue::schedule_reserved(Time at, std::uint64_t seq,
-                                      const char* label, Callable action) {
+                                      const char* label, Callable&& action) {
   assert(reserved_ > 0 && seq < seq_);
   --reserved_;
   return push(at, seq, label, std::move(action));
 }
 
 EventId EventQueue::push(Time at, std::uint64_t seq, const char* label,
-                         Callable action) {
+                         Callable&& action) {
   std::uint32_t slot;
   if (free_.empty()) {
     slot = static_cast<std::uint32_t>(slots_.size());
@@ -91,39 +92,28 @@ void EventQueue::skip_stale() const {
   }
 }
 
-bool EventQueue::empty() const noexcept {
+Time EventQueue::next_time(Time fallback) const {
   skip_stale();
-  return heap_.empty();
+  return heap_.empty() ? fallback : heap_.front().at;
 }
 
-Time EventQueue::next_time() const {
+bool EventQueue::pop_due(Time last, Popped& out) {
   skip_stale();
-  assert(!heap_.empty());
-  return heap_.front().at;
-}
-
-EventQueue::Popped EventQueue::pop() {
-  skip_stale();
-  assert(!heap_.empty());
+  if (heap_.empty() || heap_.front().at > last) return false;
   std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
   const HeapItem it = heap_.back();
   heap_.pop_back();
   Slot& s = slots_[it.slot];
   // Detach the callback before it can run: it may schedule into (or cancel
   // within) this queue, including its own — now stale — id.
-  Popped out{it.at, s.label, std::move(s.action)};
-  s.action.reset();
+  out.at = it.at;
+  out.label = s.label;
+  out.action = std::move(s.action);
   s.label = nullptr;
   s.live = false;
   ++s.gen;
   free_.push_back(it.slot);
-  return out;
-}
-
-Time EventQueue::pop_and_run() {
-  Popped e = pop();
-  e.action();
-  return e.at;
+  return true;
 }
 
 }  // namespace fiveg::sim

@@ -21,6 +21,11 @@
 // a sequence number early with reserve_seq() and schedule under it later
 // with schedule_reserved(): the event then ties with same-instant events
 // as if it had been scheduled at reservation time.
+//
+// The one way out is pop_due(): it reaps stale items once, then pops the
+// head only if it is due. Callables are taken by rvalue reference, so an
+// action is relocated exactly twice: into its slot, and out of it into the
+// caller's Popped.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +44,7 @@ class EventQueue {
  public:
   /// Schedules `action` to fire at absolute time `at`. Returns a handle
   /// that can be passed to `cancel`.
-  EventId schedule(Time at, Callable action) {
+  EventId schedule(Time at, Callable&& action) {
     return schedule(at, nullptr, std::move(action));
   }
 
@@ -47,7 +52,7 @@ class EventQueue {
   /// event in profiling reports and traces. It must point at storage that
   /// outlives the queue (string literals, in practice); null means
   /// unlabelled. Carrying the pointer costs unlabelled callers nothing.
-  EventId schedule(Time at, const char* label, Callable action);
+  EventId schedule(Time at, const char* label, Callable&& action);
 
   /// Takes the next sequence number without scheduling anything. Pass it
   /// to schedule_reserved() later: the event keeps the same-instant tie
@@ -64,32 +69,27 @@ class EventQueue {
 
   /// Schedules `action` at `at` under a number from reserve_seq().
   EventId schedule_reserved(Time at, std::uint64_t seq, const char* label,
-                            Callable action);
+                            Callable&& action);
 
   /// Cancels a pending event. Cancelling an already-fired or unknown
   /// handle is a harmless no-op (the common race in protocol timers).
   void cancel(EventId id);
 
-  /// True if no runnable (non-cancelled) events remain.
-  [[nodiscard]] bool empty() const noexcept;
-
-  /// Time of the earliest runnable event. Precondition: !empty().
-  [[nodiscard]] Time next_time() const;
+  /// Time of the earliest runnable event, or `fallback` when none is left.
+  [[nodiscard]] Time next_time(Time fallback) const;
 
   /// A popped event, detached from the queue.
   struct Popped {
-    Time at;
-    const char* label;  // null when unlabelled
+    Time at = 0;
+    const char* label = nullptr;  // null when unlabelled
     Callable action;
   };
 
-  /// Pops the earliest runnable event without running it, so the caller can
-  /// advance its clock before invoking the action. Precondition: !empty().
-  [[nodiscard]] Popped pop();
-
-  /// Pops and runs the earliest runnable event; returns its time.
-  /// Precondition: !empty().
-  Time pop_and_run();
+  /// If the earliest runnable event is due at or before `last`, moves it
+  /// into `out` (whose action must be empty) without running it, so the
+  /// caller can advance its clock first, and returns true. Returns false,
+  /// leaving `out` alone, when no runnable event is due.
+  bool pop_due(Time last, Popped& out);
 
   /// Number of events ever scheduled (diagnostic).
   [[nodiscard]] std::uint64_t scheduled_count() const noexcept {
@@ -145,7 +145,7 @@ class EventQueue {
     return s.live && s.gen == it.gen;
   }
   EventId push(Time at, std::uint64_t seq, const char* label,
-               Callable action);
+               Callable&& action);
   // Drops cancelled items (generation mismatch) from the top of the heap,
   // and compacted keys that sort before the earliest runnable event: the
   // items a lazy heap would have reaped by now.

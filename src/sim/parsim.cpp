@@ -225,7 +225,7 @@ void ParSim::with_lane(int k, const std::function<void()>& fn) {
 }
 
 CrossEventId ParSim::send(int to_lane, Time at, const char* label,
-                          Callable action) {
+                          Callable&& action) {
   if (to_lane != kControlLane && (to_lane < 0 || to_lane >= lanes())) {
     throw std::out_of_range("parsim: send target lane out of range");
   }

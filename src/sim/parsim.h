@@ -121,7 +121,7 @@ class ParSim {
   /// conservative invariant, not a tunable). From the control lane or
   /// from outside run_until() the event is inserted immediately.
   CrossEventId send(int to_lane, Time at, const char* label,
-                    Callable action);
+                    Callable&& action);
 
   /// Cancels a cross-lane event. Staged like send() when called from a
   /// lane window; a cancel that reaches the barrier after its event fired

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -55,40 +56,56 @@ Simulator::~Simulator() {
 }
 
 EventId Simulator::schedule_at(Time at, const char* label,
-                               Callable action) {
+                               Callable&& action) {
   return queue_.schedule(std::max(at, now_), label, std::move(action));
 }
 
 EventId Simulator::schedule_in(Time delay, const char* label,
-                               Callable action) {
+                               Callable&& action) {
   return schedule_at(now_ + std::max<Time>(delay, 0), label,
                      std::move(action));
 }
 
 // The clock must advance to the event's timestamp *before* the callback
-// runs: callbacks read now() and schedule relative timers.
-bool Simulator::step() {
-  if (queue_.empty()) return false;
-  EventQueue::Popped e = queue_.pop();
-  now_ = e.at;
+// runs: callbacks read now() and schedule relative timers. Each action is
+// reset right after it runs, so its captures go before the next pop.
+std::uint64_t Simulator::drain(Time last, std::uint64_t max_events) {
+  const std::uint64_t before = executed_;
+  EventQueue::Popped e;
   if (metrics_ == nullptr && tracer_ == nullptr) {  // disabled fast path
-    e.action();
-    ++executed_;
-    return true;
+    while (executed_ - before < max_events && !stopped_ &&
+           queue_.pop_due(last, e)) {
+      now_ = e.at;
+      e.action();
+      e.action.reset();
+      ++executed_;
+    }
+  } else {
+    while (executed_ - before < max_events && !stopped_ &&
+           queue_.pop_due(last, e)) {
+      now_ = e.at;
+      observed_step(e);
+      e.action.reset();
+      ++executed_;
+    }
   }
-  observed_step(e);
-  return true;
+  return executed_ - before;
+}
+
+bool Simulator::step() {
+  return drain(std::numeric_limits<Time>::max(), 1) == 1;
 }
 
 Simulator::LabelStats& Simulator::stats_for(const char* label) {
-  LabelStats& stats = label_stats_[label];
-  if (stats.count == nullptr) {
-    const std::string suffix = label != nullptr ? label : "(unlabeled)";
-    stats.count = &metrics_->counter("sim.events." + suffix);
-    stats.wall_us = &metrics_->histogram("sim.callback_wall_us." + suffix,
-                                         obs::MetricClock::kWall);
+  for (LabelStats& stats : label_stats_) {
+    if (stats.label == label) return stats;
   }
-  return stats;
+  const std::string suffix = label != nullptr ? label : "(unlabeled)";
+  obs::Counter& count = metrics_->counter("sim.events." + suffix);
+  return label_stats_.emplace_back(LabelStats{
+      label, &count,
+      &metrics_->histogram("sim.callback_wall_us." + suffix,
+                           obs::MetricClock::kWall)});
 }
 
 void Simulator::observed_step(EventQueue::Popped& e) {
@@ -105,25 +122,32 @@ void Simulator::observed_step(EventQueue::Popped& e) {
 
   if (metrics_ == nullptr) {
     e.action();
-    ++executed_;
     return;
   }
   if (events_total_ == nullptr) {
     events_total_ = &metrics_->counter("sim.events");
     depth_gauge_ = &metrics_->gauge("sim.queue_depth_hwm");
   }
-  LabelStats& stats = stats_for(e.label);
+  // A copy: a run nested in the action may grow label_stats_.
+  const LabelStats stats = stats_for(e.label);
   const auto start = WallClock::now();
   e.action();
-  ++executed_;
   events_total_->add();
   stats.count->add();
   stats.wall_us->observe(seconds_since(start) * 1e6);
   depth_gauge_->update_max(static_cast<double>(depth_hwm_));
 }
 
-void Simulator::record_run(double wall_seconds, std::uint64_t events) {
-  if (metrics_ == nullptr || events == 0 || wall_seconds <= 0.0) return;
+void Simulator::run_drain(Time last) {
+  stopped_ = false;
+  if (metrics_ == nullptr) {
+    drain(last);
+    return;
+  }
+  const auto start = WallClock::now();
+  const std::uint64_t events = drain(last);
+  const double wall_seconds = seconds_since(start);
+  if (events == 0 || wall_seconds <= 0.0) return;
   metrics_
       ->histogram("sim.wall_events_per_sec", obs::MetricClock::kWall)
       .observe(static_cast<double>(events) / wall_seconds);
@@ -147,45 +171,15 @@ void Simulator::record_run(double wall_seconds, std::uint64_t events) {
   last_heap_allocs_ = heap;
 }
 
-void Simulator::run() {
-  stopped_ = false;
-  if (metrics_ == nullptr) {
-    while (!stopped_ && step()) {
-    }
-    return;
-  }
-  const auto start = WallClock::now();
-  const std::uint64_t before = executed_;
-  while (!stopped_ && step()) {
-  }
-  record_run(seconds_since(start), executed_ - before);
+void Simulator::run() { run_drain(std::numeric_limits<Time>::max()); }
+
+void Simulator::run_until(Time deadline) {
+  run_drain(deadline);
+  now_ = std::max(now_, deadline);
 }
 
 std::uint64_t Simulator::run_window(Time end_exclusive) {
-  std::uint64_t n = 0;
-  while (!stopped_ && !queue_.empty() && queue_.next_time() < end_exclusive) {
-    step();
-    ++n;
-  }
-  return n;
-}
-
-void Simulator::run_until(Time deadline) {
-  stopped_ = false;
-  if (metrics_ == nullptr) {
-    while (!stopped_ && !queue_.empty() && queue_.next_time() <= deadline) {
-      step();
-    }
-    now_ = std::max(now_, deadline);
-    return;
-  }
-  const auto start = WallClock::now();
-  const std::uint64_t before = executed_;
-  while (!stopped_ && !queue_.empty() && queue_.next_time() <= deadline) {
-    step();
-  }
-  now_ = std::max(now_, deadline);
-  record_run(seconds_since(start), executed_ - before);
+  return drain(end_exclusive - 1);
 }
 
 }  // namespace fiveg::sim

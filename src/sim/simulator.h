@@ -7,14 +7,22 @@
 // data: when the constructing thread has an obs::Scope installed (see
 // obs/obs.h), every executed event is counted per label, timed on the wall
 // clock into kWall histograms, and the queue-depth high-water mark is
-// tracked. Without a scope (the default), each step pays a single branch.
+// tracked. Without a scope (the default), instrumentation costs one branch
+// per drain.
+//
+// run(), run_until(), run_window() and step() all go through one private
+// loop, drain(): it pops each due event once (EventQueue::pop_due) and
+// picks the disabled or observed body once per call, not once per event.
+// Schedule calls take the action by rvalue reference down to the queue, so
+// a callback is relocated into its slot and out of it, and nowhere else.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
+#include <limits>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "sim/callable.h"
 #include "sim/event_queue.h"
@@ -51,22 +59,22 @@ class Simulator {
 
   /// Schedules `action` at absolute time `at` (clamped to `now()` if in the
   /// past, so zero-delay self-posts are safe).
-  EventId schedule_at(Time at, Callable action) {
+  EventId schedule_at(Time at, Callable&& action) {
     return schedule_at(at, nullptr, std::move(action));
   }
 
   /// Labelled variant: `label` buckets this event in profiling reports and
   /// traces ("tcp.rto", "net.link_tx", ...). Must be a string literal or
   /// other storage outliving the simulator; unlabelled callers pay nothing.
-  EventId schedule_at(Time at, const char* label, Callable action);
+  EventId schedule_at(Time at, const char* label, Callable&& action);
 
   /// Schedules `action` to fire `delay` from now.
-  EventId schedule_in(Time delay, Callable action) {
+  EventId schedule_in(Time delay, Callable&& action) {
     return schedule_in(delay, nullptr, std::move(action));
   }
 
   /// Labelled variant of `schedule_in` (see `schedule_at`).
-  EventId schedule_in(Time delay, const char* label, Callable action);
+  EventId schedule_in(Time delay, const char* label, Callable&& action);
 
   /// Takes the next event sequence number for a later schedule_reserved()
   /// (see EventQueue::reserve_seq): a component that queues work itself
@@ -79,7 +87,7 @@ class Simulator {
   /// Schedules `action` at `at` (clamped to `now()`) under a number from
   /// reserve_seq(); `label` as for `schedule_at`.
   EventId schedule_reserved(Time at, std::uint64_t seq, const char* label,
-                            Callable action) {
+                            Callable&& action) {
     return queue_.schedule_reserved(std::max(at, now_), seq, label,
                                     std::move(action));
   }
@@ -90,11 +98,13 @@ class Simulator {
   /// Runs until the event set drains or `stop()` is called.
   void run();
 
-  /// Runs events with time <= `deadline`, then advances the clock to
-  /// `deadline` (even if idle), so measurements read a consistent clock.
+  /// Runs events with time <= `deadline` (or until `stop()`), then advances
+  /// the clock to `deadline` (even if idle), so measurements read a
+  /// consistent clock.
   void run_until(Time deadline);
 
-  /// Runs exactly one event if any is pending. Returns false when drained.
+  /// Runs exactly one event if any is pending and `stop()` is not in
+  /// effect. Returns false when nothing ran.
   bool step();
 
   /// Runs every runnable event with time strictly before `end_exclusive`,
@@ -111,10 +121,11 @@ class Simulator {
 
   /// Earliest runnable event time, or `fallback` when the set is empty.
   [[nodiscard]] Time next_event_time(Time fallback) const {
-    return queue_.empty() ? fallback : queue_.next_time();
+    return queue_.next_time(fallback);
   }
 
-  /// Makes `run`/`run_until` return after the current event completes.
+  /// Makes `run`/`run_until`/`run_window` return after the current event
+  /// completes.
   void stop() noexcept { stopped_ = true; }
 
   /// Whether `stop()` was requested and not yet cleared by `run`/
@@ -156,17 +167,24 @@ class Simulator {
   }
 
  private:
-  // Cached per-label metric handles, keyed by label pointer identity.
+  // Cached per-label metric handles, found by label pointer identity.
   struct LabelStats {
-    obs::Counter* count = nullptr;
-    obs::Histogram* wall_us = nullptr;
+    const char* label;
+    obs::Counter* count;
+    obs::Histogram* wall_us;
   };
 
+  // The one dispatch loop: runs due events (time <= `last`) until none is
+  // left, `stop()` is called or `max_events` have run; returns how many ran.
+  std::uint64_t drain(
+      Time last,
+      std::uint64_t max_events = std::numeric_limits<std::uint64_t>::max());
   // Out-of-line slow path: executes `e` with counting/timing/tracing.
   void observed_step(EventQueue::Popped& e);
   LabelStats& stats_for(const char* label);
-  // Observes one completed run()/run_until() drain on the wall clock.
-  void record_run(double wall_seconds, std::uint64_t events);
+  // run()/run_until(): clears stop(), drains, and with metrics on observes
+  // the drain on the wall clock.
+  void run_drain(Time last);
 
   EventQueue queue_;
   Time now_ = 0;
@@ -179,9 +197,9 @@ class Simulator {
   std::size_t depth_hwm_ = 0;
   obs::Counter* events_total_ = nullptr;
   obs::Gauge* depth_gauge_ = nullptr;
-  std::map<const void*, LabelStats> label_stats_;
+  std::vector<LabelStats> label_stats_;  // first-seen order
   double last_depth_traced_ = -1.0;
-  // Self-profiler churn baselines: record_run() publishes the delta of
+  // Self-profiler churn baselines: run_drain() publishes the delta of
   // each source counter since the previous drain, so per-run numbers stay
   // correct when an experiment drives several run()/run_until() calls.
   std::uint64_t last_scheduled_ = 0;

@@ -9,6 +9,7 @@
 #include <functional>
 #include <memory>
 #include <iterator>
+#include <limits>
 #include <queue>
 #include <set>
 #include <string>
@@ -17,6 +18,9 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.h"
+#include "obs/obs.h"
+#include "obs/trace.h"
 #include "sim/event_queue.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
@@ -24,6 +28,21 @@
 
 namespace fiveg::sim {
 namespace {
+
+constexpr Time kEnd = std::numeric_limits<Time>::max();
+
+// Pops and runs the earliest runnable event; false when none is left.
+bool run_next(EventQueue& q) {
+  EventQueue::Popped e;
+  if (!q.pop_due(kEnd, e)) return false;
+  e.action();
+  return true;
+}
+
+void run_all(EventQueue& q) {
+  while (run_next(q)) {
+  }
+}
 
 TEST(TimeTest, ConversionsRoundTrip) {
   EXPECT_EQ(from_seconds(1.5), 1500 * kMillisecond);
@@ -38,7 +57,7 @@ TEST(EventQueueTest, RunsInTimeOrder) {
   q.schedule(30, [&] { order.push_back(3); });
   q.schedule(10, [&] { order.push_back(1); });
   q.schedule(20, [&] { order.push_back(2); });
-  while (!q.empty()) q.pop_and_run();
+  run_all(q);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -48,7 +67,7 @@ TEST(EventQueueTest, SameTimeFiresInScheduleOrder) {
   for (int i = 0; i < 16; ++i) {
     q.schedule(5, [&order, i] { order.push_back(i); });
   }
-  while (!q.empty()) q.pop_and_run();
+  run_all(q);
   for (int i = 0; i < 16; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
 }
 
@@ -58,24 +77,24 @@ TEST(EventQueueTest, CancelledEventsDoNotRun) {
   const EventId a = q.schedule(10, [&] { ++ran; });
   q.schedule(20, [&] { ++ran; });
   q.cancel(a);
-  while (!q.empty()) q.pop_and_run();
+  run_all(q);
   EXPECT_EQ(ran, 1);
 }
 
 TEST(EventQueueTest, CancelUnknownOrFiredIsNoop) {
   EventQueue q;
   const EventId a = q.schedule(1, [] {});
-  q.pop_and_run();
+  EXPECT_TRUE(run_next(q));
   q.cancel(a);           // already fired
   q.cancel(9999);        // never existed
-  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.next_time(kEnd), kEnd);
 }
 
 TEST(EventQueueTest, CancelHeadThenEmpty) {
   EventQueue q;
   const EventId a = q.schedule(10, [] {});
   q.cancel(a);
-  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.next_time(kEnd), kEnd);
 }
 
 TEST(EventQueueTest, CancelDuringCallbackAffectsPendingOnly) {
@@ -89,7 +108,7 @@ TEST(EventQueueTest, CancelDuringCallbackAffectsPendingOnly) {
     q.cancel(self);    // the running event's own id: harmless no-op
     ++ran;
   });
-  while (!q.empty()) q.pop_and_run();
+  run_all(q);
   EXPECT_EQ(ran, 1);
 }
 
@@ -102,11 +121,11 @@ TEST(EventQueueTest, CancellingFiredIdsKeepsInternalStateBounded) {
   std::uint64_t fired = 0;
   EventId last = q.schedule(++t, [&] { ++fired; });
   for (int i = 0; i < 20'000; ++i) {
-    q.pop_and_run();
+    EXPECT_TRUE(run_next(q));
     q.cancel(last);  // already fired: must be a stateless no-op
     last = q.schedule(++t, [&] { ++fired; });
   }
-  while (!q.empty()) q.pop_and_run();
+  run_all(q);
   EXPECT_EQ(fired, 20'001U);
   // Only one event is ever pending, so the slot arena must stay at O(1)
   // however many stale cancels arrived.
@@ -118,11 +137,11 @@ TEST(EventQueueTest, StaleIdCannotCancelRecycledSlot) {
   EventQueue q;
   int ran = 0;
   const EventId a = q.schedule(1, [&] { ++ran; });
-  q.pop_and_run();
+  EXPECT_TRUE(run_next(q));
   // The new event may reuse a's slot; the fired id must not touch it.
   q.schedule(2, [&] { ++ran; });
   q.cancel(a);
-  while (!q.empty()) q.pop_and_run();
+  run_all(q);
   EXPECT_EQ(ran, 2);
 }
 
@@ -194,6 +213,113 @@ TEST(SimulatorTest, StopHaltsRun) {
   EXPECT_EQ(count, 10);
 }
 
+TEST(SimulatorTest, RunUntilRunsTheDeadlineInstantAndNothingLater) {
+  Simulator s;
+  std::vector<Time> ran;
+  for (const Time t : {99, 100, 101}) {
+    s.schedule_at(t, [&] { ran.push_back(s.now()); });
+  }
+  s.run_until(100);
+  EXPECT_EQ(ran, (std::vector<Time>{99, 100}));
+  EXPECT_EQ(s.now(), 100);
+  EXPECT_EQ(s.next_event_time(kEnd), 101);
+}
+
+TEST(SimulatorTest, RunWindowExcludesItsEndAndKeepsTheClockAtTheLastEvent) {
+  Simulator s;
+  std::vector<Time> ran;
+  for (const Time t : {40, 49, 50}) {
+    s.schedule_at(t, [&] { ran.push_back(s.now()); });
+  }
+  EXPECT_EQ(s.run_window(50), 2u);
+  EXPECT_EQ(ran, (std::vector<Time>{40, 49}));
+  EXPECT_EQ(s.now(), 49);
+  EXPECT_EQ(s.run_window(50), 0u);
+  EXPECT_EQ(s.now(), 49);
+}
+
+// stop() from a callback ends run(), run_until() and run_window() right
+// after that event; a later run_until() picks up where it stopped.
+TEST(SimulatorTest, StopEndsEveryLoopAfterTheEventAndRunUntilResumes) {
+  for (int loop = 0; loop < 3; ++loop) {
+    Simulator s;
+    std::vector<Time> ran;
+    for (Time t = 1; t <= 6; ++t) {
+      s.schedule_at(t, [&, t] {
+        ran.push_back(t);
+        if (t == 2) s.stop();
+      });
+    }
+    if (loop == 0) s.run();
+    if (loop == 1) s.run_until(5);
+    if (loop == 2) s.run_window(6);
+    EXPECT_EQ(ran, (std::vector<Time>{1, 2})) << "loop " << loop;
+    EXPECT_TRUE(s.stop_requested());
+    s.run_until(10);
+    EXPECT_EQ(ran, (std::vector<Time>{1, 2, 3, 4, 5, 6})) << "loop " << loop;
+    EXPECT_EQ(s.now(), 10);
+    EXPECT_EQ(s.executed_events(), 6u);
+  }
+}
+
+// An event a callback schedules at now() runs in the same drain, after
+// the same-instant events already queued.
+TEST(SimulatorTest, SameInstantScheduleRunsInTheSameDrainAfterQueuedPeers) {
+  for (int loop = 0; loop < 3; ++loop) {
+    Simulator s;
+    std::vector<char> order;
+    s.schedule_at(5, [&] {
+      order.push_back('a');
+      s.schedule_at(s.now(), [&] { order.push_back('c'); });
+    });
+    s.schedule_at(5, [&] { order.push_back('b'); });
+    s.schedule_at(6, [&] { order.push_back('d'); });
+    if (loop == 0) s.run_until(5);
+    if (loop == 1) s.run_window(6);
+    if (loop == 2) {
+      s.run();
+      order.pop_back();  // 'd'
+    }
+    EXPECT_EQ(order, (std::vector<char>{'a', 'b', 'c'})) << "loop " << loop;
+    EXPECT_EQ(s.now(), loop == 2 ? 6 : 5);
+  }
+}
+
+// Counts its own move constructions; copies are free.
+struct MoveCounter {
+  int* moves;
+  explicit MoveCounter(int* m) : moves(m) {}
+  MoveCounter(const MoveCounter&) = default;
+  MoveCounter(MoveCounter&& other) noexcept : moves(other.moves) {
+    ++*moves;
+  }
+  void operator()() const {}
+};
+
+// A callback is relocated into its queue slot and out of it, and nowhere
+// on the way in: every schedule entry point passes it by reference.
+TEST(SimulatorTest, ScheduleMovesTheCallbackAtMostTwice) {
+  Simulator s;
+  int moves = 0;
+  const MoveCounter f(&moves);
+  const auto check = [&](const char* entry) {
+    s.run();
+    EXPECT_LE(moves, 2) << entry;
+    EXPECT_GE(moves, 1) << entry;
+    moves = 0;
+  };
+  s.schedule_in(1, f);
+  check("schedule_in");
+  s.schedule_in(1, "test.moves", f);
+  check("schedule_in, labelled");
+  s.schedule_at(s.now() + 1, f);
+  check("schedule_at");
+  s.schedule_at(s.now() + 1, "test.moves", f);
+  check("schedule_at, labelled");
+  s.schedule_reserved(s.now() + 1, s.reserve_seq(), "test.moves", f);
+  check("schedule_reserved");
+}
+
 TEST(SimulatorTest, PastScheduleClampsToNow) {
   Simulator s;
   Time seen = -1;
@@ -208,10 +334,12 @@ TEST(EventQueueTest, PoppedCarriesLabel) {
   EventQueue q;
   q.schedule(5, "my.label", [] {});
   q.schedule(6, [] {});
-  const EventQueue::Popped a = q.pop();
+  EventQueue::Popped a;
+  ASSERT_TRUE(q.pop_due(kEnd, a));
   ASSERT_NE(a.label, nullptr);
   EXPECT_STREQ(a.label, "my.label");
-  const EventQueue::Popped b = q.pop();
+  EventQueue::Popped b;
+  ASSERT_TRUE(q.pop_due(kEnd, b));
   EXPECT_EQ(b.label, nullptr);  // unlabelled overload stays label-free
 }
 
@@ -224,9 +352,9 @@ TEST(EventQueueTest, SizeIsUpperBoundOnPending) {
   // Lazy-deletion accounting: a cancelled event counts until it would have
   // surfaced at the top of the heap.
   EXPECT_EQ(q.size(), 2u);
-  q.pop_and_run();
+  EXPECT_TRUE(run_next(q));
   EXPECT_EQ(q.size(), 1u);
-  EXPECT_TRUE(q.empty());  // reaps b
+  EXPECT_EQ(q.next_time(kEnd), kEnd);  // reaps b
   EXPECT_EQ(q.size(), 0u);
 }
 
@@ -241,7 +369,7 @@ TEST(EventQueueTest, ReservedSeqFiresBeforeLaterSameInstantEvents) {
   q.schedule_reserved(5, seq, nullptr, [&] { order.push_back('b'); });
   EXPECT_EQ(q.size(), 4u);
   EXPECT_EQ(q.scheduled_count(), 4u);
-  while (!q.empty()) q.pop_and_run();
+  run_all(q);
   EXPECT_EQ(order, (std::vector<char>{'0', 'a', 'b', 'c'}));
 }
 
@@ -313,36 +441,81 @@ class LazyReferenceQueue {
 // in-order "link deliveries". On EventQueue a delivery takes a reserved
 // number and waits in a FIFO whose head alone is scheduled, as net::Link
 // does; on the reference it is scheduled outright. Two harnesses with the
-// same seed must produce the same log.
+// same seed must produce the same log. On a Simulator the same script
+// runs through the public loop: each pop is, in turn, a step(), a
+// run_until() or a run_window() to the next event time, so every entry
+// point of the dispatch loop runs and same-instant events batch.
 template <class Q>
 class QueueHarness {
  public:
   explicit QueueHarness(std::uint64_t seed) : rng_(seed) {}
 
-  // Fired tags (with their times) and size() after every operation.
+  // Fired tags (with their times) and size() after every operation; on a
+  // Simulator also its final executed_events() and now().
   struct Log {
     std::vector<std::pair<int, Time>> fired;
     std::vector<std::size_t> sizes;
+    std::uint64_t executed = 0;
+    Time now = 0;
   };
 
   Log run(int steps) {
     for (int i = 0; i < steps; ++i) {
       step();
-      log_.sizes.push_back(q_.size());
+      log_.sizes.push_back(size());
     }
-    while (!q_.empty()) {
-      now_ = q_.pop_and_run();
-      log_.sizes.push_back(q_.size());
+    while (run_next()) log_.sizes.push_back(size());
+    log_.sizes.push_back(size());
+    if constexpr (kSim) {
+      log_.executed = q_.executed_events();
+      log_.now = q_.now();
     }
-    log_.sizes.push_back(q_.size());
     return log_;
   }
 
  private:
+  static constexpr bool kSim = std::is_same_v<Q, Simulator>;
+
   struct Timer {
     EventId id;
     Time at;
   };
+
+  [[nodiscard]] std::size_t size() const {
+    if constexpr (kSim) {
+      return q_.queue_depth();
+    } else {
+      return q_.size();
+    }
+  }
+
+  // Runs the earliest event (on a Simulator, in turn: one event, or every
+  // event at the next instant); false when none is left.
+  bool run_next() {
+    if constexpr (kSim) {
+      const Time t = q_.next_event_time(kEnd);
+      if (t == kEnd) return false;
+      switch (pops_++ % 3) {
+        case 0:
+          return q_.step();
+        case 1:
+          q_.run_until(t);
+          return true;
+        default:
+          return q_.run_window(t + 1) > 0;
+      }
+    } else if constexpr (std::is_same_v<Q, EventQueue>) {
+      EventQueue::Popped e;
+      if (!q_.pop_due(kEnd, e)) return false;
+      e.action();
+      now_ = e.at;
+      return true;
+    } else {
+      if (q_.empty()) return false;
+      now_ = q_.pop_and_run();
+      return true;
+    }
+  }
 
   struct Delivery {
     Time at;
@@ -368,15 +541,21 @@ class QueueHarness {
       burst();
     } else if (op < 67) {
       enqueue_delivery();
-    } else if (!q_.empty()) {
-      now_ = q_.pop_and_run();
+    } else {
+      run_next();
     }
   }
 
   void schedule(Time at) {
     const int tag = next_tag_++;
-    timers_.emplace(tag, Timer{q_.schedule(at, [this, tag] { fire(tag); }),
-                               at});
+    const auto action = [this, tag] { fire(tag); };
+    EventId id = 0;
+    if constexpr (kSim) {
+      id = q_.schedule_at(at, action);
+    } else {
+      id = q_.schedule(at, action);
+    }
+    timers_.emplace(tag, Timer{id, at});
     tags_.push_back(tag);
     pending_.emplace(at, tag);
   }
@@ -405,6 +584,7 @@ class QueueHarness {
   }
 
   void fire(int tag) {
+    if constexpr (kSim) now_ = q_.now();
     log_.fired.emplace_back(tag, now_);
     if (const auto it = timers_.find(tag); it != timers_.end()) {
       pending_.erase({it->second.at, tag});
@@ -417,7 +597,7 @@ class QueueHarness {
   void enqueue_delivery() {
     last_delivery_ = std::max(now_ + rng_.uniform_int(0, 40), last_delivery_);
     const int tag = next_tag_++;
-    if constexpr (std::is_same_v<Q, EventQueue>) {
+    if constexpr (!std::is_same_v<Q, LazyReferenceQueue>) {
       fifo_.push_back({last_delivery_, q_.reserve_seq(), tag});
       if (fifo_.size() == 1) schedule_fifo_head();
     } else {
@@ -440,6 +620,7 @@ class QueueHarness {
   Time now_ = 0;
   Time last_delivery_ = 0;
   int next_tag_ = 0;
+  int pops_ = 0;
   std::unordered_map<int, Timer> timers_;   // cancellable events by tag
   std::vector<int> tags_;                   // timer tags in schedule order
   std::set<std::pair<Time, int>> pending_;  // uncancelled, unfired timers
@@ -459,6 +640,22 @@ TEST_P(EventQueuePropertyTest, MatchesLazyReferenceQueue) {
   for (std::size_t i = 0; i < got.sizes.size(); ++i) {
     ASSERT_EQ(got.sizes[i], want.sizes[i]) << "after operation " << i;
   }
+}
+
+// The observed dispatch loop (metrics and tracing on) must run exactly the
+// events the disabled one runs, in the same order, at the same times.
+TEST_P(EventQueuePropertyTest, ObservedSimulatorMatchesDisabled) {
+  const auto plain = QueueHarness<Simulator>(GetParam()).run(4000);
+  obs::Tracer tracer(1 << 12);
+  obs::MetricsRegistry metrics;
+  const obs::ScopedObs scope(&tracer, &metrics);
+  const auto observed = QueueHarness<Simulator>(GetParam()).run(4000);
+  EXPECT_GT(plain.fired.size(), 1000u);
+  EXPECT_EQ(observed.fired, plain.fired);
+  EXPECT_EQ(observed.sizes, plain.sizes);
+  EXPECT_EQ(observed.executed, plain.executed);
+  EXPECT_EQ(observed.now, plain.now);
+  EXPECT_EQ(metrics.counter("sim.events").value(), observed.executed);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EventQueuePropertyTest,
@@ -490,9 +687,9 @@ TEST(EventQueueTest, ScheduledCountIsDiagnosticTotal) {
   q.schedule(1, [] {});
   const EventId b = q.schedule(2, [] {});
   q.cancel(b);
-  q.pop_and_run();
+  EXPECT_TRUE(run_next(q));
   EXPECT_EQ(q.scheduled_count(), 2u);  // counts ever-scheduled, not pending
-  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.next_time(kEnd), kEnd);
 }
 
 TEST(SimulatorTest, ExecutedEventsCountsOnlyRunEvents) {

@@ -53,7 +53,7 @@ RepResult scalar_rep(ran::UeCohort& cohort, const ran::Deployment& dep) {
     for (const radio::Rat rat : {radio::Rat::kLte, radio::Rat::kNr}) {
       for (std::size_t u = 0; u < cohort.size(); ++u) {
         measure_cells(dep.env(), dep.carrier(rat), dep.cells(rat),
-                      cohort.position(u), 0.5, scratch);
+                      cohort.position(u), scratch);
         evals += scratch.size();
         for (const ran::CellMeasurement& m : scratch) {
           checksum += m.rsrp_dbm + m.sinr_db;

@@ -75,8 +75,6 @@ options:
                 its cell's seed, and keep appending to it; the merged
                 output is byte-identical to an uninterrupted campaign.
                 Incompatible with --trace (ledgers carry no event traces)
-  --progress    heartbeat line on stderr every 2 seconds with
-                done/failed/running counts and an ETA from ledger history
   --store DIR   append one fiveg-rs/v1 columnar record per completed run to
                 DIR/shard-<k>-of-<n>.fgrs (compact binary; merge and query
                 with tools/fiveg_query). Composes with --ledger/--resume:
@@ -94,7 +92,6 @@ options:
                 unit i (cell-major, experiment-name order) belongs to
                 shard K iff i mod N == K. The union of shards 0..N-1 is
                 exactly the full campaign (default 0/1)
-  --metrics     print each experiment's counters/profile to stderr
   --no-timing   omit wall-clock fields from the JSON and the trace
                 (byte-stable output)
   --quiet       suppress the text tables on stdout
@@ -182,7 +179,6 @@ int main(int argc, char** argv) {
   std::size_t shard_k = 0;
   std::size_t shard_n = 1;
   bool cell_flag_set = false;  // a flag a manifest supplies itself
-  bool print_metrics = false;
   bool include_timing = true;
   bool quiet = false;
   bool list_only = false;
@@ -262,10 +258,6 @@ int main(int argc, char** argv) {
                   << " (want K/N with K < N)\n";
         return 2;
       }
-    } else if (arg == "--progress") {
-      opt.progress = true;
-    } else if (arg == "--metrics") {
-      print_metrics = true;
     } else if (arg == "--no-timing") {
       include_timing = false;
     } else if (arg == "--quiet") {
@@ -430,9 +422,6 @@ int main(int argc, char** argv) {
       return 2;
     }
     fiveg::core::write_chrome_trace(summary, f, include_timing);
-  }
-  if (print_metrics) {
-    fiveg::core::write_metrics(summary, std::cerr, include_timing);
   }
   fiveg::core::write_timing(summary, std::cerr);
   return summary.all_ok() ? 0 : 1;

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <iostream>
 #include <memory>
 #include <mutex>
 #include <ostream>
@@ -233,54 +232,6 @@ ExperimentResult Runner::run_one(const std::string& name) const {
   return timed_out;
 }
 
-namespace {
-
-// How often the --progress heartbeat prints.
-constexpr std::chrono::seconds kHeartbeatPeriod{2};
-
-// Shared progress accounting for the heartbeat thread. Completed wall
-// times feed the ETA; the resume set's recorded timings seed it so the
-// very first heartbeat of a resumed campaign already has history.
-struct Progress {
-  std::atomic<std::size_t> started{0};
-  std::atomic<std::size_t> done{0};
-  std::atomic<std::size_t> failed{0};
-  std::atomic<std::uint64_t> wall_ms_sum{0};
-  std::atomic<std::size_t> wall_samples{0};
-
-  void record(const ExperimentResult& r) {
-    wall_ms_sum.fetch_add(static_cast<std::uint64_t>(r.wall_ms));
-    wall_samples.fetch_add(1);
-    if (r.status != RunStatus::kOk) failed.fetch_add(1);
-    done.fetch_add(1);
-  }
-};
-
-// One stderr heartbeat line. stderr only, so stdout (text/JSON artifacts)
-// stays byte-identical whether or not telemetry is on.
-void print_heartbeat(const Progress& progress, std::size_t total, int jobs,
-                     std::ostream& os) {
-  const std::size_t done = progress.done.load();
-  const std::size_t started = progress.started.load();
-  const std::size_t failed = progress.failed.load();
-  const std::size_t running = started > done ? started - done : 0;
-  os << "fiveg_runall: " << done << "/" << total << " done";
-  if (failed > 0) os << " (" << failed << " failed)";
-  os << ", " << running << " running";
-  const std::size_t samples = progress.wall_samples.load();
-  if (samples > 0 && done < total) {
-    const double mean_ms =
-        static_cast<double>(progress.wall_ms_sum.load()) /
-        static_cast<double>(samples);
-    const double eta_s = mean_ms * static_cast<double>(total - done) /
-                         (1000.0 * static_cast<double>(jobs));
-    os << ", ETA " << static_cast<std::int64_t>(eta_s + 0.5) << "s";
-  }
-  os << "\n";
-}
-
-}  // namespace
-
 RunSummary Runner::run() const {
   const std::vector<std::string> names = selected();
   RunSummary summary;
@@ -301,16 +252,6 @@ RunSummary Runner::run() const {
       std::fprintf(stderr, "fiveg_runall: %s (continuing without ledger)\n",
                    ledger->error().c_str());
       ledger.reset();
-    }
-  }
-
-  Progress progress;
-  if (opt_.resume != nullptr) {
-    // Seed the ETA with the resumed runs' recorded wall clocks.
-    for (const auto& [name, r] : *opt_.resume) {
-      (void)name;
-      progress.wall_ms_sum.fetch_add(static_cast<std::uint64_t>(r.wall_ms));
-      progress.wall_samples.fetch_add(1);
     }
   }
 
@@ -338,36 +279,14 @@ RunSummary Runner::run() const {
         if (it != opt_.resume->end()) {
           summary.results[i] = it->second;
           store_result(summary.results[i]);
-          progress.started.fetch_add(1);
-          progress.done.fetch_add(1);
           continue;
         }
       }
-      progress.started.fetch_add(1);
       summary.results[i] = run_one(names[i]);
       if (ledger != nullptr) ledger->append(summary.results[i]);
       store_result(summary.results[i]);
-      progress.record(summary.results[i]);
     }
   };
-
-  // Heartbeat: a plain thread ticking on a condition variable so shutdown
-  // is immediate (no sleep to drain) once the pool finishes.
-  std::thread heartbeat;
-  std::mutex hb_mu;
-  std::condition_variable hb_cv;
-  bool hb_stop = false;
-  if (opt_.progress && !names.empty()) {
-    heartbeat = std::thread([&] {
-      std::unique_lock<std::mutex> lock(hb_mu);
-      for (;;) {
-        if (hb_cv.wait_for(lock, kHeartbeatPeriod, [&] { return hb_stop; })) {
-          return;
-        }
-        print_heartbeat(progress, names.size(), jobs, std::cerr);
-      }
-    });
-  }
 
   if (jobs == 1) {
     drain();
@@ -378,15 +297,6 @@ RunSummary Runner::run() const {
     for (std::thread& t : pool) t.join();
   }
 
-  if (heartbeat.joinable()) {
-    {
-      const std::lock_guard<std::mutex> lock(hb_mu);
-      hb_stop = true;
-    }
-    hb_cv.notify_all();
-    heartbeat.join();
-    print_heartbeat(progress, names.size(), jobs, std::cerr);
-  }
   summary.wall_ms = ms_since(start);
   return summary;
 }
@@ -602,58 +512,6 @@ void write_timing(const RunSummary& summary, std::ostream& os) {
        << "\n";
   }
   os << "total " << static_cast<std::int64_t>(summary.wall_ms) << " ms\n";
-}
-
-namespace {
-
-void write_snapshot_lines(const std::vector<obs::MetricSnapshot>& snaps,
-                          std::ostream& os) {
-  for (const obs::MetricSnapshot& s : snaps) {
-    os << "    " << s.name;
-    switch (s.kind) {
-      case obs::MetricSnapshot::Kind::kCounter:
-        os << " = " << measure::JsonWriter::number(s.value);
-        break;
-      case obs::MetricSnapshot::Kind::kGauge:
-        os << " = " << measure::JsonWriter::number(s.value)
-           << " (max " << measure::JsonWriter::number(s.max) << ")";
-        break;
-      case obs::MetricSnapshot::Kind::kHistogram:
-        os << ": count=" << s.count << " mean="
-           << measure::JsonWriter::number(s.value)
-           << " p50=" << measure::JsonWriter::number(s.p50)
-           << " p99=" << measure::JsonWriter::number(s.p99)
-           << " max=" << measure::JsonWriter::number(s.max);
-        break;
-      case obs::MetricSnapshot::Kind::kDigest:
-        os << ": count=" << s.count << " mean="
-           << measure::JsonWriter::number(s.value)
-           << " p05=" << measure::JsonWriter::number(s.p05)
-           << " p50=" << measure::JsonWriter::number(s.p50)
-           << " p95=" << measure::JsonWriter::number(s.p95)
-           << " p99=" << measure::JsonWriter::number(s.p99);
-        break;
-    }
-    os << "\n";
-  }
-}
-
-}  // namespace
-
-void write_metrics(const RunSummary& summary, std::ostream& os,
-                   bool include_timing) {
-  for (const ExperimentResult& r : summary.results) {
-    if (r.counters.empty() && (!include_timing || r.profile.empty())) {
-      continue;
-    }
-    os << "### " << r.name << "\n";
-    write_snapshot_lines(r.counters, os);
-    if (include_timing && !r.profile.empty()) {
-      os << "  profile (wall clock):\n";
-      write_snapshot_lines(r.profile, os);
-    }
-    os << "\n";
-  }
 }
 
 void write_chrome_trace(const RunSummary& summary, std::ostream& os,

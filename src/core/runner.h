@@ -69,11 +69,6 @@ struct RunnerOptions {
   // backfills exactly the store records a crash lost and no more.
   std::shared_ptr<StoreWriter> store;
   std::vector<std::pair<std::string, std::string>> store_labels;
-  // Live telemetry: a heartbeat line on stderr every 2 s (done/failed/
-  // running counts plus an ETA extrapolated from completed wall_ms history,
-  // seeded by the resume set's recorded timings). stderr only — stdout
-  // stays byte-identical with or without it.
-  bool progress = false;
 };
 
 /// Outcome of a whole campaign. `results` is sorted by experiment name,
@@ -134,11 +129,6 @@ void write_json(const RunSummary& summary, std::ostream& os,
 
 /// Per-experiment wall-clock report (slowest first), for humans on stderr.
 void write_timing(const RunSummary& summary, std::ostream& os);
-
-/// Human-readable per-experiment metrics report (the --metrics flag):
-/// deterministic counters always, kWall profiling when `include_timing`.
-void write_metrics(const RunSummary& summary, std::ostream& os,
-                   bool include_timing = true);
 
 /// Merges every experiment's trace into one Chrome trace_event JSON
 /// document: one "process" per experiment (sorted order), one "thread" per

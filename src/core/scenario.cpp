@@ -171,8 +171,7 @@ sim::Time city_partition_lookahead(const PartitionedCityConfig& config) {
   constexpr double kFibreUsPerKm = 5.0;
   const double one_way_us =
       std::max(config.backhaul_km, 0.0) * kFibreUsPerKm;
-  const sim::Time floor_ns = 100 * sim::kMicrosecond;
-  return std::max(floor_ns,
+  return std::max(sim::kMinParallelLookahead,
                   static_cast<sim::Time>(one_way_us * 1e3));
 }
 

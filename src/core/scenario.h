@@ -87,8 +87,8 @@ struct PartitionedCityConfig {
 /// Conservative cross-district lookahead: districts are beyond radio
 /// reach of each other, so the fastest cross-district influence channel
 /// is the metro backhaul. One-way fibre propagation at ~5 us/km over
-/// `backhaul_km` (clamped to >= 100 us, the scheduling floor below which
-/// ParSim falls back to the serial core) bounds the window width.
+/// `backhaul_km` (clamped to >= sim::kMinParallelLookahead, the floor below
+/// which ParSim falls back to the serial core) bounds the window width.
 [[nodiscard]] sim::Time city_partition_lookahead(
     const PartitionedCityConfig& config);
 

@@ -9,6 +9,12 @@ namespace {
 // (real Chinese backbone routes are far from great circles).
 constexpr double kFiberUsPerKm = 5.0 * 2.0;
 
+// The metro bottleneck's 1 Gbps tier, and the over-provisioned EPC and
+// core routers' buffers and capacity.
+constexpr double kBottleneckCapacityBps = 1e9;
+constexpr double kCoreCapacityBps = 10e9;
+constexpr std::uint64_t kCoreBufferBytes = 4 * 1024 * 1024;
+
 }  // namespace
 
 sim::Time epc_delay(radio::Rat rat) noexcept {
@@ -28,7 +34,7 @@ std::vector<Link::Config> make_cellular_path(const CellularPathOptions& options,
   epc.name = "epc";
   epc.rate_bps = options.rat == radio::Rat::kNr ? 25e9 : 10e9;
   epc.prop_delay = epc_delay(options.rat);
-  epc.queue_bytes = options.core_buffer_bytes;
+  epc.queue_bytes = kCoreBufferBytes;
   hops.push_back(epc);
 
   // Wireline hops: the first is the metro bottleneck (1 Gbps tier with the
@@ -41,10 +47,9 @@ std::vector<Link::Config> make_cellular_path(const CellularPathOptions& options,
     Link::Config w;
     const bool bottleneck = i == 0;
     w.name = bottleneck ? "metro-bottleneck" : "core-" + std::to_string(i);
-    w.rate_bps = bottleneck ? options.wired_capacity_bps
-                            : options.core_capacity_bps;
-    w.queue_bytes = bottleneck ? options.bottleneck_buffer_bytes
-                               : options.core_buffer_bytes;
+    w.rate_bps = bottleneck ? kBottleneckCapacityBps : kCoreCapacityBps;
+    w.queue_bytes =
+        bottleneck ? options.bottleneck_buffer_bytes : kCoreBufferBytes;
     if (bottleneck) w.qdisc = options.bottleneck_qdisc;
     // Router processing/forwarding floor plus the distance share.
     w.prop_delay = sim::from_millis(0.6) +

@@ -21,15 +21,11 @@ struct CellularPathOptions {
   RanLinkOptions ran;               // hop 1
   double server_distance_km = 30.0;
   int wired_hops = 6;               // routers past the EPC (paper's Fig. 14 path has 8 hops total)
-  double wired_capacity_bps = 1e9;  // bottleneck tier capacity
   /// Drop-tail capacity of the wireline bottleneck router: ~1.6 MB, the
   /// physical buffer behind Table 3's 5G wired estimate (26724 x 60 B).
   /// Deep enough for 4G's ~0.7 MB BDP, but ~1/3 of the 5G BDP — the
   /// mismatch the paper blames for the TCP anomaly.
   std::uint64_t bottleneck_buffer_bytes = 1638 * 1024;
-  /// Non-bottleneck wired hop capacity and buffers.
-  double core_capacity_bps = 10e9;
-  std::uint64_t core_buffer_bytes = 4 * 1024 * 1024;
   /// Queue discipline managing the metro-bottleneck buffer (drop-tail by
   /// default, matching the measured networks; the AQM experiments swap in
   /// CoDel / FQ-CoDel / RED here).

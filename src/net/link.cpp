@@ -153,7 +153,9 @@ void Link::try_transmit() {
 
 void Link::finish_transmit() {
   sim::Time delay = config_.prop_delay;
-  if (config_.extra_delay_fn) delay += config_.extra_delay_fn(tx_packet_);
+  if (config_.extra_delay_fn) {
+    delay += config_.extra_delay_fn(sim_->now(), tx_packet_);
+  }
   if (fault_ != nullptr) delay += fault_->link_extra_delay(config_.name);
   --in_transit_packets_;
   ++delivered_packets_;

@@ -38,8 +38,9 @@ class Link {
     // measured status quo — every golden baseline assumes it).
     QdiscConfig qdisc;
     // Per-packet extra delivery delay (HARQ retransmissions); sees the
-    // packet so the model can scale block error rate with size.
-    std::function<sim::Time(const Packet&)> extra_delay_fn;
+    // link's simulated time and the packet, so the model can stamp its
+    // trace events and scale block error rate with size.
+    std::function<sim::Time(sim::Time now, const Packet&)> extra_delay_fn;
     std::function<bool()> blocked_fn;         // true while link is in outage
     std::string name = "link";
     // Partition affinity (sim::ParSim lane index; sim::kNoLane =

@@ -59,7 +59,8 @@ Link::Config make_ran_link_config(const RanLinkOptions& options,
   }
   cfg.extra_delay_fn = [harq, shared_rng, jitter_span, tracer, attempts_h,
                         retx_blocks, attempts_d, extra_delay_d,
-                        rat_name](const Packet& p) -> sim::Time {
+                        rat_name](sim::Time now,
+                                  const Packet& p) -> sim::Time {
     // Slot-alignment wait (uniform over the pattern span).
     sim::Time extra = shared_rng->uniform_int(0, jitter_span);
     const double size_scale = std::min(1.0, p.size_bytes / 1500.0);
@@ -76,7 +77,7 @@ Link::Config make_ran_link_config(const RanLinkOptions& options,
       extra += harq->latency_for(attempts);
       if (retx_blocks != nullptr) retx_blocks->add();
       if (tracer != nullptr) {
-        tracer->instant(tracer->clock_now(), "ran.harq_retx", "ran",
+        tracer->instant(now, "ran.harq_retx", "ran",
                         {{"rat", rat_name},
                          {"attempts", std::to_string(attempts)},
                          {"size_bytes", std::to_string(p.size_bytes)}});

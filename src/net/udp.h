@@ -69,11 +69,6 @@ class UdpSink final : public PacketSink {
     return arrival_seqs_;
   }
 
-  /// Per-packet byte log for windowed-throughput plots.
-  [[nodiscard]] const measure::TimeSeries& byte_log() const noexcept {
-    return byte_log_;
-  }
-
   /// Mean goodput over [from, to], bits/s.
   [[nodiscard]] double mean_throughput_bps(sim::Time from,
                                            sim::Time to) const;

@@ -89,24 +89,6 @@ void Tracer::counter(sim::Time at, std::string_view track,
   emit(std::move(e));
 }
 
-Tracer::Span::Span(Tracer* tracer, std::string name, std::string cat)
-    : tracer_(tracer), name_(std::move(name)), cat_(std::move(cat)) {}
-
-Tracer::Span::Span(Span&& other) noexcept
-    : tracer_(std::exchange(other.tracer_, nullptr)),
-      name_(std::move(other.name_)),
-      cat_(std::move(other.cat_)) {}
-
-Tracer::Span::~Span() {
-  if (tracer_ != nullptr) tracer_->end(tracer_->clock_now(), name_, cat_);
-}
-
-Tracer::Span Tracer::span(std::string_view name, std::string_view cat,
-                          TraceArgs args) {
-  begin(clock_now(), name, cat, std::move(args));
-  return Span(this, std::string(name), std::string(cat));
-}
-
 void Tracer::append_from(const Tracer& other) {
   other.for_each([this](const TraceEvent& e) { emit(e); });
   inherited_drops_ += other.dropped();

@@ -53,28 +53,6 @@ class Tracer final {
 
   explicit Tracer(std::size_t capacity = kDefaultCapacity);
 
-  /// Installs the simulated-clock source used by the RAII span() overload
-  /// (sim::Simulator installs itself on construction). Without a clock,
-  /// clock-less emissions stamp time 0. `owner` identifies the installer so
-  /// its destructor can release the clock without clobbering a newer one.
-  void set_clock(std::function<sim::Time()> clock,
-                 const void* owner = nullptr) {
-    clock_ = std::move(clock);
-    clock_owner_ = owner;
-  }
-
-  /// Drops the clock iff `owner` still owns it (dangling-callback guard).
-  void clear_clock(const void* owner) {
-    if (clock_owner_ == owner) {
-      clock_ = nullptr;
-      clock_owner_ = nullptr;
-    }
-  }
-
-  [[nodiscard]] sim::Time clock_now() const {
-    return clock_ ? clock_() : 0;
-  }
-
   void emit(TraceEvent e);
 
   void begin(sim::Time at, std::string_view name, std::string_view cat,
@@ -86,26 +64,6 @@ class Tracer final {
   /// the event name.
   void counter(sim::Time at, std::string_view track, std::string_view cat,
                double value);
-
-  /// RAII span on the installed clock: begin at construction, end at
-  /// destruction. Spans must nest within one category (Chrome B/E rule);
-  /// use explicit begin()/end() for spans that cross simulator callbacks.
-  class Span {
-   public:
-    Span(Tracer* tracer, std::string name, std::string cat);
-    Span(Span&& other) noexcept;
-    Span& operator=(Span&&) = delete;
-    Span(const Span&) = delete;
-    Span& operator=(const Span&) = delete;
-    ~Span();
-
-   private:
-    Tracer* tracer_;  // null after move-from
-    std::string name_;
-    std::string cat_;
-  };
-  [[nodiscard]] Span span(std::string_view name, std::string_view cat,
-                          TraceArgs args = {});
 
   /// Replays another tracer's buffered events into this ring (oldest
   /// first) and inherits its drop count. sim::ParSim concatenates lane
@@ -139,8 +97,6 @@ class Tracer final {
   std::size_t head_ = 0;  // next overwrite slot once the ring is full
   std::uint64_t emitted_ = 0;
   std::uint64_t inherited_drops_ = 0;
-  std::function<sim::Time()> clock_;
-  const void* clock_owner_ = nullptr;
   bool warned_wrap_ = false;
   bool drop_counter_resolved_ = false;
   Counter* drop_counter_ = nullptr;

@@ -66,8 +66,7 @@ void derive_interference(const double* rsrp_dbm, double* lin_scratch,
 void measure_cells_row(const radio::RadioEnvironment& env,
                        const radio::CarrierConfig& carrier,
                        const std::vector<Cell>& cells, const geo::Point& pos,
-                       double interferer_load, double* rsrp_dbm,
-                       double* sinr_db, double* rsrq_db,
+                       double* rsrp_dbm, double* sinr_db, double* rsrq_db,
                        double* lin_scratch) {
   // Batched RSRP: the per-UE link-budget terms are evaluated once for the
   // whole cell list and co-sited sectors share their geometry terms.
@@ -76,14 +75,14 @@ void measure_cells_row(const radio::RadioEnvironment& env,
       [](const Cell& c) -> const radio::TxSite& { return c.site; }, pos,
       rsrp_dbm);
   derive_interference(rsrp_dbm, lin_scratch, cells.size(),
-                      carrier.noise_per_re_dbm(), interferer_load, sinr_db,
+                      carrier.noise_per_re_dbm(), kInterfererLoad, sinr_db,
                       rsrq_db);
 }
 
 void measure_cells(const radio::RadioEnvironment& env,
                    const radio::CarrierConfig& carrier,
                    const std::vector<Cell>& cells, const geo::Point& ue,
-                   double interferer_load, std::vector<CellMeasurement>& out) {
+                   std::vector<CellMeasurement>& out) {
   // Scratch buffers are reused across calls (coverage sweeps call this
   // once per sample) and fully rewritten, so results don't depend on them.
   static thread_local std::vector<double> rsrp;
@@ -95,8 +94,8 @@ void measure_cells(const radio::RadioEnvironment& env,
   lin.resize(n);
   sinr.resize(n);
   rsrq.resize(n);
-  measure_cells_row(env, carrier, cells, ue, interferer_load, rsrp.data(),
-                    sinr.data(), rsrq.data(), lin.data());
+  measure_cells_row(env, carrier, cells, ue, rsrp.data(), sinr.data(),
+                    rsrq.data(), lin.data());
   out.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     out[i].cell = &cells[i];
@@ -108,19 +107,18 @@ void measure_cells(const radio::RadioEnvironment& env,
 
 std::vector<CellMeasurement> measure_cells(
     const radio::RadioEnvironment& env, const radio::CarrierConfig& carrier,
-    const std::vector<Cell>& cells, const geo::Point& ue,
-    double interferer_load) {
+    const std::vector<Cell>& cells, const geo::Point& ue) {
   std::vector<CellMeasurement> out;
-  measure_cells(env, carrier, cells, ue, interferer_load, out);
+  measure_cells(env, carrier, cells, ue, out);
   return out;
 }
 
 CellMeasurement best_cell(const radio::RadioEnvironment& env,
                           const radio::CarrierConfig& carrier,
-                          const std::vector<Cell>& cells, const geo::Point& ue,
-                          double interferer_load) {
+                          const std::vector<Cell>& cells,
+                          const geo::Point& ue) {
   static thread_local std::vector<CellMeasurement> scratch;
-  measure_cells(env, carrier, cells, ue, interferer_load, scratch);
+  measure_cells(env, carrier, cells, ue, scratch);
   CellMeasurement best;
   for (const CellMeasurement& m : scratch) {
     if (best.cell == nullptr || m.rsrp_dbm > best.rsrp_dbm) best = m;

@@ -31,6 +31,11 @@ struct CellMeasurement {
   [[nodiscard]] bool in_coverage() const noexcept;
 };
 
+/// Load factor at which every non-serving co-channel cell interferes in
+/// the measurement paths below (measure_cells, measure_cells_row,
+/// best_cell and the cohort rows).
+inline constexpr double kInterfererLoad = 0.5;
+
 /// Derives SINR and RSRQ for `n` co-channel cells from their RSRP values:
 /// every other cell interferes at `interferer_load` on top of thermal
 /// noise. `rsrp_dbm` is read, `lin_scratch` (capacity >= n) receives the
@@ -42,18 +47,17 @@ void derive_interference(const double* rsrp_dbm, double* lin_scratch,
                          double* rsrq_db);
 
 /// Measures every cell in `cells` (all same RAT, co-channel) from `ue`,
-/// treating all other cells as interferers at `interferer_load`.
+/// treating all other cells as interferers at kInterfererLoad.
 [[nodiscard]] std::vector<CellMeasurement> measure_cells(
     const radio::RadioEnvironment& env, const radio::CarrierConfig& carrier,
-    const std::vector<Cell>& cells, const geo::Point& ue,
-    double interferer_load = 0.5);
+    const std::vector<Cell>& cells, const geo::Point& ue);
 
 /// Scratch-buffer overload: fills `out` (resized to cells.size()) instead
 /// of allocating a fresh vector, so steady-state sweeps reuse capacity.
 void measure_cells(const radio::RadioEnvironment& env,
                    const radio::CarrierConfig& carrier,
                    const std::vector<Cell>& cells, const geo::Point& ue,
-                   double interferer_load, std::vector<CellMeasurement>& out);
+                   std::vector<CellMeasurement>& out);
 
 /// Fills one flat measurement row — rsrp/sinr/rsrq, one value per cell —
 /// for a UE at `pos`. `lin_scratch` needs capacity >= cells.size().
@@ -62,14 +66,13 @@ void measure_cells(const radio::RadioEnvironment& env,
 void measure_cells_row(const radio::RadioEnvironment& env,
                        const radio::CarrierConfig& carrier,
                        const std::vector<Cell>& cells, const geo::Point& pos,
-                       double interferer_load, double* rsrp_dbm,
-                       double* sinr_db, double* rsrq_db, double* lin_scratch);
+                       double* rsrp_dbm, double* sinr_db, double* rsrq_db,
+                       double* lin_scratch);
 
 /// The strongest cell by RSRP, or nullptr-celled measurement when `cells`
 /// is empty.
 [[nodiscard]] CellMeasurement best_cell(
     const radio::RadioEnvironment& env, const radio::CarrierConfig& carrier,
-    const std::vector<Cell>& cells, const geo::Point& ue,
-    double interferer_load = 0.5);
+    const std::vector<Cell>& cells, const geo::Point& ue);
 
 }  // namespace fiveg::ran

@@ -31,7 +31,7 @@ std::vector<CellMeasurement> Deployment::measure(radio::Rat rat,
 
 void Deployment::measure_into(radio::Rat rat, const geo::Point& ue,
                               std::vector<CellMeasurement>& out) const {
-  measure_cells(env_, carrier(rat), cells(rat), ue, 0.5, out);
+  measure_cells(env_, carrier(rat), cells(rat), ue, out);
 }
 
 CellMeasurement Deployment::best(radio::Rat rat, const geo::Point& ue) const {

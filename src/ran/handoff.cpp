@@ -8,6 +8,13 @@
 
 namespace fiveg::ran {
 
+namespace {
+
+// Delay after hand-off completion at which "quality after" is sampled.
+constexpr sim::Time kQualityAfterDelay = sim::from_millis(500);
+
+}  // namespace
+
 HandoffEngine::HandoffEngine(sim::Simulator* simulator,
                              const Deployment* deployment,
                              MobilityConfig config, sim::Rng rng,
@@ -332,7 +339,7 @@ void HandoffEngine::complete_handoff(std::size_t record_idx, HandoffType type,
   }
   if (auto* t = obs::tracer()) t->end(sim_->now(), "ran.handoff", "ran");
   if (auto* m = obs::metrics()) m->counter("ran.handoff.completed").add();
-  sim_->schedule_in(config_.after_sample_delay, "ran.ho_quality_sample",
+  sim_->schedule_in(kQualityAfterDelay, "ran.ho_quality_sample",
                     [this, record_idx] { sample_quality_after(record_idx); });
 }
 

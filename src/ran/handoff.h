@@ -51,8 +51,6 @@ struct MobilityConfig {
   sim::Time sample_period = sim::from_millis(100);
   A3Config a3;
   NsaUe::Config nsa;
-  // Delay after hand-off completion at which "quality after" is sampled.
-  sim::Time after_sample_delay = sim::from_millis(500);
   // Radio-link-failure recovery timing (only exercised under fault
   // injection; see fault::FaultKind::kSectorOutage).
   ReestablishTimers reestablish;
@@ -86,7 +84,6 @@ class HandoffEngine {
 
   /// Currently attached cells (nullptr when not attached).
   [[nodiscard]] const Cell* serving_lte() const noexcept { return lte_; }
-  [[nodiscard]] const Cell* serving_nr() const noexcept { return nr_; }
   [[nodiscard]] bool nr_attached() const noexcept { return nr_ != nullptr; }
 
   /// A window during which the UE had no serving cell at all (anchor lost

@@ -100,8 +100,7 @@ void UeCohort::advance_positions(sim::Time at) {
 void UeCohort::fill_row(radio::Rat rat, MeasBlock& block, std::size_t ue) {
   const std::size_t n = block.n_cells;
   measure_cells_row(dep_->env(), dep_->carrier(rat), dep_->cells(rat),
-                    {x_[ue], y_[ue]}, config_.interferer_load,
-                    block.rsrp_dbm.data() + ue * n,
+                    {x_[ue], y_[ue]}, block.rsrp_dbm.data() + ue * n,
                     block.sinr_db.data() + ue * n,
                     block.rsrq_db.data() + ue * n, lin_scratch_.data());
 }

@@ -47,7 +47,6 @@ struct CohortConfig {
   sim::Time sample_period = sim::from_millis(200);
   A3Config a3;
   NsaUe::Config nsa;
-  double interferer_load = 0.5;
   // Partition affinity (sim::ParSim lane index). Default: unpinned. A
   // pinned cohort verifies at every sweep that it is executing on its
   // declared lane — the cheap guard against accidentally scheduling a

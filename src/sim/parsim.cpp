@@ -38,9 +38,6 @@ Time saturating_add(Time a, Time b) noexcept {
 /// fault state installed around every window it executes.
 struct ParSim::Lane {
   int index = 0;
-  // Destruction order matters: the simulator's destructor talks to the
-  // lane tracer (clear_clock), so the tracer/registry members must be
-  // declared first (destroyed last).
   std::unique_ptr<obs::MetricsRegistry> metrics;
   std::unique_ptr<obs::Tracer> tracer;
   std::unique_ptr<fault::Runtime> fault;
@@ -131,8 +128,7 @@ ParSim::ParSim(const ParSimConfig& config) : config_(config) {
     threads = static_cast<int>(std::thread::hardware_concurrency());
   }
   threads = std::clamp(threads, 1, config_.lanes);
-  if (config_.lanes == 1 ||
-      config_.lookahead < config_.min_parallel_lookahead) {
+  if (config_.lanes == 1 || config_.lookahead < kMinParallelLookahead) {
     threads = 1;
   }
   effective_threads_ = threads;
@@ -479,9 +475,6 @@ void ParSim::record_run(double wall_seconds, std::uint64_t events) {
   if (parent_metrics_ == nullptr || events == 0 || wall_seconds <= 0.0) {
     return;
   }
-  parent_metrics_
-      ->histogram("sim.wall_events_per_sec", obs::MetricClock::kWall)
-      .observe(static_cast<double>(events) / wall_seconds);
   parent_metrics_
       ->histogram(obs::prof::kPhasePrefix + std::string("simulate"),
                   obs::MetricClock::kWall)

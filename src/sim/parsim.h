@@ -27,7 +27,7 @@
 // KPIs, traces and goldens.
 //
 // Fallback rule: when the scenario gives no parallel structure (a single
-// lane, a lookahead below `min_parallel_lookahead`, or threads <= 1) no
+// lane, a lookahead below `kMinParallelLookahead`, or threads <= 1) no
 // worker pool is created and the same canonical schedule runs inline.
 #pragma once
 
@@ -45,6 +45,10 @@
 
 namespace fiveg::sim {
 
+/// Below this lookahead the partitions couple too tightly for windows to
+/// amortise barrier cost; ParSim falls back to the inline schedule.
+inline constexpr Time kMinParallelLookahead = 100 * kMicrosecond;
+
 struct ParSimConfig {
   /// Number of event-timeline partitions (>= 1).
   int lanes = 1;
@@ -54,9 +58,6 @@ struct ParSimConfig {
   /// Conservative cross-lane influence bound: a send() from inside a lane
   /// must target a time >= sender now + lookahead. Clamped to >= 1 ns.
   Time lookahead = kMillisecond;
-  /// Below this lookahead the partitions couple too tightly for windows
-  /// to amortise barrier cost; ParSim falls back to the inline schedule.
-  Time min_parallel_lookahead = 100 * kMicrosecond;
 };
 
 /// Handle for a cross-lane event, usable with ParSim::cancel from any

@@ -24,9 +24,6 @@ double seconds_since(WallClock::time_point start) {
 
 Simulator::Simulator()
     : tracer_(obs::tracer()), metrics_(obs::metrics()) {
-  if (tracer_ != nullptr) {
-    tracer_->set_clock([this] { return now_; }, this);
-  }
   // Experiments that run several simulated timelines (parameter sweeps,
   // policy comparisons) restart time at 0 per Simulator, so each instance
   // gets its own queue-depth counter track ("sim.queue_depth",
@@ -49,10 +46,6 @@ Simulator::Simulator()
   // window toggles as ordinary events on this timeline; without one this
   // is a no-op (the fault path stays inert).
   fault::arm(*this);
-}
-
-Simulator::~Simulator() {
-  if (tracer_ != nullptr) tracer_->clear_clock(this);
 }
 
 EventId Simulator::schedule_at(Time at, const char* label,
@@ -148,9 +141,6 @@ void Simulator::run_drain(Time last) {
   const std::uint64_t events = drain(last);
   const double wall_seconds = seconds_since(start);
   if (events == 0 || wall_seconds <= 0.0) return;
-  metrics_
-      ->histogram("sim.wall_events_per_sec", obs::MetricClock::kWall)
-      .observe(static_cast<double>(events) / wall_seconds);
   // Self-profiler feed. All of it kWall: the churn deltas are in fact
   // deterministic, but keeping every prof.* metric out of the kSim
   // `counters` object is what lets goldens ignore profiling entirely.
@@ -175,7 +165,7 @@ void Simulator::run() { run_drain(std::numeric_limits<Time>::max()); }
 
 void Simulator::run_until(Time deadline) {
   run_drain(deadline);
-  now_ = std::max(now_, deadline);
+  if (!stopped_) now_ = std::max(now_, deadline);
 }
 
 std::uint64_t Simulator::run_window(Time end_exclusive) {

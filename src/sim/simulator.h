@@ -50,7 +50,6 @@ class Simulator {
   /// Captures the calling thread's observability scope; with none
   /// installed, all instrumentation is disabled for this instance.
   Simulator();
-  ~Simulator();
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -98,9 +97,10 @@ class Simulator {
   /// Runs until the event set drains or `stop()` is called.
   void run();
 
-  /// Runs events with time <= `deadline` (or until `stop()`), then advances
-  /// the clock to `deadline` (even if idle), so measurements read a
-  /// consistent clock.
+  /// Runs events with time <= `deadline`, then advances the clock to
+  /// `deadline` (even if idle), so measurements read a consistent clock.
+  /// If `stop()` ends the drain early, the clock stays at the last executed
+  /// event, so a later run_until() resumes with time moving forward.
   void run_until(Time deadline);
 
   /// Runs exactly one event if any is pending and `stop()` is not in

@@ -66,13 +66,14 @@ TEST(CohortBatchTest, SweepMatchesPerSiteReferenceBitExact) {
       const std::size_t n = cells.size();
       std::vector<double> rsrp(n), lin(n), sinr(n), rsrq(n);
       for (const geo::Point& ue : ues) {
-        const auto swept = measure_cells(dep.env(), carrier, cells, ue, 0.5);
+        const auto swept = measure_cells(dep.env(), carrier, cells, ue);
         ASSERT_EQ(swept.size(), n);
         for (std::size_t i = 0; i < n; ++i) {
           rsrp[i] = dep.env().rsrp_dbm(carrier, cells[i].site, ue);
         }
         derive_interference(rsrp.data(), lin.data(), n,
-                            carrier.noise_per_re_dbm(), 0.5, sinr.data(),
+                            carrier.noise_per_re_dbm(), kInterfererLoad,
+                            sinr.data(),
                             rsrq.data());
         for (std::size_t i = 0; i < n; ++i) {
           EXPECT_EQ(swept[i].rsrp_dbm, rsrp[i]);
@@ -94,9 +95,8 @@ TEST(CohortBatchTest, ScratchOverloadMatches) {
     const geo::Point ue = campus.random_point(rng);
     for (const radio::Rat rat : {radio::Rat::kLte, radio::Rat::kNr}) {
       const auto fresh =
-          measure_cells(dep.env(), dep.carrier(rat), dep.cells(rat), ue, 0.5);
-      measure_cells(dep.env(), dep.carrier(rat), dep.cells(rat), ue, 0.5,
-                    out);
+          measure_cells(dep.env(), dep.carrier(rat), dep.cells(rat), ue);
+      measure_cells(dep.env(), dep.carrier(rat), dep.cells(rat), ue, out);
       ASSERT_EQ(fresh.size(), out.size());
       for (std::size_t k = 0; k < fresh.size(); ++k) {
         EXPECT_EQ(fresh[k].cell, out[k].cell);

@@ -145,6 +145,17 @@ TEST(ScenarioTest, DeterministicPerSeed) {
             c.deployment().best(radio::Rat::kNr, p).rsrp_dbm);
 }
 
+// The city's cross-district lookahead and ParSim's fallback threshold
+// share one floor: a zero-length backhaul lands exactly on it, so such a
+// city still runs its lanes in parallel.
+TEST(ScenarioTest, CityLookaheadFloorIsParSimThreshold) {
+  PartitionedCityConfig part;
+  part.backhaul_km = 0;
+  EXPECT_EQ(city_partition_lookahead(part), sim::kMinParallelLookahead);
+  part.backhaul_km = 30;
+  EXPECT_EQ(city_partition_lookahead(part), 150 * sim::kMicrosecond);
+}
+
 TEST(ScenarioTest, Table1CalibrationHolds) {
   // Guard the Table 2 calibration: coverage-hole fractions must stay near
   // the paper across seeds.

@@ -316,6 +316,48 @@ TEST(RanLinkTest, DataPacketsSeeHarqDelays) {
   EXPECT_GT(delays.max(), 9.0);  // at least one retransmission burst
 }
 
+// HARQ retransmission instants carry the simulated time of the simulator
+// that runs the link, even when another simulator was built (and torn
+// down) later in the same observability scope.
+TEST(RanLinkTest, HarqInstantsUseTheLinksOwnSimulatorTime) {
+  obs::Tracer trace;
+  const obs::ScopedObs scope(&trace, nullptr);
+  sim::Simulator simr;
+  RanLinkOptions opt;
+  opt.rat = radio::Rat::kLte;
+  opt.bitrate_bps = 130e6;
+  PathNetwork path(&simr, {make_ran_link_config(opt, sim::Rng(6))});
+  CountingSink sink;
+  path.attach_b(&sink);
+  {
+    sim::Simulator other;
+    other.schedule_in(from_millis(5), [] {});
+    other.run();
+  }
+  for (int i = 0; i < 200; ++i) {
+    simr.schedule_in(i * from_millis(1), [&, i] {
+      path.send_a_to_b(make_packet(1, i, 1500));
+    });
+  }
+  simr.run();
+
+  // Under a tracer every labelled event is a "sim" instant at its time;
+  // HARQ draws happen inside the link's transmit-complete events.
+  std::vector<sim::Time> tx_times;
+  std::vector<sim::Time> harq_times;
+  trace.for_each([&](const obs::TraceEvent& e) {
+    if (e.phase != obs::TraceEvent::Phase::kInstant) return;
+    if (e.name == "net.link_tx") tx_times.push_back(e.at);
+    if (e.name == "ran.harq_retx") harq_times.push_back(e.at);
+  });
+  ASSERT_FALSE(harq_times.empty());
+  for (const sim::Time at : harq_times) {
+    EXPECT_GT(at, 0);
+    EXPECT_TRUE(std::binary_search(tx_times.begin(), tx_times.end(), at))
+        << at;
+  }
+}
+
 TEST(EpcPathTest, FlatCoreSavesTwentyMs) {
   // Identical wired segment; hop-2 differs by ~10 ms one-way.
   EXPECT_NEAR(to_millis(epc_delay(radio::Rat::kLte)) -
@@ -417,7 +459,7 @@ TEST(LinkTest, HarqJitteredDeliveriesStayInOrder) {
   cfg.rate_bps = 12e6;
   cfg.prop_delay = from_millis(2);
   // Every third packet needs 8 ms of retransmissions.
-  cfg.extra_delay_fn = [](const Packet& p) {
+  cfg.extra_delay_fn = [](sim::Time, const Packet& p) {
     return p.seq % 3 == 0 ? from_millis(8) : sim::Time{0};
   };
   std::vector<std::pair<std::uint64_t, sim::Time>> got;
@@ -446,7 +488,7 @@ TEST(LinkTest, InFlightFifoKeepsOrderWhileGrowing) {
   Link::Config cfg;
   cfg.rate_bps = 12e6;
   cfg.prop_delay = from_millis(1);
-  cfg.extra_delay_fn = [](const Packet& p) {
+  cfg.extra_delay_fn = [](sim::Time, const Packet& p) {
     return static_cast<sim::Time>(p.seq) * from_millis(0.5);
   };
   std::vector<std::pair<std::uint64_t, sim::Time>> got;
@@ -495,7 +537,7 @@ TEST(LinkTest, ConservationLedgerHoldsWithInFlightFifo) {
   cfg.rate_bps = 20e6;
   cfg.prop_delay = from_millis(4);
   cfg.queue_bytes = 12 * 1500;
-  cfg.extra_delay_fn = [](const Packet& p) {
+  cfg.extra_delay_fn = [](sim::Time, const Packet& p) {
     return p.seq % 5 == 0 ? from_millis(3) : sim::Time{0};
   };
   CountingSink sink;

@@ -250,46 +250,6 @@ TEST(TracerTest, NoDropsBelowCapacity) {
   EXPECT_EQ(events[1].name, "b");
 }
 
-TEST(TracerTest, SpansNestViaRaii) {
-  Tracer t;
-  sim::Time fake_now = 0;
-  t.set_clock([&fake_now] { return fake_now; });
-  {
-    const Tracer::Span outer = t.span("outer", "cat");
-    fake_now = 10;
-    {
-      const Tracer::Span inner = t.span("inner", "cat");
-      fake_now = 20;
-    }
-    fake_now = 30;
-  }
-  const std::vector<TraceEvent> events = t.snapshot();
-  ASSERT_EQ(events.size(), 4u);
-  EXPECT_EQ(events[0].phase, TraceEvent::Phase::kBegin);
-  EXPECT_EQ(events[0].name, "outer");
-  EXPECT_EQ(events[0].at, 0);
-  EXPECT_EQ(events[1].phase, TraceEvent::Phase::kBegin);
-  EXPECT_EQ(events[1].name, "inner");
-  EXPECT_EQ(events[1].at, 10);
-  EXPECT_EQ(events[2].phase, TraceEvent::Phase::kEnd);  // inner closes first
-  EXPECT_EQ(events[2].name, "inner");
-  EXPECT_EQ(events[2].at, 20);
-  EXPECT_EQ(events[3].phase, TraceEvent::Phase::kEnd);
-  EXPECT_EQ(events[3].name, "outer");
-  EXPECT_EQ(events[3].at, 30);
-}
-
-TEST(TracerTest, ClearClockOnlyReleasesOwner) {
-  Tracer t;
-  int owner_a = 0, owner_b = 0;
-  t.set_clock([] { return sim::Time{1}; }, &owner_a);
-  t.set_clock([] { return sim::Time{2}; }, &owner_b);
-  t.clear_clock(&owner_a);  // stale owner: must not clobber b's clock
-  EXPECT_EQ(t.clock_now(), 2);
-  t.clear_clock(&owner_b);
-  EXPECT_EQ(t.clock_now(), 0);  // clockless default
-}
-
 // --- Chrome exporter + parse-back validation ---
 
 TEST(ChromeTraceTest, EscapesHostileStringsAndParsesBack) {
@@ -536,20 +496,6 @@ TEST(SimulatorObsTest, CountsEventsPerLabelAndTracksDepth) {
                        e.name == "test.tick");
   });
   EXPECT_EQ(label_instants, 5);
-}
-
-TEST(SimulatorObsTest, SimulatorInstallsTracerClock) {
-  Tracer trace;
-  const ScopedObs scope(&trace, nullptr);
-  {
-    sim::Simulator s;
-    s.schedule_in(42, [&] {
-      EXPECT_EQ(trace.clock_now(), 42);  // spans stamp simulated time
-    });
-    s.run();
-  }
-  // Destroying the simulator releases the clock instead of dangling.
-  EXPECT_EQ(trace.clock_now(), 0);
 }
 
 TEST(SimulatorObsTest, IdenticalRunsYieldIdenticalTraces) {

@@ -187,7 +187,7 @@ TEST(ParSimTest, FallsBackToSerialWhenStructureIsTooTight) {
   ParSimConfig cfg;
   cfg.lanes = 4;
   cfg.threads = 8;
-  cfg.lookahead = 10 * kMicrosecond;  // below min_parallel_lookahead
+  cfg.lookahead = kMinParallelLookahead - 1;
   ParSim tight(cfg);
   EXPECT_FALSE(tight.parallel_active());
   EXPECT_EQ(tight.effective_threads(), 1);

@@ -2,7 +2,8 @@
 # coerced: a non-finite --timeout, an --jobs/--sim-threads value outside
 # int, and a negative --seed or --shard count. A campaign cell axis
 # (--qdisc, --faults) given next to --manifest, which supplies its own,
-# is a usage error too. Each fiveg_runall case runs with --list, which
+# is a usage error too, and so are the removed --progress and --metrics
+# flags (unknown options). Each fiveg_runall case runs with --list, which
 # would otherwise exit 0 without running anything. The
 # tools take the same strict parser: fiveg_trace_check --min-events and
 # fiveg_prof --top run against an empty trace and an empty ledger, which
@@ -72,4 +73,18 @@ foreach(entry IN LISTS cases)
   endif()
   string(STRIP "${err}" err)
   message(STATUS "ok: ${name} ${shown} -> exit 2 (${err})")
+endforeach()
+
+# Flags fiveg_runall no longer has: rejected as unknown, not ignored.
+foreach(flag --progress --metrics)
+  execute_process(
+    COMMAND ${RUNALL} ${flag} --list
+    OUTPUT_QUIET
+    ERROR_VARIABLE err
+    RESULT_VARIABLE rc)
+  if(NOT rc STREQUAL "2" OR NOT err MATCHES "unknown option: ${flag}")
+    message(FATAL_ERROR "fiveg_runall ${flag} --list exited '${rc}', "
+      "want 2 (unknown option); stderr: ${err}")
+  endif()
+  message(STATUS "ok: fiveg_runall ${flag} --list -> exit 2 (unknown)")
 endforeach()

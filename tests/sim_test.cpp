@@ -255,6 +255,9 @@ TEST(SimulatorTest, StopEndsEveryLoopAfterTheEventAndRunUntilResumes) {
     if (loop == 2) s.run_window(6);
     EXPECT_EQ(ran, (std::vector<Time>{1, 2})) << "loop " << loop;
     EXPECT_TRUE(s.stop_requested());
+    // A stopped drain leaves the clock at the stopping event, so resuming
+    // never runs an event with now() moving backwards.
+    EXPECT_EQ(s.now(), 2) << "loop " << loop;
     s.run_until(10);
     EXPECT_EQ(ran, (std::vector<Time>{1, 2, 3, 4, 5, 6})) << "loop " << loop;
     EXPECT_EQ(s.now(), 10);

@@ -17,6 +17,7 @@
 #include "measure/stats.h"
 #include "measure/table.h"
 #include "net/aqm.h"
+#include "net/delay_line.h"
 #include "net/path.h"
 
 namespace fiveg::core {
@@ -214,6 +215,7 @@ void run_aqm_rtt_fairness(const ExperimentContext& ctx) {
     std::vector<std::unique_ptr<tcp::TcpSender>> senders;
     std::vector<std::unique_ptr<tcp::TcpReceiver>> receivers;
     std::vector<std::unique_ptr<net::Link>> access;
+    std::vector<std::unique_ptr<net::DelayLine>> ack_return;
     net::FanoutSink receive_side;
     net::Link bottleneck(&simr, bn_cfg, &receive_side);
     net::LambdaSink into_bottleneck(
@@ -237,14 +239,13 @@ void run_aqm_rtt_fairness(const ExperimentContext& ctx) {
           &simr, cfg, flow,
           [alink](net::Packet p) { alink->send(std::move(p)); }));
       // ACKs skip the queues and take the flow's one-way delay back.
-      tcp::TcpSender* snd = senders.back().get();
+      ack_return.push_back(std::make_unique<net::DelayLine>(
+          &simr, "aqm.fair_ack", senders.back().get()));
+      net::DelayLine* acks = ack_return.back().get();
       const sim::Time ack_delay = access_delay[f] + bn_cfg.prop_delay;
       receivers.push_back(std::make_unique<tcp::TcpReceiver>(
-          &simr, cfg, flow, [&simr, snd, ack_delay](net::Packet a) {
-            simr.schedule_in(ack_delay, "aqm.fair_ack",
-                             [snd, a = std::move(a)]() mutable {
-                               snd->deliver(std::move(a));
-                             });
+          &simr, cfg, flow, [&simr, acks, ack_delay](net::Packet a) {
+            acks->push(simr.now() + ack_delay, std::move(a));
           }));
       receive_side.add(receivers.back().get());
       senders.back()->start_bulk();

@@ -1,6 +1,5 @@
 #include "net/link.h"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -18,8 +17,8 @@ constexpr sim::Time kBlockedRetry = sim::from_millis(1);
 Link::Link(sim::Simulator* simulator, Config config, PacketSink* sink)
     : sim_(simulator),
       config_(std::move(config)),
-      sink_(sink),
-      qdisc_(make_qdisc(config_.qdisc, config_.queue_bytes, config_.name)) {
+      qdisc_(make_qdisc(config_.qdisc, config_.queue_bytes, config_.name)),
+      pipe_(simulator, "net.link_deliver", sink) {
   tracer_ = obs::tracer();
   fault_ = fault::runtime();
   if (fault_ != nullptr) {
@@ -160,51 +159,12 @@ void Link::finish_transmit() {
   --in_transit_packets_;
   ++delivered_packets_;
   delivered_bytes_ += tx_packet_.size_bytes;
-  if (sink_ != nullptr) {
+  if (pipe_.sink() != nullptr) {
     // In-order delivery: per-packet jitter (HARQ retransmissions) delays
     // followers too, exactly like an RLC reordering buffer would.
-    const sim::Time at = std::max(sim_->now() + delay, last_delivery_at_);
-    last_delivery_at_ = at;
-    // The sequence number is taken now, so the delivery ties with other
-    // events at its instant as if it were scheduled here; only the FIFO
-    // head holds an actual event.
-    in_flight_.push({at, sim_->reserve_seq(), std::move(tx_packet_)});
-    if (in_flight_.size() == 1) schedule_delivery();
+    pipe_.push(sim_->now() + delay, std::move(tx_packet_));
   }
   try_transmit();
-}
-
-void Link::schedule_delivery() {
-  const InFlight& head = in_flight_.front();
-  sim_->schedule_reserved(head.at, head.seq, "net.link_deliver",
-                          [this] { deliver_head(); });
-}
-
-void Link::deliver_head() {
-  Packet p = in_flight_.pop().packet;
-  if (!in_flight_.empty()) schedule_delivery();
-  if (sink_ != nullptr) sink_->deliver(std::move(p));
-}
-
-// The capacity is always a power of two, so indices wrap with a mask.
-void Link::InFlightRing::push(InFlight e) {
-  if (size_ == buf_.size()) {
-    std::vector<InFlight> grown(std::max<std::size_t>(8, 2 * buf_.size()));
-    for (std::size_t i = 0; i < size_; ++i) {
-      grown[i] = std::move(buf_[(head_ + i) & (buf_.size() - 1)]);
-    }
-    buf_ = std::move(grown);
-    head_ = 0;
-  }
-  buf_[(head_ + size_) & (buf_.size() - 1)] = std::move(e);
-  ++size_;
-}
-
-Link::InFlight Link::InFlightRing::pop() {
-  InFlight e = std::move(buf_[head_]);
-  head_ = (head_ + 1) & (buf_.size() - 1);
-  --size_;
-  return e;
 }
 
 }  // namespace fiveg::net

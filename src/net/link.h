@@ -5,20 +5,19 @@
 // (hand-off interruptions). Two Links back-to-back make a duplex hop.
 //
 // Packets never ride inside simulator events: the one being serialised
-// sits in a tx slot, the ones propagating in an in-flight FIFO, and each
+// sits in a tx slot, the ones propagating in a net::DelayLine, and each
 // link has at most one pending net.link_tx and one pending
 // net.link_deliver event, both capturing only `this`.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "fault/fault.h"
 #include "net/aqm.h"
+#include "net/delay_line.h"
 #include "net/packet.h"
 #include "sim/lane.h"
 #include "sim/rng.h"
@@ -54,7 +53,7 @@ class Link {
   /// `sink` receives delivered packets; may be changed later.
   Link(sim::Simulator* simulator, Config config, PacketSink* sink = nullptr);
 
-  void set_sink(PacketSink* sink) noexcept { sink_ = sink; }
+  void set_sink(PacketSink* sink) noexcept { pipe_.set_sink(sink); }
 
   /// Offers a packet: queued for transmission or dropped by the qdisc.
   void send(Packet p);
@@ -101,36 +100,8 @@ class Link {
   [[nodiscard]] const Config& config() const noexcept { return config_; }
 
  private:
-  // A packet handed to the pipe: due at `at` under the event sequence
-  // number reserved when it left the transmitter.
-  struct InFlight {
-    sim::Time at = 0;
-    std::uint64_t seq = 0;
-    Packet packet;
-  };
-
-  // FIFO ring that doubles when full. It allocates nothing until the first
-  // packet and its storage stays within twice the in-flight high-water
-  // mark, even on a bottleneck that never drains.
-  class InFlightRing {
-   public:
-    [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
-    [[nodiscard]] std::size_t size() const noexcept { return size_; }
-    [[nodiscard]] const InFlight& front() const { return buf_[head_]; }
-    void push(InFlight e);
-    InFlight pop();
-
-   private:
-    std::vector<InFlight> buf_;
-    std::size_t head_ = 0;
-    std::size_t size_ = 0;
-  };
-
   void try_transmit();
   void finish_transmit();
-  // Schedules the net.link_deliver event for the FIFO head.
-  void schedule_delivery();
-  void deliver_head();
   /// Folds any drop/mark counter movement since the last call into the
   /// metrics and the trace (one event per batch, like the old per-push
   /// accounting).
@@ -138,11 +109,13 @@ class Link {
 
   sim::Simulator* sim_;
   Config config_;
-  PacketSink* sink_;
   std::unique_ptr<QueueDiscipline> qdisc_;
   bool transmitting_ = false;
   Packet tx_packet_;        // in service while transmitting_ (one at a time)
-  InFlightRing in_flight_;  // serialised, awaiting delivery (in order)
+  // Serialised, awaiting delivery. Deliveries never reorder (RLC-style
+  // in-order delivery): a packet held up by HARQ also holds back its
+  // successors.
+  DelayLine pipe_;
 
   // Observability handles, resolved once at construction (null without a
   // scope). Every discipline reports the sojourn of each delivered packet
@@ -157,9 +130,6 @@ class Link {
   obs::Gauge* queue_hwm_ = nullptr;
   std::uint64_t drops_synced_ = 0;  // qdisc drops already counted
   std::uint64_t marks_synced_ = 0;  // qdisc marks already counted
-  // Deliveries never reorder (RLC-style in-order delivery): a packet held
-  // up by HARQ also holds back its successors.
-  sim::Time last_delivery_at_ = 0;
 
   std::uint64_t delivered_packets_ = 0;
   std::uint64_t delivered_bytes_ = 0;

@@ -1,7 +1,6 @@
 #include "obs/codec.h"
 
 #include <cstring>
-#include <map>
 #include <utility>
 
 namespace fiveg::obs::codec {
@@ -18,12 +17,10 @@ std::int64_t unzigzag(std::uint64_t v) noexcept {
 }
 
 // Shared by the digest and histogram encoders: a sparse (key, count) bin
-// list with zigzag keys, emitted in the order given (the callers iterate
-// ordered maps / pre-sorted snapshot vectors, so the wire order is
-// canonical and encode∘decode is a fixed point).
-void put_bins(std::string* out,
-              const std::vector<std::pair<std::int32_t, std::uint64_t>>&
-                  bins) {
+// list with zigzag keys, emitted in the order given (the callers pass
+// key-ordered bin lists, so the wire order is canonical and encode∘decode
+// is a fixed point).
+void put_bins(std::string* out, const Bins& bins) {
   put_varint(out, bins.size());
   for (const auto& [key, count] : bins) {
     put_svarint(out, key);
@@ -31,27 +28,31 @@ void put_bins(std::string* out,
   }
 }
 
-// Decodes a bin list into an ordered map. Strictly ascending keys and
-// nonzero counts are required: that is the only form a live digest or
-// histogram can export, so anything else is corruption.
-bool get_bins(Reader* r, std::map<std::int32_t, std::uint64_t>* out) {
+// Decodes a bin list. Strictly ascending keys within [lo, hi] and nonzero
+// counts are required: that is the only form a live digest or histogram
+// can export, so anything else is corruption.
+bool get_bins(Reader* r, std::int32_t lo, std::int32_t hi, Bins* out) {
   std::uint64_t n = 0;
   if (!r->get_varint(&n)) return false;
-  bool first = true;
-  std::int32_t prev = 0;
+  std::int64_t prev = std::int64_t{lo} - 1;
   for (std::uint64_t i = 0; i < n; ++i) {
     std::int64_t key = 0;
     std::uint64_t count = 0;
     if (!r->get_svarint(&key) || !r->get_varint(&count)) return false;
-    if (count == 0) return false;
-    if (key < INT32_MIN || key > INT32_MAX) return false;
-    const auto k = static_cast<std::int32_t>(key);
-    if (!first && k <= prev) return false;
-    first = false;
-    prev = k;
-    out->emplace(k, count);
+    if (count == 0 || key <= prev || key > hi) return false;
+    prev = key;
+    out->emplace_back(static_cast<std::int32_t>(key), count);
   }
   return true;
+}
+
+bool get_digest_bins(Reader* r, Bins* pos, Bins* neg) {
+  return get_bins(r, -Digest::kMaxKey, Digest::kMaxKey, pos) &&
+         get_bins(r, -Digest::kMaxKey, Digest::kMaxKey, neg);
+}
+
+bool get_histogram_bins(Reader* r, Bins* out) {
+  return get_bins(r, 0, Histogram::kBuckets - 1, out);
 }
 
 }  // namespace
@@ -142,11 +143,8 @@ void encode_digest(std::string* out, const Digest& d) {
   put_f64(out, d.sum());
   put_f64(out, d.min());
   put_f64(out, d.max());
-  std::vector<std::pair<std::int32_t, std::uint64_t>> bins(
-      d.positive_bins().begin(), d.positive_bins().end());
-  put_bins(out, bins);
-  bins.assign(d.negative_bins().begin(), d.negative_bins().end());
-  put_bins(out, bins);
+  put_bins(out, d.positive_bins());
+  put_bins(out, d.negative_bins());
 }
 
 bool decode_digest(Reader* r, Digest* out) {
@@ -156,10 +154,10 @@ bool decode_digest(Reader* r, Digest* out) {
       !r->get_f64(&max)) {
     return false;
   }
-  std::map<std::int32_t, std::uint64_t> pos;
-  std::map<std::int32_t, std::uint64_t> neg;
-  if (!get_bins(r, &pos) || !get_bins(r, &neg)) return false;
-  *out = Digest::restore(zero, sum, min, max, std::move(pos), std::move(neg));
+  Bins pos;
+  Bins neg;
+  if (!get_digest_bins(r, &pos, &neg)) return false;
+  *out = Digest::restore(zero, sum, min, max, pos, neg);
   return true;
 }
 
@@ -167,7 +165,7 @@ void encode_histogram(std::string* out, const Histogram& h) {
   put_f64(out, h.sum());
   put_f64(out, h.min());
   put_f64(out, h.max());
-  std::vector<std::pair<std::int32_t, std::uint64_t>> bins;
+  Bins bins;
   const auto& buckets = h.buckets();
   for (int i = 0; i < Histogram::kBuckets; ++i) {
     const std::uint64_t c = buckets[static_cast<std::size_t>(i)];
@@ -181,15 +179,9 @@ bool decode_histogram(Reader* r, Histogram* out) {
   if (!r->get_f64(&sum) || !r->get_f64(&min) || !r->get_f64(&max)) {
     return false;
   }
-  std::map<std::int32_t, std::uint64_t> bins;
-  if (!get_bins(r, &bins)) return false;
-  std::vector<std::pair<std::int32_t, std::uint64_t>> sparse;
-  sparse.reserve(bins.size());
-  for (const auto& [key, count] : bins) {
-    if (key < 0 || key >= Histogram::kBuckets) return false;
-    sparse.emplace_back(key, count);
-  }
-  *out = Histogram::restore(sum, min, max, sparse);
+  Bins bins;
+  if (!get_histogram_bins(r, &bins)) return false;
+  *out = Histogram::restore(sum, min, max, bins);
   return true;
 }
 
@@ -291,16 +283,10 @@ bool decode_snapshots(Reader* r, MetricClock clock,
         !r->get_f64(&max)) {
       return false;
     }
-    std::map<std::int32_t, std::uint64_t> bins;
-    if (!get_bins(r, &bins)) return false;
-    std::vector<std::pair<std::int32_t, std::uint64_t>> sparse;
-    sparse.reserve(bins.size());
-    for (const auto& [key, count] : bins) {
-      if (key < 0 || key >= Histogram::kBuckets) return false;
-      sparse.emplace_back(key, count);
-    }
+    Bins bins;
+    if (!get_histogram_bins(r, &bins)) return false;
     out->push_back(
-        snapshot_of(name, clock, Histogram::restore(sum, min, max, sparse)));
+        snapshot_of(name, clock, Histogram::restore(sum, min, max, bins)));
   }
 
   if (!r->get_varint(&n)) return false;
@@ -312,12 +298,11 @@ bool decode_snapshots(Reader* r, MetricClock clock,
         !r->get_f64(&min) || !r->get_f64(&max)) {
       return false;
     }
-    std::map<std::int32_t, std::uint64_t> pos;
-    std::map<std::int32_t, std::uint64_t> neg;
-    if (!get_bins(r, &pos) || !get_bins(r, &neg)) return false;
-    out->push_back(snapshot_of(
-        name, clock,
-        Digest::restore(zero, sum, min, max, std::move(pos), std::move(neg))));
+    Bins pos;
+    Bins neg;
+    if (!get_digest_bins(r, &pos, &neg)) return false;
+    const Digest d = Digest::restore(zero, sum, min, max, pos, neg);
+    out->push_back(snapshot_of(name, clock, d));
   }
 
   sort_snapshots(out);

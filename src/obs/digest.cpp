@@ -10,9 +10,6 @@ namespace {
 // gamma = (1+a)/(1-a); keys are ceil(log_gamma |v|).
 const double kGamma = (1.0 + Digest::kAlpha) / (1.0 - Digest::kAlpha);
 const double kInvLogGamma = 1.0 / std::log(kGamma);
-// Key span that covers every double magnitude in [kZeroEpsilon, 1e300];
-// clamping keeps extreme outliers finite instead of overflowing the key.
-constexpr std::int32_t kMaxKey = 40000;
 
 }  // namespace
 
@@ -28,6 +25,52 @@ double Digest::bucket_value(std::int32_t key) noexcept {
   return 2.0 * std::pow(kGamma, key) / (kGamma + 1.0);
 }
 
+// Growth at either end at least doubles the range (never past the key
+// bounds), so a series arriving in any key order costs amortised O(1) per
+// observation; the new array is sized exactly, so storage stays within
+// twice the touched range.
+void Digest::Buckets::add(std::int32_t key, std::uint64_t n) {
+  key = std::clamp(key, -kMaxKey, kMaxKey);
+  if (counts_.empty()) {
+    lo_ = key;
+    counts_.assign(1, 0);
+  }
+  const auto size = static_cast<std::int64_t>(counts_.size());
+  const std::int64_t hi = lo_ + size;  // exclusive
+  if (key < lo_ || key >= hi) {
+    std::int64_t new_lo = lo_;
+    std::int64_t new_hi = hi;
+    if (key < lo_) {
+      new_lo = std::clamp<std::int64_t>(lo_ - size, -kMaxKey, key);
+    } else {
+      new_hi = std::clamp<std::int64_t>(hi + size, key + 1, kMaxKey + 1);
+    }
+    std::vector<std::uint64_t> grown(static_cast<std::size_t>(new_hi - new_lo));
+    std::copy(counts_.begin(), counts_.end(), grown.begin() + (lo_ - new_lo));
+    counts_ = std::move(grown);
+    lo_ = static_cast<std::int32_t>(new_lo);
+  }
+  counts_[static_cast<std::size_t>(key - lo_)] += n;
+}
+
+void Digest::Buckets::add_all(const Buckets& other) {
+  for (std::size_t i = 0; i < other.counts_.size(); ++i) {
+    if (other.counts_[i] != 0) {
+      add(other.key_at(i), other.counts_[i]);
+    }
+  }
+}
+
+Bins Digest::Buckets::nonzero() const {
+  Bins out;
+  for (std::size_t i = 0; i < counts_.size(); ++i) {
+    if (counts_[i] != 0) {
+      out.emplace_back(key_at(i), counts_[i]);
+    }
+  }
+  return out;
+}
+
 void Digest::observe(double v) noexcept {
   if (std::isnan(v)) return;
   ++count_;
@@ -37,30 +80,25 @@ void Digest::observe(double v) noexcept {
   const double mag = std::abs(v);
   if (mag < kZeroEpsilon) {
     ++zero_;
-  } else if (v > 0.0) {
-    ++pos_[bucket_key(mag)];
   } else {
-    ++neg_[bucket_key(mag)];
+    (v > 0.0 ? pos_ : neg_).add(bucket_key(mag), 1);
   }
 }
 
 Digest Digest::restore(std::uint64_t zero_count, double sum, double min,
-                       double max,
-                       std::map<std::int32_t, std::uint64_t> positive_bins,
-                       std::map<std::int32_t, std::uint64_t> negative_bins) {
+                       double max, const Bins& positive_bins,
+                       const Bins& negative_bins) {
   Digest d;
   d.zero_ = zero_count;
   d.count_ = zero_count;
   for (const auto& [k, c] : positive_bins) {
-    (void)k;
+    d.pos_.add(k, c);
     d.count_ += c;
   }
   for (const auto& [k, c] : negative_bins) {
-    (void)k;
+    d.neg_.add(k, c);
     d.count_ += c;
   }
-  d.pos_ = std::move(positive_bins);
-  d.neg_ = std::move(negative_bins);
   if (d.count_ > 0) {
     d.sum_ = sum;
     d.min_ = min;
@@ -76,8 +114,8 @@ void Digest::merge(const Digest& other) {
   sum_ += other.sum_;
   min_ = std::min(min_, other.min_);
   max_ = std::max(max_, other.max_);
-  for (const auto& [k, c] : other.pos_) pos_[k] += c;
-  for (const auto& [k, c] : other.neg_) neg_[k] += c;
+  pos_.add_all(other.pos_);
+  neg_.add_all(other.neg_);
 }
 
 double Digest::quantile(double q) const noexcept {
@@ -93,17 +131,19 @@ double Digest::quantile(double q) const noexcept {
     return std::clamp(v, min_, max_);
   };
   std::uint64_t seen = 0;
-  // Ascending value order: most-negative first (negative bins by
+  // Ascending value order: most-negative first (negative buckets by
   // descending magnitude key), then zeros, then positives ascending.
-  for (auto it = neg_.rbegin(); it != neg_.rend(); ++it) {
-    seen += it->second;
-    if (seen > rank) return clamp_range(-bucket_value(it->first));
+  const std::vector<std::uint64_t>& neg = neg_.counts();
+  for (std::size_t i = neg.size(); i-- > 0;) {
+    seen += neg[i];
+    if (seen > rank) return clamp_range(-bucket_value(neg_.key_at(i)));
   }
   seen += zero_;
   if (seen > rank) return clamp_range(0.0);
-  for (const auto& [k, c] : pos_) {
-    seen += c;
-    if (seen > rank) return clamp_range(bucket_value(k));
+  const std::vector<std::uint64_t>& pos = pos_.counts();
+  for (std::size_t i = 0; i < pos.size(); ++i) {
+    seen += pos[i];
+    if (seen > rank) return clamp_range(bucket_value(pos_.key_at(i)));
   }
   return max();
 }

@@ -7,20 +7,30 @@
 // values in any order serialise byte-identically, which is what lets the
 // fiveg-runall determinism tier diff digest exports across --jobs values.
 //
-// Negative values land in a mirrored bucket map and near-zero values in a
-// dedicated zero bucket, so signed KPIs (RSRP in dBm, RSRQ in dB) keep the
-// same error bound as latencies and rates.
+// Negative values land in a mirrored set of buckets and near-zero values
+// in a dedicated zero bucket, so signed KPIs (RSRP in dBm, RSRQ in dB) keep
+// the same error bound as latencies and rates. Each sign keeps its counts
+// in one flat array over the key range it has touched, grown geometrically
+// at either end, so an observation is a log and an array increment.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <map>
+#include <utility>
+#include <vector>
 
 namespace fiveg::obs {
 
+/// Sparse (bucket key, count) pairs in ascending key order, nonzero counts
+/// only: the export form of a Digest's and a Histogram's buckets, which
+/// snapshots, the store codec and fiveg_query read.
+using Bins = std::vector<std::pair<std::int32_t, std::uint64_t>>;
+
 /// Fixed-relative-error streaming quantile sketch (mergeable, ordered
-/// deterministically). Memory is O(distinct buckets touched): with 1%
-/// accuracy a series spanning six decades needs ~700 buckets.
+/// deterministically). Memory is O(key range touched): with 1% accuracy a
+/// series spanning six decades covers ~700 keys, at most twice that many
+/// counters after geometric growth.
 class Digest {
  public:
   /// Relative accuracy: quantiles are within this fraction of the true
@@ -28,6 +38,10 @@ class Digest {
   static constexpr double kAlpha = 0.01;
   /// Magnitudes below this collapse into the zero bucket.
   static constexpr double kZeroEpsilon = 1e-12;
+  /// Bucket keys are clamped to [-kMaxKey, kMaxKey], a span that covers
+  /// every magnitude in [kZeroEpsilon, 1e300]; extreme outliers stay
+  /// finite instead of overflowing the key.
+  static constexpr std::int32_t kMaxKey = 40000;
 
   /// Adds one observation. NaN is ignored.
   void observe(double v) noexcept;
@@ -42,10 +56,11 @@ class Digest {
   /// from the original — same quantiles bit-for-bit, same serialization —
   /// which is what lets the columnar result store drop everything else.
   /// When the bucket total is zero, sum/min/max are ignored (empty digest).
-  [[nodiscard]] static Digest restore(
-      std::uint64_t zero_count, double sum, double min, double max,
-      std::map<std::int32_t, std::uint64_t> positive_bins,
-      std::map<std::int32_t, std::uint64_t> negative_bins);
+  /// Keys outside [-kMaxKey, kMaxKey] are clamped, as observe() would.
+  [[nodiscard]] static Digest restore(std::uint64_t zero_count, double sum,
+                                      double min, double max,
+                                      const Bins& positive_bins,
+                                      const Bins& negative_bins);
 
   [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
   [[nodiscard]] double sum() const noexcept { return sum_; }
@@ -62,17 +77,11 @@ class Digest {
   /// Returns 0 for an empty digest.
   [[nodiscard]] double quantile(double q) const noexcept;
 
-  /// Export surface for the JSON emitters: sparse (bucket key, count)
-  /// pairs. A positive value v maps to key ceil(log(v) / log(gamma));
-  /// negative values mirror into `negative_bins` by magnitude.
-  [[nodiscard]] const std::map<std::int32_t, std::uint64_t>& positive_bins()
-      const noexcept {
-    return pos_;
-  }
-  [[nodiscard]] const std::map<std::int32_t, std::uint64_t>& negative_bins()
-      const noexcept {
-    return neg_;
-  }
+  /// Export surface for the JSON emitters and the result store. A
+  /// positive value v maps to key ceil(log(v) / log(gamma)); negative
+  /// values mirror into `negative_bins` by magnitude.
+  [[nodiscard]] Bins positive_bins() const { return pos_.nonzero(); }
+  [[nodiscard]] Bins negative_bins() const { return neg_.nonzero(); }
   [[nodiscard]] std::uint64_t zero_count() const noexcept { return zero_; }
 
   /// Midpoint value represented by bucket `key` (positive side).
@@ -81,13 +90,33 @@ class Digest {
   [[nodiscard]] static std::int32_t bucket_key(double magnitude) noexcept;
 
  private:
+  // Counts of one sign over the contiguous key range
+  // [lo_, lo_ + counts_.size()).
+  class Buckets {
+   public:
+    void add(std::int32_t key, std::uint64_t n);
+    void add_all(const Buckets& other);
+    [[nodiscard]] Bins nonzero() const;
+    // Bucket key of counts()[i].
+    [[nodiscard]] std::int32_t key_at(std::size_t i) const noexcept {
+      return lo_ + static_cast<std::int32_t>(i);
+    }
+    [[nodiscard]] const std::vector<std::uint64_t>& counts() const noexcept {
+      return counts_;
+    }
+
+   private:
+    std::int32_t lo_ = 0;
+    std::vector<std::uint64_t> counts_;
+  };
+
   std::uint64_t count_ = 0;
   std::uint64_t zero_ = 0;
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-  std::map<std::int32_t, std::uint64_t> pos_;
-  std::map<std::int32_t, std::uint64_t> neg_;
+  Buckets pos_;
+  Buckets neg_;
 };
 
 }  // namespace fiveg::obs

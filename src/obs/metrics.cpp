@@ -1,6 +1,7 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 
 namespace fiveg::obs {
@@ -39,12 +40,13 @@ int Histogram::bucket_of(double v) noexcept {
   return idx;
 }
 
-void Histogram::observe(double v) noexcept {
-  ++count_;
-  sum_ += v;
+void Histogram::observe(double v, std::uint64_t weight) noexcept {
+  if (weight == 0) return;
+  count_ += weight;
+  sum_ += v * static_cast<double>(weight);  // exact at weight 1
   if (v < min_) min_ = v;
   if (v > max_) max_ = v;
-  ++buckets_[static_cast<std::size_t>(bucket_of(v))];
+  buckets_[static_cast<std::size_t>(bucket_of(v))] += weight;
 }
 
 double Histogram::quantile(double q) const noexcept {
@@ -74,9 +76,8 @@ void Histogram::merge(const Histogram& other) noexcept {
   for (std::size_t i = 0; i < kBuckets; ++i) buckets_[i] += other.buckets_[i];
 }
 
-Histogram Histogram::restore(
-    double sum, double min, double max,
-    const std::vector<std::pair<std::int32_t, std::uint64_t>>& bins) {
+Histogram Histogram::restore(double sum, double min, double max,
+                             const Bins& bins) {
   Histogram h;
   for (const auto& [key, count] : bins) {
     if (key < 0 || key >= kBuckets) continue;
@@ -153,8 +154,8 @@ MetricSnapshot snapshot_of(const std::string& name, MetricClock clock,
   s.p95 = d.quantile(0.95);
   s.p99 = d.quantile(0.99);
   s.zero_count = d.zero_count();
-  s.bins.assign(d.positive_bins().begin(), d.positive_bins().end());
-  s.neg_bins.assign(d.negative_bins().begin(), d.negative_bins().end());
+  s.bins = d.positive_bins();
+  s.neg_bins = d.negative_bins();
   return s;
 }
 
@@ -177,6 +178,11 @@ Metric& find_or_create(Map& map, std::string_view name, MetricClock clock) {
 }
 
 }  // namespace
+
+MetricsRegistry::MetricsRegistry() {
+  static std::atomic<std::uint64_t> next_id{1};
+  id_ = next_id.fetch_add(1, std::memory_order_relaxed);
+}
 
 Counter& MetricsRegistry::counter(std::string_view name, MetricClock clock) {
   return find_or_create<decltype(counters_), Counter>(counters_, name, clock);

@@ -76,7 +76,13 @@ class Gauge {
 /// of quantile resolution across 19 decades — plenty for latency profiles.
 class Histogram {
  public:
-  void observe(double v) noexcept;
+  void observe(double v) noexcept { observe(v, 1); }
+
+  /// Records `weight` observations of `v` at once: the count and bucket
+  /// grow by `weight`, the sum by `v * weight`. A sampler that times one
+  /// event in n records the sample with the weight of the events it
+  /// stands for, so the count stays exact and the sum is an estimate.
+  void observe(double v, std::uint64_t weight) noexcept;
 
   [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
   [[nodiscard]] double sum() const noexcept { return sum_; }
@@ -103,9 +109,8 @@ class Histogram {
   /// every observation lands in exactly one bucket. A restored histogram
   /// reports the same quantiles bit-for-bit as the original; when the
   /// bucket total is zero, sum/min/max are ignored (empty histogram).
-  [[nodiscard]] static Histogram restore(
-      double sum, double min, double max,
-      const std::vector<std::pair<std::int32_t, std::uint64_t>>& bins);
+  [[nodiscard]] static Histogram restore(double sum, double min, double max,
+                                         const Bins& bins);
 
   /// Folds another histogram in: counts and buckets add, sums accumulate
   /// in argument order (this += other), min/max widen. Merging per-lane
@@ -165,8 +170,8 @@ struct MetricSnapshot {
   // Bucket payloads as sparse (key, count) pairs: kHistogram fills `bins`
   // with its non-empty log2 buckets; kDigest fills `bins`/`neg_bins` with
   // its log-gamma buckets plus `zero_count`.
-  std::vector<std::pair<std::int32_t, std::uint64_t>> bins;
-  std::vector<std::pair<std::int32_t, std::uint64_t>> neg_bins;
+  Bins bins;
+  Bins neg_bins;
   std::uint64_t zero_count = 0;
 };
 
@@ -196,6 +201,14 @@ void sort_snapshots(std::vector<MetricSnapshot>* snaps);
 /// keeps kSim metrics deterministic without atomics.
 class MetricsRegistry {
  public:
+  MetricsRegistry();
+  MetricsRegistry(const MetricsRegistry&) = delete;
+  MetricsRegistry& operator=(const MetricsRegistry&) = delete;
+
+  /// Process-unique and never reused, unlike the registry's address: a
+  /// handle cache keyed on it cannot mistake a later registry for this one.
+  [[nodiscard]] std::uint64_t id() const noexcept { return id_; }
+
   /// Finds or creates. The clock domain is fixed on first use; later calls
   /// with a different clock keep the original (first writer wins).
   Counter& counter(std::string_view name,
@@ -251,6 +264,7 @@ class MetricsRegistry {
     MetricClock clock;
   };
 
+  std::uint64_t id_;
   // std::map: stable node addresses across inserts (handles are cached by
   // the instrumented layers).
   std::map<std::string, Slot<Counter>, std::less<>> counters_;

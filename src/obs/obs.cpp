@@ -19,4 +19,14 @@ ScopedObs::ScopedObs(Tracer* tracer, MetricsRegistry* metrics)
 
 ScopedObs::~ScopedObs() { g_scope = prev_; }
 
+Digest* ScopedDigest::get() {
+  MetricsRegistry* reg = g_scope.metrics;
+  if (reg == nullptr) return nullptr;
+  if (reg->id() != registry_) {
+    digest_ = &reg->digest(name_);
+    registry_ = reg->id();
+  }
+  return digest_;
+}
+
 }  // namespace fiveg::obs

@@ -9,6 +9,10 @@
 // BENCH_obs.json for the measured Simulator::run overhead).
 #pragma once
 
+#include <cstdint>
+#include <string>
+#include <utility>
+
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -36,6 +40,22 @@ class ScopedObs {
 
  private:
   Scope prev_;
+};
+
+/// A digest resolved by name once per metrics registry, not once per
+/// observation: for hot free functions that have no object to keep a
+/// handle in. Keep one per thread (`thread_local`). get() returns the
+/// installed registry's digest `name`, created on first use exactly as
+/// MetricsRegistry::digest would, or null with no metrics scope.
+class ScopedDigest {
+ public:
+  explicit ScopedDigest(std::string name) : name_(std::move(name)) {}
+  [[nodiscard]] Digest* get();
+
+ private:
+  std::string name_;
+  std::uint64_t registry_ = 0;  // MetricsRegistry::id() digest_ belongs to
+  Digest* digest_ = nullptr;
 };
 
 }  // namespace fiveg::obs

@@ -12,27 +12,28 @@ namespace {
 
 // Serving-cell KPI digests, labeled by RAT. Observing only the selected
 // cell (not every candidate) keeps the cost bounded by one digest insert
-// per best_cell() call; the canonical names are built once.
+// per best_cell() call; each handle is resolved once per registry.
+struct ServingDigests {
+  explicit ServingDigests(const char* rat)
+      : rsrp(obs::labeled("radio.rsrp_dbm", {{"rat", rat}})),
+        sinr(obs::labeled("radio.sinr_db", {{"rat", rat}})),
+        cqi(obs::labeled("radio.cqi", {{"rat", rat}})) {}
+  obs::ScopedDigest rsrp;
+  obs::ScopedDigest sinr;
+  obs::ScopedDigest cqi;
+};
+
 void observe_serving_cell(const radio::CarrierConfig& carrier,
                           const CellMeasurement& m) {
-  obs::MetricsRegistry* reg = obs::metrics();
-  if (reg == nullptr || m.cell == nullptr) return;
-  static const std::string kRsrpNr =
-      obs::labeled("radio.rsrp_dbm", {{"rat", "nr"}});
-  static const std::string kRsrpLte =
-      obs::labeled("radio.rsrp_dbm", {{"rat", "lte"}});
-  static const std::string kSinrNr =
-      obs::labeled("radio.sinr_db", {{"rat", "nr"}});
-  static const std::string kSinrLte =
-      obs::labeled("radio.sinr_db", {{"rat", "lte"}});
-  static const std::string kCqiNr = obs::labeled("radio.cqi", {{"rat", "nr"}});
-  static const std::string kCqiLte =
-      obs::labeled("radio.cqi", {{"rat", "lte"}});
-  const bool nr = carrier.rat == radio::Rat::kNr;
-  reg->digest(nr ? kRsrpNr : kRsrpLte).observe(m.rsrp_dbm);
-  reg->digest(nr ? kSinrNr : kSinrLte).observe(m.sinr_db);
-  reg->digest(nr ? kCqiNr : kCqiLte)
-      .observe(static_cast<double>(radio::cqi_from_sinr(m.sinr_db)));
+  if (m.cell == nullptr) return;
+  thread_local ServingDigests nr("nr");
+  thread_local ServingDigests lte("lte");
+  ServingDigests& d = carrier.rat == radio::Rat::kNr ? nr : lte;
+  obs::Digest* rsrp = d.rsrp.get();
+  if (rsrp == nullptr) return;  // no metrics scope
+  rsrp->observe(m.rsrp_dbm);
+  d.sinr.get()->observe(m.sinr_db);
+  d.cqi.get()->observe(static_cast<double>(radio::cqi_from_sinr(m.sinr_db)));
 }
 
 }  // namespace

@@ -9,14 +9,15 @@ namespace fiveg::ran {
 
 namespace {
 
+// One handle per RAT, resolved once per registry.
 void observe_prb(radio::Rat rat, double fraction) {
-  obs::MetricsRegistry* reg = obs::metrics();
-  if (reg == nullptr) return;
-  static const std::string kNr =
-      obs::labeled("ran.prb_fraction", {{"rat", "nr"}});
-  static const std::string kLte =
-      obs::labeled("ran.prb_fraction", {{"rat", "lte"}});
-  reg->digest(rat == radio::Rat::kNr ? kNr : kLte).observe(fraction);
+  thread_local obs::ScopedDigest nr(
+      obs::labeled("ran.prb_fraction", {{"rat", "nr"}}));
+  thread_local obs::ScopedDigest lte(
+      obs::labeled("ran.prb_fraction", {{"rat", "lte"}}));
+  if (obs::Digest* d = (rat == radio::Rat::kNr ? nr : lte).get()) {
+    d->observe(fraction);
+  }
 }
 
 }  // namespace

@@ -81,6 +81,7 @@ std::uint64_t Simulator::drain(Time last, std::uint64_t max_events) {
       e.action.reset();
       ++executed_;
     }
+    flush_untimed();
   }
   return executed_ - before;
 }
@@ -89,16 +90,27 @@ bool Simulator::step() {
   return drain(std::numeric_limits<Time>::max(), 1) == 1;
 }
 
-Simulator::LabelStats& Simulator::stats_for(const char* label) {
-  for (LabelStats& stats : label_stats_) {
-    if (stats.label == label) return stats;
+std::size_t Simulator::stats_index(const char* label) {
+  for (std::size_t i = 0; i < label_stats_.size(); ++i) {
+    if (label_stats_[i].label == label) return i;
   }
   const std::string suffix = label != nullptr ? label : "(unlabeled)";
   obs::Counter& count = metrics_->counter("sim.events." + suffix);
-  return label_stats_.emplace_back(LabelStats{
+  label_stats_.push_back(LabelStats{
       label, &count,
       &metrics_->histogram("sim.callback_wall_us." + suffix,
                            obs::MetricClock::kWall)});
+  return label_stats_.size() - 1;
+}
+
+bool Simulator::sample_tick() noexcept {
+  // 64-bit LCG (Knuth's MMIX constants); its top bits are the well-mixed
+  // ones, and four of them all zero is a 1-in-kSampleEvery draw.
+  constexpr std::uint64_t kMul = 6364136223846793005ULL;
+  constexpr std::uint64_t kInc = 1442695040888963407ULL;
+  sample_state_ = sample_state_ * kMul + kInc;
+  static_assert(kSampleEvery == 16, "the draw below keeps the top 4 bits");
+  return (sample_state_ >> 60) == 0;
 }
 
 void Simulator::observed_step(EventQueue::Popped& e) {
@@ -121,14 +133,34 @@ void Simulator::observed_step(EventQueue::Popped& e) {
     events_total_ = &metrics_->counter("sim.events");
     depth_gauge_ = &metrics_->gauge("sim.queue_depth_hwm");
   }
-  // A copy: a run nested in the action may grow label_stats_.
-  const LabelStats stats = stats_for(e.label);
-  const auto start = WallClock::now();
+  // An index, not a reference: a run nested in the action may grow
+  // label_stats_. Every event is counted; only a sample is timed (the
+  // first kTimeAllFirst of each label, then about one in kSampleEvery),
+  // and each sample carries the weight of the untimed events before it.
+  const std::size_t i = stats_index(e.label);
+  const bool timed = label_stats_[i].events < kTimeAllFirst || sample_tick();
+  const auto start = timed ? WallClock::now() : WallClock::time_point{};
   e.action();
-  events_total_->add();
+  LabelStats& stats = label_stats_[i];
+  if (timed) {
+    stats.last_us = seconds_since(start) * 1e6;
+    stats.wall_us->observe(stats.last_us, stats.untimed + 1);
+    stats.untimed = 0;
+  } else {
+    ++stats.untimed;
+  }
+  ++stats.events;
   stats.count->add();
-  stats.wall_us->observe(seconds_since(start) * 1e6);
+  events_total_->add();
   depth_gauge_->update_max(static_cast<double>(depth_hwm_));
+}
+
+void Simulator::flush_untimed() noexcept {
+  for (LabelStats& stats : label_stats_) {
+    if (stats.untimed == 0) continue;
+    stats.wall_us->observe(stats.last_us, stats.untimed);
+    stats.untimed = 0;
+  }
 }
 
 void Simulator::run_drain(Time last) {

@@ -5,10 +5,10 @@
 //
 // The simulator is also the root of the observability layer's profiling
 // data: when the constructing thread has an obs::Scope installed (see
-// obs/obs.h), every executed event is counted per label, timed on the wall
-// clock into kWall histograms, and the queue-depth high-water mark is
-// tracked. Without a scope (the default), instrumentation costs one branch
-// per drain.
+// obs/obs.h), every executed event is counted per label, a sample of them
+// is timed on the wall clock into kWall histograms, and the queue-depth
+// high-water mark is tracked. Without a scope, instrumentation costs one
+// branch per drain.
 //
 // run(), run_until(), run_window() and step() all go through one private
 // loop, drain(): it pops each due event once (EventQueue::pop_due) and
@@ -167,11 +167,24 @@ class Simulator {
   }
 
  private:
-  // Cached per-label metric handles, found by label pointer identity.
+  // Per-label wall-time sampling: each label's first kTimeAllFirst events
+  // are all timed, later ones about one in kSampleEvery. A sample enters
+  // sim.callback_wall_us.<label> weighted by the events it stands for, and
+  // each drain ends by entering its untimed remainder at the label's
+  // latest sample, so the histogram count always equals sim.events.<label>
+  // and its sum is an estimate of the label's wall time.
+  static constexpr std::uint64_t kTimeAllFirst = 16;
+  static constexpr std::uint64_t kSampleEvery = 16;
+
+  // Cached per-label metric handles, found by label pointer identity, and
+  // the label's sampling state.
   struct LabelStats {
     const char* label;
     obs::Counter* count;
     obs::Histogram* wall_us;
+    std::uint64_t events = 0;   // run by this simulator
+    std::uint64_t untimed = 0;  // counted, not yet in wall_us
+    double last_us = 0.0;       // latest sampled wall time
   };
 
   // The one dispatch loop: runs due events (time <= `last`) until none is
@@ -181,7 +194,11 @@ class Simulator {
       std::uint64_t max_events = std::numeric_limits<std::uint64_t>::max());
   // Out-of-line slow path: executes `e` with counting/timing/tracing.
   void observed_step(EventQueue::Popped& e);
-  LabelStats& stats_for(const char* label);
+  std::size_t stats_index(const char* label);
+  // One draw of the sampling generator: true about once in kSampleEvery.
+  bool sample_tick() noexcept;
+  // Enters every label's untimed events into its wall-time histogram.
+  void flush_untimed() noexcept;
   // run()/run_until(): clears stop(), drains, and with metrics on observes
   // the drain on the wall clock.
   void run_drain(Time last);
@@ -198,6 +215,8 @@ class Simulator {
   obs::Counter* events_total_ = nullptr;
   obs::Gauge* depth_gauge_ = nullptr;
   std::vector<LabelStats> label_stats_;  // first-seen order
+  // State of sample_tick()'s generator; it only picks what gets timed.
+  std::uint64_t sample_state_ = 0;
   double last_depth_traced_ = -1.0;
   // Self-profiler churn baselines: run_drain() publishes the delta of
   // each source counter since the previous drain, so per-run numbers stay

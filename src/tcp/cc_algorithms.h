@@ -146,7 +146,9 @@ class BbrCc : public CongestionControl {
   double pacing_gain_ = kHighGain;
   double cwnd_gain_ = kHighGain;
 
-  // Windowed-max bottleneck bandwidth over the last 10 rounds.
+  // Windowed-max bottleneck bandwidth over the last 10 rounds: a monotone
+  // deque of (round, bw) candidates, bandwidth strictly decreasing from
+  // the front (the max) to the back (the newest sample).
   std::deque<std::pair<std::uint64_t, double>> bw_samples_;
   std::uint64_t round_ = 0;
   sim::Time round_start_ = 0;

@@ -27,9 +27,7 @@ BbrCc::BbrCc(std::uint32_t mss, CcSeed seed) : mss_(mss) {
 }
 
 double BbrCc::btl_bw_bps() const {
-  double best = 0.0;
-  for (const auto& [round, bw] : bw_samples_) best = std::max(best, bw);
-  return best;
+  return bw_samples_.empty() ? 0.0 : bw_samples_.front().second;
 }
 
 double BbrCc::bdp_bytes(double gain) const {
@@ -72,6 +70,12 @@ void BbrCc::update_btl_bw(const AckEvent& e) {
   if (e.delivery_rate_bps <= 0.0) return;
   // App-limited samples can only raise the estimate (RFC draft rule).
   if (e.app_limited && e.delivery_rate_bps <= btl_bw_bps()) return;
+  // A sample no larger than a newer one can never be the window max
+  // again, so the deque stays strictly decreasing and its front is the max.
+  while (!bw_samples_.empty() &&
+         bw_samples_.back().second <= e.delivery_rate_bps) {
+    bw_samples_.pop_back();
+  }
   bw_samples_.emplace_back(round_, e.delivery_rate_bps);
   while (!bw_samples_.empty() &&
          bw_samples_.front().first + kBwWindowRounds < round_) {

@@ -5,9 +5,12 @@
 // hooks including trace determinism across identical runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <limits>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -694,6 +697,192 @@ TEST(CodecTest, DigestDecodeRejectsZeroCountBin) {
   codec::put_svarint(&buf, 3);   // key
   codec::put_varint(&buf, 0);    // count 0 — invalid
   codec::put_varint(&buf, 0);    // no negative bins
+  codec::Reader r(buf);
+  Digest d;
+  EXPECT_FALSE(codec::decode_digest(&r, &d));
+}
+
+// The digest's flat bucket arrays against the std::map layout they
+// replaced, kept here as the reference: same bins, same quantiles, same
+// codec bytes, through observe, merge and restore.
+struct MapDigest {
+  std::map<std::int32_t, std::uint64_t> pos;
+  std::map<std::int32_t, std::uint64_t> neg;
+  std::uint64_t zero = 0;
+  std::uint64_t count = 0;
+  double sum = 0.0;
+  double min = std::numeric_limits<double>::infinity();
+  double max = -std::numeric_limits<double>::infinity();
+
+  void observe(double v) {
+    if (std::isnan(v)) return;
+    ++count;
+    sum += v;
+    min = std::min(min, v);
+    max = std::max(max, v);
+    const double mag = std::abs(v);
+    if (mag < Digest::kZeroEpsilon) {
+      ++zero;
+    } else {
+      ++(v > 0.0 ? pos : neg)[Digest::bucket_key(mag)];
+    }
+  }
+
+  void merge(const MapDigest& o) {
+    if (o.count == 0) return;
+    count += o.count;
+    zero += o.zero;
+    sum += o.sum;
+    min = std::min(min, o.min);
+    max = std::max(max, o.max);
+    for (const auto& [k, c] : o.pos) pos[k] += c;
+    for (const auto& [k, c] : o.neg) neg[k] += c;
+  }
+
+  [[nodiscard]] double quantile(double q) const {
+    if (count == 0) return 0.0;
+    q = std::clamp(q, 0.0, 1.0);
+    if (q <= 0.0) return min;
+    if (q >= 1.0) return max;
+    const auto rank =
+        static_cast<std::uint64_t>(q * static_cast<double>(count - 1));
+    std::uint64_t seen = 0;
+    for (auto it = neg.rbegin(); it != neg.rend(); ++it) {
+      seen += it->second;
+      if (seen > rank) {
+        return std::clamp(-Digest::bucket_value(it->first), min, max);
+      }
+    }
+    seen += zero;
+    if (seen > rank) return std::clamp(0.0, min, max);
+    for (const auto& [k, c] : pos) {
+      seen += c;
+      if (seen > rank) return std::clamp(Digest::bucket_value(k), min, max);
+    }
+    return max;
+  }
+
+  [[nodiscard]] static Bins bins(
+      const std::map<std::int32_t, std::uint64_t>& m) {
+    return {m.begin(), m.end()};
+  }
+
+  // The codec's digest layout, written out field by field.
+  [[nodiscard]] std::string bytes() const {
+    std::string out;
+    codec::put_varint(&out, zero);
+    codec::put_f64(&out, count > 0 ? sum : 0.0);
+    codec::put_f64(&out, count > 0 ? min : 0.0);
+    codec::put_f64(&out, count > 0 ? max : 0.0);
+    for (const auto* m : {&pos, &neg}) {
+      codec::put_varint(&out, m->size());
+      for (const auto& [k, c] : *m) {
+        codec::put_svarint(&out, k);
+        codec::put_varint(&out, c);
+      }
+    }
+    return out;
+  }
+};
+
+// Seeded multisets mixing every regime the bucket arrays must handle:
+// wide positive and negative tails, zeros and sub-epsilon values, NaN,
+// infinities (whose keys clamp at +-kMaxKey), and runs sorted descending
+// so keys keep arriving below the touched range.
+std::vector<double> digest_property_values(std::uint64_t seed) {
+  sim::Rng rng(seed);
+  std::vector<double> v;
+  const int n = static_cast<int>(rng.uniform_int(1, 400));
+  for (int i = 0; i < n; ++i) {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    switch (rng.uniform_int(0, 7)) {
+      case 0:
+        v.push_back(rng.lognormal(0.0, 6.0));
+        break;
+      case 1:
+        v.push_back(-rng.lognormal(1.0, 4.0));
+        break;
+      case 2:
+        v.push_back(rng.bernoulli(0.5) ? 0.0 : -0.0);
+        break;
+      case 3:
+        v.push_back(rng.uniform(-1e-13, 1e-13));
+        break;
+      case 4:
+        v.push_back(std::numeric_limits<double>::quiet_NaN());
+        break;
+      case 5:
+        v.push_back(rng.bernoulli(0.5) ? kInf : -kInf);
+        break;
+      default:
+        v.push_back(rng.uniform(-120.0, 40.0));
+        break;
+    }
+  }
+  if (rng.bernoulli(0.5)) {
+    std::sort(v.begin(), v.end(), [](double a, double b) { return a > b; });
+  }
+  return v;
+}
+
+void expect_digest_matches(const Digest& d, const MapDigest& ref) {
+  EXPECT_EQ(d.count(), ref.count);
+  EXPECT_EQ(d.zero_count(), ref.zero);
+  EXPECT_EQ(d.positive_bins(), MapDigest::bins(ref.pos));
+  EXPECT_EQ(d.negative_bins(), MapDigest::bins(ref.neg));
+  for (const double q : {0.0, 0.01, 0.25, 0.5, 0.75, 0.99, 1.0}) {
+    const double got = d.quantile(q);
+    const double want = ref.quantile(q);
+    // Bitwise, so NaN sums and signed zeros compare too.
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+        << "q=" << q << " got=" << got << " want=" << want;
+  }
+  EXPECT_EQ(digest_bytes(d), ref.bytes());
+}
+
+TEST(DigestTest, FlatBucketsMatchMapReference) {
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE(seed);
+    Digest a;
+    Digest b;
+    MapDigest ra;
+    MapDigest rb;
+    for (const double v : digest_property_values(seed)) {
+      a.observe(v);
+      ra.observe(v);
+    }
+    for (const double v : digest_property_values(seed + 1000)) {
+      b.observe(v);
+      rb.observe(v);
+    }
+    expect_digest_matches(a, ra);
+    expect_digest_matches(b, rb);
+
+    a.merge(b);
+    ra.merge(rb);
+    expect_digest_matches(a, ra);
+
+    const Bins pos = MapDigest::bins(ra.pos);
+    const Bins neg = MapDigest::bins(ra.neg);
+    const Digest restored =
+        Digest::restore(ra.zero, ra.sum, ra.min, ra.max, pos, neg);
+    expect_digest_matches(restored, ra);
+    expect_digest_matches(decode_digest_or_die(ra.bytes()), ra);
+  }
+}
+
+TEST(CodecTest, DigestDecodeRejectsKeyPastTheClamp) {
+  // No live digest holds a key beyond +-kMaxKey, and accepting one would
+  // size the bucket array by whatever the file claims.
+  std::string buf;
+  codec::put_varint(&buf, 0);  // zero_count
+  codec::put_f64(&buf, 1.0);   // sum
+  codec::put_f64(&buf, 1.0);   // min
+  codec::put_f64(&buf, 1.0);   // max
+  codec::put_varint(&buf, 1);  // one positive bin
+  codec::put_svarint(&buf, Digest::kMaxKey + 1);
+  codec::put_varint(&buf, 1);
+  codec::put_varint(&buf, 0);  // no negative bins
   codec::Reader r(buf);
   Digest d;
   EXPECT_FALSE(codec::decode_digest(&r, &d));

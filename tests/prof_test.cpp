@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <map>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -102,6 +104,64 @@ TEST(ProfTest, SimulatorFeedsLabelAttributionAndChurn) {
   for (const MetricSnapshot& s : registry.snapshot(MetricClock::kSim)) {
     EXPECT_EQ(s.name.find("prof."), std::string::npos) << s.name;
   }
+}
+
+// Every `sim.events.<label>` counter against the count of its
+// `sim.callback_wall_us.<label>` histogram; returns how many labels matched.
+int expect_wall_counts_exact(const MetricsRegistry& registry) {
+  const std::string events_prefix = "sim.events.";
+  std::map<std::string, std::uint64_t> events;
+  for (const MetricSnapshot& s : registry.snapshot(MetricClock::kSim)) {
+    if (s.name.rfind(events_prefix, 0) == 0) {
+      events[s.name.substr(events_prefix.size())] = s.count;
+    }
+  }
+  std::map<std::string, std::uint64_t> timed;
+  const auto wall = registry.snapshot(MetricClock::kWall);
+  for (const LabelRow& row : label_rows(wall)) {
+    timed[row.label] = row.events;
+    EXPECT_GE(row.total_ms, 0.0) << row.label;
+  }
+  EXPECT_EQ(timed, events);
+  return static_cast<int>(events.size());
+}
+
+TEST(ProfTest, SampledWallTimeKeepsExactCountsOnEveryEntryPoint) {
+  MetricsRegistry registry;
+  const ScopedObs scope(nullptr, &registry);
+  sim::Simulator simr;
+  // Well past the all-timed prefix, so most of these are sampled.
+  for (int i = 0; i < 5000; ++i) {
+    simr.schedule_at(i * sim::kMicrosecond, "test.busy", [] {});
+  }
+  for (int i = 0; i < 3; ++i) {  // fewer than the all-timed prefix
+    simr.schedule_at(i * sim::kMillisecond, "test.rare", [] {});
+  }
+  // A run nested in an event: its drain ends inside the outer one.
+  simr.schedule_at(2 * sim::kMillisecond, "test.nest", [&simr] {
+    for (int i = 1; i <= 40; ++i) {
+      simr.schedule_in(i * sim::kMicrosecond, "test.inner", [] {});
+    }
+    simr.run_until(simr.now() + 20 * sim::kMicrosecond);
+  });
+
+  simr.run_until(sim::kMillisecond);
+  EXPECT_EQ(expect_wall_counts_exact(registry), 2);
+  EXPECT_EQ(simr.run_window(1500 * sim::kMicrosecond), 499u);
+  expect_wall_counts_exact(registry);
+  for (int i = 0; i < 37; ++i) ASSERT_TRUE(simr.step());
+  expect_wall_counts_exact(registry);
+  simr.run();
+  EXPECT_EQ(expect_wall_counts_exact(registry), 4);
+  EXPECT_EQ(registry.counter("sim.events.test.busy").value(), 5000u);
+  EXPECT_EQ(registry.counter("sim.events.test.inner").value(), 40u);
+
+  // A second simulator on the same registry adds to the same series.
+  sim::Simulator second;
+  for (int i = 0; i < 100; ++i) second.schedule_in(i, "test.busy", [] {});
+  second.run();
+  expect_wall_counts_exact(registry);
+  EXPECT_EQ(registry.counter("sim.events.test.busy").value(), 5100u);
 }
 
 TEST(ProfTest, HeapFallbackBaselineIsPerSimulator) {

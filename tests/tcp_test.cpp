@@ -2,11 +2,16 @@
 // RTT estimator, and full sender/receiver sessions over simulated paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <deque>
 #include <memory>
+#include <utility>
 
 #include "net/aqm.h"
 #include "net/link.h"
 #include "net/path.h"
+#include "sim/rng.h"
 #include "sim/simulator.h"
 #include "tcp/cc_algorithms.h"
 #include "tcp/congestion_control.h"
@@ -202,6 +207,182 @@ TEST(BbrTest, LossDoesNotShrinkWindow) {
   const double w = cc.cwnd_bytes();
   cc.on_loss(t, 10 * kMss);
   EXPECT_DOUBLE_EQ(cc.cwnd_bytes(), w);
+}
+
+// BBR with the bandwidth filter written the obvious way: keep every
+// sample of the last 10 rounds and scan them all for the max. The rest of
+// the model is BbrCc's, so its cwnd and pacing rate must match bit for bit.
+class BruteForceBbr {
+ public:
+  explicit BruteForceBbr(double mss) : mss_(mss) {}
+
+  [[nodiscard]] double btl_bw_bps() const {
+    double best = 0.0;
+    for (const auto& [round, bw] : samples_) best = std::max(best, bw);
+    return best;
+  }
+  [[nodiscard]] double cwnd_bytes() const {
+    double w = kMinCwnd * mss_;
+    if (mode_ != kProbeRtt) w = std::max(bdp(cwnd_gain_), w);
+    if (ecn_cap_ > 0.0) w = std::min(w, ecn_cap_);
+    return w;
+  }
+  [[nodiscard]] double pacing_rate_bps() const {
+    double floor_rtt_s = 0.010;
+    if (rt_prop_ > 0) floor_rtt_s = sim::to_seconds(rt_prop_);
+    return std::max(pacing_gain_ * btl_bw_bps(),
+                    kMinCwnd * mss_ * 8.0 / floor_rtt_s);
+  }
+
+  void on_ack(const AckEvent& e) {
+    if (ecn_cap_ > 0.0 && e.now >= ecn_cap_until_) ecn_cap_ = 0.0;
+    if (e.rtt > 0 && (rt_prop_ == 0 || e.rtt <= rt_prop_ ||
+                      e.now - rt_prop_stamp_ > kRtPropWindow)) {
+      rt_prop_ = e.rtt;
+      rt_prop_stamp_ = e.now;
+    }
+    const sim::Time round_len =
+        std::max<sim::Time>(rt_prop_, 10 * kMillisecond);
+    if (e.now >= round_start_ + round_len) {
+      round_start_ = e.now;
+      ++round_;
+    }
+    if (e.delivery_rate_bps > 0.0 &&
+        !(e.app_limited && e.delivery_rate_bps <= btl_bw_bps())) {
+      samples_.emplace_back(round_, e.delivery_rate_bps);
+      while (samples_.front().first + 10 < round_) samples_.pop_front();
+    }
+    advance(e);
+  }
+  void on_ecn(sim::Time now) {
+    ecn_cap_ = std::max(cwnd_bytes() * 0.5, kMinCwnd * mss_);
+    ecn_cap_until_ = now + std::max<sim::Time>(rt_prop_, 10 * kMillisecond);
+  }
+  void on_timeout() {
+    if (mode_ == kStartup) {
+      full_bw_ = 0.0;
+      full_bw_rounds_ = 0;
+    }
+  }
+
+ private:
+  enum Mode { kStartup, kDrain, kProbeBw, kProbeRtt };
+  static constexpr double kHighGain = 2.885;
+  static constexpr double kMinCwnd = 4.0;
+  static constexpr sim::Time kRtPropWindow = 10 * kSecond;
+  static constexpr std::size_t kCycleLength = 8;
+
+  // ProbeBW's pacing-gain cycle: probe up, drain, then six cruise phases.
+  [[nodiscard]] static double cycle_gain(std::size_t i) {
+    return i == 0 ? 1.25 : i == 1 ? 0.75 : 1.0;
+  }
+
+  [[nodiscard]] double bdp(double gain) const {
+    const double bw = btl_bw_bps();
+    if (bw <= 0.0 || rt_prop_ <= 0) return kMinCwnd * mss_ * kHighGain;
+    return gain * bw / 8.0 * sim::to_seconds(rt_prop_);
+  }
+
+  void advance(const AckEvent& e) {
+    if (mode_ == kStartup && round_ != plateau_round_) {
+      plateau_round_ = round_;
+      const double bw = btl_bw_bps();
+      if (bw >= full_bw_ * 1.25 || full_bw_ == 0.0) {
+        full_bw_ = bw;
+        full_bw_rounds_ = 0;
+      } else if (++full_bw_rounds_ >= 3) {
+        mode_ = kDrain;
+        pacing_gain_ = 1.0 / kHighGain;
+        cwnd_gain_ = kHighGain;
+      }
+    } else if (mode_ == kDrain) {
+      if (static_cast<double>(e.bytes_in_flight) <= bdp(1.0)) {
+        mode_ = kProbeBw;
+        cycle_ = 0;
+        cycle_stamp_ = e.now;
+        pacing_gain_ = cycle_gain(0);
+        cwnd_gain_ = 2.0;
+      }
+    } else if (mode_ == kProbeBw) {
+      if (e.now - cycle_stamp_ >= std::max<sim::Time>(rt_prop_, 1)) {
+        cycle_ = (cycle_ + 1) % kCycleLength;
+        cycle_stamp_ = e.now;
+        pacing_gain_ = cycle_gain(cycle_);
+      }
+    } else if (mode_ == kProbeRtt && e.now >= probe_rtt_done_) {
+      rt_prop_stamp_ = e.now;
+      mode_ = before_probe_rtt_;
+      pacing_gain_ = mode_ == kStartup ? kHighGain : cycle_gain(cycle_);
+      cwnd_gain_ = mode_ == kStartup ? kHighGain : 2.0;
+    }
+    if (mode_ != kProbeRtt && rt_prop_ > 0 &&
+        e.now - rt_prop_stamp_ > kRtPropWindow) {
+      before_probe_rtt_ = mode_ == kStartup ? kProbeBw : mode_;
+      mode_ = kProbeRtt;
+      pacing_gain_ = 1.0;
+      cwnd_gain_ = 1.0;
+      probe_rtt_done_ = e.now + 200 * kMillisecond;
+    }
+  }
+
+  double mss_;
+  Mode mode_ = kStartup;
+  double pacing_gain_ = kHighGain;
+  double cwnd_gain_ = kHighGain;
+  std::deque<std::pair<std::uint64_t, double>> samples_;
+  std::uint64_t round_ = 0;
+  sim::Time round_start_ = 0;
+  sim::Time rt_prop_ = 0;
+  sim::Time rt_prop_stamp_ = 0;
+  double full_bw_ = 0.0;
+  int full_bw_rounds_ = 0;
+  std::uint64_t plateau_round_ = 0;
+  std::size_t cycle_ = 0;
+  sim::Time cycle_stamp_ = 0;
+  sim::Time probe_rtt_done_ = 0;
+  Mode before_probe_rtt_ = kProbeBw;
+  double ecn_cap_ = 0.0;
+  sim::Time ecn_cap_until_ = 0;
+};
+
+TEST(BbrTest, WindowedMaxFilterMatchesBruteForce) {
+  // Rates come from a short ladder, often unscaled, so equal bandwidths
+  // are common; gaps of up to 40 ms cross rounds at every rt_prop the
+  // RTTs produce, and long quiet spells push whole windows out.
+  constexpr double kRates[] = {0.0, 20e6, 50e6, 50e6, 80e6, 120e6};
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(seed);
+    sim::Rng rng(seed);
+    BbrCc cc(kMss);
+    BruteForceBbr ref(kMss);
+    sim::Time t = 0;
+    for (int i = 0; i < 3000; ++i) {
+      double gap_ms = rng.uniform(0.0, 40.0);
+      if (rng.bernoulli(0.01)) gap_ms = rng.uniform(100.0, 400.0);
+      t += from_millis(gap_ms);
+      sim::Time rtt = 0;
+      if (rng.bernoulli(0.8)) rtt = from_millis(rng.uniform(5.0, 60.0));
+      double rate = kRates[static_cast<std::size_t>(rng.uniform_int(0, 5))];
+      if (rng.bernoulli(0.8)) rate *= rng.uniform(0.5, 1.5);  // else exact
+      const std::uint64_t inflight =
+          static_cast<std::uint64_t>(rng.uniform_int(0, 400)) * kMss;
+      AckEvent e = make_ack(t, rtt, kMss, 0, rate, inflight);
+      e.app_limited = rng.bernoulli(0.3);
+      cc.on_ack(e);
+      ref.on_ack(e);
+      if (rng.bernoulli(0.02)) {
+        cc.on_ecn(t, 0);
+        ref.on_ecn(t);
+      }
+      if (rng.bernoulli(0.01)) {
+        cc.on_timeout(t);
+        ref.on_timeout();
+      }
+      ASSERT_EQ(cc.btl_bw_bps(), ref.btl_bw_bps()) << "ack " << i;
+      ASSERT_EQ(cc.cwnd_bytes(), ref.cwnd_bytes()) << "ack " << i;
+      ASSERT_EQ(cc.pacing_rate_bps(), ref.pacing_rate_bps()) << "ack " << i;
+    }
+  }
 }
 
 TEST(RttEstimatorTest, Rfc6298Basics) {

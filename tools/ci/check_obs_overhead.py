@@ -7,17 +7,24 @@ FRESH_JSON is the single-line document bench_obs_overhead prints
 (events_per_sec_median for the disabled path, plus
 profiled_events_per_sec_median / profiled_overhead_pct for a run under a
 metrics scope). BASELINE_JSON is the committed BENCH_obs.json, whose
-"after" block holds the accepted disabled-path median for the current
-tree.
+"after" block holds the accepted medians for the current tree.
 
-The acceptance bar is the one BENCH_obs.json documents: the *disabled*
-path — what every default campaign runs — must stay within the threshold
-(default 2%) of the baseline. Shared CI runners are too noisy to gate on,
-so this script always exits 0 and emits a GitHub `::warning::` annotation
-on a regression. The profiled-path overhead is reported informationally.
+Two paths are checked. The *disabled* path (no obs scope: the layer
+benches, perfbench's untraced workloads, library users) must stay within
+the threshold (default 2%) of the baseline's events/s. The *profiled*
+path is the one every fiveg_runall campaign takes, because core::Runner
+installs a metrics scope per experiment; its overhead over the disabled
+path must not grow more than 10 points past the committed
+profiled_overhead_pct. Shared CI runners are too noisy to gate on, so
+this script always exits 0 and emits a GitHub `::warning::` annotation
+on either regression.
 """
 import json
 import sys
+
+# How far the profiled path's overhead may rise past the committed value
+# before the check warns, in percentage points.
+PROFILED_SLACK_PTS = 10.0
 
 
 def main(argv):
@@ -33,8 +40,9 @@ def main(argv):
         with open(argv[1]) as f:
             fresh = json.load(f)
         with open(argv[2]) as f:
-            baseline = json.load(f)["after"]["median_of_runs"]
-    except (OSError, ValueError, KeyError) as e:
+            after = json.load(f)["after"]
+        baseline = after["median_of_runs"]
+    except (OSError, ValueError, KeyError, TypeError) as e:
         print(f"::warning::obs-overhead comparison skipped: {e}")
         return 0
 
@@ -54,9 +62,18 @@ def main(argv):
 
     profiled = fresh.get("profiled_events_per_sec_median")
     overhead = fresh.get("profiled_overhead_pct")
-    if profiled is not None and overhead is not None:
-        print(f"profiled-path events/s: {profiled:,.0f} "
-              f"({overhead:+.1f}% vs disabled; informational)")
+    if profiled is None or overhead is None:
+        print("::warning::obs-overhead: missing profiled_overhead_pct")
+        return 0
+    committed = after.get("profiled_overhead_pct", {}).get("median_of_runs")
+    line = (f"profiled-path events/s: {profiled:,.0f} ({overhead:+.1f}% vs "
+            f"disabled; committed {committed}%)")
+    if committed is not None and overhead > committed + PROFILED_SLACK_PTS:
+        print(f"::warning::obs-overhead: profiled overhead more than "
+              f"{PROFILED_SLACK_PTS:.0f} points past the committed value: "
+              f"{line}")
+    else:
+        print(line)
     return 0
 
 

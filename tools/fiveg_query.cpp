@@ -135,13 +135,8 @@ int print_percentiles(const std::vector<fiveg::core::StoreRecord>& records,
           s.kind != fiveg::obs::MetricSnapshot::Kind::kDigest) {
         continue;
       }
-      std::map<std::int32_t, std::uint64_t> pos(s.bins.begin(),
-                                                s.bins.end());
-      std::map<std::int32_t, std::uint64_t> neg(s.neg_bins.begin(),
-                                                s.neg_bins.end());
       merged.merge(fiveg::obs::Digest::restore(s.zero_count, s.sum, s.min,
-                                               s.max, std::move(pos),
-                                               std::move(neg)));
+                                               s.max, s.bins, s.neg_bins));
       ++found;
     }
   }

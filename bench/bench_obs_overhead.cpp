@@ -1,20 +1,26 @@
 // Guard-rail benchmark for the observability layer: measures raw
 // Simulator::run event throughput with no tracer/metrics installed (the
-// disabled path: the layer benches and any library user without a scope),
-// then again with a MetricsRegistry scope installed (the profiled path,
-// which every fiveg_runall experiment takes, since core::Runner installs a
-// metrics scope per run). Both numbers are committed in BENCH_obs.json;
-// tools/ci/check_obs_overhead.py compares them, non-gating: the disabled
-// path must stay within 2% of the baseline, and the profiled overhead
-// within 10 points of the committed value.
+// disabled path: the layer benches and any library user without a scope)
+// and with a MetricsRegistry scope installed (the profiled path, which
+// every fiveg_runall experiment takes, since core::Runner installs a
+// metrics scope per run). The two paths alternate rep by rep, so a shift
+// in the host's speed hits both alike. Each path reports the median and
+// the best (max events/s) of its reps; the best is what host noise
+// disturbs least, so tools/ci/check_obs_overhead.py compares it against
+// BENCH_obs.json, non-gating: the disabled path must stay within 2% of
+// the baseline, and the paired profiled overhead within 10 points of the
+// committed value.
 //
 // Prints a small JSON document on stdout so the driver can diff runs:
 //   {"events": ..., "reps": ..., "events_per_sec_median": ...,
-//    "profiled_events_per_sec_median": ..., "profiled_overhead_pct": ...}
+//    "events_per_sec_best": ..., "profiled_events_per_sec_median": ...,
+//    "profiled_events_per_sec_best": ..., "profiled_overhead_pct": ...}
+// where profiled_overhead_pct is the median over rep pairs of
+// (disabled - profiled) / disabled.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
-#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -49,38 +55,38 @@ double events_per_sec(std::uint64_t chain_events) {
   return static_cast<double>(simr.executed_events()) / secs;
 }
 
-double median_rate(std::uint64_t chain_events, int reps) {
-  std::vector<double> rates;
-  rates.reserve(static_cast<std::size_t>(reps));
-  for (int r = 0; r < reps; ++r) rates.push_back(events_per_sec(chain_events));
-  return fiveg::bench::median(std::move(rates));
-}
-
 }  // namespace
 
 int main() {
   constexpr std::uint64_t kEvents = 2'000'000;
   constexpr int kReps = 7;
 
-  // Disabled path first (the BENCH_obs.json guard-rail number).
-  const double disabled = median_rate(kEvents, kReps);
-
-  // Profiled path: same workload under a metrics scope, as installed by
-  // the Runner when a campaign collects metrics / writes a ledger.
-  double profiled = 0;
-  {
-    fiveg::obs::MetricsRegistry registry;
-    const fiveg::obs::ScopedObs scope(nullptr, &registry);
-    profiled = median_rate(kEvents, kReps);
+  // Alternate the disabled path (the BENCH_obs.json guard-rail number)
+  // with the profiled path: the same workload under a metrics scope, as
+  // installed by the Runner when a campaign collects metrics or writes a
+  // ledger. One registry lives across the profiled reps, as across a run.
+  fiveg::obs::MetricsRegistry registry;
+  std::vector<double> disabled, profiled, overhead_pct;
+  for (int r = 0; r < kReps; ++r) {
+    disabled.push_back(events_per_sec(kEvents));
+    {
+      const fiveg::obs::ScopedObs scope(nullptr, &registry);
+      profiled.push_back(events_per_sec(kEvents));
+    }
+    overhead_pct.push_back((disabled.back() - profiled.back()) /
+                           disabled.back() * 100.0);
   }
 
-  const double overhead_pct =
-      disabled > 0 ? (disabled - profiled) / disabled * 100.0 : 0.0;
+  using fiveg::bench::median;
   std::printf(
       "{\"events\": %llu, \"reps\": %d, \"events_per_sec_median\": %.0f, "
+      "\"events_per_sec_best\": %.0f, "
       "\"profiled_events_per_sec_median\": %.0f, "
+      "\"profiled_events_per_sec_best\": %.0f, "
       "\"profiled_overhead_pct\": %.1f}\n",
-      static_cast<unsigned long long>(kEvents), kReps, disabled, profiled,
-      overhead_pct);
+      static_cast<unsigned long long>(kEvents), kReps, median(disabled),
+      *std::max_element(disabled.begin(), disabled.end()), median(profiled),
+      *std::max_element(profiled.begin(), profiled.end()),
+      median(overhead_pct));
   return 0;
 }

@@ -53,7 +53,8 @@ options:
   --filter S    only experiments whose name contains the substring S
   --smoke       only the fast smoke-tier experiments (CI per-commit tier)
   --timeout S   per-experiment wall-clock cap in seconds, 0 = off
-                (default 600); a hung experiment is reported, not fatal
+                (default 600); so is a cap past the steady clock's range
+                (about 146 years); a hung experiment is reported, not fatal
   --json PATH   also write machine-readable results to PATH ('-' = stdout,
                 which suppresses the text tables)
   --trace PATH  write a merged Chrome trace_event JSON document to PATH

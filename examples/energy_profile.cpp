@@ -15,7 +15,6 @@ int main() {
   using energy::RadioModel;
 
   const energy::RrcPowerMachine machine;
-  const energy::ComponentPower components;
 
   int n_apps = 0;
   const energy::AppProfile* apps = energy::daily_apps(&n_apps);
@@ -23,10 +22,9 @@ int main() {
                        {"app", "4G total", "5G total", "5G radio share"});
   for (int i = 0; i < n_apps; ++i) {
     const auto lte = energy::measure_app_session(
-        machine, RadioModel::kLteOnly, apps[i], components,
-        60 * sim::kSecond);
+        machine, RadioModel::kLteOnly, apps[i], 60 * sim::kSecond);
     const auto nr = energy::measure_app_session(
-        machine, RadioModel::kNrNsa, apps[i], components, 60 * sim::kSecond);
+        machine, RadioModel::kNrNsa, apps[i], 60 * sim::kSecond);
     t.add_row({apps[i].name,
                measure::TextTable::num(lte.mean_power_mw(60 * sim::kSecond), 0),
                measure::TextTable::num(nr.mean_power_mw(60 * sim::kSecond), 0),

@@ -16,9 +16,9 @@ TcpSession::TcpSession(sim::Simulator* simulator, net::PathNetwork* path,
 }
 
 UdpTest::UdpTest(sim::Simulator* simulator, net::PathNetwork* path,
-                 PathFanout* fanout, double rate_bps, std::uint32_t flow_id)
-    : sink_(simulator, flow_id),
-      source_(simulator, {flow_id, rate_bps, 1500},
+                 PathFanout* fanout, double rate_bps)
+    : sink_(simulator, kFlowId),
+      source_(simulator, {kFlowId, rate_bps, 1500},
               [path](net::Packet p) { path->send_a_to_b(std::move(p)); }) {
   fanout->b.add(&sink_);
 }

@@ -62,8 +62,11 @@ struct UdpTestResult {
 /// receiver-side statistics. The path may carry other traffic too.
 class UdpTest {
  public:
+  /// Flow id of the test's datagrams.
+  static constexpr std::uint32_t kFlowId = 77;
+
   UdpTest(sim::Simulator* simulator, net::PathNetwork* path,
-          PathFanout* fanout, double rate_bps, std::uint32_t flow_id = 77);
+          PathFanout* fanout, double rate_bps);
 
   /// Starts now; the source stops after `duration`.
   void start(sim::Time duration);

@@ -10,6 +10,12 @@ namespace {
 // opportunistic retransmission): it papers over a dead or stalled path.
 constexpr sim::Time kReinjectTimeout = 8 * sim::kSecond;
 
+// Transfers split into chunks of this size...
+constexpr std::uint64_t kChunkBytes = 512 * 1024;
+// ...and a subflow may hold this many unfinished; 4 keeps the fast pipe
+// fed without head-of-line hoarding by the slow path.
+constexpr int kChunksInFlightPerPath = 4;
+
 }  // namespace
 
 struct MultipathTransfer::Impl {
@@ -39,11 +45,11 @@ struct MultipathTransfer::Impl {
   // path onto the other one.
   void pump() {
     while (next_chunk < chunks.size() &&
-           outstanding_a < config.chunks_in_flight_per_path) {
+           outstanding_a < kChunksInFlightPerPath) {
       assign(next_chunk++, /*to_a=*/true);
     }
     while (next_chunk < chunks.size() &&
-           outstanding_b < config.chunks_in_flight_per_path) {
+           outstanding_b < kChunksInFlightPerPath) {
       assign(next_chunk++, /*to_a=*/false);
     }
     maybe_finish();
@@ -105,9 +111,9 @@ void MultipathTransfer::transfer(std::uint64_t bytes,
   impl_->chunks.clear();
   impl_->next_chunk = 0;
   impl_->finished = false;
-  for (std::uint64_t off = 0; off < bytes; off += impl_->config.chunk_bytes) {
+  for (std::uint64_t off = 0; off < bytes; off += kChunkBytes) {
     impl_->chunks.push_back(
-        {std::min(impl_->config.chunk_bytes, bytes - off), false, false});
+        {std::min(kChunkBytes, bytes - off), false, false});
   }
   impl_->done = std::move(done);
   impl_->pump();

@@ -21,10 +21,6 @@ class MultipathTransfer {
  public:
   struct Config {
     tcp::TcpConfig transport;
-    std::uint64_t chunk_bytes = 512 * 1024;
-    // Chunks a subflow may hold unfinished; 4 keeps the fast pipe fed
-    // without head-of-line hoarding by the slow path.
-    int chunks_in_flight_per_path = 4;
   };
 
   /// Subflow A rides `path_a` (e.g. the 5G path), subflow B `path_b`.

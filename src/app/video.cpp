@@ -94,7 +94,7 @@ struct VideoTelephony::Impl {
       drain_streak = 0;
     } else if (backlog_s < 0.15 && live_res != config.resolution) {
       // Upshift only after the pipe stays drained for ~2 s of frames.
-      if (++drain_streak >= 2 * config.fps) {
+      if (++drain_streak >= 2 * kFps) {
         live_res = higher(live_res);
         ++upshifts;
         drain_streak = 0;
@@ -120,7 +120,7 @@ struct VideoTelephony::Impl {
     const double mean_bytes =
         nominal_bitrate_bps(config.adaptive_bitrate ? live_res
                                                     : config.resolution) /
-        8.0 / config.fps;
+        8.0 / kFps;
     const double sigma = config.dynamic_scene ? 0.50 : 0.15;
     const double scale = config.dynamic_scene ? 1.25 : 1.0;
     const double bytes =
@@ -129,8 +129,7 @@ struct VideoTelephony::Impl {
     frame_bytes.add(bytes);
 
     // The frame enters the wire only after stitch + encode.
-    const sim::Time handoff =
-        config.costs.capture_stitch + config.costs.encode;
+    const sim::Time handoff = kCaptureStitch + kEncode;
     sim->schedule_in(handoff, [this, captured_at, bytes] {
       session->sender().send_bytes(
           static_cast<std::uint64_t>(bytes), [this, captured_at] {
@@ -138,13 +137,12 @@ struct VideoTelephony::Impl {
           });
     });
 
-    sim->schedule_in(sim::kSecond / config.fps, [this] { capture_frame(); });
+    sim->schedule_in(sim::kSecond / kFps, [this] { capture_frame(); });
   }
 
   void on_frame_delivered(sim::Time captured_at) {
     ++delivered;
-    const sim::Time display_at = sim->now() + config.costs.decode_render +
-                                 config.costs.rtmp_relay;
+    const sim::Time display_at = sim->now() + kDecodeRender + kRtmpRelay;
     delay_s.add(sim::to_seconds(display_at - captured_at));
     if (auto* m = obs::metrics()) {
       m->digest("app.video.frame_delay_ms")
@@ -152,7 +150,7 @@ struct VideoTelephony::Impl {
     }
     if (last_delivery >= 0) {
       const sim::Time gap = sim->now() - last_delivery;
-      if (gap > 3 * (sim::kSecond / config.fps)) {
+      if (gap > 3 * (sim::kSecond / kFps)) {
         ++freezes;
         if (auto* m = obs::metrics()) {
           m->counter("app.video.freezes").add();

@@ -30,20 +30,21 @@ enum class Resolution { k720p, k1080p, k4K, k5p7K };
 /// Nominal encoded bit-rate of the stream.
 [[nodiscard]] double nominal_bitrate_bps(Resolution r) noexcept;
 
-/// The paper's measured pipeline stage costs.
-struct PipelineCosts {
-  sim::Time capture_stitch = sim::from_millis(360);  // camera + patch splice
-  sim::Time encode = sim::from_millis(160);          // H.264 hardware codec
-  sim::Time decode_render = sim::from_millis(130);   // decode (50) + render
-  sim::Time rtmp_relay = sim::from_millis(230);      // server relay + jitter buffer
-};
+// The paper's measured pipeline stage costs: camera + patch splice, the
+// H.264 hardware codec, decode (50 ms) + render, and the server relay +
+// jitter buffer.
+inline constexpr sim::Time kCaptureStitch = sim::from_millis(360);
+inline constexpr sim::Time kEncode = sim::from_millis(160);
+inline constexpr sim::Time kDecodeRender = sim::from_millis(130);
+inline constexpr sim::Time kRtmpRelay = sim::from_millis(230);
+
+/// Camera frame rate of every session.
+inline constexpr int kFps = 30;
 
 /// Telephony session parameters.
 struct VideoConfig {
   Resolution resolution = Resolution::k4K;
   bool dynamic_scene = false;  // moving camera: larger, burstier frames
-  int fps = 30;
-  PipelineCosts costs;
   tcp::TcpConfig transport;  // RTMP rides TCP
   // Adaptive bit-rate: downshift resolution when the sender backlog
   // exceeds a second of airtime, recover when it drains (the codec/

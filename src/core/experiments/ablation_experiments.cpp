@@ -105,13 +105,8 @@ void run_ablation_cc_robustness(const ExperimentContext& ctx) {
       Testbed bed(&simr, opt, ctx.seed);
       std::unique_ptr<net::CrossTraffic> cross;
       if (duty_scale > 0) {
-        net::CrossTraffic::Config xcfg;
-        xcfg.mean_on_s = 0.045 * duty_scale;
-        xcfg.mean_off_s = 0.35;
-        xcfg.min_rate_bps = 150e6;
-        xcfg.max_rate_bps = 1300e6;
         cross = std::make_unique<net::CrossTraffic>(
-            &simr, &bed.bottleneck(), xcfg,
+            &simr, &bed.bottleneck(), 0.045 * duty_scale,
             sim::Rng(ctx.seed).fork("xabl"));
         cross->start(30 * kSecond);
       }

@@ -193,12 +193,11 @@ void run_fig20_frame_delay(const ExperimentContext& ctx) {
              "1.2-1.6 with congestion spikes"});
   t.print(*ctx.out);
 
-  const app::PipelineCosts costs;
-  const double proc_ms = sim::to_millis(costs.capture_stitch) +
-                         sim::to_millis(costs.encode) +
-                         sim::to_millis(costs.decode_render);
+  const double proc_ms = sim::to_millis(app::kCaptureStitch) +
+                         sim::to_millis(app::kEncode) +
+                         sim::to_millis(app::kDecodeRender);
   const double net_ms = nr.frame_delay_s.quantile(0.5) * 1000.0 - proc_ms -
-                        sim::to_millis(costs.rtmp_relay);
+                        sim::to_millis(app::kRtmpRelay);
   *ctx.out << "processing " << TextTable::num(proc_ms, 0)
            << " ms vs network " << TextTable::num(net_ms, 0)
            << " ms -> processing/network = "

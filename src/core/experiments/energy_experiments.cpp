@@ -21,7 +21,6 @@ using sim::kSecond;
 
 void run_fig21_energy_apps(const ExperimentContext& ctx) {
   const energy::RrcPowerMachine machine;
-  const energy::ComponentPower components;
   int n = 0;
   const energy::AppProfile* apps = energy::daily_apps(&n);
 
@@ -31,8 +30,8 @@ void run_fig21_energy_apps(const ExperimentContext& ctx) {
   double share5_sum = 0;
   for (int i = 0; i < n; ++i) {
     for (const RadioModel m : {RadioModel::kNrNsa, RadioModel::kLteOnly}) {
-      const auto b = energy::measure_app_session(machine, m, apps[i],
-                                                 components, 60 * kSecond);
+      const auto b =
+          energy::measure_app_session(machine, m, apps[i], 60 * kSecond);
       const double secs = 60.0;
       t.add_row({apps[i].name, m == RadioModel::kNrNsa ? "5G" : "4G",
                  TextTable::num(b.system_j * 1000 / secs, 0),
@@ -79,8 +78,8 @@ void run_fig22_energy_per_bit(const ExperimentContext& ctx) {
 
 void run_fig23_power_trace(const ExperimentContext& ctx) {
   const energy::RrcPowerMachine machine;
-  const energy::TrafficTrace trace = energy::web_browsing_trace(
-      sim::Rng(ctx.seed).fork("fig23"), 10, 3 * kSecond);
+  const energy::TrafficTrace trace =
+      energy::web_browsing_trace(sim::Rng(ctx.seed).fork("fig23"));
   const auto nsa = machine.replay(trace, RadioModel::kNrNsa);
   const auto lte = machine.replay(trace, RadioModel::kLteOnly);
 
@@ -186,21 +185,21 @@ void run_table4_power_policies(const ExperimentContext& ctx) {
   s.print(*ctx.out);
 
   // Table 7 echo: the DRX parameters driving all of the above.
-  const ran::DrxConfig lte = workloads[0].machine.config().lte_drx;
+  const ran::DrxConfig lte = ran::lte_drx();
   const ran::DrxConfig nr = workloads[0].machine.config().nr_drx;
   TextTable t7("Table 7 — NSA power-management parameters (ms)",
                {"parameter", "value"});
   t7.add_row({"Tidle (paging cycle)",
-              TextTable::num(sim::to_millis(lte.paging_cycle), 0)});
+              TextTable::num(sim::to_millis(ran::kPagingCycle), 0)});
   t7.add_row({"Ton (on-duration)",
-              TextTable::num(sim::to_millis(lte.on_duration), 0)});
+              TextTable::num(sim::to_millis(ran::kOnDuration), 0)});
   t7.add_row({"TLTE_pro",
-              TextTable::num(sim::to_millis(lte.lte_promotion), 0)});
-  t7.add_row({"T4r_5r", TextTable::num(sim::to_millis(nr.lte_to_nr), 0)});
-  t7.add_row({"TNR_pro", TextTable::num(sim::to_millis(nr.nr_promotion), 0)});
+              TextTable::num(sim::to_millis(ran::kLtePromotion), 0)});
+  t7.add_row({"T4r_5r", TextTable::num(sim::to_millis(ran::kLteToNr), 0)});
+  t7.add_row({"TNR_pro", TextTable::num(sim::to_millis(ran::kNrPromotion), 0)});
   t7.add_row({"Tinac", TextTable::num(sim::to_millis(nr.inactivity), 0)});
   t7.add_row({"Tlong (C-DRX cycle)",
-              TextTable::num(sim::to_millis(nr.long_drx_cycle), 0)});
+              TextTable::num(sim::to_millis(ran::kLongDrxCycle), 0)});
   t7.add_row({"Ttail 4G / 5G",
               TextTable::num(sim::to_millis(lte.tail), 0) + " / " +
                   TextTable::num(sim::to_millis(nr.tail), 0)});

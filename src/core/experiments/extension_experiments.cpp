@@ -47,15 +47,10 @@ void run_ext_codel_aqm(const ExperimentContext& ctx) {
       std::reverse(hops.begin(), hops.end());  // downlink orientation
       net::PathNetwork path(&simr2, std::move(hops));
       app::PathFanout fanout(&path);
-      net::CrossTraffic::Config xcfg;
-      xcfg.mean_on_s = 0.06;
-      xcfg.mean_off_s = 0.35;
-      xcfg.min_rate_bps = 150e6;
-      xcfg.max_rate_bps = 1300e6;
       net::CrossTraffic cross(
           &simr2,
           &path.forward_link(path.hop_count() - 1 - net::kBottleneckHopIndex),
-          xcfg, sim::Rng(ctx.seed).fork("x"));
+          /*mean_on_s=*/0.06, sim::Rng(ctx.seed).fork("x"));
       cross.start(30 * kSecond);
       tcp::TcpConfig cfg;
       cfg.algo = algo;

@@ -35,6 +35,20 @@ double ms_since(Clock::time_point start) {
       .count();
 }
 
+// The wall-clock deadline `timeout_s` after `now`, or nullopt for no
+// deadline: a timeout of 0 is off, and so is one past the steady clock's
+// range, which would overflow its integer duration. Only timeouts below
+// half the clock's headroom get a deadline, so the rounding of the double
+// comparison can never push the conversion out of range.
+std::optional<Clock::time_point> deadline_after(Clock::time_point now,
+                                                double timeout_s) {
+  const double headroom_s =
+      std::chrono::duration<double>(Clock::time_point::max() - now).count();
+  if (!(timeout_s > 0) || timeout_s >= 0.5 * headroom_s) return std::nullopt;
+  return now + std::chrono::duration_cast<Clock::duration>(
+                   std::chrono::duration<double>(timeout_s));
+}
+
 // Shared between the worker and the (possibly abandoned) experiment thread.
 // On timeout the worker walks away and the thread keeps writing here until
 // the experiment returns; the shared_ptr keeps the state alive for it.
@@ -181,7 +195,9 @@ ExperimentResult Runner::run_one(const std::string& name) const {
                             opt_.trace_capacity, opt_.faults,
                             split_sim_threads(opt_)};
   const auto start = Clock::now();
-  if (opt_.timeout_s <= 0) {
+  const std::optional<Clock::time_point> deadline =
+      deadline_after(start, opt_.timeout_s);
+  if (!deadline) {
     execute(spec, res.seed, *state, obs_opt);
     res.wall_ms = ms_since(start);
     res.text = state->out.str();
@@ -201,9 +217,8 @@ ExperimentResult Runner::run_one(const std::string& name) const {
   });
 
   std::unique_lock<std::mutex> lock(state->mu);
-  const bool finished = state->cv.wait_for(
-      lock, std::chrono::duration<double>(opt_.timeout_s),
-      [&] { return state->done; });
+  const bool finished =
+      state->cv.wait_until(lock, *deadline, [&] { return state->done; });
   if (finished) {
     lock.unlock();
     worker.join();

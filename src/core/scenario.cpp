@@ -46,7 +46,7 @@ CityScenario::CityScenario(std::uint64_t seed, const CityConfig& config)
       campus_(timed_construct([&] {
         return geo::make_city_campus(sim::Rng(seed).fork("city_campus"),
                                      config.width_m, config.height_m,
-                                     config.open_fraction);
+                                     kCityOpenFraction);
       })),
       deployment_(timed_construct([&] {
         return ran::make_city_deployment(
@@ -146,17 +146,11 @@ Testbed::Testbed(sim::Simulator* simulator, const TestbedOptions& options,
   fanout_ = std::make_unique<app::PathFanout>(path_.get());
 
   if (options.cross_traffic) {
-    net::CrossTraffic::Config xcfg;
-    xcfg.flow_id = 9999;
-    // Ambient metro bursts: calibrated so UDP loss lands on Fig. 9's
-    // curve (5G >= 10x the 4G loss at matched offered fractions).
-    xcfg.mean_off_s = 0.35;
-    xcfg.mean_on_s = 0.06;
-    xcfg.min_rate_bps = 150e6;
-    xcfg.max_rate_bps = 1300e6;
+    // Ambient metro bursts (CrossTraffic's calibrated rates), 60 ms long on
+    // average.
     cross_ = std::make_unique<net::CrossTraffic>(
-        simulator, &path_->forward_link(bottleneck_index_), xcfg,
-        rng.fork("cross"));
+        simulator, &path_->forward_link(bottleneck_index_),
+        /*mean_on_s=*/0.06, rng.fork("cross"));
   }
 }
 

@@ -39,6 +39,9 @@ class Scenario {
   ran::Deployment deployment_;
 };
 
+/// Share of city blocks left as parks/lots.
+inline constexpr double kCityOpenFraction = 0.35;
+
 /// Geometry of a city-scale scenario: the map extent and the hex grid
 /// deployed over it. Defaults give a ~1.28 km square with a 19-site
 /// (rings=2) NSA grid — the densified layout the paper's coverage
@@ -46,7 +49,6 @@ class Scenario {
 struct CityConfig {
   double width_m = 1280.0;
   double height_m = 1280.0;
-  double open_fraction = 0.35;  // city blocks left as parks/lots
   ran::CityGridConfig grid;
 };
 

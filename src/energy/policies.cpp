@@ -1,5 +1,7 @@
 #include "energy/policies.h"
 
+#include "ran/rrc.h"
+
 namespace fiveg::energy {
 
 std::string to_string(RadioModel m) {
@@ -18,38 +20,37 @@ std::string to_string(RadioModel m) {
   return "?";
 }
 
-sim::Time promotion_delay(RadioModel m, sim::Time lte_pro,
-                          sim::Time nr_pro) noexcept {
+sim::Time promotion_delay(RadioModel m) noexcept {
   switch (m) {
     case RadioModel::kLteOnly:
     case RadioModel::kDynamicSwitch:  // camps on LTE first
-      return lte_pro;
+      return ran::kLtePromotion;
     case RadioModel::kNrNsa:
-      return nr_pro;
+      return ran::kNrPromotion;
     case RadioModel::kNrOracle:
       // The Oracle schedules sleep perfectly but still signals its way up
       // the NSA ladder — the paper's Oracle saves only 11-16% vs NSA,
       // which rules out free promotions.
-      return nr_pro;
+      return ran::kNrPromotion;
     case RadioModel::kNrSa:
       // Direct NR RRC setup, no LTE detour: roughly the LTE promotion
       // cost. RRC_INACTIVE fast reconnects are handled by the replayer.
-      return lte_pro;
+      return ran::kLtePromotion;
   }
   return 0;
 }
 
-ServingRat initial_rat(RadioModel m) noexcept {
+radio::Rat initial_rat(RadioModel m) noexcept {
   switch (m) {
     case RadioModel::kLteOnly:
     case RadioModel::kDynamicSwitch:
-      return ServingRat::kLte;
+      return radio::Rat::kLte;
     case RadioModel::kNrNsa:
     case RadioModel::kNrOracle:
     case RadioModel::kNrSa:
-      return ServingRat::kNr;
+      return radio::Rat::kNr;
   }
-  return ServingRat::kLte;
+  return radio::Rat::kLte;
 }
 
 }  // namespace fiveg::energy

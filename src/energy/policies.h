@@ -5,6 +5,7 @@
 
 #include <string>
 
+#include "radio/carrier.h"
 #include "sim/time.h"
 
 namespace fiveg::energy {
@@ -21,14 +22,11 @@ enum class RadioModel {
 
 [[nodiscard]] std::string to_string(RadioModel m);
 
-/// Which RAT a model starts serving on when traffic arrives.
-enum class ServingRat { kLte, kNr };
-
-/// Promotion delay from idle for a model (Table 7 timers).
-[[nodiscard]] sim::Time promotion_delay(RadioModel m, sim::Time lte_pro,
-                                        sim::Time nr_pro) noexcept;
+/// Promotion delay from idle for a model (Table 7's ran::kLtePromotion or
+/// ran::kNrPromotion).
+[[nodiscard]] sim::Time promotion_delay(RadioModel m) noexcept;
 
 /// RAT a freshly promoted connection starts on.
-[[nodiscard]] ServingRat initial_rat(RadioModel m) noexcept;
+[[nodiscard]] radio::Rat initial_rat(RadioModel m) noexcept;
 
 }  // namespace fiveg::energy

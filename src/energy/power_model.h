@@ -9,12 +9,11 @@
 
 namespace fiveg::energy {
 
-/// Non-radio component draws, milliwatts.
-struct ComponentPower {
-  double system_mw = 300.0;   // Android base, screen off, airplane mode
-  double screen_mw = 1250.0;  // max brightness
-  double app_mw = 350.0;      // app CPU/GPU (varies by app type)
-};
+// Non-radio component draws, milliwatts (the app's own draw is
+// AppProfile::app_mw): the Android base with the screen off in airplane
+// mode, and the screen at max brightness.
+inline constexpr double kSystemMw = 300.0;
+inline constexpr double kScreenMw = 1250.0;
 
 /// Radio-state draws for one RAT, milliwatts.
 struct RadioPower {

@@ -7,7 +7,6 @@ namespace fiveg::energy {
 DeviceEnergyBreakdown measure_app_session(const RrcPowerMachine& machine,
                                           RadioModel model,
                                           const AppProfile& app,
-                                          const ComponentPower& components,
                                           sim::Time duration) {
   // The app's traffic: a steady demand chunked per 100 ms, clipped to what
   // the serving RAT can move (the Download app saturates the link).
@@ -25,8 +24,8 @@ DeviceEnergyBreakdown measure_app_session(const RrcPowerMachine& machine,
 
   const double secs = sim::to_seconds(duration);
   DeviceEnergyBreakdown out;
-  out.system_j = components.system_mw / 1000.0 * secs;
-  out.screen_j = components.screen_mw / 1000.0 * secs;
+  out.system_j = kSystemMw / 1000.0 * secs;
+  out.screen_j = kScreenMw / 1000.0 * secs;
   out.app_j = app.app_mw / 1000.0 * secs;
   // Attribute only the session window of radio energy (tail past the end
   // of the fixed-length session belongs to the session per the paper's

@@ -31,10 +31,11 @@ struct DeviceEnergyBreakdown {
 
 /// Measures a fixed-duration app session: the app's downlink demand is
 /// replayed on the given radio model and non-radio components burn at
-/// their constant draws for the whole session.
+/// their constant draws (kSystemMw, kScreenMw, the app's app_mw) for the
+/// whole session.
 [[nodiscard]] DeviceEnergyBreakdown measure_app_session(
     const RrcPowerMachine& machine, RadioModel model, const AppProfile& app,
-    const ComponentPower& components, sim::Time duration);
+    sim::Time duration);
 
 /// Energy efficiency of a saturated transfer lasting `transfer_time`
 /// (Fig. 22): radio microjoules per delivered bit, tail included.

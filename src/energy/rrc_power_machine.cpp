@@ -46,7 +46,10 @@ EnergyResult RrcPowerMachine::replay(const TrafficTrace& trace,
   EnergyResult result;
   if (trace.empty()) return result;
 
-  const sim::Time dt = config_.step;
+  const sim::Time dt = kReplayStep;
+  const ran::DrxConfig lte_drx = ran::lte_drx();
+  const RadioPower lte_power = lte_radio_power();
+  const RadioPower nr_power = nr_radio_power();
   const bool oracle = model == RadioModel::kNrOracle;
   const bool sa = model == RadioModel::kNrSa;
   // SA keeps connection context in RRC_INACTIVE for a while after the
@@ -55,7 +58,7 @@ EnergyResult RrcPowerMachine::replay(const TrafficTrace& trace,
   sim::Time last_idle_entry = -1;
 
   Phase phase = Phase::kIdle;
-  ServingRat rat = initial_rat(model);
+  radio::Rat rat = initial_rat(model);
   double backlog_bytes = 0.0;
   std::size_t next_demand = 0;
   sim::Time promotion_end = 0;
@@ -65,7 +68,7 @@ EnergyResult RrcPowerMachine::replay(const TrafficTrace& trace,
   double joules = 0.0;
   double sample_acc_mw = 0.0;
   int sample_count = 0;
-  sim::Time next_sample = config_.sample_period;
+  sim::Time next_sample = kPowerSamplePeriod;
 
   // Observability: RRC phases become spans on the "energy" track, DRX
   // activity changes become instants, and per-phase residency feeds the
@@ -138,8 +141,7 @@ EnergyResult RrcPowerMachine::replay(const TrafficTrace& trace,
     // --- State transitions ---
     if (backlog_bytes > 0.0) {
       if (phase == Phase::kIdle) {
-        sim::Time promo = promotion_delay(
-            model, config_.lte_drx.lte_promotion, config_.nr_drx.nr_promotion);
+        sim::Time promo = promotion_delay(model);
         if (sa && last_idle_entry >= 0 &&
             t - last_idle_entry < inactive_window) {
           promo = 100 * sim::kMillisecond;  // RRC_INACTIVE resume
@@ -152,19 +154,19 @@ EnergyResult RrcPowerMachine::replay(const TrafficTrace& trace,
       }
       // Dynamic escalation: LTE backlog too deep -> add the NR leg.
       if (model == RadioModel::kDynamicSwitch && phase == Phase::kConnected &&
-          rat == ServingRat::kLte) {
+          rat == radio::Rat::kLte) {
         const double lte_drain_s =
             backlog_bytes * 8.0 / config_.lte_rate_bps;
-        if (lte_drain_s > sim::to_seconds(config_.dyn_backlog_threshold)) {
+        if (lte_drain_s > sim::to_seconds(kDynBacklogThreshold)) {
           phase = Phase::kPromoting;
-          promotion_end = t + config_.nr_drx.lte_to_nr;  // T4r_5r
-          rat = ServingRat::kNr;
+          promotion_end = t + ran::kLteToNr;  // T4r_5r
+          rat = radio::Rat::kNr;
         }
       }
     } else if (phase == Phase::kConnected && last_activity >= 0) {
       // SA runs a single NR tail (no LTE re-run): half the NSA tail.
-      const sim::Time tail = rat != ServingRat::kNr ? config_.lte_drx.tail
-                             : sa                   ? config_.lte_drx.tail
+      const sim::Time tail = rat != radio::Rat::kNr ? lte_drx.tail
+                             : sa                   ? lte_drx.tail
                                                     : config_.nr_drx.tail;
       if (t - last_activity >= tail) {
         phase = Phase::kIdle;
@@ -177,7 +179,7 @@ EnergyResult RrcPowerMachine::replay(const TrafficTrace& trace,
       if (tracer != nullptr) {
         tracer->end(t, phase_name(span_phase), "energy");
         tracer->begin(t, phase_name(phase), "energy",
-                      {{"rat", rat == ServingRat::kNr ? "nr" : "lte"}});
+                      {{"rat", rat == radio::Rat::kNr ? "nr" : "lte"}});
       }
       span_phase = phase;
     }
@@ -191,15 +193,15 @@ EnergyResult RrcPowerMachine::replay(const TrafficTrace& trace,
 
     // --- Serve and compute draw ---
     const RadioPower& active_power =
-        rat == ServingRat::kNr ? config_.nr_power : config_.lte_power;
+        rat == radio::Rat::kNr ? nr_power : lte_power;
     double draw_mw = 0.0;
     switch (phase) {
       case Phase::kIdle: {
         const ran::RadioActivity activity =
-            ran::idle_activity(config_.lte_drx, t - idle_since);
+            ran::idle_activity(t - idle_since);
         note_activity(t, activity);
         draw_mw = radio_draw_mw(
-            config_.lte_power,  // NSA camps idle on LTE paging
+            lte_power,  // NSA camps idle on LTE paging
             activity, 0.0);
         break;
       }
@@ -208,7 +210,7 @@ EnergyResult RrcPowerMachine::replay(const TrafficTrace& trace,
         break;
       case Phase::kConnected: {
         if (backlog_bytes > 0.0) {
-          const double rate_bps = rat == ServingRat::kNr
+          const double rate_bps = rat == radio::Rat::kNr
                                       ? config_.nr_rate_bps
                                       : config_.lte_rate_bps;
           const double served =
@@ -226,11 +228,10 @@ EnergyResult RrcPowerMachine::replay(const TrafficTrace& trace,
           // and inactivity-timer waste, but cannot dodge the tail's
           // hardware sleep floor (the paper's 11-16% ceiling).
           const sim::Time since = t - last_activity;
-          if (rat == ServingRat::kNr) {
-            const sim::Time nr_tail_half = config_.lte_drx.tail;
+          if (rat == radio::Rat::kNr) {
+            const sim::Time nr_tail_half = lte_drx.tail;
             const bool in_nr_half = since < nr_tail_half;
-            const RadioPower& p =
-                in_nr_half ? config_.nr_power : config_.lte_power;
+            const RadioPower& p = in_nr_half ? nr_power : lte_power;
             const ran::RadioActivity activity =
                 oracle ? ran::RadioActivity::kTailSleep
                        : ran::connected_activity(config_.nr_drx, since);
@@ -239,9 +240,9 @@ EnergyResult RrcPowerMachine::replay(const TrafficTrace& trace,
           } else {
             const ran::RadioActivity activity =
                 oracle ? ran::RadioActivity::kTailSleep
-                       : ran::connected_activity(config_.lte_drx, since);
+                       : ran::connected_activity(lte_drx, since);
             note_activity(t, activity);
-            draw_mw = radio_draw_mw(config_.lte_power, activity, 0.0);
+            draw_mw = radio_draw_mw(lte_power, activity, 0.0);
           }
         }
         break;
@@ -260,7 +261,7 @@ EnergyResult RrcPowerMachine::replay(const TrafficTrace& trace,
       }
       sample_acc_mw = 0.0;
       sample_count = 0;
-      next_sample += config_.sample_period;
+      next_sample += kPowerSamplePeriod;
     }
 
     if (all_arrived && backlog_bytes <= 0.0 && phase == Phase::kIdle &&

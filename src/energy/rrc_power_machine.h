@@ -11,19 +11,21 @@
 
 namespace fiveg::energy {
 
-/// Machine parameters: power points, DRX timers and serving rates.
+/// Fixed integration step of the replay loop.
+inline constexpr sim::Time kReplayStep = 10 * sim::kMillisecond;
+/// pwrStrip's sampling cadence: one power-trace point per period.
+inline constexpr sim::Time kPowerSamplePeriod = 100 * sim::kMillisecond;
+/// Dynamic switch: escalate to NR when the LTE backlog exceeds this much
+/// LTE airtime; the upgrade costs ran::kLteToNr (T4r_5r).
+inline constexpr sim::Time kDynBacklogThreshold = 500 * sim::kMillisecond;
+
+/// Machine parameters: the NR DRX timers and the serving rates. The LTE
+/// timers are ran::lte_drx() and the power points lte_radio_power() and
+/// nr_radio_power().
 struct ReplayConfig {
-  RadioPower lte_power = lte_radio_power();
-  RadioPower nr_power = nr_radio_power();
-  ran::DrxConfig lte_drx = ran::lte_drx();
   ran::DrxConfig nr_drx = ran::nr_nsa_drx();
   double lte_rate_bps = 130e6;  // daytime LTE serving rate
   double nr_rate_bps = 880e6;   // daytime NR serving rate
-  sim::Time step = 10 * sim::kMillisecond;         // integration step
-  sim::Time sample_period = 100 * sim::kMillisecond;  // pwrStrip cadence
-  // Dynamic switch: escalate to NR when the LTE backlog exceeds this many
-  // seconds of LTE airtime; the upgrade costs T4r_5r.
-  sim::Time dyn_backlog_threshold = 500 * sim::kMillisecond;
 };
 
 /// Outcome of one replay.
@@ -34,10 +36,10 @@ struct EnergyResult {
   measure::TimeSeries power_trace_mw;  // radio draw at pwrStrip cadence
   double mean_radio_mw = 0.0;
   double served_bits = 0.0;
-  // Per-phase residency, one `step` per loop iteration. Their sum covers
-  // every integration step, i.e. equals `duration + step` (the loop runs
-  // t = 0..duration inclusive) — an invariant fault::InvariantChecker
-  // audits.
+  // Per-phase residency, one kReplayStep per loop iteration. Their sum
+  // covers every integration step, i.e. equals `duration + kReplayStep`
+  // (the loop runs t = 0..duration inclusive) — an invariant
+  // fault::InvariantChecker audits.
   sim::Time residency_idle = 0;
   sim::Time residency_promoting = 0;
   sim::Time residency_connected = 0;

@@ -10,13 +10,15 @@ std::uint64_t trace_bytes(const TrafficTrace& t) noexcept {
   return total;
 }
 
-TrafficTrace web_browsing_trace(sim::Rng rng, int pages, sim::Time gap) {
+TrafficTrace web_browsing_trace(sim::Rng rng) {
+  constexpr int kPages = 10;
+  constexpr sim::Time kGap = 3 * sim::kSecond;
   TrafficTrace t;
   sim::Time at = 0;
-  for (int i = 0; i < pages; ++i) {
+  for (int i = 0; i < kPages; ++i) {
     const double mb = std::clamp(rng.normal(3.0, 1.0), 0.5, 8.0);
     t.push_back({at, static_cast<std::uint64_t>(mb * 1e6)});
-    at += gap;
+    at += kGap;
   }
   return t;
 }

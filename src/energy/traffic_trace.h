@@ -23,10 +23,9 @@ using TrafficTrace = std::vector<TrafficDemand>;
 /// Total bytes in a trace.
 [[nodiscard]] std::uint64_t trace_bytes(const TrafficTrace& t) noexcept;
 
-/// Short web page loads: `pages` bursts of ~3 MB spaced `gap` apart — the
+/// Short web page loads: 10 bursts of ~3 MB spaced 3 s apart — the
 /// unsaturated, tail-dominated workload where 5G wastes the most energy.
-[[nodiscard]] TrafficTrace web_browsing_trace(sim::Rng rng, int pages = 10,
-                                              sim::Time gap = 3 * sim::kSecond);
+[[nodiscard]] TrafficTrace web_browsing_trace(sim::Rng rng);
 
 /// Frame-by-frame UHD telephony: `duration` of 30 FPS frames at
 /// `bitrate_bps` with mild fluctuation.

@@ -1,6 +1,8 @@
 #include "fault/fault.h"
 
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -84,13 +86,39 @@ namespace {
     throw std::runtime_error("fault plan: " + kind + " requires numeric \"" +
                              key + "\"");
   }
+  if (!std::isfinite(v->number)) {
+    throw std::runtime_error("fault plan: " + kind + " \"" + key +
+                             "\" must be finite");
+  }
   return v->number;
 }
 
-[[nodiscard]] sim::Time seconds_field(const obs::JsonValue& spec,
-                                      const std::string& key,
-                                      const std::string& kind) {
-  return sim::from_seconds(require_number(spec, key, kind));
+// `key`, counted in `unit`s (sim::kSecond, sim::kMillisecond), as a
+// sim::Time. The conversion is sim::from_seconds/from_millis's product,
+// after checking that it fits: every double below 2^63 ns does.
+[[nodiscard]] sim::Time time_field(const obs::JsonValue& spec,
+                                   const std::string& key,
+                                   const std::string& kind, sim::Time unit) {
+  constexpr double kLimitNs = 9223372036854775808.0;  // 2^63
+  const double ns =
+      require_number(spec, key, kind) * static_cast<double>(unit);
+  if (!(std::fabs(ns) < kLimitNs)) {
+    throw std::runtime_error("fault plan: " + kind + " \"" + key +
+                             "\" is out of range");
+  }
+  return static_cast<sim::Time>(ns);
+}
+
+// `key` as an int: integral and within int's range.
+[[nodiscard]] int int_field(const obs::JsonValue& spec, const std::string& key,
+                            const std::string& kind) {
+  const double v = require_number(spec, key, kind);
+  if (v != std::floor(v) || v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    throw std::runtime_error("fault plan: " + kind + " \"" + key +
+                             "\" must be an integer in int range");
+  }
+  return static_cast<int>(v);
 }
 
 }  // namespace
@@ -129,7 +157,7 @@ FaultPlan FaultPlan::parse_json(std::string_view text) {
     FaultSpec spec;
     if (kind == "sector_outage") {
       spec.kind = FaultKind::kSectorOutage;
-      spec.pci = static_cast<int>(require_number(entry, "pci", kind));
+      spec.pci = int_field(entry, "pci", kind);
     } else if (kind == "link_loss") {
       spec.kind = FaultKind::kLinkLoss;
       spec.loss = require_number(entry, "loss", kind);
@@ -142,7 +170,7 @@ FaultPlan FaultPlan::parse_json(std::string_view text) {
     } else if (kind == "link_delay") {
       spec.kind = FaultKind::kLinkDelay;
       spec.extra_delay =
-          sim::from_millis(require_number(entry, "extra_delay_ms", kind));
+          time_field(entry, "extra_delay_ms", kind, sim::kMillisecond);
       if (const obs::JsonValue* link = entry.get("link"); link != nullptr) {
         if (!link->is(obs::JsonValue::Type::kString)) {
           throw std::runtime_error("fault plan: \"link\" must be a string");
@@ -157,8 +185,8 @@ FaultPlan FaultPlan::parse_json(std::string_view text) {
     } else {
       throw std::runtime_error("fault plan: unknown kind \"" + kind + "\"");
     }
-    spec.begin = seconds_field(entry, "begin_s", kind);
-    spec.end = seconds_field(entry, "end_s", kind);
+    spec.begin = time_field(entry, "begin_s", kind, sim::kSecond);
+    spec.end = time_field(entry, "end_s", kind, sim::kSecond);
     try {
       plan.add(std::move(spec));
     } catch (const std::invalid_argument& e) {

@@ -54,7 +54,7 @@ void InvariantChecker::check_link_conservation(const net::Link& link) {
 
 void InvariantChecker::check_tcp(const tcp::TcpSender& sender,
                                  const tcp::TcpReceiver& receiver) {
-  const auto mss = static_cast<double>(sender.config().mss_bytes);
+  const auto mss = static_cast<double>(tcp::kMssBytes);
   require(sender.cwnd_bytes() >= mss,
           "tcp: cwnd " + std::to_string(sender.cwnd_bytes()) +
               " bytes below 1 MSS (" + std::to_string(mss) + ")");
@@ -110,8 +110,7 @@ void InvariantChecker::check_serving_continuity(
   }
 }
 
-void InvariantChecker::check_energy(const energy::EnergyResult& result,
-                                    sim::Time step) {
+void InvariantChecker::check_energy(const energy::EnergyResult& result) {
   require(result.radio_joules >= 0.0,
           "energy: negative total energy " +
               std::to_string(result.radio_joules) + " J");
@@ -124,7 +123,7 @@ void InvariantChecker::check_energy(const energy::EnergyResult& result,
                                   result.residency_promoting +
                                   result.residency_connected;
   const sim::Time diff = residency_sum - result.duration;
-  require(diff >= 0 && diff <= 2 * step,
+  require(diff >= 0 && diff <= 2 * energy::kReplayStep,
           "energy: residencies sum to " +
               std::to_string(sim::to_millis(residency_sum)) +
               "ms but replay duration is " +

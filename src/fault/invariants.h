@@ -62,8 +62,8 @@ class InvariantChecker {
 
   /// Energy accounting is physical: non-negative total energy, no negative
   /// draw sample, and the per-phase residencies cover the whole replay
-  /// (sum within one integration step of `duration`, both sides).
-  void check_energy(const energy::EnergyResult& result, sim::Time step);
+  /// (sum within one energy::kReplayStep of `duration`, both sides).
+  void check_energy(const energy::EnergyResult& result);
 
   [[nodiscard]] bool ok() const noexcept { return violations_.empty(); }
   [[nodiscard]] std::size_t checks_run() const noexcept {

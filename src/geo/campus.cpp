@@ -6,6 +6,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 namespace fiveg::geo {
@@ -79,12 +80,12 @@ void CampusMap::build_index() {
       }
     }
   }
-  if (buildings_.size() <= 64) {
-    cell_mask_.assign(n_cells, 0);
-    for (std::size_t c = 0; c < n_cells; ++c) {
-      for (std::uint32_t k = cell_start_[c]; k < cell_start_[c + 1]; ++k) {
-        cell_mask_[c] |= std::uint64_t{1} << cell_items_[k];
-      }
+  mask_words_ = std::max<std::size_t>(1, (buildings_.size() + 63) / 64);
+  cell_mask_.assign(n_cells * mask_words_, 0);
+  for (std::size_t c = 0; c < n_cells; ++c) {
+    for (std::uint32_t k = cell_start_[c]; k < cell_start_[c + 1]; ++k) {
+      const std::uint32_t i = cell_items_[k];
+      cell_mask_[c * mask_words_ + i / 64] |= std::uint64_t{1} << (i % 64);
     }
   }
 }
@@ -195,30 +196,40 @@ const Building* CampusMap::containing_building(const Point& p) const noexcept {
 
 bool CampusMap::has_los(const Segment& path) const noexcept {
   // Candidates already seen in an earlier cell are skipped via the running
-  // mask; the walk stops at the first blocking building, and the predicate
-  // is the unmodified Rect::intersects, so the boolean matches the
-  // brute-force scan exactly.
-  if (!cell_mask_.empty()) {
-    std::uint64_t seen = 0;
+  // `seen` mask, and each cell's new ones are tested in ascending index
+  // order; the walk stops at the first blocking building, and the
+  // predicate is the unmodified Rect::intersects, so the boolean matches
+  // the brute-force scan exactly.
+  const std::uint64_t* masks = cell_mask_.data();
+  const auto walk = [&](auto words, std::uint64_t* seen) {
     return for_each_segment_cell(path, [&](int ix, int iy) {
-      std::uint64_t m =
-          cell_mask_[static_cast<std::size_t>(iy) * nx_ + ix] & ~seen;
-      seen |= m;
-      while (m != 0) {
-        const auto i = static_cast<std::size_t>(std::countr_zero(m));
-        m &= m - 1;
-        if (buildings_[i].footprint.intersects(path)) return false;
+      const std::uint64_t* cell =
+          masks + (static_cast<std::size_t>(iy) * nx_ + ix) * words;
+      for (std::size_t w = 0; w < words; ++w) {
+        std::uint64_t m = cell[w] & ~seen[w];
+        seen[w] |= m;
+        while (m != 0) {
+          const std::size_t i =
+              64 * w + static_cast<std::size_t>(std::countr_zero(m));
+          m &= m - 1;
+          if (buildings_[i].footprint.intersects(path)) return false;
+        }
       }
       return true;
     });
+  };
+  // The same walk for every word count. One word (every paper campus) is
+  // a compile-time count, which keeps `seen` in a register; up to 256
+  // buildings the mask lives on the stack.
+  const std::size_t words = mask_words_;
+  if (words == 1) {
+    std::uint64_t seen = 0;
+    return walk(std::integral_constant<std::size_t, 1>{}, &seen);
   }
-  return for_each_segment_cell(path, [&](int ix, int iy) {
-    const auto [it, end] = cell_items(ix, iy);
-    for (const std::uint32_t* i = it; i != end; ++i) {
-      if (buildings_[*i].footprint.intersects(path)) return false;
-    }
-    return true;
-  });
+  std::array<std::uint64_t, 4> stack_seen{};
+  if (words <= stack_seen.size()) return walk(words, stack_seen.data());
+  std::vector<std::uint64_t> heap_seen(words, 0);
+  return walk(words, heap_seen.data());
 }
 
 double CampusMap::o2i_loss_db(const Point& p, double freq_ghz) const noexcept {

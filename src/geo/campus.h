@@ -85,9 +85,11 @@ class CampusMap {
   int nx_ = 1, ny_ = 1;
   std::vector<std::uint32_t> cell_start_;
   std::vector<std::uint32_t> cell_items_;
-  // When the map has <= 64 buildings (every paper campus), each cell also
-  // carries a bitmask of its candidates, so a LoS walk tests each building
-  // once however many cells it spans.
+  // The same candidates as a bitmask of mask_words_ = ceil(n / 64) words
+  // per cell (one word on every paper campus; bit i of word w is building
+  // 64 w + i), so a LoS walk tests each building once however many cells
+  // it spans.
+  std::size_t mask_words_ = 1;
   std::vector<std::uint64_t> cell_mask_;
 };
 

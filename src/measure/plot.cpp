@@ -55,8 +55,8 @@ std::string fmt(double v) {
 // Shared renderer: plots one point set on a character grid.
 std::string render(const std::vector<TimePoint>& pts, Range xr, Range yr,
                    const PlotOptions& o) {
-  const int w = std::max(o.width, 16);
-  const int h = std::max(o.height, 4);
+  const int w = kPlotWidth;
+  const int h = kPlotHeight;
   std::vector<std::string> grid(static_cast<std::size_t>(h),
                                 std::string(static_cast<std::size_t>(w), ' '));
   for (const TimePoint& p : pts) {
@@ -96,8 +96,8 @@ std::string line_chart(const std::vector<TimePoint>& points,
 std::string cdf_chart(const Cdf& cdf, const PlotOptions& options) {
   std::vector<TimePoint> pts;
   if (!cdf.empty()) {
-    for (const auto& [value, fraction] : cdf.curve(
-             static_cast<std::size_t>(std::max(options.width, 16)))) {
+    for (const auto& [value, fraction] :
+         cdf.curve(static_cast<std::size_t>(kPlotWidth))) {
       // Reuse the line renderer with value on x: encode x as "seconds".
       pts.push_back({sim::from_seconds(value), fraction});
     }

@@ -11,10 +11,13 @@
 
 namespace fiveg::measure {
 
-/// Rendering options shared by the chart functions.
+/// Plot area size of every chart: columns (exclusive of the y-axis
+/// gutter) and rows.
+inline constexpr int kPlotWidth = 72;
+inline constexpr int kPlotHeight = 14;
+
+/// Labels shared by the chart functions.
 struct PlotOptions {
-  int width = 72;   // plot area columns (exclusive of the y-axis gutter)
-  int height = 14;  // plot area rows
   std::string title;
   std::string y_label;
   std::string x_label;

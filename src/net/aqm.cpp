@@ -119,10 +119,10 @@ sim::Time control_law(sim::Time t, sim::Time interval,
 }  // namespace
 
 std::optional<Packet> QueueDiscipline::codel_pop(CoDelFlow* f, sim::Time now) {
-  const sim::Time interval = config_.interval;
+  const sim::Time interval = kCoDelInterval;
   while (!f->q.empty()) {
     Entry e = take(&f->q, now);
-    const bool above = now - e.enqueued_at > config_.target;
+    const bool above = now - e.enqueued_at > kCoDelTarget;
     if (!f->dropping) {
       if (!above) {
         f->first_above_time = 0;
@@ -190,7 +190,7 @@ std::optional<Packet> CoDelQueue::pop(sim::Time now) {
 FqCoDelQueue::FqCoDelQueue(const QdiscConfig& config,
                            std::uint64_t capacity_bytes)
     : QueueDiscipline(QdiscKind::kFqCoDel, config, capacity_bytes),
-      buckets_(std::max(config.flows, 1u)) {}
+      buckets_(kFqFlows) {}
 
 std::uint32_t FqCoDelQueue::bucket_of(std::uint32_t flow_id) const {
   // Knuth multiplicative hash: spreads small consecutive flow ids without
@@ -209,7 +209,7 @@ bool FqCoDelQueue::push(Packet p, sim::Time now) {
     // A flow that was idle re-enters through the priority list with a
     // fresh quantum: sparse flows jump the heavy ones.
     b.queued = true;
-    b.deficit = static_cast<int>(config_.quantum_bytes);
+    b.deficit = static_cast<int>(kFqQuantumBytes);
     new_flows_.push_back(idx);
   }
   return true;
@@ -225,7 +225,7 @@ std::optional<Packet> FqCoDelQueue::pop(sim::Time now) {
     if (b.deficit <= 0) {
       // Quantum exhausted: recharge and rotate to the back of the old
       // list (DRR proper).
-      b.deficit += static_cast<int>(config_.quantum_bytes);
+      b.deficit += static_cast<int>(kFqQuantumBytes);
       list.pop_front();
       old_flows_.push_back(idx);
       continue;
@@ -254,29 +254,26 @@ std::optional<Packet> FqCoDelQueue::pop(sim::Time now) {
 
 RedQueue::RedQueue(const QdiscConfig& config, std::uint64_t capacity_bytes,
                    std::uint64_t seed)
-    : QueueDiscipline(QdiscKind::kRed, config, capacity_bytes), rng_(seed) {
-  const auto cap = static_cast<double>(capacity_bytes);
-  if (config_.red_min_bytes == 0) {
-    config_.red_min_bytes = static_cast<std::uint64_t>(0.15 * cap);
-  }
-  if (config_.red_max_bytes == 0) {
-    config_.red_max_bytes = static_cast<std::uint64_t>(0.45 * cap);
-  }
-}
+    : QueueDiscipline(QdiscKind::kRed, config, capacity_bytes),
+      rng_(seed),
+      min_bytes_(static_cast<std::uint64_t>(
+          kRedMinFraction * static_cast<double>(capacity_bytes))),
+      max_bytes_(static_cast<std::uint64_t>(
+          kRedMaxFraction * static_cast<double>(capacity_bytes))) {}
 
 bool RedQueue::push(Packet p, sim::Time now) {
   // EWMA of the instantaneous depth, updated per arrival. (The classic
   // idle-time correction is omitted: arrivals on an idle link find
   // avg ~ 0 anyway at these weights, and the omission keeps the estimator
   // trivially deterministic.)
-  avg_bytes_ = (1.0 - config_.red_weight) * avg_bytes_ +
-               config_.red_weight * static_cast<double>(size_bytes());
+  avg_bytes_ = (1.0 - kRedWeight) * avg_bytes_ +
+               kRedWeight * static_cast<double>(size_bytes());
 
   if (size_bytes() + p.size_bytes > capacity_bytes_) {
     return refuse();  // physical tail drop: ECN cannot conjure buffer space
   }
-  const auto min_th = static_cast<double>(config_.red_min_bytes);
-  const auto max_th = static_cast<double>(config_.red_max_bytes);
+  const auto min_th = static_cast<double>(min_bytes_);
+  const auto max_th = static_cast<double>(max_bytes_);
   if (avg_bytes_ >= max_th) {
     // Above max the estimator says sustained congestion: force a drop
     // even for ECT traffic (RFC 3168 Sec. 19.1 guidance).
@@ -286,7 +283,7 @@ bool RedQueue::push(Packet p, sim::Time now) {
   if (avg_bytes_ > min_th) {
     ++count_;
     const double pb =
-        config_.red_max_p * (avg_bytes_ - min_th) / (max_th - min_th);
+        kRedMaxP * (avg_bytes_ - min_th) / (max_th - min_th);
     // Spread early decisions out (Floyd & Jacobson's 1/(1 - count*pb)
     // correction makes inter-decision gaps uniform, not geometric).
     const double pa = pb / std::max(1.0 - static_cast<double>(count_) * pb,

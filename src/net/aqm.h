@@ -5,7 +5,9 @@
 // measured status quo), CoDel (RFC 8289), FQ-CoDel (flow hashing + DRR
 // across per-flow CoDel queues, RFC 8290 shape) and RED (EWMA average
 // queue with min/max thresholds). Every AQM can CE-mark ECT packets
-// instead of dropping (RFC 3168 ECN).
+// instead of dropping (RFC 3168 ECN). A link picks a discipline and ECN;
+// each discipline's tuning is the published default below, the one
+// operating point every experiment runs.
 #pragma once
 
 #include <cstdint>
@@ -21,28 +23,32 @@
 
 namespace fiveg::net {
 
-/// Which discipline a link runs, plus every tuning knob. One struct (not a
-/// variant) so experiment sweeps can tweak a field without re-dispatching.
 enum class QdiscKind { kDropTail, kCoDel, kFqCoDel, kRed };
 
 [[nodiscard]] std::string_view to_string(QdiscKind kind) noexcept;
 
+// CoDel and FQ-CoDel: the RFC 8289 defaults for an acceptable standing
+// sojourn (target) and the initial drop spacing (interval).
+inline constexpr sim::Time kCoDelTarget = 5 * sim::kMillisecond;
+inline constexpr sim::Time kCoDelInterval = 100 * sim::kMillisecond;
+// FQ-CoDel: the DRR quantum is one full-size Ethernet frame (the RFC 8290
+// default); 64 hash buckets are plenty for the few flows per link.
+inline constexpr std::uint32_t kFqQuantumBytes = 1514;
+inline constexpr std::uint32_t kFqFlows = 64;
+// RED: thresholds at 15% and 45% of the buffer, drop probability 0.1 at
+// the max threshold, and Floyd & Jacobson's (1993) EWMA weight w_q 0.002.
+inline constexpr double kRedMinFraction = 0.15;
+inline constexpr double kRedMaxFraction = 0.45;
+inline constexpr double kRedMaxP = 0.1;
+inline constexpr double kRedWeight = 0.002;
+
+/// Which discipline a link runs, and whether its AQM marks instead of
+/// dropping.
 struct QdiscConfig {
   QdiscKind kind = QdiscKind::kDropTail;
   /// CE-mark ECT packets instead of dropping (AQM decisions only; a full
   /// buffer still tail-drops — ECN cannot conjure space).
   bool ecn = false;
-  // CoDel / FQ-CoDel.
-  sim::Time target = 5 * sim::kMillisecond;      // acceptable sojourn
-  sim::Time interval = 100 * sim::kMillisecond;  // initial drop spacing
-  // FQ-CoDel.
-  std::uint32_t quantum_bytes = 1514;  // DRR quantum (one full-size frame)
-  std::uint32_t flows = 64;            // hash buckets
-  // RED. 0 thresholds = derive from capacity (min = 15%, max = 45%).
-  std::uint64_t red_min_bytes = 0;
-  std::uint64_t red_max_bytes = 0;
-  double red_max_p = 0.1;      // drop probability at max threshold
-  double red_weight = 0.002;   // EWMA weight for the average queue
 };
 
 /// Queue discipline interface used by Link. The base owns what every
@@ -205,9 +211,10 @@ class FqCoDelQueue final : public QueueDiscipline {
 
 /// Random Early Detection (Floyd & Jacobson 1993): an EWMA of the queue
 /// depth gates probabilistic early drops between a min and max threshold;
-/// above max every arrival drops. With `ecn` on, an early "drop" of an ECT
-/// packet becomes a CE mark (forced drops above max still drop). `seed`
-/// seeds the private drop stream.
+/// above max every arrival drops. The thresholds are kRedMinFraction and
+/// kRedMaxFraction of the byte capacity. With `ecn` on, an early "drop" of
+/// an ECT packet becomes a CE mark (forced drops above max still drop).
+/// `seed` seeds the private drop stream.
 class RedQueue final : public QueueDiscipline {
  public:
   RedQueue(const QdiscConfig& config, std::uint64_t capacity_bytes,
@@ -221,6 +228,8 @@ class RedQueue final : public QueueDiscipline {
 
  private:
   sim::Rng rng_;
+  std::uint64_t min_bytes_;
+  std::uint64_t max_bytes_;
   Fifo q_;
   double avg_bytes_ = 0.0;  // EWMA of the instantaneous depth
   int count_ = -1;          // arrivals since the last early drop/mark

@@ -3,8 +3,8 @@
 namespace fiveg::net {
 
 CrossTraffic::CrossTraffic(sim::Simulator* simulator, Link* link,
-                           Config config, sim::Rng rng)
-    : sim_(simulator), link_(link), config_(config), rng_(rng) {}
+                           double mean_on_s, sim::Rng rng)
+    : sim_(simulator), link_(link), mean_on_s_(mean_on_s), rng_(rng) {}
 
 void CrossTraffic::start(sim::Time until) {
   until_ = until;
@@ -12,22 +12,20 @@ void CrossTraffic::start(sim::Time until) {
 }
 
 double CrossTraffic::mean_offered_bps() const noexcept {
-  const double duty =
-      config_.mean_on_s / (config_.mean_on_s + config_.mean_off_s);
-  return duty * 0.5 * (config_.min_rate_bps + config_.max_rate_bps);
+  const double duty = mean_on_s_ / (mean_on_s_ + kMeanOffS);
+  return duty * 0.5 * (kMinRateBps + kMaxRateBps);
 }
 
 void CrossTraffic::begin_off() {
   if (sim_->now() >= until_) return;
-  const double gap_s = rng_.exponential(1.0 / config_.mean_off_s);
+  const double gap_s = rng_.exponential(1.0 / kMeanOffS);
   sim_->schedule_in(sim::from_seconds(gap_s), [this] { begin_on(); });
 }
 
 void CrossTraffic::begin_on() {
   if (sim_->now() >= until_) return;
-  const double rate =
-      rng_.uniform(config_.min_rate_bps, config_.max_rate_bps);
-  const double on_s = rng_.exponential(1.0 / config_.mean_on_s);
+  const double rate = rng_.uniform(kMinRateBps, kMaxRateBps);
+  const double on_s = rng_.exponential(1.0 / mean_on_s_);
   const sim::Time burst_end = sim_->now() + sim::from_seconds(on_s);
   emit(rate, burst_end);
   sim_->schedule_at(burst_end, [this] { begin_off(); });
@@ -36,15 +34,15 @@ void CrossTraffic::begin_on() {
 void CrossTraffic::emit(double rate_bps, sim::Time burst_end) {
   if (sim_->now() >= burst_end || sim_->now() >= until_) return;
   Packet p;
-  p.flow_id = config_.flow_id;
+  p.flow_id = kFlowId;
   p.seq = sent_++;
-  p.size_bytes = config_.packet_bytes;
+  p.size_bytes = kPacketBytes;
   p.sent_at = sim_->now();
   // Ambient traffic shares only this router: it exits the measured path
   // right after the contended link (TTL expires at the next node).
   p.ttl = 1;
   link_->send(std::move(p));
-  const double bits = 8.0 * config_.packet_bytes;
+  const double bits = 8.0 * kPacketBytes;
   const auto gap =
       static_cast<sim::Time>(bits / rate_bps * static_cast<double>(sim::kSecond));
   sim_->schedule_in(gap, [this, rate_bps, burst_end] {

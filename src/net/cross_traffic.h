@@ -16,17 +16,21 @@ namespace fiveg::net {
 /// ON/OFF burst source feeding a shared link.
 class CrossTraffic {
  public:
-  struct Config {
-    std::uint32_t flow_id = 9999;
-    double mean_off_s = 0.35;      // mean gap between bursts
-    double mean_on_s = 0.025;      // mean burst duration
-    double min_rate_bps = 200e6;   // burst rate drawn uniformly
-    double max_rate_bps = 1200e6;
-    std::uint32_t packet_bytes = 1500;
-  };
+  /// Flow id stamped on every ambient packet.
+  static constexpr std::uint32_t kFlowId = 9999;
+  /// Mean gap between bursts, s.
+  static constexpr double kMeanOffS = 0.35;
+  /// Each burst's rate is drawn uniformly from [kMinRateBps, kMaxRateBps]:
+  /// calibrated so UDP loss lands on Fig. 9's curve (5G >= 10x the 4G loss
+  /// at matched offered fractions).
+  static constexpr double kMinRateBps = 150e6;
+  static constexpr double kMaxRateBps = 1300e6;
+  /// Every ambient packet is a full-size frame.
+  static constexpr std::uint32_t kPacketBytes = 1500;
 
-  /// Emits into `link` (sharing its drop-tail queue with foreground flows).
-  CrossTraffic(sim::Simulator* simulator, Link* link, Config config,
+  /// Emits into `link` (sharing its drop-tail queue with foreground flows)
+  /// bursts lasting `mean_on_s` on average.
+  CrossTraffic(sim::Simulator* simulator, Link* link, double mean_on_s,
                sim::Rng rng);
 
   /// Starts the ON/OFF process; runs until `until`.
@@ -43,7 +47,7 @@ class CrossTraffic {
 
   sim::Simulator* sim_;
   Link* link_;
-  Config config_;
+  double mean_on_s_;
   sim::Rng rng_;
   sim::Time until_ = 0;
   std::uint64_t sent_ = 0;

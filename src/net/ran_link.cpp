@@ -29,10 +29,10 @@ Link::Config make_ran_link_config(const RanLinkOptions& options,
   cfg.rate_fn = options.rate_fn;
   cfg.prop_delay = ran_base_delay(options.rat);
   cfg.blocked_fn = options.blocked_fn;
-  cfg.queue_bytes = options.queue_bytes != 0
-                        ? options.queue_bytes
-                        : (options.rat == radio::Rat::kNr ? 3 * 1024 * 1024
-                                                          : 768 * 1024);
+  // RAN buffers are deep: HARQ hides loss, and the paper shows the RAN is
+  // never the drop bottleneck.
+  cfg.queue_bytes =
+      options.rat == radio::Rat::kNr ? 3 * 1024 * 1024 : 768 * 1024;
 
   // HARQ: block error probability scales with transport-block size, so
   // tiny probes almost never retransmit while full MTU data sees the
@@ -70,7 +70,7 @@ Link::Config make_ran_link_config(const RanLinkOptions& options,
     if (shared_rng->bernoulli(harq->config().first_bler * size_scale)) {
       // Already failed once; count the remaining attempts.
       attempts = 2;
-      while (attempts < harq->config().max_attempts &&
+      while (attempts < ran::kHarqMaxAttempts &&
              shared_rng->bernoulli(harq->config().subsequent_bler)) {
         ++attempts;
       }

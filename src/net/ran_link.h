@@ -22,9 +22,6 @@ struct RanLinkOptions {
   std::function<double()> rate_fn;
   /// Outage predicate (e.g. HandoffEngine::data_interrupted at now()).
   std::function<bool()> blocked_fn;
-  /// Queue depth: RAN buffers are deep (HARQ hides loss; the paper shows
-  /// the RAN is never the drop bottleneck).
-  std::uint64_t queue_bytes = 0;  // 0 -> RAT default
 };
 
 /// Worst-case slot-alignment wait on the hop. TDD NR packets wait for a

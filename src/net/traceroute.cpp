@@ -59,12 +59,12 @@ void Traceroute::finish_if_done() {
   }
 }
 
-double estimate_buffer_packets(const measure::RunningStats& rtt_ms,
-                               double capacity_bps,
-                               int packet_bytes) noexcept {
+double estimate_buffer_packets(const measure::RunningStats& rtt_ms) noexcept {
+  constexpr double kCapacityBps = 1e9;
+  constexpr int kPacketBytes = 60;
   if (rtt_ms.count() < 2) return 0.0;
   const double spread_s = (rtt_ms.max() - rtt_ms.min()) / 1000.0;
-  return spread_s * capacity_bps / (8.0 * packet_bytes);
+  return spread_s * kCapacityBps / (8.0 * kPacketBytes);
 }
 
 }  // namespace fiveg::net

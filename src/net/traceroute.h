@@ -48,9 +48,9 @@ class Traceroute {
 };
 
 /// The paper's buffer estimator: buffered packets ~= (RTTmax - RTTmin) * C
-/// / packet size, with C the assumed path capacity and 60-byte packets.
-[[nodiscard]] double estimate_buffer_packets(const measure::RunningStats& rtt_ms,
-                                             double capacity_bps = 1e9,
-                                             int packet_bytes = 60) noexcept;
+/// / packet size, with C the assumed 1 Gbps path capacity and the 60-byte
+/// probe packets.
+[[nodiscard]] double estimate_buffer_packets(
+    const measure::RunningStats& rtt_ms) noexcept;
 
 }  // namespace fiveg::net

@@ -13,6 +13,9 @@ constexpr double kPeakEffPerLayer = 8.0 * 0.925;
 // Uplink transmissions use a single layer on both networks under test.
 constexpr int kUlLayers = 1;
 
+// UE receiver noise figure, the same handset on both carriers.
+constexpr double kNoiseFigureDb = 7.0;
+
 }  // namespace
 
 double CarrierConfig::peak_dl_bitrate_bps() const noexcept {
@@ -31,7 +34,7 @@ double CarrierConfig::peak_ul_bitrate_bps() const noexcept {
 }
 
 double CarrierConfig::noise_per_re_dbm() const noexcept {
-  return -174.0 + 10.0 * std::log10(subcarrier_khz * 1e3) + noise_figure_db;
+  return -174.0 + 10.0 * std::log10(subcarrier_khz * 1e3) + kNoiseFigureDb;
 }
 
 CarrierConfig lte1800() {
@@ -41,7 +44,6 @@ CarrierConfig lte1800() {
   c.bandwidth_mhz = 20.0;
   c.duplex = Duplex::kFdd;
   c.dl_fraction = 1.0;
-  c.n_prb = 100;
   c.mimo_layers = 2;
   c.subcarrier_khz = 15.0;
   c.overhead = 0.68;          // -> 201 Mbps peak DL, the paper's night-time UDP cap
@@ -56,7 +58,6 @@ CarrierConfig nr3500() {
   c.bandwidth_mhz = 100.0;
   c.duplex = Duplex::kTdd;
   c.dl_fraction = 0.75;       // ISP's 3:1 DL:UL slot ratio
-  c.n_prb = 264;
   c.mimo_layers = 4;
   c.subcarrier_khz = 30.0;
   c.overhead = 0.54;          // -> 1198.8 Mbps peak DL vs paper's 1200.98

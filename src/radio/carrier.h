@@ -18,7 +18,6 @@ struct CarrierConfig {
   double bandwidth_mhz = 100;  // channel bandwidth
   Duplex duplex = Duplex::kTdd;
   double dl_fraction = 0.75;   // DL share of airtime (1.0 per direction in FDD)
-  int n_prb = 264;             // usable PRBs (paper observes 260-264 for NR)
   int mimo_layers = 4;
   double subcarrier_khz = 30;  // SCS: 15 kHz LTE, 30 kHz NR
   // Effective MAC-available fraction of raw PHY bits (control channels,
@@ -29,7 +28,6 @@ struct CarrierConfig {
   // a calibration constant chosen so the outdoor coverage radius matches
   // the paper (~230 m for 5G, ~520 m for 4G in dense urban clutter).
   double tx_re_power_dbm = -5.3;
-  double noise_figure_db = 7.0;
 
   /// Peak downlink PHY bit-rate with all PRBs and the top MCS, bits/s.
   [[nodiscard]] double peak_dl_bitrate_bps() const noexcept;
@@ -37,7 +35,7 @@ struct CarrierConfig {
   /// Peak uplink PHY bit-rate, bits/s.
   [[nodiscard]] double peak_ul_bitrate_bps() const noexcept;
 
-  /// Thermal noise + noise figure per resource element, dBm.
+  /// Thermal noise + the UE's 7 dB noise figure per resource element, dBm.
   [[nodiscard]] double noise_per_re_dbm() const noexcept;
 };
 

@@ -13,11 +13,10 @@ constexpr std::uint64_t kNrFieldSalt = 0x5f9'000;
 }  // namespace
 
 RadioEnvironment::RadioEnvironment(const geo::CampusMap* campus,
-                                   std::uint64_t seed, double sigma_db,
-                                   double corr_dist_m)
+                                   std::uint64_t seed)
     : campus_(campus),
-      shadow_lte_(seed ^ kLteFieldSalt, sigma_db, corr_dist_m),
-      shadow_nr_(seed ^ kNrFieldSalt, sigma_db, corr_dist_m),
+      shadow_lte_(seed ^ kLteFieldSalt),
+      shadow_nr_(seed ^ kNrFieldSalt),
       fault_(fault::runtime()) {}
 
 const ShadowingField& RadioEnvironment::field_for(

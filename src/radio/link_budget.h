@@ -31,8 +31,7 @@ struct TxSite {
 class RadioEnvironment {
  public:
   /// `campus` must outlive the environment.
-  RadioEnvironment(const geo::CampusMap* campus, std::uint64_t seed,
-                   double sigma_db = 6.0, double corr_dist_m = 50.0);
+  RadioEnvironment(const geo::CampusMap* campus, std::uint64_t seed);
 
   /// Reference-signal received power at the UE, dBm.
   [[nodiscard]] double rsrp_dbm(const CarrierConfig& c, const TxSite& tx,

@@ -25,11 +25,8 @@ void set_shadowing_sigma_offset_db(double offset_db) noexcept {
   g_sigma_offset_db = offset_db;
 }
 
-ShadowingField::ShadowingField(std::uint64_t seed, double sigma_db,
-                               double corr_dist_m)
-    : seed_(seed),
-      sigma_db_(sigma_db + g_sigma_offset_db),
-      corr_dist_m_(corr_dist_m) {}
+ShadowingField::ShadowingField(std::uint64_t seed)
+    : seed_(seed), sigma_db_(kShadowingSigmaDb + g_sigma_offset_db) {}
 
 double ShadowingField::node_value(std::int64_t ix,
                                   std::int64_t iy) const noexcept {
@@ -42,8 +39,8 @@ double ShadowingField::node_value(std::int64_t ix,
 }
 
 double ShadowingField::at(const geo::Point& p) const noexcept {
-  const double gx = p.x / corr_dist_m_;
-  const double gy = p.y / corr_dist_m_;
+  const double gx = p.x / kShadowingCorrDistM;
+  const double gy = p.y / kShadowingCorrDistM;
   const auto ix = static_cast<std::int64_t>(std::floor(gx));
   const auto iy = static_cast<std::int64_t>(std::floor(gy));
   const double fx = gx - static_cast<double>(ix);

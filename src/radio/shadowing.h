@@ -11,19 +11,23 @@
 
 namespace fiveg::radio {
 
+/// Standard deviation of the field (the 3GPP UMa log-normal shadowing).
+inline constexpr double kShadowingSigmaDb = 6.0;
+/// Lattice spacing, ≈ the decorrelation distance (3GPP suggests ~50 m for
+/// UMa).
+inline constexpr double kShadowingCorrDistM = 50.0;
+
 /// Test-only perturbation knob: every ShadowingField constructed while the
-/// offset is non-zero gets `sigma_db + offset`. Drift-detector tests use it
-/// to shift a radio-layer input without touching scenario code; production
-/// paths never set it. Not thread-safe — set it before spawning workers (or
-/// run --jobs 1) and restore it to 0 afterwards.
+/// offset is non-zero gets `kShadowingSigmaDb + offset`. Drift-detector
+/// tests use it to shift a radio-layer input without touching scenario
+/// code; production paths never set it. Not thread-safe — set it before
+/// spawning workers (or run --jobs 1) and restore it to 0 afterwards.
 void set_shadowing_sigma_offset_db(double offset_db) noexcept;
 
 /// Deterministic correlated shadowing field.
 class ShadowingField {
  public:
-  /// `sigma_db`: standard deviation of the field; `corr_dist_m`: lattice
-  /// spacing (≈ decorrelation distance, 3GPP suggests ~50 m for UMa).
-  ShadowingField(std::uint64_t seed, double sigma_db, double corr_dist_m);
+  explicit ShadowingField(std::uint64_t seed);
 
   /// Shadowing in dB at a position (positive = extra loss).
   [[nodiscard]] double at(const geo::Point& p) const noexcept;
@@ -36,7 +40,6 @@ class ShadowingField {
 
   std::uint64_t seed_;
   double sigma_db_;
-  double corr_dist_m_;
 };
 
 }  // namespace fiveg::radio

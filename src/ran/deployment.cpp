@@ -48,11 +48,10 @@ std::vector<Cell> Deployment::lte_cells_cosited_with_nr() const {
   return out;
 }
 
-double Deployment::dl_bitrate_bps(radio::Rat rat, const geo::Point& ue,
-                                  double prb_fraction) const {
+double Deployment::dl_bitrate_bps(radio::Rat rat, const geo::Point& ue) const {
   const CellMeasurement m = best(rat, ue);
   if (!m.in_coverage()) return 0.0;
-  return radio::dl_bitrate_bps(carrier(rat), m.sinr_db, prb_fraction);
+  return radio::dl_bitrate_bps(carrier(rat), m.sinr_db);
 }
 
 int Deployment::site_count(radio::Rat rat) const {
@@ -130,17 +129,16 @@ Deployment make_deployment(const geo::CampusMap* campus, sim::Rng rng,
                     std::move(nr_cells));
 }
 
-std::vector<geo::Point> hex_grid_sites(geo::Point center, double isd_m,
-                                       int rings) {
+std::vector<geo::Point> hex_grid_sites(geo::Point center, int rings) {
   // Axial coordinates: every (q, r) with |q|, |r|, |q+r| <= rings. The
   // q-major loop makes the site order (hence site_ids) deterministic.
   std::vector<geo::Point> sites;
-  const double row_step = isd_m * 0.8660254037844386;  // isd * sqrt(3)/2
+  const double row_step = kCityIsdM * 0.8660254037844386;  // isd*sqrt(3)/2
   for (int q = -rings; q <= rings; ++q) {
     const int r_lo = std::max(-rings, -q - rings);
     const int r_hi = std::min(rings, -q + rings);
     for (int r = r_lo; r <= r_hi; ++r) {
-      sites.push_back({center.x + isd_m * (q + 0.5 * r),
+      sites.push_back({center.x + kCityIsdM * (q + 0.5 * r),
                        center.y + row_step * r});
     }
   }
@@ -153,33 +151,33 @@ Deployment make_city_deployment(const geo::CampusMap* campus, sim::Rng rng,
   const geo::Point center{(b.min.x + b.max.x) / 2.0,
                           (b.min.y + b.max.y) / 2.0};
   const std::vector<geo::Point> sites =
-      hex_grid_sites(center, config.isd_m, std::max(config.rings, 0));
+      hex_grid_sites(center, std::max(config.rings, 0));
 
-  const int lte_sectors = std::max(config.lte_sectors_per_site, 1);
-  const int nr_sectors = std::max(config.nr_sectors_per_site, 1);
   std::vector<Cell> lte_cells;
   std::vector<Cell> nr_cells;
   int lte_pci = 300;
   int nr_pci = 500;
   for (std::size_t s = 0; s < sites.size(); ++s) {
     const double lte_az = rng.uniform(0.0, 360.0);
-    for (int k = 0; k < lte_sectors; ++k) {
+    for (int k = 0; k < kCitySectorsPerSite; ++k) {
       Cell cell;
       cell.pci = lte_pci++;
       cell.site_id = static_cast<int>(s);
       cell.rat = radio::Rat::kLte;
       cell.site = {sites[s],
-                   radio::SectorAntenna(lte_az + k * 360.0 / lte_sectors)};
+                   radio::SectorAntenna(lte_az +
+                                        k * 360.0 / kCitySectorsPerSite)};
       lte_cells.push_back(cell);
     }
     const double nr_az = rng.uniform(0.0, 360.0);
-    for (int k = 0; k < nr_sectors; ++k) {
+    for (int k = 0; k < kCitySectorsPerSite; ++k) {
       Cell cell;
       cell.pci = nr_pci++;
       cell.site_id = static_cast<int>(s);
       cell.rat = radio::Rat::kNr;
       cell.site = {sites[s],
-                   radio::SectorAntenna(nr_az + k * 360.0 / nr_sectors)};
+                   radio::SectorAntenna(nr_az +
+                                        k * 360.0 / kCitySectorsPerSite)};
       nr_cells.push_back(cell);
     }
   }

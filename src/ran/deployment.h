@@ -52,9 +52,9 @@ class Deployment {
   [[nodiscard]] std::vector<Cell> lte_cells_cosited_with_nr() const;
 
   /// Achievable DL bit-rate of the best `rat` cell at `ue`, bits/s,
-  /// holding `prb_fraction` of the carrier. Zero outside coverage.
-  [[nodiscard]] double dl_bitrate_bps(radio::Rat rat, const geo::Point& ue,
-                                      double prb_fraction = 1.0) const;
+  /// holding the whole carrier. Zero outside coverage.
+  [[nodiscard]] double dl_bitrate_bps(radio::Rat rat,
+                                      const geo::Point& ue) const;
 
   /// Number of distinct sites carrying this RAT.
   [[nodiscard]] int site_count(radio::Rat rat) const;
@@ -76,26 +76,28 @@ class Deployment {
 [[nodiscard]] Deployment make_deployment(const geo::CampusMap* campus,
                                          sim::Rng rng, int gnb_sites = 6);
 
+/// Inter-site distance between hex neighbours of the city grid.
+inline constexpr double kCityIsdM = 200.0;
+/// Sectors per city mast, on each RAT.
+inline constexpr int kCitySectorsPerSite = 3;
+
 /// Hex-grid city layout, the calibrated multi-cell reference geometry
 /// (3GPP-style rings around a centre site).
 struct CityGridConfig {
-  double isd_m = 200.0;  // inter-site distance between hex neighbours
   int rings = 2;         // rings around the centre: sites = 1+3r(r+1)
-  int lte_sectors_per_site = 3;
-  int nr_sectors_per_site = 3;
 };
 
 /// The mast positions of a hex grid centred on `center`: the centre site
-/// plus `rings` full rings at `isd_m` spacing, in deterministic axial
+/// plus `rings` full rings at kCityIsdM spacing, in deterministic axial
 /// (q-major) order. rings=1 -> 7 sites, rings=2 -> 19 sites.
 [[nodiscard]] std::vector<geo::Point> hex_grid_sites(geo::Point center,
-                                                     double isd_m, int rings);
+                                                     int rings);
 
 /// Builds a city-scale deployment on `campus`: every hex mast carries both
 /// an eNB and a co-sited gNB (the densified NSA grid), with
-/// `lte_sectors_per_site` / `nr_sectors_per_site` sectors at jittered
-/// azimuths. PCIs start at 300 (LTE) and 500 (NR), clear of the paper
-/// campus ranges. Deterministic for a given rng stream.
+/// kCitySectorsPerSite sectors per RAT at jittered azimuths. PCIs start at
+/// 300 (LTE) and 500 (NR), clear of the paper campus ranges.
+/// Deterministic for a given rng stream.
 [[nodiscard]] Deployment make_city_deployment(
     const geo::CampusMap* campus, sim::Rng rng,
     const CityGridConfig& config = {});

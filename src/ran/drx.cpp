@@ -15,21 +15,21 @@ RadioActivity connected_activity(const DrxConfig& drx,
     return RadioActivity::kPagingSleep;
   }
   const sim::Time in_cycle =
-      (since_activity - drx.inactivity) % drx.long_drx_cycle;
-  return in_cycle < drx.on_duration ? RadioActivity::kTailAwake
+      (since_activity - drx.inactivity) % kLongDrxCycle;
+  return in_cycle < kOnDuration ? RadioActivity::kTailAwake
                                     : RadioActivity::kTailSleep;
 }
 
-RadioActivity idle_activity(const DrxConfig& drx, sim::Time since_idle_start) {
+RadioActivity idle_activity(sim::Time since_idle_start) {
   if (since_idle_start < 0) since_idle_start = 0;
-  const sim::Time in_cycle = since_idle_start % drx.paging_cycle;
-  return in_cycle < drx.on_duration ? RadioActivity::kPagingAwake
+  const sim::Time in_cycle = since_idle_start % kPagingCycle;
+  return in_cycle < kOnDuration ? RadioActivity::kPagingAwake
                                     : RadioActivity::kPagingSleep;
 }
 
-double tail_duty_cycle(const DrxConfig& drx) noexcept {
-  return static_cast<double>(drx.on_duration) /
-         static_cast<double>(drx.long_drx_cycle);
+double tail_duty_cycle() noexcept {
+  return static_cast<double>(kOnDuration) /
+         static_cast<double>(kLongDrxCycle);
 }
 
 }  // namespace fiveg::ran

@@ -22,18 +22,17 @@ enum class RadioActivity {
 ///
 /// `since_activity`: elapsed time since the last data transfer ended.
 /// Inside `inactivity` the radio stays fully awake; afterwards it cycles
-/// long C-DRX (`long_drx_cycle` with `on_duration` awake) until `tail`
-/// expires and RRC falls back to idle.
+/// long C-DRX (kLongDrxCycle with kOnDuration awake) until `tail` expires
+/// and RRC falls back to idle.
 [[nodiscard]] RadioActivity connected_activity(const DrxConfig& drx,
                                                sim::Time since_activity);
 
-/// Evaluates paging DRX occupancy in RRC_IDLE: awake `on_duration` out of
-/// every `paging_cycle`.
-[[nodiscard]] RadioActivity idle_activity(const DrxConfig& drx,
-                                          sim::Time since_idle_start);
+/// Evaluates paging DRX occupancy in RRC_IDLE: awake kOnDuration out of
+/// every kPagingCycle.
+[[nodiscard]] RadioActivity idle_activity(sim::Time since_idle_start);
 
 /// Fraction of time the radio is awake during the C-DRX portion of the
 /// tail (the duty cycle that dominates tail energy).
-[[nodiscard]] double tail_duty_cycle(const DrxConfig& drx) noexcept;
+[[nodiscard]] double tail_duty_cycle() noexcept;
 
 }  // namespace fiveg::ran

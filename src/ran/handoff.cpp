@@ -24,7 +24,6 @@ HandoffEngine::HandoffEngine(sim::Simulator* simulator,
       config_(config),
       rng_(rng),
       log_(logger),
-      nsa_(config.nsa),
       a3_nr_(config.a3),
       a3_lte_(config.a3) {
   fault_ = fault::runtime();
@@ -155,7 +154,7 @@ void HandoffEngine::step() {
   }
   if (reestablishing_) {
     // No serving cell: nothing to hand off until re-establishment lands.
-    sim_->schedule_in(config_.sample_period, "ran.mobility_step",
+    sim_->schedule_in(kMobilitySamplePeriod, "ran.mobility_step",
                       [this] { step(); });
     return;
   }
@@ -240,7 +239,7 @@ void HandoffEngine::step() {
     }
   }
 
-  sim_->schedule_in(config_.sample_period, "ran.mobility_step",
+  sim_->schedule_in(kMobilitySamplePeriod, "ran.mobility_step",
                     [this] { step(); });
 }
 
@@ -401,8 +400,8 @@ void HandoffEngine::begin_reestablishment() {
     m->counter("ran.rrc.reestablishments").add();
   }
   // RLF declaration plus the re-establishment exchange; the serving gap is
-  // bounded by config_.reestablish.bound() whenever any live cell exists.
-  sim_->schedule_in(config_.reestablish.bound(), "ran.rrc_reestablish",
+  // bounded by kReestablishBound whenever any live cell exists.
+  sim_->schedule_in(kReestablishBound, "ran.rrc_reestablish",
                     [this] { try_reestablish(); });
 }
 
@@ -420,7 +419,7 @@ void HandoffEngine::try_reestablish() {
   if (best == nullptr) {
     // Every candidate is in outage; keep retrying (bounded-gap recovery
     // resumes as soon as a restore toggle fires).
-    sim_->schedule_in(config_.reestablish.procedure, "ran.rrc_reestablish",
+    sim_->schedule_in(kReestablishProcedure, "ran.rrc_reestablish",
                       [this] { try_reestablish(); });
     return;
   }

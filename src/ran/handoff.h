@@ -45,15 +45,13 @@ struct Interruption {
   HandoffType type = HandoffType::k4G4G;
 };
 
+/// How often a hand-off engine samples its UE's radio environment.
+inline constexpr sim::Time kMobilitySamplePeriod = sim::from_millis(100);
+
 /// Mobility parameters.
 struct MobilityConfig {
   double speed_mps = 1.5;  // the paper walks/bikes at 3-10 km/h
-  sim::Time sample_period = sim::from_millis(100);
   A3Config a3;
-  NsaUe::Config nsa;
-  // Radio-link-failure recovery timing (only exercised under fault
-  // injection; see fault::FaultKind::kSectorOutage).
-  ReestablishTimers reestablish;
 };
 
 /// Event-driven hand-off engine for one UE.

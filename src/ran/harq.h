@@ -10,6 +10,10 @@
 
 namespace fiveg::ran {
 
+/// Rel-15 PDSCH retransmission threshold: the most transmission attempts
+/// one transport block gets, on either RAT.
+inline constexpr int kHarqMaxAttempts = 32;
+
 /// HARQ operating point for one carrier. Fig. 10's bars decay by a roughly
 /// constant factor per extra attempt, so the model is: the first attempt
 /// fails with `first_bler`, and every retransmission fails with
@@ -17,7 +21,6 @@ namespace fiveg::ran {
 struct HarqConfig {
   double first_bler = 0.1;       // BLER of the first transmission attempt
   double subsequent_bler = 0.25; // BLER of each retransmission
-  int max_attempts = 32;         // Rel-15 PDSCH retransmission threshold
   sim::Time retx_delay = sim::from_millis(8);  // per-retransmission delay
 };
 
@@ -34,7 +37,7 @@ class HarqProcess {
   explicit HarqProcess(HarqConfig config) : config_(config) {}
 
   /// Number of transmission attempts one transport block needs (1 = no
-  /// retransmission); capped at max_attempts.
+  /// retransmission); capped at kHarqMaxAttempts.
   [[nodiscard]] int sample_attempts(sim::Rng& rng) const;
 
   /// P(block needs attempt n), i.e. survives n-1 failures: the curve the

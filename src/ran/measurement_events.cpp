@@ -35,7 +35,7 @@ bool ThresholdDetector::update(sim::Time at, double quality_db) {
     return false;
   }
   if (entering_since_ == kNotEntering) entering_since_ = at;
-  if (at - entering_since_ >= time_to_trigger_) {
+  if (at - entering_since_ >= kIspTimeToTrigger) {
     entering_since_ = kNotEntering;
     armed_ = false;  // one report per excursion
     return true;
@@ -56,7 +56,7 @@ bool A5Detector::update(sim::Time at, double serving_db, double neighbor_db) {
     return false;
   }
   if (entering_since_ == kNotEntering) entering_since_ = at;
-  if (at - entering_since_ >= time_to_trigger_) {
+  if (at - entering_since_ >= kIspTimeToTrigger) {
     entering_since_ = kNotEntering;
     armed_ = false;
     return true;
@@ -66,8 +66,7 @@ bool A5Detector::update(sim::Time at, double serving_db, double neighbor_db) {
 
 bool a3_step(const A3Config& config, sim::Time& entering_since, sim::Time at,
              double serving_db, double neighbor_db) noexcept {
-  const bool entering =
-      neighbor_db - config.hysteresis_db > serving_db + config.offset_db;
+  const bool entering = neighbor_db - config.hysteresis_db > serving_db;
   if (!entering) {
     entering_since = kA3NotEntering;
     return false;

@@ -16,29 +16,29 @@ enum class MeasEventType { kA1, kA2, kA3, kA4, kA5, kB1, kB2 };
 /// Human-readable description (mirrors the paper's Table 5).
 [[nodiscard]] std::string describe(MeasEventType t);
 
+/// The ISP's timeToTrigger, shared by every measurement event.
+inline constexpr sim::Time kIspTimeToTrigger = sim::from_millis(324);
+
 /// A3 trigger configuration, per Eq. (1) of the paper:
 ///   Mn + Ofn + Ocn - Hys > Ms + Ofs + Ocs + Off
-/// sustained for `time_to_trigger`.
+/// sustained for `time_to_trigger`. The measured ISP sets every offset
+/// (Off and the frequency/cell offsets) to 0, so the test is Mn - Hys > Ms.
 struct A3Config {
   double hysteresis_db = 3.0;   // the ISP's configured RSRQ gap
-  double offset_db = 0.0;       // Off + frequency/cell offsets (all 0 here)
-  sim::Time time_to_trigger = sim::from_millis(324);  // ISP's timeToTrigger
+  sim::Time time_to_trigger = kIspTimeToTrigger;
 };
 
 /// Threshold event evaluator for A1/A2/A4/B1-style events: fires when a
-/// quality stays above (or below) a threshold for time_to_trigger, with
-/// hysteresis on the leaving side to suppress flapping.
+/// quality stays above (or below) a threshold for kIspTimeToTrigger, with
+/// kHysteresisDb of hysteresis on the leaving side to suppress flapping.
 class ThresholdDetector {
  public:
   enum class Direction { kAbove, kBelow };
 
-  ThresholdDetector(Direction direction, double threshold_db,
-                    double hysteresis_db = 1.0,
-                    sim::Time time_to_trigger = sim::from_millis(324))
-      : direction_(direction),
-        threshold_db_(threshold_db),
-        hysteresis_db_(hysteresis_db),
-        time_to_trigger_(time_to_trigger) {}
+  static constexpr double kHysteresisDb = 1.0;
+
+  ThresholdDetector(Direction direction, double threshold_db)
+      : direction_(direction), threshold_db_(threshold_db) {}
 
   /// Feeds one quality sample; true exactly when the event fires. After
   /// firing, the condition must lapse (past the hysteresis) and re-enter
@@ -59,27 +59,22 @@ class ThresholdDetector {
   }
   [[nodiscard]] bool lapsed(double q) const noexcept {
     return direction_ == Direction::kAbove
-               ? q < threshold_db_ - hysteresis_db_
-               : q > threshold_db_ + hysteresis_db_;
+               ? q < threshold_db_ - kHysteresisDb
+               : q > threshold_db_ + kHysteresisDb;
   }
 
   Direction direction_;
   double threshold_db_;
-  double hysteresis_db_;
-  sim::Time time_to_trigger_;
   sim::Time entering_since_ = kNotEntering;
   bool armed_ = true;
 };
 
 /// A5 evaluator: serving below threshold1 while the neighbour is above
-/// threshold2, sustained for time_to_trigger.
+/// threshold2, sustained for kIspTimeToTrigger.
 class A5Detector {
  public:
-  A5Detector(double threshold1_db, double threshold2_db,
-             sim::Time time_to_trigger = sim::from_millis(324))
-      : threshold1_db_(threshold1_db),
-        threshold2_db_(threshold2_db),
-        time_to_trigger_(time_to_trigger) {}
+  A5Detector(double threshold1_db, double threshold2_db)
+      : threshold1_db_(threshold1_db), threshold2_db_(threshold2_db) {}
 
   bool update(sim::Time at, double serving_db, double neighbor_db);
 
@@ -93,7 +88,6 @@ class A5Detector {
 
   double threshold1_db_;
   double threshold2_db_;
-  sim::Time time_to_trigger_;
   sim::Time entering_since_ = kNotEntering;
   bool armed_ = true;
 };

@@ -45,28 +45,28 @@ enum class RrcState {
 }
 
 /// RRC re-establishment timing after radio-link failure (TS 36.331-style
-/// T310 detection + the re-establishment procedure itself). `bound()` is
-/// the invariant ceiling: a UE whose serving cell dies must be camped on a
-/// live cell again within detection + procedure of each retry round.
-struct ReestablishTimers {
-  sim::Time detection = sim::from_millis(200);   // RLF declaration (T310)
-  sim::Time procedure = sim::from_millis(150);   // re-establishment exchange
-  [[nodiscard]] sim::Time bound() const noexcept {
-    return detection + procedure;
-  }
-};
+/// T310 detection + the re-establishment procedure itself).
+/// kReestablishBound is the invariant ceiling: a UE whose serving cell dies
+/// must be camped on a live cell again within detection + procedure of
+/// each retry round.
+inline constexpr sim::Time kRlfDetection = sim::from_millis(200);  // T310
+inline constexpr sim::Time kReestablishProcedure = sim::from_millis(150);
+inline constexpr sim::Time kReestablishBound =
+    kRlfDetection + kReestablishProcedure;
 
-/// Table 7 of the paper: DRX / promotion / tail timers as observed via
-/// XCAL on the measured network.
+// Table 7 of the paper: DRX / promotion / tail timers as observed via XCAL
+// on the measured network. These are the same on both RATs...
+inline constexpr sim::Time kPagingCycle = sim::from_millis(1280);   // Tidle
+inline constexpr sim::Time kOnDuration = sim::from_millis(10);      // Ton
+inline constexpr sim::Time kLtePromotion = sim::from_millis(623);   // TLTE_pro
+inline constexpr sim::Time kLteToNr = sim::from_millis(1238);       // T4r_5r
+inline constexpr sim::Time kNrPromotion = sim::from_millis(1681);   // TNR_pro
+inline constexpr sim::Time kLongDrxCycle = sim::from_millis(320);   // Tlong
+
+/// ...and these differ per RAT (lte_drx() and nr_nsa_drx() below).
 struct DrxConfig {
-  sim::Time paging_cycle = sim::from_millis(1280);   // Tidle
-  sim::Time on_duration = sim::from_millis(10);      // Ton
-  sim::Time lte_promotion = sim::from_millis(623);   // TLTE_pro
-  sim::Time lte_to_nr = sim::from_millis(1238);      // T4r_5r
-  sim::Time nr_promotion = sim::from_millis(1681);   // TNR_pro
-  sim::Time inactivity = sim::from_millis(100);      // Tinac (80/100)
-  sim::Time long_drx_cycle = sim::from_millis(320);  // Tlong
-  sim::Time tail = sim::from_millis(10720);          // Ttail
+  sim::Time inactivity = sim::from_millis(100);  // Tinac (80/100)
+  sim::Time tail = sim::from_millis(10720);      // Ttail
 };
 
 /// LTE timer set (tail 10.72 s).

@@ -1,22 +1,23 @@
 #include "ran/ue.h"
 
+#include "radio/mcs.h"
+
 namespace fiveg::ran {
 
-std::optional<HandoffType> nsa_step(const NsaUe::Config& config,
-                                    bool nr_attached,
+std::optional<HandoffType> nsa_step(bool nr_attached,
                                     sim::Time& add_dwell_since,
                                     sim::Time& drop_dwell_since, sim::Time at,
                                     double best_nr_rsrp_dbm) noexcept {
   if (!nr_attached) {
     drop_dwell_since = kNsaNotDwelling;
     const bool addable =
-        best_nr_rsrp_dbm >= config.service_floor_dbm + config.add_margin_db;
+        best_nr_rsrp_dbm >= radio::kServiceRsrpFloorDbm + kNsaAddMarginDb;
     if (!addable) {
       add_dwell_since = kNsaNotDwelling;
       return std::nullopt;
     }
     if (add_dwell_since == kNsaNotDwelling) add_dwell_since = at;
-    if (at - add_dwell_since >= config.time_to_trigger) {
+    if (at - add_dwell_since >= kNsaTimeToTrigger) {
       add_dwell_since = kNsaNotDwelling;
       return HandoffType::k4G5G;
     }
@@ -24,13 +25,13 @@ std::optional<HandoffType> nsa_step(const NsaUe::Config& config,
   }
 
   add_dwell_since = kNsaNotDwelling;
-  const bool lost = best_nr_rsrp_dbm < config.service_floor_dbm;
+  const bool lost = best_nr_rsrp_dbm < radio::kServiceRsrpFloorDbm;
   if (!lost) {
     drop_dwell_since = kNsaNotDwelling;
     return std::nullopt;
   }
   if (drop_dwell_since == kNsaNotDwelling) drop_dwell_since = at;
-  if (at - drop_dwell_since >= config.time_to_trigger) {
+  if (at - drop_dwell_since >= kNsaTimeToTrigger) {
     drop_dwell_since = kNsaNotDwelling;
     return HandoffType::k5G4G;
   }
@@ -39,8 +40,8 @@ std::optional<HandoffType> nsa_step(const NsaUe::Config& config,
 
 std::optional<HandoffType> NsaUe::update(sim::Time at,
                                          double best_nr_rsrp_dbm) {
-  return nsa_step(config_, nr_attached_, add_dwell_since_, drop_dwell_since_,
-                  at, best_nr_rsrp_dbm);
+  return nsa_step(nr_attached_, add_dwell_since_, drop_dwell_since_, at,
+                  best_nr_rsrp_dbm);
 }
 
 void NsaUe::complete(HandoffType t) noexcept {

@@ -11,22 +11,17 @@
 
 namespace fiveg::ran {
 
+// The ISP's NSA add/drop thresholds: add the NR leg when its best-cell
+// RSRP exceeds radio::kServiceRsrpFloorDbm by this margin (avoids flapping
+// at the coverage edge), drop it when RSRP falls below the floor...
+inline constexpr double kNsaAddMarginDb = 5.0;
+// ...and both conditions must hold for this long (B1-style
+// time-to-trigger).
+inline constexpr sim::Time kNsaTimeToTrigger = sim::from_millis(200);
+
 /// Dual-connectivity controller for one UE.
 class NsaUe {
  public:
-  struct Config {
-    // Add the NR leg when its best-cell RSRP exceeds the service floor by
-    // this margin (avoids flapping at the coverage edge)...
-    double add_margin_db = 5.0;
-    // ...and drop it when RSRP falls below the floor.
-    double service_floor_dbm = -105.0;
-    // Both conditions must hold for this long (B1-style time-to-trigger).
-    sim::Time time_to_trigger = sim::from_millis(200);
-  };
-
-  NsaUe() = default;
-  explicit NsaUe(const Config& config) : config_(config) {}
-
   /// True while the NR secondary leg is attached.
   [[nodiscard]] bool nr_attached() const noexcept { return nr_attached_; }
 
@@ -50,7 +45,6 @@ class NsaUe {
  private:
   static constexpr sim::Time kNotDwelling = -1;
 
-  Config config_{};
   bool nr_attached_ = false;
   sim::Time add_dwell_since_ = kNotDwelling;
   sim::Time drop_dwell_since_ = kNotDwelling;
@@ -66,8 +60,7 @@ inline constexpr sim::Time kNsaNotDwelling = -1;
 /// execute now, if any. The caller owns the attach state and flips it
 /// when the hand-off completes (NsaUe::complete's logic).
 [[nodiscard]] std::optional<HandoffType> nsa_step(
-    const NsaUe::Config& config, bool nr_attached, sim::Time& add_dwell_since,
-    sim::Time& drop_dwell_since, sim::Time at,
-    double best_nr_rsrp_dbm) noexcept;
+    bool nr_attached, sim::Time& add_dwell_since, sim::Time& drop_dwell_since,
+    sim::Time at, double best_nr_rsrp_dbm) noexcept;
 
 }  // namespace fiveg::ran

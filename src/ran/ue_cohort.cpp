@@ -222,8 +222,8 @@ void UeCohort::trigger_phase(sim::Time now) {
     const double best_nr_rsrp = best_nr >= 0 ? nr_rsrp[best_nr] : -140.0;
     const bool attached = serving_nr_[u] >= 0;
     if (const auto vertical =
-            nsa_step(config_.nsa, attached, nsa_add_since_[u],
-                     nsa_drop_since_[u], now, best_nr_rsrp)) {
+            nsa_step(attached, nsa_add_since_[u], nsa_drop_since_[u], now,
+                     best_nr_rsrp)) {
       apply_handoff(u, *vertical,
                     *vertical == HandoffType::k4G5G ? best_nr
                                                     : serving_lte_[u],
@@ -231,7 +231,8 @@ void UeCohort::trigger_phase(sim::Time now) {
       continue;
     }
 
-    // Horizontal A3 on RSRQ: 5G-5G while the NR leg is up, else 4G-4G.
+    // Horizontal A3 on RSRQ under the ISP's A3Config: 5G-5G while the NR
+    // leg is up, else 4G-4G.
     const double* rsrq = attached ? nr_rsrq : lte_rsrq;
     const std::size_t n = attached ? nn : nl;
     const std::vector<Cell>& cells = attached ? nr_cells : lte_cells;
@@ -244,7 +245,7 @@ void UeCohort::trigger_phase(sim::Time now) {
       }
     }
     if (neighbor >= 0 &&
-        a3_step(config_.a3, a3_since_[u], now, rsrq[serving],
+        a3_step(A3Config{}, a3_since_[u], now, rsrq[serving],
                 rsrq[neighbor])) {
       ++stats_.a3_triggers;
       if (auto* reg = obs::metrics()) reg->counter(a3_counter_).add();

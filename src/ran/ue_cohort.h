@@ -45,8 +45,6 @@ namespace fiveg::ran {
 struct CohortConfig {
   std::string name = "cohort";  // digest/counter label value
   sim::Time sample_period = sim::from_millis(200);
-  A3Config a3;
-  NsaUe::Config nsa;
   // Partition affinity (sim::ParSim lane index). Default: unpinned. A
   // pinned cohort verifies at every sweep that it is executing on its
   // declared lane — the cheap guard against accidentally scheduling a

@@ -14,7 +14,7 @@ namespace fiveg::tcp {
 /// NewReno: slow start + AIMD congestion avoidance (RFC 5681/6582 shape).
 class RenoCc : public CongestionControl {
  public:
-  explicit RenoCc(std::uint32_t mss);
+  RenoCc();
 
   void on_ack(const AckEvent& e) override;
   void on_loss(sim::Time now, std::uint64_t bytes_in_flight) override;
@@ -26,7 +26,6 @@ class RenoCc : public CongestionControl {
   [[nodiscard]] std::string name() const override { return "reno"; }
 
  protected:
-  double mss_;
   double cwnd_;
   double ssthresh_;
 };
@@ -35,7 +34,7 @@ class RenoCc : public CongestionControl {
 /// last loss, with a Reno-friendly floor.
 class CubicCc : public CongestionControl {
  public:
-  explicit CubicCc(std::uint32_t mss);
+  CubicCc();
 
   void on_ack(const AckEvent& e) override;
   void on_loss(sim::Time now, std::uint64_t bytes_in_flight) override;
@@ -52,7 +51,6 @@ class CubicCc : public CongestionControl {
   static constexpr double kBeta = 0.7;  // multiplicative decrease
   static constexpr double kC = 0.4;     // cubic scaling (MSS/s^3)
 
-  double mss_;
   double cwnd_;
   double ssthresh_;
   double w_max_mss_ = 0.0;     // window before the last reduction, in MSS
@@ -65,7 +63,7 @@ class CubicCc : public CongestionControl {
 /// actual) * baseRTT between alpha and beta packets.
 class VegasCc : public CongestionControl {
  public:
-  explicit VegasCc(std::uint32_t mss);
+  VegasCc();
 
   void on_ack(const AckEvent& e) override;
   void on_loss(sim::Time now, std::uint64_t bytes_in_flight) override;
@@ -82,7 +80,6 @@ class VegasCc : public CongestionControl {
   static constexpr double kBeta = 4.0;
   static constexpr double kGamma = 1.0;
 
-  double mss_;
   double cwnd_;
   double ssthresh_;
   bool slow_start_ = true;
@@ -95,8 +92,6 @@ class VegasCc : public CongestionControl {
 /// backlog — random (non-congestive) losses only shrink the window to 0.8x.
 class VenoCc : public RenoCc {
  public:
-  explicit VenoCc(std::uint32_t mss);
-
   void on_ack(const AckEvent& e) override;
   void on_loss(sim::Time now, std::uint64_t bytes_in_flight) override;
   [[nodiscard]] std::string name() const override { return "veno"; }
@@ -113,7 +108,7 @@ class VenoCc : public RenoCc {
 /// bandwidth estimate and ignores packet loss.
 class BbrCc : public CongestionControl {
  public:
-  explicit BbrCc(std::uint32_t mss, CcSeed seed = {});
+  explicit BbrCc(CcSeed seed = {});
 
   void on_ack(const AckEvent& e) override;
   void on_loss(sim::Time now, std::uint64_t bytes_in_flight) override;
@@ -141,7 +136,6 @@ class BbrCc : public CongestionControl {
   static constexpr std::array<double, 8> kPacingCycle = {1.25, 0.75, 1, 1,
                                                          1, 1, 1, 1};
 
-  double mss_;
   Mode mode_ = Mode::kStartup;
   double pacing_gain_ = kHighGain;
   double cwnd_gain_ = kHighGain;

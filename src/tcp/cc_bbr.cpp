@@ -1,6 +1,7 @@
 #include <algorithm>
 
 #include "tcp/cc_algorithms.h"
+#include "tcp/tcp_endpoint.h"
 
 namespace fiveg::tcp {
 namespace {
@@ -12,7 +13,7 @@ constexpr double kMinCwndMss = 4.0;
 
 }  // namespace
 
-BbrCc::BbrCc(std::uint32_t mss, CcSeed seed) : mss_(mss) {
+BbrCc::BbrCc(CcSeed seed) {
   if (seed.rate_bps > 0 && seed.rtt > 0) {
     // Deterministic start (the paper's cited slow-start replacement): the
     // model is pre-seeded, so the flow opens directly in ProbeBW at full
@@ -32,14 +33,14 @@ double BbrCc::btl_bw_bps() const {
 
 double BbrCc::bdp_bytes(double gain) const {
   const double bw = btl_bw_bps();
-  if (bw <= 0.0 || rt_prop_ <= 0) return kMinCwndMss * mss_ * kHighGain;
+  if (bw <= 0.0 || rt_prop_ <= 0) return kMinCwndMss * kMssBytes * kHighGain;
   return gain * bw / 8.0 * sim::to_seconds(rt_prop_);
 }
 
 double BbrCc::cwnd_bytes() const {
   double w = mode_ == Mode::kProbeRtt
-                 ? kMinCwndMss * mss_
-                 : std::max(bdp_bytes(cwnd_gain_), kMinCwndMss * mss_);
+                 ? kMinCwndMss * kMssBytes
+                 : std::max(bdp_bytes(cwnd_gain_), kMinCwndMss * kMssBytes);
   if (ecn_cap_bytes_ > 0.0) w = std::min(w, ecn_cap_bytes_);
   return w;
 }
@@ -49,7 +50,7 @@ double BbrCc::pacing_rate_bps() const {
   // so a depressed bandwidth estimate cannot starve its own probing.
   const double floor_rtt_s =
       rt_prop_ > 0 ? sim::to_seconds(rt_prop_) : 0.010;
-  const double floor_bps = kMinCwndMss * mss_ * 8.0 / floor_rtt_s;
+  const double floor_bps = kMinCwndMss * kMssBytes * 8.0 / floor_rtt_s;
   const double bw = btl_bw_bps();
   return std::max(pacing_gain_ * bw, floor_bps);
 }
@@ -159,7 +160,7 @@ void BbrCc::on_ecn(sim::Time now, std::uint64_t /*bytes_in_flight*/) {
   // A CE mark is an unambiguous congestion signal even for a model-based
   // sender, so it gets a real response where on_loss() has none: cap the
   // window at half for one RTprop, then let the model take back over.
-  ecn_cap_bytes_ = std::max(cwnd_bytes() * 0.5, kMinCwndMss * mss_);
+  ecn_cap_bytes_ = std::max(cwnd_bytes() * 0.5, kMinCwndMss * kMssBytes);
   ecn_cap_until_ =
       now + std::max<sim::Time>(rt_prop_, 10 * sim::kMillisecond);
 }

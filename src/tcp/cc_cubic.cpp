@@ -2,6 +2,7 @@
 #include <cmath>
 
 #include "tcp/cc_algorithms.h"
+#include "tcp/tcp_endpoint.h"
 
 namespace fiveg::tcp {
 namespace {
@@ -11,12 +12,11 @@ constexpr double kMinCwndMss = 2.0;
 
 }  // namespace
 
-CubicCc::CubicCc(std::uint32_t mss)
-    : mss_(mss), cwnd_(kInitialCwndMss * mss), ssthresh_(1e18) {}
+CubicCc::CubicCc() : cwnd_(kInitialCwndMss * kMssBytes), ssthresh_(1e18) {}
 
 void CubicCc::enter_epoch(sim::Time now) {
   epoch_start_ = now;
-  const double cwnd_mss = cwnd_ / mss_;
+  const double cwnd_mss = cwnd_ / kMssBytes;
   if (w_max_mss_ > cwnd_mss) {
     k_seconds_ = std::cbrt((w_max_mss_ - cwnd_mss) / kC);
   } else {
@@ -43,7 +43,7 @@ void CubicCc::on_ack(const AckEvent& e) {
   w_est_mss_ += 3.0 * (1.0 - kBeta) / (1.0 + kBeta) *
                 (static_cast<double>(e.acked_bytes) / cwnd_);
 
-  const double cwnd_mss = cwnd_ / mss_;
+  const double cwnd_mss = cwnd_ / kMssBytes;
   double next_mss = cwnd_mss;
   if (target_mss > cwnd_mss) {
     // Approach the target over one RTT's worth of ACKs.
@@ -52,24 +52,24 @@ void CubicCc::on_ack(const AckEvent& e) {
   } else {
     next_mss = cwnd_mss + 0.01 * (static_cast<double>(e.acked_bytes) / cwnd_);
   }
-  cwnd_ = std::max(next_mss, w_est_mss_) * mss_;
+  cwnd_ = std::max(next_mss, w_est_mss_) * kMssBytes;
 }
 
 void CubicCc::on_loss(sim::Time now, std::uint64_t /*bytes_in_flight*/) {
   // Fast convergence: if we never got back to w_max, release capacity.
-  const double cwnd_mss = cwnd_ / mss_;
+  const double cwnd_mss = cwnd_ / kMssBytes;
   w_max_mss_ = cwnd_mss < w_max_mss_ ? cwnd_mss * (1.0 + kBeta) / 2.0
                                      : cwnd_mss;
-  cwnd_ = std::max(cwnd_ * kBeta, kMinCwndMss * mss_);
+  cwnd_ = std::max(cwnd_ * kBeta, kMinCwndMss * kMssBytes);
   ssthresh_ = cwnd_;
   epoch_start_ = -1;
   (void)now;
 }
 
 void CubicCc::on_timeout(sim::Time /*now*/) {
-  w_max_mss_ = cwnd_ / mss_;
-  ssthresh_ = std::max(cwnd_ * kBeta, kMinCwndMss * mss_);
-  cwnd_ = mss_;
+  w_max_mss_ = cwnd_ / kMssBytes;
+  ssthresh_ = std::max(cwnd_ * kBeta, kMinCwndMss * kMssBytes);
+  cwnd_ = kMssBytes;
   epoch_start_ = -1;
 }
 

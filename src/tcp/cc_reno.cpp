@@ -1,6 +1,7 @@
 #include <algorithm>
 
 #include "tcp/cc_algorithms.h"
+#include "tcp/tcp_endpoint.h"
 
 namespace fiveg::tcp {
 namespace {
@@ -10,27 +11,26 @@ constexpr double kMinCwndMss = 2.0;
 
 }  // namespace
 
-RenoCc::RenoCc(std::uint32_t mss)
-    : mss_(mss), cwnd_(kInitialCwndMss * mss), ssthresh_(1e18) {}
+RenoCc::RenoCc() : cwnd_(kInitialCwndMss * kMssBytes), ssthresh_(1e18) {}
 
 void RenoCc::on_ack(const AckEvent& e) {
   if (cwnd_ < ssthresh_) {
     cwnd_ += static_cast<double>(e.acked_bytes);  // slow start
   } else {
     // Congestion avoidance: ~1 MSS per RTT.
-    cwnd_ += mss_ * mss_ * static_cast<double>(e.acked_bytes) /
-             (cwnd_ * mss_);
+    cwnd_ += kMssBytes * kMssBytes * static_cast<double>(e.acked_bytes) /
+             (cwnd_ * kMssBytes);
   }
 }
 
 void RenoCc::on_loss(sim::Time /*now*/, std::uint64_t /*bytes_in_flight*/) {
-  ssthresh_ = std::max(cwnd_ / 2.0, kMinCwndMss * mss_);
+  ssthresh_ = std::max(cwnd_ / 2.0, kMinCwndMss * kMssBytes);
   cwnd_ = ssthresh_;
 }
 
 void RenoCc::on_timeout(sim::Time /*now*/) {
-  ssthresh_ = std::max(cwnd_ / 2.0, kMinCwndMss * mss_);
-  cwnd_ = mss_;  // restart from one segment
+  ssthresh_ = std::max(cwnd_ / 2.0, kMinCwndMss * kMssBytes);
+  cwnd_ = kMssBytes;  // restart from one segment
 }
 
 }  // namespace fiveg::tcp

@@ -1,6 +1,7 @@
 #include <algorithm>
 
 #include "tcp/cc_algorithms.h"
+#include "tcp/tcp_endpoint.h"
 
 namespace fiveg::tcp {
 namespace {
@@ -10,8 +11,7 @@ constexpr double kMinCwndMss = 2.0;
 
 }  // namespace
 
-VegasCc::VegasCc(std::uint32_t mss)
-    : mss_(mss), cwnd_(kInitialCwndMss * mss), ssthresh_(1e18) {}
+VegasCc::VegasCc() : cwnd_(kInitialCwndMss * kMssBytes), ssthresh_(1e18) {}
 
 void VegasCc::on_ack(const AckEvent& e) {
   if (e.rtt <= 0) return;
@@ -19,7 +19,7 @@ void VegasCc::on_ack(const AckEvent& e) {
 
   // diff = (expected - actual) * baseRTT, in packets: the data parked in
   // queues along the path.
-  const double cwnd_pkts = cwnd_ / mss_;
+  const double cwnd_pkts = cwnd_ / kMssBytes;
   const double expected = cwnd_pkts / sim::to_seconds(base_rtt_);
   const double actual = cwnd_pkts / sim::to_seconds(e.rtt);
   diff_ = (expected - actual) * sim::to_seconds(base_rtt_);
@@ -39,22 +39,22 @@ void VegasCc::on_ack(const AckEvent& e) {
   if (e.now - last_adjust_ < std::max<sim::Time>(e.rtt, 1)) return;
   last_adjust_ = e.now;
   if (diff_ < kAlpha) {
-    cwnd_ += mss_;
+    cwnd_ += kMssBytes;
   } else if (diff_ > kBeta) {
-    cwnd_ = std::max(cwnd_ - mss_, kMinCwndMss * mss_);
+    cwnd_ = std::max(cwnd_ - kMssBytes, kMinCwndMss * kMssBytes);
   }
 }
 
 void VegasCc::on_loss(sim::Time /*now*/, std::uint64_t /*bytes_in_flight*/) {
   slow_start_ = false;
-  cwnd_ = std::max(cwnd_ * 0.5, kMinCwndMss * mss_);
+  cwnd_ = std::max(cwnd_ * 0.5, kMinCwndMss * kMssBytes);
   ssthresh_ = cwnd_;
 }
 
 void VegasCc::on_timeout(sim::Time /*now*/) {
   slow_start_ = false;
-  ssthresh_ = std::max(cwnd_ / 2.0, kMinCwndMss * mss_);
-  cwnd_ = mss_;
+  ssthresh_ = std::max(cwnd_ / 2.0, kMinCwndMss * kMssBytes);
+  cwnd_ = kMssBytes;
 }
 
 }  // namespace fiveg::tcp

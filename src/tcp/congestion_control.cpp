@@ -21,18 +21,18 @@ std::string to_string(CcAlgo a) {
 }
 
 std::unique_ptr<CongestionControl> make_congestion_control(
-    CcAlgo algo, std::uint32_t mss_bytes, CcSeed seed) {
+    CcAlgo algo, CcSeed seed) {
   switch (algo) {
     case CcAlgo::kReno:
-      return std::make_unique<RenoCc>(mss_bytes);
+      return std::make_unique<RenoCc>();
     case CcAlgo::kCubic:
-      return std::make_unique<CubicCc>(mss_bytes);
+      return std::make_unique<CubicCc>();
     case CcAlgo::kVegas:
-      return std::make_unique<VegasCc>(mss_bytes);
+      return std::make_unique<VegasCc>();
     case CcAlgo::kVeno:
-      return std::make_unique<VenoCc>(mss_bytes);
+      return std::make_unique<VenoCc>();
     case CcAlgo::kBbr:
-      return std::make_unique<BbrCc>(mss_bytes, seed);
+      return std::make_unique<BbrCc>(seed);
   }
   return nullptr;
 }

@@ -72,8 +72,8 @@ struct CcSeed {
   sim::Time rtt = 0;
 };
 
-/// Creates a controller. `mss` is the sender's segment size.
+/// Creates a controller; each counts its window in kMssBytes segments.
 [[nodiscard]] std::unique_ptr<CongestionControl> make_congestion_control(
-    CcAlgo algo, std::uint32_t mss_bytes, CcSeed seed = {});
+    CcAlgo algo, CcSeed seed = {});
 
 }  // namespace fiveg::tcp

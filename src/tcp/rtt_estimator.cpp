@@ -5,10 +5,6 @@
 
 namespace fiveg::tcp {
 
-RttEstimator::RttEstimator(sim::Time min_rto, sim::Time initial_rto,
-                           sim::Time min_window)
-    : min_rto_(min_rto), initial_rto_(initial_rto), min_window_(min_window) {}
-
 void RttEstimator::add_sample(sim::Time now, sim::Time rtt) {
   if (rtt <= 0) return;
   if (srtt_ == 0) {
@@ -26,16 +22,16 @@ void RttEstimator::add_sample(sim::Time now, sim::Time rtt) {
   }
   min_candidates_.emplace_back(now, rtt);
   while (!min_candidates_.empty() &&
-         min_candidates_.front().first + min_window_ < now) {
+         min_candidates_.front().first + kMinRttWindow < now) {
     min_candidates_.pop_front();
   }
 }
 
 sim::Time RttEstimator::rto() const noexcept {
-  if (srtt_ == 0) return initial_rto_ * backoff_;
+  if (srtt_ == 0) return kInitialRto * backoff_;
   const sim::Time base = srtt_ + std::max<sim::Time>(4 * rttvar_,
                                                      sim::kMillisecond);
-  return std::max(min_rto_, base) * backoff_;
+  return std::max(kMinRto, base) * backoff_;
 }
 
 sim::Time RttEstimator::min_rtt() const noexcept {

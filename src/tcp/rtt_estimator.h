@@ -9,13 +9,16 @@
 
 namespace fiveg::tcp {
 
+/// RFC 6298 floor on the retransmission timeout (Linux's 200 ms).
+inline constexpr sim::Time kMinRto = 200 * sim::kMillisecond;
+/// RTO before the first RTT sample (RFC 6298 Sec. 2.1).
+inline constexpr sim::Time kInitialRto = sim::kSecond;
+/// Sliding window of the minimum-RTT filter (BBR's RTprop window).
+inline constexpr sim::Time kMinRttWindow = 10 * sim::kSecond;
+
 /// RFC 6298 estimator with a windowed minimum.
 class RttEstimator {
  public:
-  explicit RttEstimator(sim::Time min_rto = 200 * sim::kMillisecond,
-                        sim::Time initial_rto = sim::kSecond,
-                        sim::Time min_window = 10 * sim::kSecond);
-
   /// Feeds one RTT sample taken at time `now`.
   void add_sample(sim::Time now, sim::Time rtt);
 
@@ -23,7 +26,7 @@ class RttEstimator {
   [[nodiscard]] sim::Time smoothed_rtt() const noexcept { return srtt_; }
   [[nodiscard]] sim::Time rtt_var() const noexcept { return rttvar_; }
 
-  /// Current retransmission timeout (clamped below by min_rto).
+  /// Current retransmission timeout (clamped below by kMinRto).
   [[nodiscard]] sim::Time rto() const noexcept;
 
   /// Minimum RTT within the sliding window (0 before any sample).
@@ -34,9 +37,6 @@ class RttEstimator {
   void reset_backoff() noexcept { backoff_ = 1; }
 
  private:
-  sim::Time min_rto_;
-  sim::Time initial_rto_;
-  sim::Time min_window_;
   sim::Time srtt_ = 0;
   sim::Time rttvar_ = 0;
   int backoff_ = 1;

@@ -5,20 +5,22 @@
 
 #include <cstdint>
 
-#include "sim/time.h"
 #include "tcp/congestion_control.h"
 
 namespace fiveg::tcp {
 
+/// Standard Ethernet-path MSS.
+inline constexpr std::uint32_t kMssBytes = 1460;
+/// IP+TCP header on data packets; ACKs are bare.
+inline constexpr std::uint32_t kHeaderBytes = 40;
+/// iperf3 -w 25M: big enough never to bind.
+inline constexpr std::uint64_t kReceiveWindowBytes = 25ull * 1024 * 1024;
+/// Duplicate ACKs that trigger fast retransmit (RFC 5681).
+inline constexpr int kDupackThreshold = 3;
+
 /// Per-connection parameters.
 struct TcpConfig {
   CcAlgo algo = CcAlgo::kCubic;
-  std::uint32_t mss_bytes = 1460;
-  std::uint32_t header_bytes = 40;   // IP+TCP on data packets; ACKs are bare
-  std::uint64_t receive_window_bytes = 25ull * 1024 * 1024;  // iperf3 -w 25M
-  sim::Time min_rto = 200 * sim::kMillisecond;
-  sim::Time initial_rto = sim::kSecond;
-  int dupack_threshold = 3;
   // ECN (RFC 3168): when both endpoints enable it, the sender stamps data
   // packets ECT, the receiver echoes CE marks as ECE, and the sender backs
   // off once per RTT without any packet having been lost.

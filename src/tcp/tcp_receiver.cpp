@@ -16,8 +16,8 @@ void TcpReceiver::deliver(net::Packet p) {
   if (p.flow_id != flow_id_ || p.is_ack) return;
 
   const std::uint64_t seg_start = p.seq;
-  const std::uint64_t payload = p.size_bytes > config_.header_bytes
-                                    ? p.size_bytes - config_.header_bytes
+  const std::uint64_t payload = p.size_bytes > kHeaderBytes
+                                    ? p.size_bytes - kHeaderBytes
                                     : 0;
   const std::uint64_t before = cum_ack_;
   if (seg_start == cum_ack_) {

@@ -14,8 +14,7 @@ TcpSender::TcpSender(sim::Simulator* simulator, TcpConfig config,
       config_(config),
       flow_id_(flow_id),
       emit_(std::move(emit)),
-      cc_(make_congestion_control(config.algo, config.mss_bytes, config.seed)),
-      rtt_(config.min_rto, config.initial_rto) {
+      cc_(make_congestion_control(config.algo, config.seed)) {
   tracer_ = obs::tracer();
   fault_ = fault::runtime();
   // Only the server-stall injector lives here; skip the per-send check
@@ -73,7 +72,7 @@ void TcpSender::send_bytes(std::uint64_t bytes, std::function<void()> done) {
 
 std::uint64_t TcpSender::effective_window() const {
   const auto cwnd = static_cast<std::uint64_t>(cc_->cwnd_bytes());
-  return std::min(cwnd, config_.receive_window_bytes);
+  return std::min(cwnd, kReceiveWindowBytes);
 }
 
 bool TcpSender::data_available(std::uint64_t seq) const {
@@ -97,7 +96,7 @@ void TcpSender::try_send() {
   }
   const double pacing_bps = cc_->pacing_rate_bps();
   while (data_available(snd_nxt_) &&
-         bytes_in_flight() + config_.mss_bytes <= effective_window()) {
+         bytes_in_flight() + kMssBytes <= effective_window()) {
     if (pacing_bps > 0.0 && sim_->now() < next_send_time_) {
       // Single-flight wake-up: at most one pacing timer is ever pending,
       // no matter how many ACKs poke try_send in the meantime.
@@ -111,13 +110,13 @@ void TcpSender::try_send() {
       return;
     }
     const std::uint64_t payload =
-        bulk_ ? config_.mss_bytes
-              : std::min<std::uint64_t>(config_.mss_bytes,
+        bulk_ ? kMssBytes
+              : std::min<std::uint64_t>(kMssBytes,
                                         app_limit_ - snd_nxt_);
     send_segment(snd_nxt_, /*retransmit=*/false);
     snd_nxt_ += payload;
     if (pacing_bps > 0.0) {
-      const double gap_s = 8.0 * (config_.mss_bytes + config_.header_bytes) /
+      const double gap_s = 8.0 * (kMssBytes + kHeaderBytes) /
                            pacing_bps;
       next_send_time_ =
           std::max(next_send_time_, sim_->now()) + sim::from_seconds(gap_s);
@@ -126,7 +125,7 @@ void TcpSender::try_send() {
 }
 
 void TcpSender::send_segment(std::uint64_t seq, bool retransmit) {
-  std::uint32_t payload = config_.mss_bytes;
+  std::uint32_t payload = kMssBytes;
   if (!bulk_) {
     payload = static_cast<std::uint32_t>(
         std::min<std::uint64_t>(payload, app_limit_ - seq));
@@ -136,7 +135,7 @@ void TcpSender::send_segment(std::uint64_t seq, bool retransmit) {
   net::Packet p;
   p.flow_id = flow_id_;
   p.seq = seq;
-  p.size_bytes = payload + config_.header_bytes;
+  p.size_bytes = payload + kHeaderBytes;
   p.sent_at = sim_->now();
   p.ect = config_.ecn;  // ECN-capable transport: qdiscs may mark, not drop
   emit_(std::move(p));
@@ -277,7 +276,7 @@ void TcpSender::on_ack(const net::Packet& ack) {
     }
   } else if (ack_seq == snd_una_ && bytes_in_flight() > 0) {
     ++dupacks_;
-    if (!in_recovery_ && dupacks_ >= config_.dupack_threshold) {
+    if (!in_recovery_ && dupacks_ >= kDupackThreshold) {
       enter_fast_retransmit();
     } else if (in_recovery_) {
       retransmit_holes();  // each dupack clocks out more repairs
@@ -304,7 +303,7 @@ void TcpSender::retransmit_holes() {
   while (budget > 0 && seq < top) {
     send_segment(seq, /*retransmit=*/true);
     --budget;
-    seq += config_.mss_bytes;
+    seq += kMssBytes;
   }
   retx_next_ = seq;
 }

@@ -399,14 +399,14 @@ TEST_F(RanChaosFixture, AnchorOutageReestablishesWithinBound) {
   // the detection + procedure bound.
   ASSERT_EQ(engine.serving_gaps().size(), 1u);
   const auto& gap = engine.serving_gaps().front();
-  EXPECT_EQ(gap.end - gap.begin, cfg.reestablish.bound());
+  EXPECT_EQ(gap.end - gap.begin, ran::kReestablishBound);
   ASSERT_NE(serving_during_outage, nullptr);
   EXPECT_NE(serving_during_outage->pci, anchor_pci);
   EXPECT_TRUE(engine.data_interrupted(gap.begin));
   EXPECT_FALSE(engine.data_interrupted(gap.end));
 
   fault::InvariantChecker checker;
-  checker.check_serving_continuity(engine, cfg.reestablish.bound());
+  checker.check_serving_continuity(engine, ran::kReestablishBound);
   checker.check_rrc_legality(engine.rrc_trajectory());
   EXPECT_TRUE(checker.ok()) << checker.report();
   // The trajectory passed through Idle (RLF) and back to connected.
@@ -540,11 +540,9 @@ TEST(EnergyChaosTest, ReplayResidenciesCoverEveryModel) {
        {energy::RadioModel::kLteOnly, energy::RadioModel::kNrNsa,
         energy::RadioModel::kNrOracle, energy::RadioModel::kDynamicSwitch}) {
     checker.check_energy(
-        machine.replay(energy::web_browsing_trace(sim::Rng(4)), model),
-        machine.config().step);
+        machine.replay(energy::web_browsing_trace(sim::Rng(4)), model));
     checker.check_energy(
-        machine.replay(energy::file_transfer_trace(300'000'000), model),
-        machine.config().step);
+        machine.replay(energy::file_transfer_trace(300'000'000), model));
   }
   EXPECT_TRUE(checker.ok()) << checker.report();
   EXPECT_GE(checker.checks_run(), 8u * 3u);

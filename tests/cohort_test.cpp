@@ -273,24 +273,25 @@ TEST(CohortStepTest, A3StepMatchesDetector) {
   }
 }
 
-// Randomized parity: nsa_step against the stateful NsaUe controller.
+// Randomized parity: nsa_step against the stateful NsaUe controller. The
+// add/drop thresholds are fixed, so each trial draws its own RSRP band
+// around them and its own sampling cadence around the time-to-trigger.
 TEST(CohortStepTest, NsaStepMatchesNsaUe) {
   sim::Rng rng(4048);
   for (int trial = 0; trial < 20; ++trial) {
-    NsaUe::Config cfg;
-    cfg.add_margin_db = rng.uniform(2.0, 8.0);
-    cfg.time_to_trigger = sim::from_millis(rng.uniform(50.0, 400.0));
-    NsaUe ue(cfg);
+    const double centre_dbm = rng.uniform(-110.0, -95.0);
+    const double max_gap_ms = rng.uniform(50.0, 400.0);
+    NsaUe ue;
     bool attached = false;
     sim::Time add_since = kNsaNotDwelling;
     sim::Time drop_since = kNsaNotDwelling;
     sim::Time at = 0;
     for (int step = 0; step < 300; ++step) {
-      at += sim::from_millis(rng.uniform(20.0, 200.0));
-      const double rsrp = rng.uniform(-120.0, -90.0);
+      at += sim::from_millis(rng.uniform(20.0, max_gap_ms));
+      const double rsrp = centre_dbm + rng.uniform(-15.0, 15.0);
       const std::optional<HandoffType> from_ue = ue.update(at, rsrp);
-      const std::optional<HandoffType> from_step = nsa_step(
-          cfg, attached, add_since, drop_since, at, rsrp);
+      const std::optional<HandoffType> from_step =
+          nsa_step(attached, add_since, drop_since, at, rsrp);
       ASSERT_EQ(from_ue, from_step) << "trial " << trial << " step " << step;
       if (from_ue) {
         ue.complete(*from_ue);

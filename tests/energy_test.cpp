@@ -72,14 +72,13 @@ TEST(TrafficTraceTest, Generators) {
 TEST(PoliciesTest, PromotionDelays) {
   const sim::Time lte_pro = from_millis(623);
   const sim::Time nr_pro = from_millis(1681);
-  EXPECT_EQ(promotion_delay(RadioModel::kLteOnly, lte_pro, nr_pro), lte_pro);
-  EXPECT_EQ(promotion_delay(RadioModel::kNrNsa, lte_pro, nr_pro), nr_pro);
+  EXPECT_EQ(promotion_delay(RadioModel::kLteOnly), lte_pro);
+  EXPECT_EQ(promotion_delay(RadioModel::kNrNsa), nr_pro);
   // The Oracle schedules sleep, not signalling: it still promotes.
-  EXPECT_EQ(promotion_delay(RadioModel::kNrOracle, lte_pro, nr_pro), nr_pro);
-  EXPECT_EQ(promotion_delay(RadioModel::kDynamicSwitch, lte_pro, nr_pro),
-            lte_pro);
-  EXPECT_EQ(initial_rat(RadioModel::kNrNsa), ServingRat::kNr);
-  EXPECT_EQ(initial_rat(RadioModel::kDynamicSwitch), ServingRat::kLte);
+  EXPECT_EQ(promotion_delay(RadioModel::kNrOracle), nr_pro);
+  EXPECT_EQ(promotion_delay(RadioModel::kDynamicSwitch), lte_pro);
+  EXPECT_EQ(initial_rat(RadioModel::kNrNsa), radio::Rat::kNr);
+  EXPECT_EQ(initial_rat(RadioModel::kDynamicSwitch), radio::Rat::kLte);
   EXPECT_EQ(to_string(RadioModel::kDynamicSwitch), "Dyn. switch");
 }
 
@@ -176,12 +175,11 @@ TEST(PwrStripTest, AppSessionBreakdownFig21Shape) {
   RrcPowerMachine machine;
   int n = 0;
   const AppProfile* apps = daily_apps(&n);
-  const ComponentPower components;
   for (int i = 0; i < n; ++i) {
     const DeviceEnergyBreakdown nr = measure_app_session(
-        machine, RadioModel::kNrNsa, apps[i], components, 60 * kSecond);
+        machine, RadioModel::kNrNsa, apps[i], 60 * kSecond);
     const DeviceEnergyBreakdown lte = measure_app_session(
-        machine, RadioModel::kLteOnly, apps[i], components, 60 * kSecond);
+        machine, RadioModel::kLteOnly, apps[i], 60 * kSecond);
     // 5G radio dominates the budget and beats the screen's share.
     EXPECT_GT(nr.radio_j, nr.screen_j) << apps[i].name;
     EXPECT_GT(nr.radio_j, 1.5 * lte.radio_j) << apps[i].name;
@@ -195,9 +193,9 @@ TEST(PwrStripTest, FiveGRadioShareNearPaper) {
   const AppProfile* apps = daily_apps(&n);
   double share_sum = 0;
   for (int i = 0; i < n; ++i) {
-    share_sum += measure_app_session(machine, RadioModel::kNrNsa, apps[i],
-                                     ComponentPower{}, 60 * kSecond)
-                     .radio_share();
+    share_sum +=
+        measure_app_session(machine, RadioModel::kNrNsa, apps[i], 60 * kSecond)
+            .radio_share();
   }
   // Paper: 55.18% average across the four apps.
   EXPECT_NEAR(share_sum / n, 0.5518, 0.12);

@@ -118,7 +118,7 @@ TEST(SeededBbrTest, StartsAtFullRateInstantly) {
   tcp::CcSeed seed;
   seed.rate_bps = 500e6;
   seed.rtt = from_millis(20);
-  tcp::BbrCc cc(1460, seed);
+  tcp::BbrCc cc(seed);
   EXPECT_FALSE(cc.in_slow_start());
   EXPECT_NEAR(cc.btl_bw_bps(), 500e6, 1.0);
   // cwnd = 2 * BDP = 2 * 500e6/8 * 0.02 = 2.5 MB.
@@ -127,7 +127,7 @@ TEST(SeededBbrTest, StartsAtFullRateInstantly) {
 }
 
 TEST(SeededBbrTest, UnseededStillProbes) {
-  tcp::BbrCc cc(1460);
+  tcp::BbrCc cc;
   EXPECT_TRUE(cc.in_slow_start());
   EXPECT_DOUBLE_EQ(cc.btl_bw_bps(), 0.0);
 }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "energy/rrc_power_machine.h"
 #include "fault/fault.h"
@@ -138,6 +139,42 @@ TEST(FaultPlanTest, ParseRejectsMalformedDocuments) {
               "faults": [{"kind": "link_loss",
                           "begin_s": 2, "end_s": 1, "loss": 0.5}]})"),
       std::runtime_error);
+}
+
+// Numbers that do not fit their field are rejected with the parser's
+// error, never converted (a float-to-int cast out of range is undefined
+// behaviour) and never rounded (pci 60.5 is not cell 60).
+TEST(FaultPlanTest, ParseRejectsNumbersThatDoNotFit) {
+  const auto plan_with = [](const std::string& fault) {
+    return R"({"schema": "fiveg-faults/v1", "faults": [)" + fault + "]}";
+  };
+  for (const std::string fault : {
+           R"({"kind": "server_stall", "begin_s": 0, "end_s": 1e300})",
+           R"({"kind": "server_stall", "begin_s": -1e300, "end_s": 1})",
+           R"({"kind": "server_stall", "begin_s": 0, "end_s": 1e400})",
+           R"({"kind": "sector_outage", "begin_s": 0, "end_s": 1,
+               "pci": 1e20})",
+           R"({"kind": "sector_outage", "begin_s": 0, "end_s": 1,
+               "pci": 60.5})",
+           R"({"kind": "link_delay", "begin_s": 0, "end_s": 1,
+               "extra_delay_ms": 1e300})",
+           R"({"kind": "link_loss", "begin_s": 0, "end_s": 1,
+               "loss": 1e400})",
+       }) {
+    try {
+      (void)FaultPlan::parse_json(plan_with(fault));
+      ADD_FAILURE() << "accepted " << fault;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("fault plan: ", 0), 0u)
+          << e.what();
+    }
+  }
+  // The largest values that do fit still parse.
+  const FaultPlan ok = FaultPlan::parse_json(plan_with(
+      R"({"kind": "sector_outage", "begin_s": 0, "end_s": 9e9,
+          "pci": 2147483647})"));
+  EXPECT_EQ(ok.specs().front().pci, 2147483647);
+  EXPECT_EQ(ok.specs().front().end, sim::from_seconds(9e9));
 }
 
 TEST(FaultPlanTest, LoadMissingFileThrows) {
@@ -284,9 +321,9 @@ TEST(RrcLegalityTest, TransitionTable) {
 }
 
 TEST(RrcLegalityTest, ReestablishTimersBound) {
-  const ran::ReestablishTimers t;
-  EXPECT_EQ(t.bound(), t.detection + t.procedure);
-  EXPECT_GT(t.bound(), 0);
+  EXPECT_EQ(ran::kReestablishBound,
+            ran::kRlfDetection + ran::kReestablishProcedure);
+  EXPECT_GT(ran::kReestablishBound, 0);
 }
 
 TEST(InvariantCheckerTest, CleanLinkPasses) {
@@ -337,7 +374,7 @@ TEST(InvariantCheckerTest, EnergyViolationsAreReported) {
       machine.replay(energy::web_browsing_trace(sim::Rng(1)),
                      energy::RadioModel::kNrNsa);
   InvariantChecker checker;
-  checker.check_energy(good, machine.config().step);
+  checker.check_energy(good);
   EXPECT_TRUE(checker.ok()) << checker.report();
 
   energy::EnergyResult bad = good;
@@ -346,7 +383,7 @@ TEST(InvariantCheckerTest, EnergyViolationsAreReported) {
   bad.residency_promoting = 0;
   bad.residency_connected = 0;
   InvariantChecker broken;
-  broken.check_energy(bad, machine.config().step);
+  broken.check_energy(bad);
   EXPECT_FALSE(broken.ok());
   EXPECT_GE(broken.violations().size(), 2u);  // energy sign + residency sum
 }

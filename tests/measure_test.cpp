@@ -361,7 +361,7 @@ TEST(PlotTest, LineChartRendersPointsAndAxes) {
   EXPECT_NE(s.find("(s)"), std::string::npos);
   // Height rows + title + axis rows.
   EXPECT_GE(std::count(s.begin(), s.end(), '\n'),
-            static_cast<long>(o.height));
+            static_cast<long>(kPlotHeight));
 }
 
 TEST(PlotTest, EmptyAndFlatInputsAreSafe) {

@@ -211,7 +211,7 @@ TEST(TracerouteTest, BufferEstimatorMaxMin) {
   measure::RunningStats rtt;
   rtt.add(10.0);
   rtt.add(14.8);  // 4.8 ms spread at 1 Gbps = 4.8e6 bits / 480 bits = 10000 pkts
-  EXPECT_NEAR(estimate_buffer_packets(rtt, 1e9, 60), 10000.0, 1.0);
+  EXPECT_NEAR(estimate_buffer_packets(rtt), 10000.0, 1.0);
   measure::RunningStats single;
   single.add(5.0);
   EXPECT_DOUBLE_EQ(estimate_buffer_packets(single), 0.0);
@@ -263,8 +263,7 @@ TEST(CrossTrafficTest, MeanLoadInRange) {
   cfg.rate_bps = 10e9;  // no self-congestion
   CountingSink sink;
   Link link(&simr, cfg, &sink);
-  CrossTraffic::Config xcfg;
-  CrossTraffic x(&simr, &link, xcfg, sim::Rng(3));
+  CrossTraffic x(&simr, &link, /*mean_on_s=*/0.025, sim::Rng(3));
   x.start(20 * kSecond);
   simr.run();
   const double measured_bps = 8.0 * sink.bytes() / 20.0;
@@ -689,29 +688,44 @@ TEST(CoDelEcnTest, MarksEctInsteadOfDropping) {
 // RED's drop-stream seed before make_qdisc forks it per link.
 constexpr std::uint64_t kRedSeed = 0x8ed;
 
+// RED's thresholds for the 200-packet buffer both tests use: 30 and 90
+// full-size packets.
+constexpr std::uint64_t kRedCapacity = 200 * 1500;
+const double kRedMinTh = kRedMinFraction * static_cast<double>(kRedCapacity);
+const double kRedMaxTh = kRedMaxFraction * static_cast<double>(kRedCapacity);
+
 TEST(RedQueueTest, ThresholdsGateEarlyDrops) {
-  QdiscConfig cfg;
-  cfg.red_min_bytes = 15 * 1500;
-  cfg.red_max_bytes = 45 * 1500;
-  cfg.red_weight = 0.5;  // fast EWMA so the test tracks the true depth
-  RedQueue q(cfg, 200 * 1500, kRedSeed);
+  RedQueue q({}, kRedCapacity, kRedSeed);
   // Below min: every arrival accepted, count stays reset.
   for (int i = 0; i < 10; ++i) {
     EXPECT_TRUE(q.push(make_packet(1, i, 1500), 0));
   }
   EXPECT_EQ(q.drops(), 0u);
-  EXPECT_LT(q.avg_bytes(), static_cast<double>(cfg.red_min_bytes));
-  // Keep filling without draining: between min and max some arrivals are
-  // shed early; past max every arrival is dropped.
+  EXPECT_LT(q.avg_bytes(), kRedMinTh);
+  // Hold the depth at 60 packets, between the thresholds, long enough for
+  // the slow EWMA to settle there: some arrivals are shed early, and none
+  // can be a tail drop.
   std::uint64_t accepted = 10;
-  for (int i = 10; i < 120; ++i) {
+  for (int i = 10; i < 3000; ++i) {
     accepted += q.push(make_packet(1, i, 1500), 0);
+    while (q.size_packets() > 60) (void)q.pop(0);
   }
   EXPECT_GT(q.drops(), 0u);
-  EXPECT_LT(accepted, 120u);
-  EXPECT_GT(q.avg_bytes(), static_cast<double>(cfg.red_max_bytes));
+  EXPECT_LT(accepted, 3000u);
+  EXPECT_GT(q.avg_bytes(), kRedMinTh);
+  EXPECT_LT(q.avg_bytes(), kRedMaxTh);
+  // Hold the depth at 150 packets, above max but clear of the 200-packet
+  // buffer, until the average passes max.
+  for (int i = 3000; i < 4000; ++i) {
+    (void)q.push(make_packet(1, i, 1500), 0);
+    while (q.size_packets() > 150) (void)q.pop(0);
+  }
+  EXPECT_GT(q.avg_bytes(), kRedMaxTh);
+  // Past max every arrival is dropped while the buffer still has room:
+  // RED's forced drop, not a tail drop.
   const std::uint64_t drops_at_max = q.drops();
-  for (int i = 120; i < 140; ++i) {
+  for (int i = 4000; i < 4020; ++i) {
+    ASSERT_LT(q.size_packets(), 200u);
     EXPECT_FALSE(q.push(make_packet(1, i, 1500), 0));  // forced region
   }
   EXPECT_EQ(q.drops(), drops_at_max + 20);
@@ -719,20 +733,39 @@ TEST(RedQueueTest, ThresholdsGateEarlyDrops) {
 
 TEST(RedQueueTest, EcnMarksEarlyButStillDropsAtMax) {
   QdiscConfig cfg;
-  cfg.red_min_bytes = 15 * 1500;
-  cfg.red_max_bytes = 45 * 1500;
-  cfg.red_weight = 0.5;
   cfg.ecn = true;
-  RedQueue q(cfg, 200 * 1500, kRedSeed);
-  for (int i = 0; i < 140; ++i) {
+  RedQueue q(cfg, kRedCapacity, kRedSeed);
+  std::uint64_t popped = 0;
+  const auto push_ect = [&](int i, std::uint64_t hold_packets) {
     Packet p = make_packet(1, i, 1500);
     p.ect = true;
-    q.push(std::move(p), 0);
+    const bool accepted = q.push(std::move(p), 0);
+    while (q.size_packets() > hold_packets) {
+      (void)q.pop(0);
+      ++popped;
+    }
+    return accepted;
+  };
+  // Between the thresholds: early sheds become CE marks, and a 60-packet
+  // depth leaves no room for a tail drop.
+  for (int i = 0; i < 3000; ++i) (void)push_ect(i, 60);
+  EXPECT_GT(q.marks(), 0u);
+  EXPECT_EQ(q.drops(), 0u);
+  // Hold the depth at 150 packets until the average passes max.
+  for (int i = 3000; i < 4000; ++i) (void)push_ect(i, 150);
+  EXPECT_GT(q.avg_bytes(), kRedMaxTh);
+  // Above max an ECT arrival is dropped, not marked, while the buffer
+  // still has room (RFC 3168 Sec. 19.1): forced drops above max still drop.
+  const std::uint64_t drops_at_max = q.drops();
+  const std::uint64_t marks_at_max = q.marks();
+  for (int i = 4000; i < 4020; ++i) {
+    ASSERT_LT(q.size_packets(), 200u);
+    EXPECT_FALSE(push_ect(i, 150));
   }
-  EXPECT_GT(q.marks(), 0u);   // early sheds became CE marks
-  EXPECT_GT(q.drops(), 0u);   // forced drops above max still drop
+  EXPECT_EQ(q.drops(), drops_at_max + 20);
+  EXPECT_EQ(q.marks(), marks_at_max);
   // Every early mark was enqueued: marks live in the queue, not the void.
-  EXPECT_EQ(q.size_packets() + q.drops(), 140u);
+  EXPECT_EQ(popped + q.size_packets() + q.drops(), 4020u);
 }
 
 TEST(FqCoDelTest, IsolatesSparseFlowFromBulkFlow) {

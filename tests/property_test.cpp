@@ -145,7 +145,7 @@ struct CcChaosParam {
 class CcChaosTest : public ::testing::TestWithParam<CcChaosParam> {};
 
 TEST_P(CcChaosTest, CwndStaysFiniteAndPositive) {
-  const auto cc = tcp::make_congestion_control(GetParam().algo, 1460);
+  const auto cc = tcp::make_congestion_control(GetParam().algo);
   sim::Rng rng(GetParam().seed);
   sim::Time now = 0;
   std::uint64_t delivered = 0;

@@ -88,8 +88,8 @@ TEST(PathlossTest, CampusLosBlendsTowardNlos) {
 }
 
 TEST(ShadowingTest, DeterministicAndZeroMean) {
-  const ShadowingField f(123, 6.0, 50.0);
-  const ShadowingField g(123, 6.0, 50.0);
+  const ShadowingField f(123);
+  const ShadowingField g(123);
   measure::RunningStats stats;
   for (int i = 0; i < 4000; ++i) {
     const geo::Point p{std::fmod(i * 37.7, 5000.0), std::fmod(i * 91.3, 5000.0)};
@@ -97,11 +97,11 @@ TEST(ShadowingTest, DeterministicAndZeroMean) {
     stats.add(f.at(p));
   }
   EXPECT_NEAR(stats.mean(), 0.0, 0.5);
-  EXPECT_NEAR(stats.stddev(), 6.0, 1.2);
+  EXPECT_NEAR(stats.stddev(), kShadowingSigmaDb, 1.2);
 }
 
 TEST(ShadowingTest, NearbyPointsCorrelated) {
-  const ShadowingField f(7, 6.0, 50.0);
+  const ShadowingField f(7);
   // Points 1 m apart should differ far less than sigma; points 500 m apart
   // should be essentially independent.
   measure::RunningStats near_diff, far_diff;
@@ -114,7 +114,7 @@ TEST(ShadowingTest, NearbyPointsCorrelated) {
 }
 
 TEST(ShadowingTest, DifferentSeedsDiffer) {
-  const ShadowingField a(1, 6.0, 50.0), b(2, 6.0, 50.0);
+  const ShadowingField a(1), b(2);
   double diff = 0;
   for (int i = 0; i < 100; ++i) {
     diff += std::fabs(a.at({i * 10.0, 0}) - b.at({i * 10.0, 0}));

@@ -107,7 +107,7 @@ TEST(MeasurementEventTest, DescriptionsCoverTable5) {
 }
 
 TEST(A3DetectorTest, FiresOnlyAfterSustainedGap) {
-  A3Detector d(A3Config{3.0, 0.0, from_millis(324)});
+  A3Detector d(A3Config{3.0, from_millis(324)});
   // Gap of 4 dB, but only for 200 ms: no fire.
   EXPECT_FALSE(d.update(0, -10.0, -6.0));
   EXPECT_FALSE(d.update(from_millis(200), -10.0, -6.0));
@@ -122,14 +122,14 @@ TEST(A3DetectorTest, FiresOnlyAfterSustainedGap) {
 }
 
 TEST(A3DetectorTest, ExactHysteresisDoesNotFire) {
-  A3Detector d(A3Config{3.0, 0.0, from_millis(100)});
+  A3Detector d(A3Config{3.0, from_millis(100)});
   // Gap exactly 3 dB fails the strict inequality of Eq. (1).
   EXPECT_FALSE(d.update(0, -10.0, -7.0));
   EXPECT_FALSE(d.update(from_millis(500), -10.0, -7.0));
 }
 
 TEST(A3DetectorTest, ResetClearsDwell) {
-  A3Detector d(A3Config{3.0, 0.0, from_millis(100)});
+  A3Detector d(A3Config{3.0, from_millis(100)});
   EXPECT_FALSE(d.update(0, -10.0, -5.0));
   d.reset();
   EXPECT_FALSE(d.update(from_millis(150), -10.0, -5.0));  // dwell restarted
@@ -225,14 +225,16 @@ TEST(HarqTest, LatencyPerAttempt) {
 TEST(RrcTest, TimerSetsMatchTable7) {
   const DrxConfig lte = lte_drx();
   const DrxConfig nr = nr_nsa_drx();
-  EXPECT_EQ(lte.paging_cycle, from_millis(1280));
-  EXPECT_EQ(lte.on_duration, from_millis(10));
-  EXPECT_EQ(lte.lte_promotion, from_millis(623));
-  EXPECT_EQ(nr.lte_to_nr, from_millis(1238));
-  EXPECT_EQ(nr.nr_promotion, from_millis(1681));
+  EXPECT_EQ(kPagingCycle, from_millis(1280));
+  EXPECT_EQ(kOnDuration, from_millis(10));
+  EXPECT_EQ(kLtePromotion, from_millis(623));
+  EXPECT_EQ(kLteToNr, from_millis(1238));
+  EXPECT_EQ(kNrPromotion, from_millis(1681));
+  EXPECT_EQ(lte.inactivity, from_millis(80));
+  EXPECT_EQ(nr.inactivity, from_millis(100));
   EXPECT_EQ(lte.tail, from_millis(10720));
   EXPECT_EQ(nr.tail, from_millis(21440));  // 2x: the compounded NSA tail
-  EXPECT_EQ(lte.long_drx_cycle, from_millis(320));
+  EXPECT_EQ(kLongDrxCycle, from_millis(320));
 }
 
 TEST(RrcTest, StateNames) {
@@ -257,14 +259,13 @@ TEST(DrxTest, ConnectedActivityPhases) {
 }
 
 TEST(DrxTest, IdleActivityPaging) {
-  const DrxConfig c = lte_drx();
-  EXPECT_EQ(idle_activity(c, from_millis(5)), RadioActivity::kPagingAwake);
-  EXPECT_EQ(idle_activity(c, from_millis(700)), RadioActivity::kPagingSleep);
-  EXPECT_EQ(idle_activity(c, from_millis(1285)), RadioActivity::kPagingAwake);
+  EXPECT_EQ(idle_activity(from_millis(5)), RadioActivity::kPagingAwake);
+  EXPECT_EQ(idle_activity(from_millis(700)), RadioActivity::kPagingSleep);
+  EXPECT_EQ(idle_activity(from_millis(1285)), RadioActivity::kPagingAwake);
 }
 
 TEST(DrxTest, TailDutyCycle) {
-  EXPECT_NEAR(tail_duty_cycle(lte_drx()), 10.0 / 320.0, 1e-12);
+  EXPECT_NEAR(tail_duty_cycle(), 10.0 / 320.0, 1e-12);
 }
 
 TEST(PrbSchedulerTest, SoloUserGetsAlmostEverything) {

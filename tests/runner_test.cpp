@@ -177,6 +177,21 @@ TEST(RunnerTest, HungExperimentTimesOutGracefully) {
   std::this_thread::sleep_for(std::chrono::milliseconds(600));
 }
 
+// A timeout past the steady clock's range (1e10 s is ~317 years; the clock
+// holds ~292 years of nanoseconds) means no timeout, not a deadline that
+// overflowed into the past and expires at once.
+TEST(RunnerTest, TimeoutBeyondClockRangeIsNoTimeout) {
+  for (const double timeout_s : {1e9, 9.3e9, 1e10, 1e300}) {
+    ExperimentRegistry reg = make_fake_registry(1);
+    RunnerOptions opt;
+    opt.timeout_s = timeout_s;
+    const RunSummary s = Runner(opt, &reg).run();
+    ASSERT_EQ(s.results.size(), 1u);
+    EXPECT_EQ(s.results.front().status, RunStatus::kOk)
+        << "timeout " << timeout_s << ": " << s.results.front().error;
+  }
+}
+
 // An abandoned worker owns a copy of its spec, never a reference into the
 // registry: a caller may destroy the registry as soon as run() returns,
 // while the timed-out body is still sleeping on its detached thread.

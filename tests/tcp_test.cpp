@@ -26,7 +26,7 @@ using sim::from_millis;
 using sim::kMillisecond;
 using sim::kSecond;
 
-constexpr std::uint32_t kMss = 1460;
+constexpr std::uint32_t kMss = kMssBytes;
 
 AckEvent make_ack(sim::Time now, sim::Time rtt, std::uint64_t acked,
                   std::uint64_t delivered = 0, double rate = 0.0,
@@ -45,7 +45,7 @@ AckEvent make_ack(sim::Time now, sim::Time rtt, std::uint64_t acked,
 TEST(CcFactoryTest, CreatesAllAlgorithms) {
   for (const CcAlgo a : {CcAlgo::kReno, CcAlgo::kCubic, CcAlgo::kVegas,
                          CcAlgo::kVeno, CcAlgo::kBbr}) {
-    const auto cc = make_congestion_control(a, kMss);
+    const auto cc = make_congestion_control(a);
     ASSERT_NE(cc, nullptr);
     EXPECT_GT(cc->cwnd_bytes(), 0.0);
     EXPECT_FALSE(to_string(a).empty());
@@ -54,7 +54,7 @@ TEST(CcFactoryTest, CreatesAllAlgorithms) {
 }
 
 TEST(RenoTest, SlowStartDoublesPerRtt) {
-  RenoCc cc(kMss);
+  RenoCc cc;
   const double w0 = cc.cwnd_bytes();
   EXPECT_TRUE(cc.in_slow_start());
   // One RTT worth of ACKs: every byte acked adds a byte.
@@ -63,7 +63,7 @@ TEST(RenoTest, SlowStartDoublesPerRtt) {
 }
 
 TEST(RenoTest, LossHalvesTimeoutResets) {
-  RenoCc cc(kMss);
+  RenoCc cc;
   for (int i = 0; i < 100; ++i) {
     cc.on_ack(make_ack(i, from_millis(20), kMss));
   }
@@ -76,7 +76,7 @@ TEST(RenoTest, LossHalvesTimeoutResets) {
 }
 
 TEST(RenoTest, CongestionAvoidanceLinear) {
-  RenoCc cc(kMss);
+  RenoCc cc;
   cc.on_loss(0, 0);  // exit slow start
   const double w = cc.cwnd_bytes();
   // A full window of ACKs adds ~1 MSS.
@@ -89,7 +89,7 @@ TEST(RenoTest, CongestionAvoidanceLinear) {
 }
 
 TEST(CubicTest, ConcaveGrowthTowardWmax) {
-  CubicCc cc(kMss);
+  CubicCc cc;
   // Grow, lose, then regrow: cwnd should approach (not wildly overshoot)
   // the pre-loss window within ~K seconds.
   for (int i = 0; i < 200; ++i) cc.on_ack(make_ack(i, from_millis(20), kMss));
@@ -111,14 +111,14 @@ TEST(CubicTest, ConcaveGrowthTowardWmax) {
 }
 
 TEST(CubicTest, TimeoutCollapsesWindow) {
-  CubicCc cc(kMss);
+  CubicCc cc;
   for (int i = 0; i < 50; ++i) cc.on_ack(make_ack(i, from_millis(20), kMss));
   cc.on_timeout(kSecond);
   EXPECT_DOUBLE_EQ(cc.cwnd_bytes(), kMss);
 }
 
 TEST(VegasTest, BacklogKeepsWindowFlat) {
-  VegasCc cc(kMss);
+  VegasCc cc;
   // Feed RTT inflated well above base -> diff > beta -> shrink after
   // leaving slow start.
   sim::Time t = 0;
@@ -128,7 +128,7 @@ TEST(VegasTest, BacklogKeepsWindowFlat) {
     cc.on_ack(make_ack(t, from_millis(40), kMss));  // queueing delay
   }
   EXPECT_FALSE(cc.in_slow_start());
-  EXPECT_GT(cc.backlog_packets(), VegasCc{kMss}.backlog_packets());
+  EXPECT_GT(cc.backlog_packets(), VegasCc{}.backlog_packets());
   const double w = cc.cwnd_bytes();
   t += from_millis(40);
   cc.on_ack(make_ack(t, from_millis(40), kMss));
@@ -136,7 +136,7 @@ TEST(VegasTest, BacklogKeepsWindowFlat) {
 }
 
 TEST(VegasTest, GrowsWhenPathIsEmpty) {
-  VegasCc cc(kMss);
+  VegasCc cc;
   cc.on_loss(0, 0);  // leave slow start
   const double w0 = cc.cwnd_bytes();
   sim::Time t = 0;
@@ -148,7 +148,7 @@ TEST(VegasTest, GrowsWhenPathIsEmpty) {
 }
 
 TEST(VenoTest, RandomLossBacksOffGently) {
-  VenoCc congestive(kMss), random_loss(kMss);
+  VenoCc congestive, random_loss;
   // random_loss: RTT stays at base -> diff ~ 0 -> 0.8x on loss.
   sim::Time t = 0;
   for (int i = 0; i < 100; ++i) {
@@ -166,7 +166,7 @@ TEST(VenoTest, RandomLossBacksOffGently) {
 }
 
 TEST(BbrTest, LearnsBottleneckBandwidth) {
-  BbrCc cc(kMss);
+  BbrCc cc;
   sim::Time t = 0;
   std::uint64_t delivered = 0;
   for (int i = 0; i < 200; ++i) {
@@ -182,7 +182,7 @@ TEST(BbrTest, LearnsBottleneckBandwidth) {
 }
 
 TEST(BbrTest, ExitsStartupOnPlateau) {
-  BbrCc cc(kMss);
+  BbrCc cc;
   sim::Time t = 0;
   std::uint64_t delivered = 0;
   EXPECT_TRUE(cc.in_slow_start());
@@ -196,7 +196,7 @@ TEST(BbrTest, ExitsStartupOnPlateau) {
 }
 
 TEST(BbrTest, LossDoesNotShrinkWindow) {
-  BbrCc cc(kMss);
+  BbrCc cc;
   sim::Time t = 0;
   std::uint64_t delivered = 0;
   for (int i = 0; i < 100; ++i) {
@@ -353,7 +353,7 @@ TEST(BbrTest, WindowedMaxFilterMatchesBruteForce) {
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     SCOPED_TRACE(seed);
     sim::Rng rng(seed);
-    BbrCc cc(kMss);
+    BbrCc cc;
     BruteForceBbr ref(kMss);
     sim::Time t = 0;
     for (int i = 0; i < 3000; ++i) {
@@ -388,7 +388,8 @@ TEST(BbrTest, WindowedMaxFilterMatchesBruteForce) {
 TEST(RttEstimatorTest, Rfc6298Basics) {
   RttEstimator est;
   EXPECT_FALSE(est.has_sample());
-  EXPECT_EQ(est.rto(), kSecond);  // initial RTO
+  EXPECT_EQ(est.rto(), kInitialRto);
+  EXPECT_EQ(kInitialRto, kSecond);
   est.add_sample(0, from_millis(100));
   EXPECT_EQ(est.smoothed_rtt(), from_millis(100));
   EXPECT_EQ(est.rtt_var(), from_millis(50));
@@ -400,12 +401,15 @@ TEST(RttEstimatorTest, Rfc6298Basics) {
 }
 
 TEST(RttEstimatorTest, MinRttWindowExpires) {
-  RttEstimator est(from_millis(200), kSecond, /*min_window=*/kSecond);
+  RttEstimator est;
   est.add_sample(0, from_millis(10));
   est.add_sample(from_millis(100), from_millis(30));
   EXPECT_EQ(est.min_rtt(), from_millis(10));
+  // Still inside the window at its edge.
+  est.add_sample(kMinRttWindow, from_millis(30));
+  EXPECT_EQ(est.min_rtt(), from_millis(10));
   // The 10 ms sample ages out of the window.
-  est.add_sample(2 * kSecond, from_millis(30));
+  est.add_sample(kMinRttWindow + kSecond, from_millis(30));
   EXPECT_EQ(est.min_rtt(), from_millis(30));
 }
 
@@ -422,9 +426,10 @@ TEST(RttEstimatorTest, BackoffDoublesRto) {
 }
 
 TEST(RttEstimatorTest, MinRtoFloor) {
-  RttEstimator est(from_millis(200));
+  EXPECT_EQ(kMinRto, from_millis(200));
+  RttEstimator est;
   est.add_sample(0, from_millis(5));
-  EXPECT_GE(est.rto(), from_millis(200));
+  EXPECT_GE(est.rto(), kMinRto);
 }
 
 // --- End-to-end sessions over a simulated path ---
@@ -548,7 +553,7 @@ TEST(TcpE2eTest, RtoFiresWhenPathGoesDark) {
 TEST(EcnTest, OnEcnShrinksEveryController) {
   for (const CcAlgo a : {CcAlgo::kReno, CcAlgo::kCubic, CcAlgo::kVegas,
                          CcAlgo::kVeno, CcAlgo::kBbr}) {
-    const auto cc = make_congestion_control(a, kMss);
+    const auto cc = make_congestion_control(a);
     sim::Time t = 0;
     std::uint64_t delivered = 0;
     for (int i = 0; i < 200; ++i) {
@@ -567,7 +572,7 @@ TEST(EcnTest, OnEcnShrinksEveryController) {
 }
 
 TEST(EcnTest, BbrCapExpiresAfterRtprop) {
-  BbrCc cc(kMss);
+  BbrCc cc;
   sim::Time t = 0;
   std::uint64_t delivered = 0;
   for (int i = 0; i < 200; ++i) {

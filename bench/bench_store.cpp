@@ -1,12 +1,12 @@
 // Microbenchmarks for the fiveg-rs/v1 columnar result store: append
 // throughput through StoreWriter (the per-run cost a campaign pays),
 // load+merge throughput across shards (what fiveg_query pays), and the
-// on-disk size of the store relative to the equivalent fiveg-runall/v4
+// on-disk size of the store relative to the equivalent fiveg-runall/v5
 // JSON document — the store's reason to exist. Medians are committed as
 // BENCH_store.json.
 //
 // The workload is shaped like a real campaign record: one KPI series,
-// a handful of counters/gauges and two distributions with a few hundred
+// a handful of counters/gauges and three distributions with a few hundred
 // observations each, so dictionary reuse and bin-column encoding dominate
 // exactly as they do in production shards.
 //
@@ -64,7 +64,7 @@ core::StoreRecord make_record(int i) {
   reg.gauge("queue_depth_hwm").set(static_cast<double>(
       rng.uniform_int(1, 64)));
   for (int s = 0; s < 400; ++s) {
-    reg.histogram("lat_us").observe(rng.lognormal(4.0, 1.2));
+    reg.digest("lat_us").observe(rng.lognormal(4.0, 1.2));
     reg.digest("owd_ms").observe(rng.normal(25.0, 8.0));
     reg.digest("tput_mbps").observe(rng.lognormal(3.0, 0.8));
   }
@@ -86,7 +86,7 @@ int main() {
   records.reserve(kRecords);
   for (int i = 0; i < kRecords; ++i) records.push_back(make_record(i));
 
-  // The JSON the same results would occupy in a fiveg-runall/v4 document.
+  // The JSON the same results would occupy in a fiveg-runall/v5 document.
   core::RunSummary summary;
   for (const core::StoreRecord& rec : records) {
     summary.results.push_back(rec.result);

@@ -61,7 +61,7 @@ struct ExperimentResult {
   std::string text;        // the captured text-table output
   std::vector<MetricSeries> metrics;
   // Observability capture (see src/obs/). `counters` holds the kSim-clock
-  // snapshot: deterministic, part of the fiveg-runall/v3 document.
+  // snapshot: deterministic, part of the fiveg-runall/v5 document.
   // `profile` holds the kWall-clock snapshot: wall-clock profiling data,
   // emitted only when timing is on (like wall_ms). `trace` is the
   // experiment's event trace, non-null only when tracing was requested.

@@ -37,8 +37,6 @@ const char* kind_name(obs::MetricSnapshot::Kind kind) {
       return "counter";
     case obs::MetricSnapshot::Kind::kGauge:
       return "gauge";
-    case obs::MetricSnapshot::Kind::kHistogram:
-      return "histogram";
     case obs::MetricSnapshot::Kind::kDigest:
       return "digest";
   }
@@ -48,7 +46,6 @@ const char* kind_name(obs::MetricSnapshot::Kind kind) {
 bool kind_from(const std::string& s, obs::MetricSnapshot::Kind* out) {
   if (s == "counter") *out = obs::MetricSnapshot::Kind::kCounter;
   else if (s == "gauge") *out = obs::MetricSnapshot::Kind::kGauge;
-  else if (s == "histogram") *out = obs::MetricSnapshot::Kind::kHistogram;
   else if (s == "digest") *out = obs::MetricSnapshot::Kind::kDigest;
   else return false;
   return true;
@@ -60,19 +57,6 @@ bool status_from(const std::string& s, RunStatus* out) {
   else if (s == "timed_out") *out = RunStatus::kTimedOut;
   else return false;
   return true;
-}
-
-void write_bins(measure::JsonWriter& w,
-                const std::vector<std::pair<std::int32_t, std::uint64_t>>&
-                    bins) {
-  w.begin_array();
-  for (const auto& [key, count] : bins) {
-    w.begin_array();
-    w.value(static_cast<std::int64_t>(key));
-    w.value(count);
-    w.end_array();
-  }
-  w.end_array();
 }
 
 // Faithful (not flattened) snapshot serialization: the resume path rebuilds
@@ -97,9 +81,9 @@ void write_snapshot(measure::JsonWriter& w, const obs::MetricSnapshot& s) {
   w.kv("p95", s.p95);
   w.kv("zero", s.zero_count);
   w.key("bins");
-  write_bins(w, s.bins);
+  write_bins_array(w, s.bins);
   w.key("neg_bins");
-  write_bins(w, s.neg_bins);
+  write_bins_array(w, s.neg_bins);
   w.end_object();
 }
 
@@ -107,27 +91,6 @@ void write_snapshots(measure::JsonWriter& w,
                      const std::vector<obs::MetricSnapshot>& snaps) {
   w.begin_array();
   for (const obs::MetricSnapshot& s : snaps) write_snapshot(w, s);
-  w.end_array();
-}
-
-void write_series(measure::JsonWriter& w,
-                  const std::vector<MetricSeries>& metrics) {
-  w.begin_array();
-  for (const MetricSeries& s : metrics) {
-    w.begin_object();
-    w.kv("name", s.name);
-    w.kv("unit", s.unit);
-    w.key("points");
-    w.begin_array();
-    for (const MetricPoint& p : s.points) {
-      w.begin_array();
-      w.value(p.x);
-      w.value(p.y);
-      w.end_array();
-    }
-    w.end_array();
-    w.end_object();
-  }
   w.end_array();
 }
 
@@ -146,7 +109,7 @@ void write_core_members(measure::JsonWriter& w, const ExperimentResult& r) {
   w.kv("description", r.description);
   w.kv("text", r.text);
   w.key("metrics");
-  write_series(w, r.metrics);
+  write_series_array(w, r.metrics);
   w.key("counters");
   write_snapshots(w, r.counters);
 }

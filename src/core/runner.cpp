@@ -347,15 +347,6 @@ void write_snapshot_object(measure::JsonWriter& w,
         w.kv(s.name, s.value);
         w.kv(s.name + ".max", s.max);
         break;
-      case obs::MetricSnapshot::Kind::kHistogram:
-        w.kv(s.name + ".count", s.count);
-        w.kv(s.name + ".sum", s.sum);
-        w.kv(s.name + ".min", s.min);
-        w.kv(s.name + ".max", s.max);
-        w.kv(s.name + ".mean", s.value);
-        w.kv(s.name + ".p50", s.p50);
-        w.kv(s.name + ".p99", s.p99);
-        break;
       case obs::MetricSnapshot::Kind::kDigest:
         w.kv(s.name + ".count", s.count);
         w.kv(s.name + ".mean", s.value);
@@ -374,40 +365,9 @@ void write_snapshot_object(measure::JsonWriter& w,
   w.end_object();
 }
 
-void write_bins_array(
-    measure::JsonWriter& w,
-    const std::vector<std::pair<std::int32_t, std::uint64_t>>& bins) {
-  w.begin_array();
-  for (const auto& [key, count] : bins) {
-    w.begin_array();
-    w.value(static_cast<std::int64_t>(key));
-    w.value(count);
-    w.end_array();
-  }
-  w.end_array();
-}
-
-// The v3 additions: full bucket payloads per histogram/digest, so external
-// consumers (fiveg_report, notebooks) can rebuild distributions instead of
-// settling for the flat percentile keys.
-void write_histograms_object(measure::JsonWriter& w,
-                             const std::vector<obs::MetricSnapshot>& snaps) {
-  w.begin_object();
-  for (const obs::MetricSnapshot& s : snaps) {
-    if (s.kind != obs::MetricSnapshot::Kind::kHistogram) continue;
-    w.key(s.name);
-    w.begin_object();
-    w.kv("count", s.count);
-    w.kv("sum", s.sum);
-    w.kv("min", s.min);
-    w.kv("max", s.max);
-    w.key("log2_buckets");
-    write_bins_array(w, s.bins);
-    w.end_object();
-  }
-  w.end_object();
-}
-
+// Full bucket payloads per digest, so external consumers (fiveg_report,
+// notebooks) can rebuild distributions instead of settling for the flat
+// percentile keys.
 void write_digests_object(measure::JsonWriter& w,
                           const std::vector<obs::MetricSnapshot>& snaps) {
   w.begin_object();
@@ -429,21 +389,45 @@ void write_digests_object(measure::JsonWriter& w,
   w.end_object();
 }
 
-bool has_kind(const std::vector<obs::MetricSnapshot>& snaps,
-              obs::MetricSnapshot::Kind kind) {
-  for (const obs::MetricSnapshot& s : snaps) {
-    if (s.kind == kind) return true;
+}  // namespace
+
+void write_bins_array(measure::JsonWriter& w, const obs::Bins& bins) {
+  w.begin_array();
+  for (const auto& [key, count] : bins) {
+    w.begin_array();
+    w.value(static_cast<std::int64_t>(key));
+    w.value(count);
+    w.end_array();
   }
-  return false;
+  w.end_array();
 }
 
-}  // namespace
+void write_series_array(measure::JsonWriter& w,
+                        const std::vector<MetricSeries>& metrics) {
+  w.begin_array();
+  for (const MetricSeries& s : metrics) {
+    w.begin_object();
+    w.kv("name", s.name);
+    w.kv("unit", s.unit);
+    w.key("points");
+    w.begin_array();
+    for (const MetricPoint& p : s.points) {
+      w.begin_array();
+      w.value(p.x);
+      w.value(p.y);
+      w.end_array();
+    }
+    w.end_array();
+    w.end_object();
+  }
+  w.end_array();
+}
 
 void write_json(const RunSummary& summary, std::ostream& os,
                 bool include_timing) {
   measure::JsonWriter w(os);
   w.begin_object();
-  w.kv("schema", "fiveg-runall/v4");
+  w.kv("schema", "fiveg-runall/v5");
   w.key("experiments");
   w.begin_array();
   for (const ExperimentResult& r : summary.results) {
@@ -459,30 +443,13 @@ void write_json(const RunSummary& summary, std::ostream& os,
       w.kv("peak_rss_kb", r.peak_rss_kb);
     }
     w.key("metrics");
-    w.begin_array();
-    for (const MetricSeries& s : r.metrics) {
-      w.begin_object();
-      w.kv("name", s.name);
-      w.kv("unit", s.unit);
-      w.key("points");
-      w.begin_array();
-      for (const MetricPoint& p : s.points) {
-        w.begin_array();
-        w.value(p.x);
-        w.value(p.y);
-        w.end_array();
-      }
-      w.end_array();
-      w.end_object();
-    }
-    w.end_array();
+    write_series_array(w, r.metrics);
     w.key("counters");
     write_snapshot_object(w, r.counters);
-    if (has_kind(r.counters, obs::MetricSnapshot::Kind::kHistogram)) {
-      w.key("histograms");
-      write_histograms_object(w, r.counters);
-    }
-    if (has_kind(r.counters, obs::MetricSnapshot::Kind::kDigest)) {
+    if (std::any_of(r.counters.begin(), r.counters.end(),
+                    [](const obs::MetricSnapshot& s) {
+                      return s.kind == obs::MetricSnapshot::Kind::kDigest;
+                    })) {
       w.key("digests");
       write_digests_object(w, r.counters);
     }

@@ -21,6 +21,10 @@ namespace fiveg::fault {
 class FaultPlan;
 }
 
+namespace fiveg::measure {
+class JsonWriter;
+}
+
 namespace fiveg::core {
 
 class StoreWriter;
@@ -110,15 +114,18 @@ class Runner {
 /// timing is printed here).
 void write_text(const RunSummary& summary, std::ostream& os);
 
-/// Emits the machine-readable JSON document (schema "fiveg-runall/v4").
+/// Emits the machine-readable JSON document (schema "fiveg-runall/v5").
 /// Each experiment carries a flat `counters` object (deterministic kSim
-/// metrics), optional `histograms` / `digests` objects with full bucket
-/// payloads, and, when `include_timing` is on, a `profile` object (kWall
-/// metrics) plus `wall_ms` / `peak_rss_kb`. `include_timing` off drops
-/// every wall-clock field so two runs at the same seed compare
-/// byte-identical regardless of parallelism.
+/// metrics), an optional `digests` object with full bucket payloads, and,
+/// when `include_timing` is on, a `profile` object (kWall metrics) plus
+/// `wall_ms` / `peak_rss_kb`. `include_timing` off drops every wall-clock
+/// field so two runs at the same seed compare byte-identical regardless
+/// of parallelism.
 ///
 /// Schema changelog:
+///   v5: no `histograms` object and no log2-histogram flat keys; every
+///       distribution is a digest, so each flat key has one value (v3/v4
+///       emitted some `.count/.min/.max/.mean/.p50/.p99` names twice).
 ///   v4: per-experiment `peak_rss_kb` and a summary `peak_rss_kb`
 ///       (campaign-wide max), both timing-gated like `wall_ms`; wall_ms
 ///       and peak_rss_kb are now guaranteed on every status, including
@@ -126,6 +133,13 @@ void write_text(const RunSummary& summary, std::ostream& os);
 ///   v3: full `histograms` / `digests` bucket payloads.
 void write_json(const RunSummary& summary, std::ostream& os,
                 bool include_timing = true);
+
+/// The JSON forms write_json and the ledger share: a bin list as
+/// `[[key, count], ...]`, and metric series as
+/// `[{"name", "unit", "points": [[x, y], ...]}, ...]`.
+void write_bins_array(measure::JsonWriter& w, const obs::Bins& bins);
+void write_series_array(measure::JsonWriter& w,
+                        const std::vector<MetricSeries>& metrics);
 
 /// Per-experiment wall-clock report (slowest first), for humans on stderr.
 void write_timing(const RunSummary& summary, std::ostream& os);

@@ -2,8 +2,7 @@
 // append-only binary file per campaign shard, holding the *deterministic
 // core* of every completed run — name, seed, status, text, metric series,
 // and the raw metric columns (counter values, gauge high-water marks,
-// histogram buckets, digest bins) a fiveg-runall/v4 document is derived
-// from. Derived statistics (means, percentile ladders) are never stored:
+// digest bins) a fiveg-runall/v5 document is derived from. Derived statistics (means, percentile ladders) are never stored:
 // they are recomputed through the same obs::snapshot_of path the live
 // registry uses, so a summary exported from the store is byte-identical
 // to the one the original campaign would have printed with timing off.

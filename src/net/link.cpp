@@ -38,8 +38,7 @@ Link::Link(sim::Simulator* simulator, Config config, PacketSink* sink)
     }
     queue_hwm_ = &m->gauge("net.queue.hwm_bytes", {{"link", config_.name}});
     sojourn_ms_ =
-        &m->histogram("net.queue.sojourn_ms", {{"link", config_.name}});
-    sojourn_d_ = &m->digest("net.queue.sojourn_ms", {{"link", config_.name}});
+        &m->digest("net.queue.sojourn_ms", {{"link", config_.name}});
     if (config_.qdisc.kind != QdiscKind::kDropTail) {
       // AQM runs additionally break drops/marks out per discipline, so a
       // sweep over qdiscs lands each variant on its own labelled series.
@@ -139,9 +138,7 @@ void Link::try_transmit() {
   }
   tx_packet_ = std::move(*popped);
   if (sojourn_ms_ != nullptr) {
-    const double sojourn = sim::to_millis(qdisc_->last_sojourn());
-    sojourn_ms_->observe(sojourn);
-    if (sojourn_d_ != nullptr) sojourn_d_->observe(sojourn);
+    sojourn_ms_->observe(sim::to_millis(qdisc_->last_sojourn()));
   }
   ++in_transit_packets_;
   const double bits = 8.0 * static_cast<double>(tx_packet_.size_bytes);

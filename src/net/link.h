@@ -125,8 +125,7 @@ class Link {
   obs::Counter* drops_ctr_ = nullptr;
   obs::Counter* qdisc_drops_ctr_ = nullptr;  // AQM only (qdisc-labelled)
   obs::Counter* qdisc_marks_ctr_ = nullptr;  // AQM only (qdisc-labelled)
-  obs::Histogram* sojourn_ms_ = nullptr;
-  obs::Digest* sojourn_d_ = nullptr;
+  obs::Digest* sojourn_ms_ = nullptr;
   obs::Gauge* queue_hwm_ = nullptr;
   std::uint64_t drops_synced_ = 0;  // qdisc drops already counted
   std::uint64_t marks_synced_ = 0;  // qdisc marks already counted

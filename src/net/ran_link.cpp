@@ -46,19 +46,17 @@ Link::Config make_ran_link_config(const RanLinkOptions& options,
   // stable for the registry's lifetime, so the per-packet path below never
   // does a name lookup.
   obs::Tracer* tracer = obs::tracer();
-  obs::Histogram* attempts_h = nullptr;
   obs::Counter* retx_blocks = nullptr;
   obs::Digest* attempts_d = nullptr;
   obs::Digest* extra_delay_d = nullptr;
   const char* rat_name = options.rat == radio::Rat::kNr ? "nr" : "lte";
   if (auto* m = obs::metrics()) {
-    attempts_h = &m->histogram("ran.harq.attempts");
     retx_blocks = &m->counter("ran.harq.retx_blocks");
     attempts_d = &m->digest("ran.harq.attempts", {{"rat", rat_name}});
     extra_delay_d = &m->digest("ran.extra_delay_ms", {{"rat", rat_name}});
   }
-  cfg.extra_delay_fn = [harq, shared_rng, jitter_span, tracer, attempts_h,
-                        retx_blocks, attempts_d, extra_delay_d,
+  cfg.extra_delay_fn = [harq, shared_rng, jitter_span, tracer, retx_blocks,
+                        attempts_d, extra_delay_d,
                         rat_name](sim::Time now,
                                   const Packet& p) -> sim::Time {
     // Slot-alignment wait (uniform over the pattern span).
@@ -83,7 +81,6 @@ Link::Config make_ran_link_config(const RanLinkOptions& options,
                          {"size_bytes", std::to_string(p.size_bytes)}});
       }
     }
-    if (attempts_h != nullptr) attempts_h->observe(attempts);
     if (attempts_d != nullptr) attempts_d->observe(attempts);
     if (extra_delay_d != nullptr) {
       extra_delay_d->observe(sim::to_millis(extra));

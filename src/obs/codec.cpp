@@ -16,8 +16,7 @@ std::int64_t unzigzag(std::uint64_t v) noexcept {
   return static_cast<std::int64_t>((v >> 1) ^ (~(v & 1) + 1));
 }
 
-// Shared by the digest and histogram encoders: a sparse (key, count) bin
-// list with zigzag keys, emitted in the order given (the callers pass
+// A sparse (key, count) bin list with zigzag keys, emitted in the order given (the callers pass
 // key-ordered bin lists, so the wire order is canonical and encode∘decode
 // is a fixed point).
 void put_bins(std::string* out, const Bins& bins) {
@@ -29,8 +28,8 @@ void put_bins(std::string* out, const Bins& bins) {
 }
 
 // Decodes a bin list. Strictly ascending keys within [lo, hi] and nonzero
-// counts are required: that is the only form a live digest or histogram
-// can export, so anything else is corruption.
+// counts are required: that is the only form a live digest can export, so
+// anything else is corruption.
 bool get_bins(Reader* r, std::int32_t lo, std::int32_t hi, Bins* out) {
   std::uint64_t n = 0;
   if (!r->get_varint(&n)) return false;
@@ -49,10 +48,6 @@ bool get_bins(Reader* r, std::int32_t lo, std::int32_t hi, Bins* out) {
 bool get_digest_bins(Reader* r, Bins* pos, Bins* neg) {
   return get_bins(r, -Digest::kMaxKey, Digest::kMaxKey, pos) &&
          get_bins(r, -Digest::kMaxKey, Digest::kMaxKey, neg);
-}
-
-bool get_histogram_bins(Reader* r, Bins* out) {
-  return get_bins(r, 0, Histogram::kBuckets - 1, out);
 }
 
 }  // namespace
@@ -161,30 +156,6 @@ bool decode_digest(Reader* r, Digest* out) {
   return true;
 }
 
-void encode_histogram(std::string* out, const Histogram& h) {
-  put_f64(out, h.sum());
-  put_f64(out, h.min());
-  put_f64(out, h.max());
-  Bins bins;
-  const auto& buckets = h.buckets();
-  for (int i = 0; i < Histogram::kBuckets; ++i) {
-    const std::uint64_t c = buckets[static_cast<std::size_t>(i)];
-    if (c != 0) bins.emplace_back(i, c);
-  }
-  put_bins(out, bins);
-}
-
-bool decode_histogram(Reader* r, Histogram* out) {
-  double sum = 0, min = 0, max = 0;
-  if (!r->get_f64(&sum) || !r->get_f64(&min) || !r->get_f64(&max)) {
-    return false;
-  }
-  Bins bins;
-  if (!get_histogram_bins(r, &bins)) return false;
-  *out = Histogram::restore(sum, min, max, bins);
-  return true;
-}
-
 void encode_snapshots(std::string* out,
                       const std::vector<MetricSnapshot>& snaps,
                       const StringIntern& intern) {
@@ -214,15 +185,7 @@ void encode_snapshots(std::string* out,
     put_f64(out, s->max);
   }
 
-  const auto hists = of_kind(Kind::kHistogram);
-  put_varint(out, hists.size());
-  for (const MetricSnapshot* s : hists) {
-    put_varint(out, intern(s->name));
-    put_f64(out, s->sum);
-    put_f64(out, s->min);
-    put_f64(out, s->max);
-    put_bins(out, s->bins);
-  }
+  put_varint(out, 0);  // the retired histogram block: always empty
 
   const auto digests = of_kind(Kind::kDigest);
   put_varint(out, digests.size());
@@ -275,19 +238,7 @@ bool decode_snapshots(Reader* r, MetricClock clock,
     out->push_back(std::move(s));
   }
 
-  if (!r->get_varint(&n)) return false;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    std::string name;
-    double sum = 0, min = 0, max = 0;
-    if (!get_name(&name) || !r->get_f64(&sum) || !r->get_f64(&min) ||
-        !r->get_f64(&max)) {
-      return false;
-    }
-    Bins bins;
-    if (!get_histogram_bins(r, &bins)) return false;
-    out->push_back(
-        snapshot_of(name, clock, Histogram::restore(sum, min, max, bins)));
-  }
+  if (!r->get_varint(&n) || n != 0) return false;
 
   if (!r->get_varint(&n)) return false;
   for (std::uint64_t i = 0; i < n; ++i) {

@@ -1,7 +1,6 @@
 // Binary codec for the observability data model: LEB128 varints, zigzag
 // signed varints, raw little-endian IEEE-754 doubles, and on top of them
-// exact encoders/decoders for obs::Digest, obs::Histogram and whole
-// MetricSnapshot sets. This is the serialization layer of the columnar
+// exact encoders/decoders for obs::Digest and whole MetricSnapshot sets. This is the serialization layer of the columnar
 // result store (core/store.h): a digest decoded from its encoded bucket
 // columns is indistinguishable from the original — encode(decode(x)) ==
 // x byte-for-byte, and every derived statistic (mean, quantiles) matches
@@ -70,7 +69,7 @@ class Reader {
   bool ok_ = true;
 };
 
-// --- digest / histogram ----------------------------------------------------
+// --- digest ----------------------------------------------------------------
 
 /// Encodes a digest as (zero, sum, min, max, pos bins, neg bins); the
 /// count is implied by the bucket totals. ~10 bytes + ~3–6 bytes per
@@ -82,13 +81,6 @@ void encode_digest(std::string* out, const Digest& d);
 /// point), or a duplicate bin key.
 [[nodiscard]] bool decode_digest(Reader* r, Digest* out);
 
-/// Encodes a histogram as (sum, min, max, sparse non-empty log2 buckets).
-void encode_histogram(std::string* out, const Histogram& h);
-
-/// Decodes a histogram; false on truncation, an out-of-range or duplicate
-/// bucket key, or a zero bucket count.
-[[nodiscard]] bool decode_histogram(Reader* r, Histogram* out);
-
 // --- snapshot sets ---------------------------------------------------------
 
 /// String interning callback: returns the dictionary id for `s`, assigning
@@ -98,8 +90,9 @@ using StringIntern = std::function<std::uint64_t(std::string_view)>;
 using StringResolve = std::function<bool(std::uint64_t, std::string*)>;
 
 /// Encodes one clock domain's snapshot vector as per-kind column blocks
-/// (counters, then gauges, then histograms, then digests), each block
-/// name-sorted. Only the raw columns are written — means and quantiles
+/// (counters, then gauges, then digests), each block name-sorted. Between
+/// gauges and digests sits the count of the retired histogram block,
+/// always written as 0 so the fiveg-rs/v1 layout is unchanged. Only the raw columns are written — means and quantiles
 /// are recomputed on decode through the same obs::snapshot_of path the
 /// registry uses, so they cost nothing on disk and still match
 /// bit-for-bit.
@@ -109,7 +102,8 @@ void encode_snapshots(std::string* out,
 
 /// Decodes a snapshot set encoded by encode_snapshots into (name, kind)-
 /// sorted MetricSnapshot structs with every derived field recomputed.
-/// Returns false on malformed input.
+/// Returns false on malformed input, including a nonzero count in the
+/// retired histogram block's slot.
 [[nodiscard]] bool decode_snapshots(Reader* r, MetricClock clock,
                                     const StringResolve& resolve,
                                     std::vector<MetricSnapshot>* out);

@@ -71,17 +71,17 @@ Bins Digest::Buckets::nonzero() const {
   return out;
 }
 
-void Digest::observe(double v) noexcept {
-  if (std::isnan(v)) return;
-  ++count_;
-  sum_ += v;
+void Digest::observe(double v, std::uint64_t weight) noexcept {
+  if (std::isnan(v) || weight == 0) return;
+  count_ += weight;
+  sum_ += v * static_cast<double>(weight);  // exact at weight 1
   if (v < min_) min_ = v;
   if (v > max_) max_ = v;
   const double mag = std::abs(v);
   if (mag < kZeroEpsilon) {
-    ++zero_;
+    zero_ += weight;
   } else {
-    (v > 0.0 ? pos_ : neg_).add(bucket_key(mag), 1);
+    (v > 0.0 ? pos_ : neg_).add(bucket_key(mag), weight);
   }
 }
 

@@ -1,5 +1,5 @@
-// Streaming quantile digest with a fixed relative-error guarantee, the
-// distribution-shaped sibling of obs::Histogram. Buckets are logarithmic
+// Streaming quantile digest with a fixed relative-error guarantee: the one
+// distribution sketch of the observability layer. Buckets are logarithmic
 // with ratio gamma = (1+a)/(1-a) for accuracy a = 1% (the DDSketch
 // construction): any reported quantile lies within 1% of the true sample
 // value. Bucket counts are a pure function of the observed multiset — no
@@ -23,8 +23,8 @@
 namespace fiveg::obs {
 
 /// Sparse (bucket key, count) pairs in ascending key order, nonzero counts
-/// only: the export form of a Digest's and a Histogram's buckets, which
-/// snapshots, the store codec and fiveg_query read.
+/// only: the export form of a Digest's buckets, which snapshots, the store
+/// codec and fiveg_query read.
 using Bins = std::vector<std::pair<std::int32_t, std::uint64_t>>;
 
 /// Fixed-relative-error streaming quantile sketch (mergeable, ordered
@@ -44,7 +44,13 @@ class Digest {
   static constexpr std::int32_t kMaxKey = 40000;
 
   /// Adds one observation. NaN is ignored.
-  void observe(double v) noexcept;
+  void observe(double v) noexcept { observe(v, 1); }
+
+  /// Records `weight` observations of `v` at once: the count and bucket
+  /// grow by `weight`, the sum by `v * weight`. A sampler that times one
+  /// event in n records the sample with the weight of the events it
+  /// stands for, so the count stays exact and the sum is an estimate.
+  void observe(double v, std::uint64_t weight) noexcept;
 
   /// Adds every bucket of `other` (exact: the merge of the two multisets).
   void merge(const Digest& other);

@@ -113,8 +113,15 @@ class Parser {
     }
     for (;;) {
       skip_ws();
+      const std::size_t key_pos = pos_;
       std::string key;
       if (!string(key)) return false;
+      if (out.object.count(key) != 0) {
+        // RFC 8259 names SHOULD be unique; readers disagree on which
+        // duplicate wins, so a document with one is rejected.
+        pos_ = key_pos;
+        return fail("duplicate key \"" + key + "\"");
+      }
       if (!consume(':')) return false;
       JsonValue member;
       if (!value(member)) return false;

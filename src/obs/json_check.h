@@ -16,7 +16,8 @@
 namespace fiveg::obs {
 
 /// Parsed JSON value (strict RFC 8259 subset: no comments, no trailing
-/// commas; \uXXXX escapes are decoded to UTF-8).
+/// commas, no duplicate member names in one object; \uXXXX escapes are
+/// decoded to UTF-8).
 struct JsonValue {
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
 

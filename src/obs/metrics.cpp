@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 
 namespace fiveg::obs {
 
@@ -30,68 +29,6 @@ std::string labeled(std::string_view name,
   return out;
 }
 
-int Histogram::bucket_of(double v) noexcept {
-  if (!(v > 0.0)) return 0;  // non-positive and NaN
-  int exp = 0;
-  (void)std::frexp(v, &exp);           // v = m * 2^exp, m in [0.5, 1)
-  const int idx = exp + 31;            // [2^-32, 2^-31) -> bucket 0
-  if (idx < 0) return 0;
-  if (idx >= kBuckets) return kBuckets - 1;
-  return idx;
-}
-
-void Histogram::observe(double v, std::uint64_t weight) noexcept {
-  if (weight == 0) return;
-  count_ += weight;
-  sum_ += v * static_cast<double>(weight);  // exact at weight 1
-  if (v < min_) min_ = v;
-  if (v > max_) max_ = v;
-  buckets_[static_cast<std::size_t>(bucket_of(v))] += weight;
-}
-
-double Histogram::quantile(double q) const noexcept {
-  if (count_ == 0) return 0.0;
-  if (q <= 0.0) return min();
-  if (q >= 1.0) return max();
-  const auto rank =
-      static_cast<std::uint64_t>(q * static_cast<double>(count_ - 1));
-  std::uint64_t seen = 0;
-  for (int i = 0; i < kBuckets; ++i) {
-    seen += buckets_[static_cast<std::size_t>(i)];
-    if (seen > rank) {
-      // Upper bound of bucket i, clamped into the observed range.
-      const double ub = std::ldexp(1.0, i - 31);
-      return ub > max_ ? max_ : (ub < min_ ? min_ : ub);
-    }
-  }
-  return max();
-}
-
-void Histogram::merge(const Histogram& other) noexcept {
-  if (other.count_ == 0) return;
-  count_ += other.count_;
-  sum_ += other.sum_;
-  if (other.min_ < min_) min_ = other.min_;
-  if (other.max_ > max_) max_ = other.max_;
-  for (std::size_t i = 0; i < kBuckets; ++i) buckets_[i] += other.buckets_[i];
-}
-
-Histogram Histogram::restore(double sum, double min, double max,
-                             const Bins& bins) {
-  Histogram h;
-  for (const auto& [key, count] : bins) {
-    if (key < 0 || key >= kBuckets) continue;
-    h.buckets_[static_cast<std::size_t>(key)] = count;
-    h.count_ += count;
-  }
-  if (h.count_ > 0) {
-    h.sum_ = sum;
-    h.min_ = min;
-    h.max_ = max;
-  }
-  return h;
-}
-
 MetricSnapshot snapshot_of(const std::string& name, MetricClock clock,
                            const Counter& c) {
   MetricSnapshot s;
@@ -111,27 +48,6 @@ MetricSnapshot snapshot_of(const std::string& name, MetricClock clock,
   s.clock = clock;
   s.value = g.value();
   s.max = g.max();
-  return s;
-}
-
-MetricSnapshot snapshot_of(const std::string& name, MetricClock clock,
-                           const Histogram& h) {
-  MetricSnapshot s;
-  s.name = name;
-  s.kind = MetricSnapshot::Kind::kHistogram;
-  s.clock = clock;
-  s.value = h.mean();
-  s.max = h.max();
-  s.count = h.count();
-  s.sum = h.sum();
-  s.min = h.min();
-  s.p50 = h.quantile(0.50);
-  s.p99 = h.quantile(0.99);
-  const auto& buckets = h.buckets();
-  for (int i = 0; i < Histogram::kBuckets; ++i) {
-    const std::uint64_t c = buckets[static_cast<std::size_t>(i)];
-    if (c != 0) s.bins.emplace_back(i, c);
-  }
   return s;
 }
 
@@ -192,12 +108,6 @@ Gauge& MetricsRegistry::gauge(std::string_view name, MetricClock clock) {
   return find_or_create<decltype(gauges_), Gauge>(gauges_, name, clock);
 }
 
-Histogram& MetricsRegistry::histogram(std::string_view name,
-                                      MetricClock clock) {
-  return find_or_create<decltype(histograms_), Histogram>(histograms_, name,
-                                                          clock);
-}
-
 Digest& MetricsRegistry::digest(std::string_view name, MetricClock clock) {
   return find_or_create<decltype(digests_), Digest>(digests_, name, clock);
 }
@@ -208,9 +118,6 @@ void MetricsRegistry::merge_from(const MetricsRegistry& other) {
   }
   for (const auto& [name, slot] : other.gauges_) {
     gauge(name, slot.clock).merge(slot.metric);
-  }
-  for (const auto& [name, slot] : other.histograms_) {
-    histogram(name, slot.clock).merge(slot.metric);
   }
   for (const auto& [name, slot] : other.digests_) {
     digest(name, slot.clock).merge(slot.metric);
@@ -229,15 +136,11 @@ std::vector<MetricSnapshot> MetricsRegistry::snapshot(
     if (slot.clock != clock) continue;
     out.push_back(snapshot_of(name, slot.clock, slot.metric));
   }
-  for (const auto& [name, slot] : histograms_) {
-    if (slot.clock != clock) continue;
-    out.push_back(snapshot_of(name, slot.clock, slot.metric));
-  }
   for (const auto& [name, slot] : digests_) {
     if (slot.clock != clock) continue;
     out.push_back(snapshot_of(name, slot.clock, slot.metric));
   }
-  // The four maps are each sorted; merge-sort the concatenation by name
+  // The three maps are each sorted; merge-sort the concatenation by name
   // (kind breaks ties) so the combined view is byte-stable.
   sort_snapshots(&out);
   return out;

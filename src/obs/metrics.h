@@ -1,4 +1,4 @@
-// Named counters/gauges/histograms for the observability layer. One
+// Named counters/gauges/digests for the observability layer. One
 // MetricsRegistry exists per experiment run (installed into the thread's
 // obs::Scope by the Runner); instrumented layers fetch stable handles once
 // and bump them with plain non-atomic stores, so the enabled path is a few
@@ -6,12 +6,11 @@
 //
 // Metrics are split by clock domain: kSim metrics are pure functions of the
 // simulation (byte-identical across --jobs values and part of the
-// fiveg-runall/v3 `counters` object), while kWall metrics carry wall-clock
+// fiveg-runall/v5 `counters` object), while kWall metrics carry wall-clock
 // profiling data and are excluded from determinism diffs, exactly like
 // ExperimentResult::wall_ms.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <initializer_list>
 #include <limits>
@@ -71,64 +70,6 @@ class Gauge {
   double max_ = kUnset;
 };
 
-/// Fixed-footprint histogram: exact count/sum/min/max plus power-of-two
-/// buckets over the value's binary exponent, good for ~3 significant bits
-/// of quantile resolution across 19 decades — plenty for latency profiles.
-class Histogram {
- public:
-  void observe(double v) noexcept { observe(v, 1); }
-
-  /// Records `weight` observations of `v` at once: the count and bucket
-  /// grow by `weight`, the sum by `v * weight`. A sampler that times one
-  /// event in n records the sample with the weight of the events it
-  /// stands for, so the count stays exact and the sum is an estimate.
-  void observe(double v, std::uint64_t weight) noexcept;
-
-  [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
-  [[nodiscard]] double sum() const noexcept { return sum_; }
-  [[nodiscard]] double min() const noexcept { return count_ > 0 ? min_ : 0.0; }
-  [[nodiscard]] double max() const noexcept { return count_ > 0 ? max_ : 0.0; }
-  [[nodiscard]] double mean() const noexcept {
-    return count_ > 0 ? sum_ / static_cast<double>(count_) : 0.0;
-  }
-
-  /// Approximate quantile (q in [0,1]) from the log2 buckets: returns the
-  /// upper bound of the bucket holding the q-th observation.
-  [[nodiscard]] double quantile(double q) const noexcept;
-
-  static constexpr int kBuckets = 64;
-
-  /// Raw bucket counts; bucket i covers [2^(i-32), 2^(i-31)).
-  [[nodiscard]] const std::array<std::uint64_t, kBuckets>& buckets()
-      const noexcept {
-    return buckets_;
-  }
-
-  /// Rebuilds a histogram from its export surface (sparse non-empty
-  /// buckets plus the exact sum/min/max). The count is the bucket total —
-  /// every observation lands in exactly one bucket. A restored histogram
-  /// reports the same quantiles bit-for-bit as the original; when the
-  /// bucket total is zero, sum/min/max are ignored (empty histogram).
-  [[nodiscard]] static Histogram restore(double sum, double min, double max,
-                                         const Bins& bins);
-
-  /// Folds another histogram in: counts and buckets add, sums accumulate
-  /// in argument order (this += other), min/max widen. Merging per-lane
-  /// histograms in lane-index order gives one canonical result for any
-  /// worker-thread count.
-  void merge(const Histogram& other) noexcept;
-
- private:
-  // Bucket i covers [2^(i-32), 2^(i-31)); values <= 0 land in bucket 0.
-  [[nodiscard]] static int bucket_of(double v) noexcept;
-
-  std::uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-  std::array<std::uint64_t, kBuckets> buckets_{};
-};
-
 /// One metric dimension, e.g. {"rat", "nr"} or {"cell", "72"}. Keys and
 /// values must not contain '{', '}', '=' or ',' (they are embedded into the
 /// canonical metric name).
@@ -146,30 +87,28 @@ using Label = std::pair<std::string_view, std::string>;
 /// emitters expand one snapshot into one or more "name" / "name.max" /
 /// "name.p99"-style flat keys.
 struct MetricSnapshot {
-  enum class Kind { kCounter, kGauge, kHistogram, kDigest };
+  enum class Kind { kCounter, kGauge, kDigest };
 
   std::string name;
   Kind kind = Kind::kCounter;
   MetricClock clock = MetricClock::kSim;
-  // kCounter / kGauge current value; histogram/digest mean.
+  // kCounter / kGauge current value; digest mean.
   double value = 0.0;
-  // kGauge high-water / kHistogram / kDigest max.
+  // kGauge high-water / kDigest max.
   double max = 0.0;
-  // kHistogram / kDigest only.
+  // kDigest only, through `zero_count`: moments, the percentile ladder
+  // reports are built from, and the log-gamma buckets as sparse
+  // (key, count) pairs.
   std::uint64_t count = 0;
   double sum = 0.0;
   double min = 0.0;
-  double p50 = 0.0;
-  double p99 = 0.0;
-  // kDigest only: the finer percentile ladder reports are built from.
   double p05 = 0.0;
   double p25 = 0.0;
+  double p50 = 0.0;
   double p75 = 0.0;
   double p90 = 0.0;
   double p95 = 0.0;
-  // Bucket payloads as sparse (key, count) pairs: kHistogram fills `bins`
-  // with its non-empty log2 buckets; kDigest fills `bins`/`neg_bins` with
-  // its log-gamma buckets plus `zero_count`.
+  double p99 = 0.0;
   Bins bins;
   Bins neg_bins;
   std::uint64_t zero_count = 0;
@@ -177,16 +116,13 @@ struct MetricSnapshot {
 
 /// Flattens one live metric into a MetricSnapshot — the single code path
 /// both MetricsRegistry::snapshot() and the columnar result store's
-/// reconstruction use, so a digest/histogram decoded from stored bucket
+/// reconstruction use, so a digest decoded from stored bucket
 /// columns snapshots bit-identically to the original (same mean division,
 /// same quantile walk).
 [[nodiscard]] MetricSnapshot snapshot_of(const std::string& name,
                                          MetricClock clock, const Counter& c);
 [[nodiscard]] MetricSnapshot snapshot_of(const std::string& name,
                                          MetricClock clock, const Gauge& g);
-[[nodiscard]] MetricSnapshot snapshot_of(const std::string& name,
-                                         MetricClock clock,
-                                         const Histogram& h);
 [[nodiscard]] MetricSnapshot snapshot_of(const std::string& name,
                                          MetricClock clock, const Digest& d);
 
@@ -214,8 +150,6 @@ class MetricsRegistry {
   Counter& counter(std::string_view name,
                    MetricClock clock = MetricClock::kSim);
   Gauge& gauge(std::string_view name, MetricClock clock = MetricClock::kSim);
-  Histogram& histogram(std::string_view name,
-                       MetricClock clock = MetricClock::kSim);
   Digest& digest(std::string_view name, MetricClock clock = MetricClock::kSim);
 
   /// Dimensional variants: `counter("x", {{"rat", "nr"}})` is exactly
@@ -229,11 +163,6 @@ class MetricsRegistry {
                MetricClock clock = MetricClock::kSim) {
     return gauge(labeled(name, labels), clock);
   }
-  Histogram& histogram(std::string_view name,
-                       std::initializer_list<Label> labels,
-                       MetricClock clock = MetricClock::kSim) {
-    return histogram(labeled(name, labels), clock);
-  }
   Digest& digest(std::string_view name, std::initializer_list<Label> labels,
                  MetricClock clock = MetricClock::kSim) {
     return digest(labeled(name, labels), clock);
@@ -246,15 +175,14 @@ class MetricsRegistry {
   /// Folds every metric of `other` into this registry, creating entries as
   /// needed (new entries keep the source's clock; existing entries keep
   /// their own, first-writer-wins like find-or-create). Counters and
-  /// histogram/digest buckets add; gauges take the source value and widen
+  /// digest buckets add; gauges take the source value and widen
   /// their high-water mark. sim::ParSim merges per-lane registries in
   /// lane-index order, so the result is a pure function of lane contents,
   /// never of thread scheduling.
   void merge_from(const MetricsRegistry& other);
 
   [[nodiscard]] std::size_t size() const noexcept {
-    return counters_.size() + gauges_.size() + histograms_.size() +
-           digests_.size();
+    return counters_.size() + gauges_.size() + digests_.size();
   }
 
  private:
@@ -269,7 +197,6 @@ class MetricsRegistry {
   // the instrumented layers).
   std::map<std::string, Slot<Counter>, std::less<>> counters_;
   std::map<std::string, Slot<Gauge>, std::less<>> gauges_;
-  std::map<std::string, Slot<Histogram>, std::less<>> histograms_;
   std::map<std::string, Slot<Digest>, std::less<>> digests_;
 };
 

@@ -53,26 +53,26 @@ ScopedPhase::ScopedPhase(const char* phase) {
   if (m == nullptr) return;
   std::string name = kPhasePrefix;
   name += phase;
-  hist_ = &m->histogram(name, MetricClock::kWall);
+  digest_ = &m->digest(name, MetricClock::kWall);
   start_ = std::chrono::steady_clock::now();
 }
 
 ScopedPhase::~ScopedPhase() {
-  if (hist_ == nullptr) return;
+  if (digest_ == nullptr) return;
   const auto elapsed = std::chrono::steady_clock::now() - start_;
-  hist_->observe(
+  digest_->observe(
       std::chrono::duration<double, std::milli>(elapsed).count());
 }
 
 namespace {
 
-/// Histogram snapshots whose name starts with `prefix`, as (suffix, snap).
+/// Digest snapshots whose name starts with `prefix`, as (suffix, snap).
 template <typename Fn>
 void for_each_with_prefix(const std::vector<MetricSnapshot>& wall,
                           const char* prefix, Fn&& fn) {
   const std::size_t len = std::strlen(prefix);
   for (const MetricSnapshot& s : wall) {
-    if (s.kind != MetricSnapshot::Kind::kHistogram) continue;
+    if (s.kind != MetricSnapshot::Kind::kDigest) continue;
     if (s.name.compare(0, len, prefix) != 0) continue;
     fn(s.name.substr(len), s);
   }

@@ -41,7 +41,7 @@ inline constexpr const char* kHeapAllocMetric = "prof.callable_heap_allocs";
 [[nodiscard]] std::uint64_t current_rss_kb();
 
 /// RAII wall-clock phase timer: observes the elapsed milliseconds into the
-/// current scope's kWall histogram `prof.phase_ms.<phase>` on destruction.
+/// current scope's kWall digest `prof.phase_ms.<phase>` on destruction.
 /// With no metrics scope installed, construction is a thread-local load and
 /// destruction a null check. `phase` must outlive the object (string
 /// literals, in practice).
@@ -53,7 +53,7 @@ class ScopedPhase {
   ~ScopedPhase();
 
  private:
-  Histogram* hist_ = nullptr;  // null when no scope was installed
+  Digest* digest_ = nullptr;  // null when no scope was installed
   std::chrono::steady_clock::time_point start_;
 };
 
@@ -72,12 +72,12 @@ struct LabelRow {
   double mean_us = 0.0;
 };
 
-/// Extracts the `prof.phase_ms.*` histograms from a kWall snapshot,
+/// Extracts the `prof.phase_ms.*` digests from a kWall snapshot,
 /// sorted by total wall time (descending).
 [[nodiscard]] std::vector<PhaseRow> phase_rows(
     const std::vector<MetricSnapshot>& wall);
 
-/// Extracts the `sim.callback_wall_us.<label>` histograms from a kWall
+/// Extracts the `sim.callback_wall_us.<label>` digests from a kWall
 /// snapshot into the attribution table, sorted by total wall time
 /// (descending). This is "where does wall time go" per run.
 [[nodiscard]] std::vector<LabelRow> label_rows(

@@ -45,36 +45,17 @@ int cqi_from_sinr(double sinr_db) noexcept {
   return std::min(cqi, 15);
 }
 
-namespace {
-
-double bitrate_bps(const CarrierConfig& c, double sinr_db, int layers,
-                   double airtime_fraction, double overhead,
-                   double prb_fraction) noexcept {
-  if (sinr_db < kTable[0].min_sinr_db) return 0.0;
-  prb_fraction = std::clamp(prb_fraction, 0.0, 1.0);
-  const McsEntry mcs = select_mcs(sinr_db);
-  return mcs.efficiency() * layers * c.bandwidth_mhz * 1e6 * overhead *
-         airtime_fraction * prb_fraction;
-}
-
-}  // namespace
-
 double dl_bitrate_bps(const CarrierConfig& c, double sinr_db,
                       double prb_fraction) noexcept {
+  if (sinr_db < kTable[0].min_sinr_db) return 0.0;
+  prb_fraction = std::clamp(prb_fraction, 0.0, 1.0);
   // High-order MIMO needs SINR headroom: rank collapses as SINR drops.
   int layers = c.mimo_layers;
   if (sinr_db < 20.0) layers = std::min(layers, 2);
   if (sinr_db < 10.0) layers = 1;
-  return bitrate_bps(c, sinr_db, layers, c.dl_fraction, c.overhead,
-                     prb_fraction);
-}
-
-double ul_bitrate_bps(const CarrierConfig& c, double sinr_db,
-                      double prb_fraction) noexcept {
-  const double ul_fraction =
-      c.duplex == Duplex::kFdd ? 1.0 : 1.0 - c.dl_fraction;
-  const double ul_overhead = c.rat == Rat::kNr ? c.overhead * 1.30 : c.overhead;
-  return bitrate_bps(c, sinr_db, 1, ul_fraction, ul_overhead, prb_fraction);
+  const McsEntry mcs = select_mcs(sinr_db);
+  return mcs.efficiency() * layers * c.bandwidth_mhz * 1e6 * c.overhead *
+         c.dl_fraction * prb_fraction;
 }
 
 double rsrq_db_from_sinr(double sinr_db) noexcept {

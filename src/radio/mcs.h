@@ -35,10 +35,6 @@ struct McsEntry {
 [[nodiscard]] double dl_bitrate_bps(const CarrierConfig& c, double sinr_db,
                                     double prb_fraction = 1.0) noexcept;
 
-/// Uplink equivalent (single layer).
-[[nodiscard]] double ul_bitrate_bps(const CarrierConfig& c, double sinr_db,
-                                    double prb_fraction = 1.0) noexcept;
-
 /// Reporting-layer RSRQ proxy: monotone map from SINR into the RSRQ range
 /// the paper plots ([-25, -3] dB). Used only for hand-off comparisons, where
 /// gaps in dB matter rather than absolute calibration.

@@ -32,8 +32,6 @@ class ShadowingField {
   /// Shadowing in dB at a position (positive = extra loss).
   [[nodiscard]] double at(const geo::Point& p) const noexcept;
 
-  [[nodiscard]] double sigma_db() const noexcept { return sigma_db_; }
-
  private:
   [[nodiscard]] double node_value(std::int64_t ix,
                                   std::int64_t iy) const noexcept;

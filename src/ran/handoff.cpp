@@ -277,7 +277,6 @@ void HandoffEngine::begin_handoff(HandoffType type, const Cell* from,
   if (auto* m = obs::metrics()) {
     m->counter("ran.handoff.begun").add();
     m->counter("ran.handoff.type." + to_string(type)).add();
-    m->histogram("ran.handoff.latency_ms").observe(sim::to_millis(latency));
     // Per-leg latency digest, dimensioned by hand-off type: the report layer
     // reads the percentile ladder per leg (4G-4G vs 5G-5G vs vertical).
     m->digest(obs::labeled("ran.handoff.latency_ms",

@@ -63,7 +63,7 @@ void write_csv_row(std::ostream& os, const std::string& figure,
 // Parses a fiveg-runall/v3 or v4 document into `out` (error or figures).
 // v4 is a strict superset of v3: it only adds timing-gated fields the
 // report never reads.
-void build_from_runall_v3(const obs::JsonValue& doc, BuildResult& out) {
+void build_from_runall(const obs::JsonValue& doc, BuildResult& out) {
   const obs::JsonValue* experiments = doc.get("experiments");
   if (experiments == nullptr ||
       !experiments->is(obs::JsonValue::Type::kArray)) {
@@ -91,7 +91,7 @@ void build_from_runall_v3(const obs::JsonValue& doc, BuildResult& out) {
       fig.status = v->string;
     }
     // Every flat counter key — plain counters, gauge maxima and the
-    // histogram/digest percentile ladders all arrive here. `profile`
+    // digest percentile ladders all arrive here. `profile`
     // (wall clock) is deliberately ignored: reports must be
     // parallelism-independent.
     if (const obs::JsonValue* counters = e.get("counters");
@@ -129,14 +129,13 @@ BuildResult build_reports(const obs::JsonValue& doc) {
     out.error = "missing \"schema\" string";
     return out;
   }
-  if (schema->string != "fiveg-runall/v3" &&
-      schema->string != "fiveg-runall/v4") {
+  if (schema->string != "fiveg-runall/v5") {
     out.error = "unsupported schema \"" + schema->string +
-                "\" (supported: fiveg-runall/v3, fiveg-runall/v4; re-run "
-                "fiveg_runall or upgrade fiveg_report)";
+                "\" (supported: fiveg-runall/v5; re-run fiveg_runall or "
+                "upgrade fiveg_report)";
     return out;
   }
-  build_from_runall_v3(doc, out);
+  build_from_runall(doc, out);
   return out;
 }
 

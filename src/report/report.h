@@ -1,4 +1,4 @@
-// Per-figure KPI reports built from a fiveg-runall/v3 document, plus the
+// Per-figure KPI reports built from a fiveg-runall/v5 document, plus the
 // golden-baseline drift detector behind `fiveg_report --check`.
 //
 // Every experiment in the campaign maps to one FigureReport: a flat,
@@ -43,7 +43,7 @@ struct BuildResult {
 };
 
 /// Builds one FigureReport per experiment from a parsed fiveg-runall
-/// document (schema v3 or v4); any other version is an error naming the
+/// document (schema v5); any other version is an error naming the
 /// offending schema string and the supported list.
 [[nodiscard]] BuildResult build_reports(const obs::JsonValue& doc);
 

@@ -476,8 +476,8 @@ void ParSim::record_run(double wall_seconds, std::uint64_t events) {
     return;
   }
   parent_metrics_
-      ->histogram(obs::prof::kPhasePrefix + std::string("simulate"),
-                  obs::MetricClock::kWall)
+      ->digest(obs::prof::kPhasePrefix + std::string("simulate"),
+               obs::MetricClock::kWall)
       .observe(wall_seconds * 1e3);
 }
 

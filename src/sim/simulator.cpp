@@ -98,8 +98,8 @@ std::size_t Simulator::stats_index(const char* label) {
   obs::Counter& count = metrics_->counter("sim.events." + suffix);
   label_stats_.push_back(LabelStats{
       label, &count,
-      &metrics_->histogram("sim.callback_wall_us." + suffix,
-                           obs::MetricClock::kWall)});
+      &metrics_->digest("sim.callback_wall_us." + suffix,
+                        obs::MetricClock::kWall)});
   return label_stats_.size() - 1;
 }
 
@@ -176,8 +176,8 @@ void Simulator::run_drain(Time last) {
   // Self-profiler feed. All of it kWall: the churn deltas are in fact
   // deterministic, but keeping every prof.* metric out of the kSim
   // `counters` object is what lets goldens ignore profiling entirely.
-  metrics_->histogram(obs::prof::kPhasePrefix + std::string("simulate"),
-                      obs::MetricClock::kWall)
+  metrics_->digest(obs::prof::kPhasePrefix + std::string("simulate"),
+                   obs::MetricClock::kWall)
       .observe(wall_seconds * 1e3);
   const std::uint64_t scheduled = queue_.scheduled_count();
   const std::uint64_t cancelled = queue_.cancelled_count();

@@ -6,7 +6,7 @@
 // The simulator is also the root of the observability layer's profiling
 // data: when the constructing thread has an obs::Scope installed (see
 // obs/obs.h), every executed event is counted per label, a sample of them
-// is timed on the wall clock into kWall histograms, and the queue-depth
+// is timed on the wall clock into kWall digests, and the queue-depth
 // high-water mark is tracked. Without a scope, instrumentation costs one
 // branch per drain.
 //
@@ -32,7 +32,6 @@ namespace fiveg::obs {
 class Counter;
 class Digest;
 class Gauge;
-class Histogram;
 class MetricsRegistry;
 class Tracer;
 }  // namespace fiveg::obs
@@ -171,7 +170,7 @@ class Simulator {
   // are all timed, later ones about one in kSampleEvery. A sample enters
   // sim.callback_wall_us.<label> weighted by the events it stands for, and
   // each drain ends by entering its untimed remainder at the label's
-  // latest sample, so the histogram count always equals sim.events.<label>
+  // latest sample, so the digest count always equals sim.events.<label>
   // and its sum is an estimate of the label's wall time.
   static constexpr std::uint64_t kTimeAllFirst = 16;
   static constexpr std::uint64_t kSampleEvery = 16;
@@ -181,7 +180,7 @@ class Simulator {
   struct LabelStats {
     const char* label;
     obs::Counter* count;
-    obs::Histogram* wall_us;
+    obs::Digest* wall_us;
     std::uint64_t events = 0;   // run by this simulator
     std::uint64_t untimed = 0;  // counted, not yet in wall_us
     double last_us = 0.0;       // latest sampled wall time
@@ -197,7 +196,7 @@ class Simulator {
   std::size_t stats_index(const char* label);
   // One draw of the sampling generator: true about once in kSampleEvery.
   bool sample_tick() noexcept;
-  // Enters every label's untimed events into its wall-time histogram.
+  // Enters every label's untimed events into its wall-time digest.
   void flush_untimed() noexcept;
   // run()/run_until(): clears stop(), drains, and with metrics on observes
   // the drain on the wall clock.

@@ -21,8 +21,8 @@ namespace fiveg::core {
 namespace {
 
 // A richly-populated synthetic result exercising every serialized field:
-// a full-range seed, non-representable-in-float doubles, histogram bins,
-// digest neg_bins/zero, multi-point series and multi-line text.
+// a full-range seed, non-representable-in-float doubles, digest bins,
+// neg_bins and zero, multi-point series and multi-line text.
 ExperimentResult make_result(const std::string& name) {
   ExperimentResult r;
   r.name = name;
@@ -47,18 +47,18 @@ ExperimentResult make_result(const std::string& name) {
   counter.value = 1234567.0;
   r.counters.push_back(counter);
 
-  obs::MetricSnapshot hist;
-  hist.name = "tcp.rtt_ms";
-  hist.kind = obs::MetricSnapshot::Kind::kHistogram;
-  hist.count = 42;
-  hist.sum = 123.0625;
-  hist.min = 0.5;
-  hist.max = 30.0;
-  hist.value = hist.sum / 42.0;
-  hist.p50 = 2.0;
-  hist.p99 = 16.0;
-  hist.bins = {{-3, 7}, {0, 30}, {4, 5}};
-  r.counters.push_back(hist);
+  obs::MetricSnapshot rtt;
+  rtt.name = "tcp.rtt_ms";
+  rtt.kind = obs::MetricSnapshot::Kind::kDigest;
+  rtt.count = 42;
+  rtt.sum = 123.0625;
+  rtt.min = 0.5;
+  rtt.max = 30.0;
+  rtt.value = rtt.sum / 42.0;
+  rtt.p50 = 2.0;
+  rtt.p99 = 16.0;
+  rtt.bins = {{-3, 7}, {0, 30}, {4, 5}};
+  r.counters.push_back(rtt);
 
   obs::MetricSnapshot digest;
   digest.name = "energy.mw";
@@ -77,7 +77,7 @@ ExperimentResult make_result(const std::string& name) {
 
   obs::MetricSnapshot wall;
   wall.name = "prof.phase_ms.simulate";
-  wall.kind = obs::MetricSnapshot::Kind::kHistogram;
+  wall.kind = obs::MetricSnapshot::Kind::kDigest;
   wall.clock = obs::MetricClock::kWall;
   wall.count = 1;
   wall.sum = 98.25;
@@ -166,6 +166,22 @@ TEST(LedgerTest, ForeignLinesAreDroppedNotFatal) {
   const LedgerLoad load = parse_ledger(text);
   EXPECT_EQ(load.records.size(), 1u);
   EXPECT_EQ(load.dropped_lines, 2u);
+}
+
+TEST(LedgerTest, RetiredHistogramKindIsDropped) {
+  // Lines written while log2 histograms existed carry kind "histogram";
+  // they no longer parse, so --resume reruns those runs.
+  std::string line = ledger_line(make_result("old"));
+  const std::string digest_kind =
+      R"("name":"prof.phase_ms.simulate","kind":"digest")";
+  const std::size_t at = line.find(digest_kind);
+  ASSERT_NE(at, std::string::npos);
+  line.replace(at, digest_kind.size(),
+               R"("name":"prof.phase_ms.simulate","kind":"histogram")");
+  const LedgerLoad load = parse_ledger(line + ledger_line(make_result("new")));
+  ASSERT_EQ(load.records.size(), 1u);
+  EXPECT_EQ(load.records[0].name, "new");
+  EXPECT_EQ(load.dropped_lines, 1u);
 }
 
 TEST(LedgerTest, CompletedRunsFiltersStatusAndSeed) {

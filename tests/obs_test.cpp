@@ -53,38 +53,11 @@ TEST(MetricsTest, GaugeTracksValueAndHighWater) {
   EXPECT_DOUBLE_EQ(g.max(), 10.0);
 }
 
-TEST(MetricsTest, HistogramMomentsAndQuantiles) {
-  MetricsRegistry reg;
-  Histogram& h = reg.histogram("lat");
-  for (int i = 1; i <= 100; ++i) h.observe(static_cast<double>(i));
-  EXPECT_EQ(h.count(), 100u);
-  EXPECT_DOUBLE_EQ(h.sum(), 5050.0);
-  EXPECT_DOUBLE_EQ(h.min(), 1.0);
-  EXPECT_DOUBLE_EQ(h.max(), 100.0);
-  EXPECT_DOUBLE_EQ(h.mean(), 50.5);
-  // Log2 buckets: quantiles are approximate but must be ordered and within
-  // the observed range.
-  const double p50 = h.quantile(0.5);
-  const double p99 = h.quantile(0.99);
-  EXPECT_GE(p50, h.min());
-  EXPECT_LE(p99, h.max());
-  EXPECT_LE(p50, p99);
-}
-
-TEST(MetricsTest, EmptyHistogramIsZeroed) {
-  MetricsRegistry reg;
-  Histogram& h = reg.histogram("empty");
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_DOUBLE_EQ(h.min(), 0.0);
-  EXPECT_DOUBLE_EQ(h.max(), 0.0);
-  EXPECT_DOUBLE_EQ(h.mean(), 0.0);
-}
-
 TEST(MetricsTest, SnapshotSplitsByClockAndSorts) {
   MetricsRegistry reg;
   reg.counter("b.sim").add(2);
   reg.counter("a.sim").add(1);
-  reg.histogram("c.wall", MetricClock::kWall).observe(7.0);
+  reg.digest("c.wall", MetricClock::kWall).observe(7.0);
   reg.gauge("d.sim").set(9.0);
 
   const std::vector<MetricSnapshot> sim = reg.snapshot(MetricClock::kSim);
@@ -150,6 +123,29 @@ TEST(DigestTest, HandlesNegativeZeroAndNan) {
   EXPECT_LE(std::abs(d.quantile(0.25) - (-50.0)), 0.5 + 1e-9);
   EXPECT_DOUBLE_EQ(d.quantile(0.5), 0.0);
   EXPECT_LE(std::abs(d.quantile(1.0) - 25.0), 1e-9);
+}
+
+TEST(DigestTest, WeightedObservationCountsAsRepeats) {
+  // observe(v, w) is w observations of v: same buckets, count and extremes;
+  // the sum is v * w (one multiply, so it may differ from w additions in
+  // the last bit, which is why the sum is compared with a tolerance).
+  Digest weighted;
+  Digest repeated;
+  const std::pair<double, std::uint64_t> samples[] = {
+      {3.5, 7}, {0.0, 2}, {-1.25, 3}, {120.0, 1}, {9.0, 0}};
+  for (const auto& [v, w] : samples) {
+    weighted.observe(v, w);
+    for (std::uint64_t i = 0; i < w; ++i) repeated.observe(v);
+  }
+  EXPECT_EQ(weighted.count(), 13u);
+  EXPECT_EQ(weighted.count(), repeated.count());
+  EXPECT_EQ(weighted.zero_count(), repeated.zero_count());
+  EXPECT_EQ(weighted.positive_bins(), repeated.positive_bins());
+  EXPECT_EQ(weighted.negative_bins(), repeated.negative_bins());
+  EXPECT_EQ(weighted.min(), -1.25);
+  EXPECT_EQ(weighted.max(), 120.0);  // the weight-0 sample left no trace
+  EXPECT_DOUBLE_EQ(weighted.sum(), 3.5 * 7 - 1.25 * 3 + 120.0);
+  EXPECT_EQ(weighted.quantile(0.5), repeated.quantile(0.5));
 }
 
 TEST(DigestTest, EmptyDigestIsZeroed) {
@@ -370,6 +366,15 @@ TEST(JsonCheckTest, AcceptsValidRejectsInvalid) {
   EXPECT_FALSE(json_valid("{\"a\": \"\x01\"}", &err));  // raw control char
   EXPECT_FALSE(json_valid(R"({"a": 1} extra)", &err));  // trailing data
   EXPECT_FALSE(json_valid(R"({"a")", &err));          // truncated
+}
+
+TEST(JsonCheckTest, RejectsDuplicateMemberNames) {
+  std::string err;
+  EXPECT_EQ(json_parse(R"({"a":1,"a":2})", &err), nullptr);
+  EXPECT_EQ(err, "duplicate key \"a\" at byte 7");
+  // Per object: the same name in sibling or nested objects is fine.
+  EXPECT_TRUE(json_valid(R"({"a": {"a": 1}, "b": [{"a": 1}, {"a": 2}]})"));
+  EXPECT_FALSE(json_valid(R"({"x": {"a": 1, "b": 2, "a": 3}})", &err));
 }
 
 TEST(JsonCheckTest, TraceCheckRejectsMissingFields) {
@@ -888,22 +893,22 @@ TEST(CodecTest, DigestDecodeRejectsKeyPastTheClamp) {
   EXPECT_FALSE(codec::decode_digest(&r, &d));
 }
 
-TEST(CodecTest, HistogramRoundTripsBitForBit) {
-  sim::Rng rng(99);
-  Histogram h;
-  for (int i = 0; i < 3000; ++i) h.observe(rng.exponential(0.001));
-  std::string bytes;
-  codec::encode_histogram(&bytes, h);
-  codec::Reader r(bytes);
-  Histogram back;
-  ASSERT_TRUE(codec::decode_histogram(&r, &back));
-  EXPECT_TRUE(r.done());
-  std::string again;
-  codec::encode_histogram(&again, back);
-  EXPECT_EQ(again, bytes);
-  EXPECT_EQ(back.count(), h.count());
-  EXPECT_EQ(back.quantile(0.5), h.quantile(0.5));
-  EXPECT_EQ(back.quantile(0.99), h.quantile(0.99));
+TEST(CodecTest, SnapshotDecodeRejectsRetiredHistogramBlock) {
+  // Between the gauge and digest blocks sits the count of the retired
+  // log2-histogram block: 0 decodes, anything else is a record this build
+  // cannot represent.
+  const auto resolve = [](std::uint64_t, std::string*) { return true; };
+  for (const std::uint64_t retired : {0u, 1u}) {
+    std::string buf;
+    codec::put_varint(&buf, 0);  // counters
+    codec::put_varint(&buf, 0);  // gauges
+    codec::put_varint(&buf, retired);
+    codec::put_varint(&buf, 0);  // digests
+    codec::Reader r(buf);
+    std::vector<MetricSnapshot> out;
+    EXPECT_EQ(codec::decode_snapshots(&r, MetricClock::kSim, resolve, &out),
+              retired == 0);
+  }
 }
 
 TEST(CodecTest, SnapshotSetRoundTripsThroughDictionary) {
@@ -914,7 +919,7 @@ TEST(CodecTest, SnapshotSetRoundTripsThroughDictionary) {
   reg.gauge("queue").set(1.0);  // max stays 3.5
   sim::Rng rng(5);
   for (int i = 0; i < 500; ++i) {
-    reg.histogram("lat_us").observe(rng.lognormal(3.0, 1.0));
+    reg.digest("lat_us").observe(rng.lognormal(3.0, 1.0));
     reg.digest("tput").observe(rng.normal(100.0, 25.0));
   }
   const std::vector<MetricSnapshot> snaps = reg.snapshot(MetricClock::kSim);

@@ -33,7 +33,7 @@ TEST(ProfTest, RssReadersReportPlausibleValues) {
   EXPECT_GE(peak, current / 2);  // slack: sampled at slightly different times
 }
 
-TEST(ProfTest, ScopedPhaseRecordsWallHistogram) {
+TEST(ProfTest, ScopedPhaseRecordsWallDigest) {
   MetricsRegistry registry;
   const ScopedObs scope(nullptr, &registry);
   {
@@ -41,7 +41,7 @@ TEST(ProfTest, ScopedPhaseRecordsWallHistogram) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   {
-    const ScopedPhase phase("unit_test");  // second entry, same histogram
+    const ScopedPhase phase("unit_test");  // second entry, same digest
   }
   const auto wall = registry.snapshot(MetricClock::kWall);
   const auto rows = phase_rows(wall);
@@ -107,7 +107,7 @@ TEST(ProfTest, SimulatorFeedsLabelAttributionAndChurn) {
 }
 
 // Every `sim.events.<label>` counter against the count of its
-// `sim.callback_wall_us.<label>` histogram; returns how many labels matched.
+// `sim.callback_wall_us.<label>` digest; returns how many labels matched.
 int expect_wall_counts_exact(const MetricsRegistry& registry) {
   const std::string events_prefix = "sim.events.";
   std::map<std::string, std::uint64_t> events;

@@ -171,7 +171,6 @@ TEST(McsTest, CqiRange) {
 TEST(McsTest, BitrateMatchesPeakAtHighSinr) {
   const CarrierConfig nr = nr3500();
   EXPECT_NEAR(dl_bitrate_bps(nr, 30.0, 1.0), nr.peak_dl_bitrate_bps(), 1.0);
-  EXPECT_NEAR(ul_bitrate_bps(nr, 30.0, 1.0), nr.peak_ul_bitrate_bps(), 1.0);
   // Below the MCS floor the link is unusable.
   EXPECT_DOUBLE_EQ(dl_bitrate_bps(nr, -10.0, 1.0), 0.0);
 }

@@ -84,14 +84,16 @@ TEST(ReportBuildTest, BuildsOneFigurePerExperiment) {
 }
 
 TEST(ReportBuildTest, RejectsWrongSchema) {
+  // v4 documents carried duplicate flat keys; only v5 is read.
   std::string error;
   const auto doc =
-      obs::json_parse(R"({"schema": "fiveg-runall/v2", "experiments": {}})",
+      obs::json_parse(R"({"schema": "fiveg-runall/v4", "experiments": {}})",
                       &error);
   ASSERT_NE(doc, nullptr) << error;
   const BuildResult built = build_reports(*doc);
   EXPECT_FALSE(built.ok());
-  EXPECT_NE(built.error.find("fiveg-runall/v3"), std::string::npos);
+  EXPECT_NE(built.error.find("\"fiveg-runall/v4\""), std::string::npos);
+  EXPECT_NE(built.error.find("supported: fiveg-runall/v5"), std::string::npos);
 }
 
 TEST(ReportGoldenTest, WriteParseCheckRoundTripIsDriftFree) {

@@ -235,7 +235,7 @@ TEST(RunnerTest, JsonOutputIsWellFormedScaffold) {
   std::ostringstream os;
   write_json(s, os, /*include_timing=*/true);
   const std::string j = os.str();
-  EXPECT_NE(j.find("\"schema\": \"fiveg-runall/v4\""), std::string::npos);
+  EXPECT_NE(j.find("\"schema\": \"fiveg-runall/v5\""), std::string::npos);
   EXPECT_NE(j.find("\"experiments\""), std::string::npos);
   EXPECT_NE(j.find("\"wall_ms\""), std::string::npos);
   EXPECT_NE(j.find("\"summary\""), std::string::npos);

@@ -68,7 +68,7 @@ StoreRecord make_record(const std::string& name, std::uint64_t seed,
   reg.counter("pkts").add(seed % 1000 + 1);
   reg.gauge("depth").set(static_cast<double>(seed % 7));
   for (int i = 0; i < 100; ++i) {
-    reg.histogram("lat_us").observe(rng.lognormal(3.0, 1.0));
+    reg.digest("lat_us").observe(rng.lognormal(3.0, 1.0));
     reg.digest("owd_ms").observe(rng.normal(20.0, 5.0));
   }
   rec.result.counters = reg.snapshot(obs::MetricClock::kSim);
@@ -76,7 +76,7 @@ StoreRecord make_record(const std::string& name, std::uint64_t seed,
   return rec;
 }
 
-// Byte-level equality proxy: two records are identical iff their v4 JSON
+// Byte-level equality proxy: two records are identical iff their JSON
 // projections are (write_json is the exhaustive serializer of the
 // deterministic core).
 std::string json_of(const StoreRecord& rec) {

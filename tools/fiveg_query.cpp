@@ -14,7 +14,7 @@
 //   --percentiles METRIC   merge METRIC's digests across selected records
 //                          and print the percentile ladder
 //   --export-runall-json PATH
-//                          reconstruct a fiveg-runall/v4 document (timing
+//                          reconstruct a fiveg-runall/v5 document (timing
 //                          off) from the selected records; for a store
 //                          written by an unsharded campaign this is
 //                          byte-identical to `fiveg_runall --json
@@ -53,7 +53,7 @@ options:
                         (commutative bin-wise merge) and print
                         count/mean/min/max plus p05..p99
   --export-runall-json PATH
-                        write a reconstructed fiveg-runall/v4 document
+                        write a reconstructed fiveg-runall/v5 document
                         (timing fields off) to PATH ('-' = stdout)
   -h, --help            this message
 )";
@@ -260,9 +260,6 @@ int main(int argc, char** argv) {
             break;
           case fiveg::obs::MetricSnapshot::Kind::kGauge:
             kind = "gauge";
-            break;
-          case fiveg::obs::MetricSnapshot::Kind::kHistogram:
-            kind = "histogram";
             break;
           case fiveg::obs::MetricSnapshot::Kind::kDigest:
             kind = "digest";

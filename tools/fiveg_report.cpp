@@ -1,6 +1,6 @@
 // Per-figure KPI report generator and golden-baseline drift detector.
 //
-// Consumes a fiveg-runall/v3 or v4 JSON document (fiveg_runall --json, or
+// Consumes a fiveg-runall/v5 JSON document (fiveg_runall --json, or
 // `fiveg_query STORE --export-runall-json` for a columnar store) and emits
 // one machine-readable artifact pair per paper figure/table:
 //   <out-dir>/<figure>.json   (schema fiveg-report/v1)

@@ -1,21 +1,14 @@
 // Drive test: replicate the paper's measurement campaign — walk the whole
-// campus with an XCAL-style logger attached, then print the RSRP/RSRQ
-// summary, the hand-off log and per-type latency statistics.
+// campus recording the NR RSRQ trace, then print its serving and
+// best-neighbour summary, the hand-off log and per-type latency statistics.
 //
-//   ./example_drive_test [seed] [speed_kmh] [csv_prefix]
-//
-// With a csv_prefix, the raw KPI series and the signalling-event log are
-// exported as <prefix>_kpis.csv / <prefix>_events.csv (the simulated
-// equivalent of the paper's released dataset).
+//   ./example_drive_test [seed] [speed_kmh]
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <map>
 
 #include "core/scenario.h"
 #include "geo/route.h"
-#include "measure/csv.h"
-#include "measure/kpi_logger.h"
 #include "measure/stats.h"
 #include "measure/table.h"
 #include "ran/handoff.h"
@@ -27,12 +20,12 @@ int main(int argc, char** argv) {
 
   const core::Scenario scenario(seed);
   sim::Simulator simr;
-  measure::KpiLogger xcal;
+  ran::RsrqTrace trace;
 
   ran::MobilityConfig cfg;
   cfg.speed_mps = speed_kmh / 3.6;
   ran::HandoffEngine engine(&simr, &scenario.deployment(), cfg,
-                            sim::Rng(seed).fork("walk"), &xcal);
+                            sim::Rng(seed).fork("walk"), &trace);
 
   const geo::Route route = geo::make_survey_route(scenario.campus());
   std::cout << "Walking " << route.length_m() / 1000.0 << " km at "
@@ -41,20 +34,22 @@ int main(int argc, char** argv) {
   simr.run_until(sim::from_seconds(route.length_m() / cfg.speed_mps) +
                  sim::kSecond);
 
-  // Physical-layer summary, XCAL style.
-  measure::TextTable kpis("PHY KPIs along the walk",
-                          {"KPI", "mean", "min", "max", "samples"});
-  for (const char* kpi : {"nr_serving_rsrp_dbm", "nr_serving_rsrq_db",
-                          "lte_serving_rsrp_dbm", "lte_serving_rsrq_db"}) {
-    const auto series = xcal.find(kpi);
-    if (!series) continue;  // e.g. no NR attach on a short walk
-    const auto s = series->get().summarize();
-    kpis.add_row({kpi, measure::TextTable::num(s.mean(), 1),
+  // NR RSRQ along the walk: the serving cell and the best other cell.
+  measure::TextTable rsrq("NR RSRQ along the walk",
+                          {"series", "mean (dB)", "min (dB)", "max (dB)",
+                           "samples"});
+  const auto summarise = [&rsrq](const char* name,
+                                  const measure::TimeSeries& series) {
+    if (series.empty()) return;  // e.g. no NR attach on a short walk
+    const auto s = series.summarize();
+    rsrq.add_row({name, measure::TextTable::num(s.mean(), 1),
                   measure::TextTable::num(s.min(), 1),
                   measure::TextTable::num(s.max(), 1),
                   std::to_string(s.count())});
-  }
-  kpis.print(std::cout);
+  };
+  summarise("serving", trace.nr_serving_db);
+  summarise("best neighbour", trace.nr_best_other_db);
+  rsrq.print(std::cout);
 
   // Hand-off log (first ten events) and per-type latency.
   measure::TextTable log("Hand-off log (first 10)",
@@ -79,15 +74,5 @@ int main(int argc, char** argv) {
                  measure::TextTable::num(stats.mean(), 1)});
   }
   lat.print(std::cout);
-
-  if (argc > 3) {
-    const std::string prefix = argv[3];
-    std::ofstream kpis(prefix + "_kpis.csv");
-    measure::write_csv(kpis, xcal);
-    std::ofstream events(prefix + "_events.csv");
-    measure::write_events_csv(events, xcal);
-    std::cout << "exported " << prefix << "_kpis.csv and " << prefix
-              << "_events.csv\n";
-  }
   return 0;
 }

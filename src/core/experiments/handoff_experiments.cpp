@@ -2,6 +2,7 @@
 // (RSRQ gap CDF), Fig. 6 (hand-off latency CDFs), Fig. 10 (HARQ
 // retransmission distribution) and Fig. 12 (TCP throughput drop across
 // hand-offs).
+#include <algorithm>
 #include <map>
 #include <ostream>
 
@@ -13,6 +14,7 @@
 #include "measure/cdf.h"
 #include "measure/plot.h"
 #include "measure/table.h"
+#include "obs/prof.h"
 #include "ran/handoff.h"
 #include "ran/harq.h"
 
@@ -22,47 +24,46 @@ namespace {
 using measure::TextTable;
 using ran::HandoffType;
 
-// Runs the mobility engine over several long survey walks and pools the
-// hand-off records (the paper pools 407 events over ~80 minutes).
-std::vector<ran::HandoffRecord> collect_handoffs(std::uint64_t seed,
-                                                 int walks,
-                                                 measure::KpiLogger* log) {
-  std::vector<ran::HandoffRecord> all;
-  for (int w = 0; w < walks; ++w) {
-    const Scenario sc(seed + w);
-    sim::Simulator simr;
-    ran::MobilityConfig cfg;
-    cfg.speed_mps = 1.5 + 0.7 * w;  // 3-10 km/h, like the paper
-    ran::HandoffEngine engine(&simr, &sc.deployment(), cfg,
-                              sim::Rng(seed).fork("ho" + std::to_string(w)),
-                              w == 0 ? log : nullptr);
-    engine.start(geo::make_survey_route(sc.campus(), 70.0));
-    simr.run_until(40 * sim::kMinute);
-    all.insert(all.end(), engine.records().begin(), engine.records().end());
+// Runs the mobility engine over one long survey walk (walk `w` of the
+// pooled set) and returns its hand-off records; `trace` may be null.
+std::vector<ran::HandoffRecord> walk_handoffs(std::uint64_t seed, int w,
+                                              ran::RsrqTrace* trace) {
+  const Scenario sc(seed + w);
+  sim::Simulator simr;
+  ran::MobilityConfig cfg;
+  cfg.speed_mps = 1.5 + 0.7 * w;  // 3-10 km/h, like the paper
+  ran::HandoffEngine engine(&simr, &sc.deployment(), cfg,
+                            sim::Rng(seed).fork("ho" + std::to_string(w)),
+                            trace);
+  engine.start(geo::make_survey_route(sc.campus(), 70.0));
+  simr.run_until(40 * sim::kMinute);
+  return engine.records();
+}
+
+// Pools the hand-off records of walks [first, walks) (the paper pools 407
+// events over ~80 minutes).
+void collect_handoffs(std::uint64_t seed, int first, int walks,
+                      std::vector<ran::HandoffRecord>& all) {
+  for (int w = first; w < walks; ++w) {
+    const auto records = walk_handoffs(seed, w, nullptr);
+    all.insert(all.end(), records.begin(), records.end());
   }
-  return all;
 }
 
 void run_fig4_5_ho_quality(const ExperimentContext& ctx) {
-  measure::KpiLogger log;
-  const auto records = collect_handoffs(ctx.seed, 4, &log);
+  ran::RsrqTrace trace;
+  auto records = walk_handoffs(ctx.seed, 0, &trace);
 
   // Fig. 4: the RSRQ trace around the first 5G-5G hand-off of walk 0.
-  const auto ho_events = log.events_of_type("HO_START");
-  sim::Time t0 = -1;
-  for (const auto& e : ho_events) {
-    if (e.detail.rfind("5G-5G", 0) == 0) {
-      t0 = e.at;
-      break;
-    }
-  }
-  const auto serving_series = log.find("nr_serving_rsrq_db");
-  const auto neighbor_series = log.find("nr_neighbor_rsrq_db");
-  if (t0 >= 0 && serving_series && neighbor_series) {
+  const auto first_55 = std::find_if(
+      records.begin(), records.end(),
+      [](const ran::HandoffRecord& r) { return r.type == HandoffType::k5G5G; });
+  const measure::TimeSeries& serving = trace.nr_serving_db;
+  const measure::TimeSeries& neighbor = trace.nr_best_other_db;
+  if (first_55 != records.end() && !serving.empty() && !neighbor.empty()) {
+    const sim::Time t0 = first_55->trigger_at;
     TextTable t("Fig. 4 — RSRQ around a 5G-5G hand-off (trigger at 0 s)",
                 {"t (s)", "serving RSRQ (dB)", "best neighbour RSRQ (dB)"});
-    const measure::TimeSeries& serving = serving_series->get();
-    const measure::TimeSeries& neighbor = neighbor_series->get();
     for (sim::Time dt = -6 * sim::kSecond; dt <= 6 * sim::kSecond;
          dt += sim::kSecond) {
       const auto s = serving.summarize(t0 + dt, t0 + dt + sim::kSecond);
@@ -72,6 +73,7 @@ void run_fig4_5_ho_quality(const ExperimentContext& ctx) {
     }
     t.print(*ctx.out);
   }
+  collect_handoffs(ctx.seed, 1, 4, records);
 
   // Fig. 5: CDF of the RSRQ gap (after - before) per hand-off type.
   std::map<HandoffType, measure::Cdf> gaps;
@@ -106,7 +108,8 @@ void run_fig4_5_ho_quality(const ExperimentContext& ctx) {
 }
 
 void run_fig6_ho_latency(const ExperimentContext& ctx) {
-  const auto records = collect_handoffs(ctx.seed, 4, nullptr);
+  std::vector<ran::HandoffRecord> records;
+  collect_handoffs(ctx.seed, 0, 4, records);
   std::map<HandoffType, measure::Cdf> latency;
   for (const auto& r : records) {
     latency[r.type].add(sim::to_millis(r.latency));
@@ -156,9 +159,13 @@ void run_fig10_harq_retx(const ExperimentContext& ctx) {
   // Sample a million transport blocks per RAT like a day of XCAL logs.
   const int blocks = 1'000'000;
   std::array<int, 6> lte_counts{}, nr_counts{};
-  for (int i = 0; i < blocks; ++i) {
-    lte_counts[std::min(lte.sample_attempts(rng) - 1, 5)]++;
-    nr_counts[std::min(nr.sample_attempts(rng) - 1, 5)]++;
+  {
+    // No simulator runs here, so the sampling loop is the simulate phase.
+    const obs::prof::ScopedPhase phase("simulate");
+    for (int i = 0; i < blocks; ++i) {
+      lte_counts[std::min(lte.sample_attempts(rng) - 1, 5)]++;
+      nr_counts[std::min(nr.sample_attempts(rng) - 1, 5)]++;
+    }
   }
   TextTable t("Fig. 10 — packets needing >= n retransmissions",
               {"n", "4G measured", "4G model", "5G measured", "5G model"});
@@ -271,39 +278,43 @@ void run_ho_event_mix(const ExperimentContext& ctx) {
   std::uint64_t n_a1 = 0, n_a2 = 0, n_a3 = 0, n_a5 = 0, n_b1 = 0;
   const double speed = 1.8;  // m/s
   int serving_pci = -1;  // sticky, like a real attached UE
-  for (double d = 0; d < route.length_m(); d += speed * 0.1) {
-    const auto at = static_cast<sim::Time>(d / speed * sim::kSecond);
-    const geo::Point p = route.position_at(d);
-    const auto nr = dep.measure(radio::Rat::kNr, p);
-    const ran::CellMeasurement* serving = nullptr;
-    const ran::CellMeasurement* neighbor = nullptr;
-    for (const auto& m : nr) {
-      if (m.cell->pci == serving_pci) serving = &m;
-    }
-    if (serving == nullptr) {  // initial camp / reselection after loss
+  {
+    // No simulator runs here, so the sampling loop is the simulate phase.
+    const obs::prof::ScopedPhase phase("simulate");
+    for (double d = 0; d < route.length_m(); d += speed * 0.1) {
+      const auto at = static_cast<sim::Time>(d / speed * sim::kSecond);
+      const geo::Point p = route.position_at(d);
+      const auto nr = dep.measure(radio::Rat::kNr, p);
+      const ran::CellMeasurement* serving = nullptr;
+      const ran::CellMeasurement* neighbor = nullptr;
       for (const auto& m : nr) {
-        if (serving == nullptr || m.rsrp_dbm > serving->rsrp_dbm) {
-          serving = &m;
+        if (m.cell->pci == serving_pci) serving = &m;
+      }
+      if (serving == nullptr) {  // initial camp / reselection after loss
+        for (const auto& m : nr) {
+          if (serving == nullptr || m.rsrp_dbm > serving->rsrp_dbm) {
+            serving = &m;
+          }
+        }
+        serving_pci = serving->cell->pci;
+      }
+      for (const auto& m : nr) {
+        if (m.cell->pci == serving_pci) continue;
+        if (neighbor == nullptr || m.rsrq_db > neighbor->rsrq_db) {
+          neighbor = &m;
         }
       }
-      serving_pci = serving->cell->pci;
-    }
-    for (const auto& m : nr) {
-      if (m.cell->pci == serving_pci) continue;
-      if (neighbor == nullptr || m.rsrq_db > neighbor->rsrq_db) {
-        neighbor = &m;
+      if (neighbor == nullptr) continue;
+      const auto lte = dep.best(radio::Rat::kLte, p);
+      n_a1 += a1.update(at, serving->rsrq_db);
+      n_a2 += a2.update(at, serving->rsrq_db);
+      if (a3.update(at, serving->rsrq_db, neighbor->rsrq_db)) {
+        ++n_a3;
+        serving_pci = neighbor->cell->pci;  // the gNB executes the A3 HO
       }
+      n_a5 += a5.update(at, serving->rsrq_db, neighbor->rsrq_db);
+      n_b1 += b1.update(at, lte.rsrq_db);
     }
-    if (neighbor == nullptr) continue;
-    const auto lte = dep.best(radio::Rat::kLte, p);
-    n_a1 += a1.update(at, serving->rsrq_db);
-    n_a2 += a2.update(at, serving->rsrq_db);
-    if (a3.update(at, serving->rsrq_db, neighbor->rsrq_db)) {
-      ++n_a3;
-      serving_pci = neighbor->cell->pci;  // the gNB executes the A3 HO
-    }
-    n_a5 += a5.update(at, serving->rsrq_db, neighbor->rsrq_db);
-    n_b1 += b1.update(at, lte.rsrq_db);
   }
 
   const double total = static_cast<double>(n_a1 + n_a2 + n_a3 + n_a5 + n_b1);

@@ -18,17 +18,6 @@ Histogram::Histogram(std::vector<double> edges) : edges_(std::move(edges)) {
   counts_.assign(edges_.size() - 1, 0);
 }
 
-Histogram Histogram::uniform(double lo, double hi, std::size_t n) {
-  if (n == 0 || hi <= lo) {
-    throw std::invalid_argument("Histogram::uniform needs hi > lo and n > 0");
-  }
-  std::vector<double> edges(n + 1);
-  for (std::size_t i = 0; i <= n; ++i) {
-    edges[i] = lo + (hi - lo) * static_cast<double>(i) / static_cast<double>(n);
-  }
-  return Histogram(std::move(edges));
-}
-
 void Histogram::add(double x) {
   // upper_bound - 1 gives the bin whose lower edge is <= x; clamp the ends.
   const auto it = std::upper_bound(edges_.begin(), edges_.end(), x);

@@ -16,9 +16,6 @@ class Histogram {
   /// `edges` must be strictly increasing with at least two entries.
   explicit Histogram(std::vector<double> edges);
 
-  /// Convenience: `n` equal bins across [lo, hi).
-  static Histogram uniform(double lo, double hi, std::size_t n);
-
   void add(double x);
 
   [[nodiscard]] std::size_t bin_count() const noexcept {

@@ -10,9 +10,6 @@ namespace {
 // code rate.
 constexpr double kPeakEffPerLayer = 8.0 * 0.925;
 
-// Uplink transmissions use a single layer on both networks under test.
-constexpr int kUlLayers = 1;
-
 // UE receiver noise figure, the same handset on both carriers.
 constexpr double kNoiseFigureDb = 7.0;
 
@@ -21,16 +18,6 @@ constexpr double kNoiseFigureDb = 7.0;
 double CarrierConfig::peak_dl_bitrate_bps() const noexcept {
   return kPeakEffPerLayer * mimo_layers * bandwidth_mhz * 1e6 * overhead *
          dl_fraction;
-}
-
-double CarrierConfig::peak_ul_bitrate_bps() const noexcept {
-  const double ul_fraction = duplex == Duplex::kFdd ? 1.0 : 1.0 - dl_fraction;
-  // UL control overhead is lighter than DL (no PDCCH region), hence the
-  // small calibration bump; yields ~130 Mbps NR / ~100 Mbps LTE peaks as
-  // the paper reports.
-  const double ul_overhead = rat == Rat::kNr ? overhead * 1.30 : overhead;
-  return kPeakEffPerLayer * kUlLayers * bandwidth_mhz * 1e6 * ul_overhead *
-         ul_fraction;
 }
 
 double CarrierConfig::noise_per_re_dbm() const noexcept {
@@ -42,7 +29,6 @@ CarrierConfig lte1800() {
   c.rat = Rat::kLte;
   c.freq_ghz = 1.85;
   c.bandwidth_mhz = 20.0;
-  c.duplex = Duplex::kFdd;
   c.dl_fraction = 1.0;
   c.mimo_layers = 2;
   c.subcarrier_khz = 15.0;
@@ -56,7 +42,6 @@ CarrierConfig nr3500() {
   c.rat = Rat::kNr;
   c.freq_ghz = 3.5;
   c.bandwidth_mhz = 100.0;
-  c.duplex = Duplex::kTdd;
   c.dl_fraction = 0.75;       // ISP's 3:1 DL:UL slot ratio
   c.mimo_layers = 4;
   c.subcarrier_khz = 30.0;

@@ -8,15 +8,11 @@ namespace fiveg::radio {
 /// Radio access technology generation.
 enum class Rat { kLte, kNr };
 
-/// Duplexing scheme.
-enum class Duplex { kFdd, kTdd };
-
 /// Static physical-layer parameters of one carrier.
 struct CarrierConfig {
   Rat rat = Rat::kNr;
   double freq_ghz = 3.5;       // carrier frequency
   double bandwidth_mhz = 100;  // channel bandwidth
-  Duplex duplex = Duplex::kTdd;
   double dl_fraction = 0.75;   // DL share of airtime (1.0 per direction in FDD)
   int mimo_layers = 4;
   double subcarrier_khz = 30;  // SCS: 15 kHz LTE, 30 kHz NR
@@ -31,9 +27,6 @@ struct CarrierConfig {
 
   /// Peak downlink PHY bit-rate with all PRBs and the top MCS, bits/s.
   [[nodiscard]] double peak_dl_bitrate_bps() const noexcept;
-
-  /// Peak uplink PHY bit-rate, bits/s.
-  [[nodiscard]] double peak_ul_bitrate_bps() const noexcept;
 
   /// Thermal noise + the UE's 7 dB noise figure per resource element, dBm.
   [[nodiscard]] double noise_per_re_dbm() const noexcept;

@@ -13,17 +13,38 @@ namespace {
 // Delay after hand-off completion at which "quality after" is sampled.
 constexpr sim::Time kQualityAfterDelay = sim::from_millis(500);
 
+// The serving cell's measurement and the best other cell's by RSRQ (null
+// when absent). The strict `>` keeps the first of equal-RSRQ cells.
+struct ServingAndBestOther {
+  const CellMeasurement* serving = nullptr;
+  const CellMeasurement* best_other = nullptr;
+};
+
+ServingAndBestOther serving_and_best_other(
+    const std::vector<CellMeasurement>& meas, const Cell* serving) {
+  ServingAndBestOther out;
+  for (const CellMeasurement& m : meas) {
+    if (m.cell == serving) {
+      out.serving = &m;
+    } else if (out.best_other == nullptr ||
+               m.rsrq_db > out.best_other->rsrq_db) {
+      out.best_other = &m;
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 HandoffEngine::HandoffEngine(sim::Simulator* simulator,
                              const Deployment* deployment,
                              MobilityConfig config, sim::Rng rng,
-                             measure::KpiLogger* logger)
+                             RsrqTrace* trace)
     : sim_(simulator),
       dep_(deployment),
       config_(config),
       rng_(rng),
-      log_(logger),
+      trace_(trace),
       a3_nr_(config.a3),
       a3_lte_(config.a3) {
   fault_ = fault::runtime();
@@ -103,40 +124,6 @@ const Cell* HandoffEngine::anchor_for(const Cell& nr_cell,
   return best != nullptr ? best : lte_;
 }
 
-void HandoffEngine::log_kpis(const geo::Point& ue,
-                             const std::vector<CellMeasurement>& lte_meas,
-                             const std::vector<CellMeasurement>& nr_meas) {
-  if (log_ == nullptr) return;
-  const sim::Time now = sim_->now();
-  log_->log("ue_x_m", now, ue.x);
-  log_->log("ue_y_m", now, ue.y);
-  const auto log_rat = [&](const char* prefix, const Cell* serving,
-                           const std::vector<CellMeasurement>& meas) {
-    const CellMeasurement* sm = nullptr;
-    const CellMeasurement* best_other = nullptr;
-    for (const CellMeasurement& m : meas) {
-      if (m.cell == serving) {
-        sm = &m;
-      } else if (best_other == nullptr || m.rsrq_db > best_other->rsrq_db) {
-        best_other = &m;
-      }
-    }
-    if (sm != nullptr) {
-      log_->log(std::string(prefix) + "_serving_rsrp_dbm", now, sm->rsrp_dbm);
-      log_->log(std::string(prefix) + "_serving_rsrq_db", now, sm->rsrq_db);
-      log_->log(std::string(prefix) + "_serving_pci", now, sm->cell->pci);
-    }
-    if (best_other != nullptr) {
-      log_->log(std::string(prefix) + "_neighbor_rsrq_db", now,
-                best_other->rsrq_db);
-      log_->log(std::string(prefix) + "_neighbor_pci", now,
-                best_other->cell->pci);
-    }
-  };
-  log_rat("lte", lte_, lte_meas);
-  log_rat("nr", nr_, nr_meas);
-}
-
 void HandoffEngine::step() {
   const sim::Time now = sim_->now();
   const double walked = config_.speed_mps * sim::to_seconds(now - route_start_);
@@ -147,7 +134,15 @@ void HandoffEngine::step() {
   dep_->measure_into(radio::Rat::kNr, pos, nr_meas_);
   const auto& lte_meas = lte_meas_;
   const auto& nr_meas = nr_meas_;
-  log_kpis(pos, lte_meas, nr_meas);
+  if (trace_ != nullptr) {
+    const ServingAndBestOther nr = serving_and_best_other(nr_meas, nr_);
+    if (nr.serving != nullptr) {
+      trace_->nr_serving_db.add(now, nr.serving->rsrq_db);
+    }
+    if (nr.best_other != nullptr) {
+      trace_->nr_best_other_db.add(now, nr.best_other->rsrq_db);
+    }
+  }
 
   if (fault_ != nullptr && !ho_in_progress_ && !reestablishing_) {
     handle_outages();
@@ -182,22 +177,9 @@ void HandoffEngine::step() {
       }
     } else if (nr_ != nullptr) {
       // --- Horizontal 5G-5G via A3 on RSRQ ---
-      const CellMeasurement* serving = nullptr;
-      const CellMeasurement* neighbor = nullptr;
-      for (const CellMeasurement& m : nr_meas) {
-        if (m.cell == nr_) {
-          serving = &m;
-        } else if (neighbor == nullptr || m.rsrq_db > neighbor->rsrq_db) {
-          neighbor = &m;
-        }
-      }
+      const auto [serving, neighbor] = serving_and_best_other(nr_meas, nr_);
       if (serving != nullptr && neighbor != nullptr &&
           a3_nr_.update(now, serving->rsrq_db, neighbor->rsrq_db)) {
-        if (log_ != nullptr) {
-          log_->log_event(now, "A3_TRIGGER",
-                          "nr pci=" + std::to_string(serving->cell->pci) +
-                              " -> pci=" + std::to_string(neighbor->cell->pci));
-        }
         if (auto* t = obs::tracer()) {
           t->instant(now, "ran.a3_trigger", "ran",
                      {{"rat", "nr"},
@@ -210,22 +192,9 @@ void HandoffEngine::step() {
       }
     } else {
       // --- Horizontal 4G-4G via A3 on RSRQ ---
-      const CellMeasurement* serving = nullptr;
-      const CellMeasurement* neighbor = nullptr;
-      for (const CellMeasurement& m : lte_meas) {
-        if (m.cell == lte_) {
-          serving = &m;
-        } else if (neighbor == nullptr || m.rsrq_db > neighbor->rsrq_db) {
-          neighbor = &m;
-        }
-      }
+      const auto [serving, neighbor] = serving_and_best_other(lte_meas, lte_);
       if (serving != nullptr && neighbor != nullptr &&
           a3_lte_.update(now, serving->rsrq_db, neighbor->rsrq_db)) {
-        if (log_ != nullptr) {
-          log_->log_event(now, "A3_TRIGGER",
-                          "lte pci=" + std::to_string(serving->cell->pci) +
-                              " -> pci=" + std::to_string(neighbor->cell->pci));
-        }
         if (auto* t = obs::tracer()) {
           t->instant(now, "ran.a3_trigger", "ran",
                      {{"rat", "lte"},
@@ -260,11 +229,6 @@ void HandoffEngine::begin_handoff(HandoffType type, const Cell* from,
   records_.push_back(rec);
   interruptions_.push_back({sim_->now(), sim_->now() + latency, type});
 
-  if (log_ != nullptr) {
-    log_->log_event(sim_->now(), "HO_START",
-                    to_string(type) + " " + std::to_string(rec.from_pci) +
-                        " -> " + std::to_string(rec.to_pci));
-  }
   // A hand-off leg is a genuine simulated-time span: begin at the trigger,
   // end at signalling completion. Legs never overlap (one hand-off at a
   // time), so Chrome's per-track B/E nesting holds.
@@ -300,11 +264,6 @@ void HandoffEngine::complete_handoff(std::size_t record_idx, HandoffType type,
   if (fault_ != nullptr && target != nullptr &&
       type != HandoffType::k5G4G && fault_->cell_down(target->pci)) {
     records_[record_idx].aborted = true;
-    if (log_ != nullptr) {
-      log_->log_event(sim_->now(), "HO_ABORT",
-                      to_string(type) + " target pci=" +
-                          std::to_string(target->pci) + " in outage");
-    }
     if (auto* t = obs::tracer()) t->end(sim_->now(), "ran.handoff", "ran");
     if (auto* m = obs::metrics()) {
       m->counter("ran.handoff.aborted").add();
@@ -332,9 +291,6 @@ void HandoffEngine::complete_handoff(std::size_t record_idx, HandoffType type,
       break;
   }
   note_rrc_state();
-  if (log_ != nullptr) {
-    log_->log_event(sim_->now(), "HO_COMPLETE", to_string(type));
-  }
   if (auto* t = obs::tracer()) t->end(sim_->now(), "ran.handoff", "ran");
   if (auto* m = obs::metrics()) m->counter("ran.handoff.completed").add();
   sim_->schedule_in(kQualityAfterDelay, "ran.ho_quality_sample",
@@ -356,15 +312,10 @@ void HandoffEngine::handle_outages() {
   // Secondary-leg death is silent from the anchor's point of view: the NR
   // leg just drops (no signalling) and the NSA controller starts over.
   if (nr_ != nullptr && fault_->cell_down(nr_->pci)) {
-    const int pci = nr_->pci;
     nr_ = nullptr;
     nsa_.radio_link_failure();
     a3_nr_.reset();
     note_rrc_state();
-    if (log_ != nullptr) {
-      log_->log_event(sim_->now(), "RLF",
-                      "nr leg lost, pci=" + std::to_string(pci));
-    }
     if (auto* m = obs::metrics()) {
       m->counter("fault.rlf", {{"leg", "nr"}}).add();
     }
@@ -385,11 +336,6 @@ void HandoffEngine::begin_reestablishment() {
   a3_lte_.reset();
   gaps_.push_back({sim_->now(), -1});
   note_rrc_state();
-  if (log_ != nullptr) {
-    log_->log_event(sim_->now(), "RLF",
-                    "anchor lost, pci=" + std::to_string(pci) +
-                        ", re-establishing");
-  }
   if (auto* t = obs::tracer()) {
     t->instant(sim_->now(), "ran.rlf", "ran",
                {{"pci", std::to_string(pci)}});
@@ -426,10 +372,6 @@ void HandoffEngine::try_reestablish() {
   reestablishing_ = false;
   gaps_.back().end = sim_->now();
   note_rrc_state();
-  if (log_ != nullptr) {
-    log_->log_event(sim_->now(), "RRC_REESTABLISHED",
-                    "pci=" + std::to_string(best->pci));
-  }
   if (auto* m = obs::metrics()) {
     m->counter("ran.rrc.reestablished").add();
   }

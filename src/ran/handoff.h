@@ -12,7 +12,7 @@
 
 #include "fault/fault.h"
 #include "geo/route.h"
-#include "measure/kpi_logger.h"
+#include "measure/timeseries.h"
 #include "ran/deployment.h"
 #include "ran/measurement_events.h"
 #include "ran/nsa_signaling.h"
@@ -45,6 +45,13 @@ struct Interruption {
   HandoffType type = HandoffType::k4G4G;
 };
 
+/// NR RSRQ at every mobility sample: the serving cell's (while an NR leg
+/// is attached) and the best other NR cell's. Fig. 4 plots both.
+struct RsrqTrace {
+  measure::TimeSeries nr_serving_db;
+  measure::TimeSeries nr_best_other_db;
+};
+
 /// How often a hand-off engine samples its UE's radio environment.
 inline constexpr sim::Time kMobilitySamplePeriod = sim::from_millis(100);
 
@@ -57,10 +64,10 @@ struct MobilityConfig {
 /// Event-driven hand-off engine for one UE.
 class HandoffEngine {
  public:
-  /// All pointers must outlive the engine. `logger` may be null.
+  /// All pointers must outlive the engine. `trace` may be null.
   HandoffEngine(sim::Simulator* simulator, const Deployment* deployment,
                 MobilityConfig config, sim::Rng rng,
-                measure::KpiLogger* logger = nullptr);
+                RsrqTrace* trace = nullptr);
 
   /// Begins walking `route` from the simulator's current time. The engine
   /// samples until the route is exhausted.
@@ -123,15 +130,12 @@ class HandoffEngine {
   /// The LTE anchor that must host a given NR cell (co-sited, strongest).
   [[nodiscard]] const Cell* anchor_for(const Cell& nr_cell,
                                        const geo::Point& ue) const;
-  void log_kpis(const geo::Point& ue,
-                const std::vector<CellMeasurement>& lte_meas,
-                const std::vector<CellMeasurement>& nr_meas);
 
   sim::Simulator* sim_;
   const Deployment* dep_;
   MobilityConfig config_;
   sim::Rng rng_;
-  measure::KpiLogger* log_;
+  RsrqTrace* trace_;
 
   std::optional<geo::Route> route_;
   sim::Time route_start_ = 0;

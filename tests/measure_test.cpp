@@ -1,5 +1,5 @@
 // Unit tests for the statistics toolkit: Welford stats, CDFs, histograms,
-// time series windowing, the KPI logger, and table formatting.
+// time series windowing, and table formatting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,10 +10,8 @@
 #include <vector>
 
 #include "measure/cdf.h"
-#include "measure/csv.h"
 #include "measure/histogram.h"
 #include "measure/json.h"
-#include "measure/kpi_logger.h"
 #include "measure/plot.h"
 #include "measure/stats.h"
 #include "measure/table.h"
@@ -199,18 +197,10 @@ TEST(HistogramTest, OutOfRangeSaturates) {
   EXPECT_EQ(h.total(), 2u);
 }
 
-TEST(HistogramTest, UniformFactory) {
-  Histogram h = Histogram::uniform(0, 10, 5);
-  EXPECT_EQ(h.bin_count(), 5u);
-  h.add(3.5);
-  EXPECT_EQ(h.count(1), 1u);
-}
-
 TEST(HistogramTest, RejectsBadEdges) {
   EXPECT_THROW(Histogram({1.0}), std::invalid_argument);
   EXPECT_THROW(Histogram({2.0, 1.0}), std::invalid_argument);
   EXPECT_THROW(Histogram({1.0, 1.0}), std::invalid_argument);
-  EXPECT_THROW(Histogram::uniform(5, 5, 3), std::invalid_argument);
 }
 
 TEST(TimeSeriesTest, SummarizeWindow) {
@@ -255,50 +245,6 @@ TEST(TimeSeriesTest, WindowRejectsNonPositive) {
   EXPECT_THROW((void)ts.window_sums(0, 10, 0), std::invalid_argument);
 }
 
-TEST(KpiLoggerTest, SeriesAndEvents) {
-  KpiLogger log;
-  log.log("rsrp_dbm", 0, -84.0);
-  log.log("rsrp_dbm", kSecond, -90.0);
-  log.log("sinr_db", 0, 21.0);
-  log.log_event(5 * kMillisecond, "A3_TRIGGER", "pci=226 -> pci=44");
-  log.log_event(6 * kMillisecond, "NR_RACH_SUCCESS");
-
-  const auto rsrp = log.find("rsrp_dbm");
-  ASSERT_TRUE(rsrp.has_value());
-  EXPECT_EQ(rsrp->get().size(), 2u);
-  EXPECT_FALSE(log.find("unknown").has_value());
-  EXPECT_TRUE(log.has("rsrp_dbm"));
-  EXPECT_FALSE(log.has("unknown"));
-  EXPECT_EQ(log.events().size(), 2u);
-  EXPECT_EQ(log.events_of_type("A3_TRIGGER").size(), 1u);
-  EXPECT_EQ(log.events_of_type("A3_TRIGGER")[0].detail, "pci=226 -> pci=44");
-  const auto names = log.kpi_names();
-  ASSERT_EQ(names.size(), 2u);
-  EXPECT_EQ(names[0], "rsrp_dbm");
-  EXPECT_EQ(names[1], "sinr_db");
-}
-
-TEST(KpiLoggerTest, SeriesCapRefusesNewNames) {
-  KpiLogger log;
-  for (std::size_t i = 0; i < KpiLogger::kSeriesCap; ++i) {
-    log.log("kpi_" + std::to_string(i), 0, 1.0);
-  }
-  EXPECT_EQ(log.kpi_names().size(), KpiLogger::kSeriesCap);
-  EXPECT_EQ(log.refused_observations(), 0u);
-  // A per-UE naming bug would mint one series per UE; the cap stops it.
-  log.log("rsrp_ue_4711", 0, -80.0);
-  log.log("rsrp_ue_4712", 0, -81.0);
-  EXPECT_EQ(log.kpi_names().size(), KpiLogger::kSeriesCap);
-  EXPECT_FALSE(log.has("rsrp_ue_4711"));
-  EXPECT_EQ(log.refused_observations(), 2u);
-
-  // Existing series keep growing at the cap.
-  log.log("kpi_0", kSecond, 4.0);
-  ASSERT_TRUE(log.find("kpi_0").has_value());
-  EXPECT_EQ(log.find("kpi_0")->get().size(), 2u);
-  EXPECT_EQ(log.refused_observations(), 2u);
-}
-
 TEST(TextTableTest, FormatsAlignedColumns) {
   TextTable t("Demo", {"name", "value"});
   t.add_row({"alpha", "1"});
@@ -317,35 +263,6 @@ TEST(TextTableTest, ShortRowsPadded) {
   std::ostringstream os;
   t.print(os);  // must not crash on missing cells
   EXPECT_EQ(t.rows(), 1u);
-}
-
-TEST(CsvTest, EscapingRules) {
-  EXPECT_EQ(csv_escape("plain"), "plain");
-  EXPECT_EQ(csv_escape("a,b"), "\"a,b\"");
-  EXPECT_EQ(csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
-}
-
-TEST(CsvTest, SeriesRoundTrip) {
-  TimeSeries ts;
-  ts.add(kSecond, 1.5);
-  ts.add(2 * kSecond, -3.0);
-  std::ostringstream os;
-  write_csv(os, "rsrp,dbm", ts);
-  EXPECT_EQ(os.str(), "t_seconds,\"rsrp,dbm\"\n1,1.5\n2,-3\n");
-}
-
-TEST(CsvTest, KpiLoggerLongFormatAndEvents) {
-  KpiLogger log;
-  log.log("a", 0, 1.0);
-  log.log("b", kSecond, 2.0);
-  log.log_event(kSecond, "HO_START", "5G-5G 72 -> 44");
-  std::ostringstream os;
-  write_csv(os, log);
-  EXPECT_NE(os.str().find("a,0,1"), std::string::npos);
-  EXPECT_NE(os.str().find("b,1,2"), std::string::npos);
-  std::ostringstream ev;
-  write_events_csv(ev, log);
-  EXPECT_NE(ev.str().find("1,HO_START,5G-5G 72 -> 44"), std::string::npos);
 }
 
 TEST(PlotTest, LineChartRendersPointsAndAxes) {

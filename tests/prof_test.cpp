@@ -1,9 +1,11 @@
 // Tests for the execution-domain self-profiler (obs::prof): RSS readers,
 // ScopedPhase timing, per-label wall-time attribution through the labeled
-// scheduling seam, event-churn counters, the summarize() rollup, and the
-// tracer ring-buffer drop accounting (counter + chrome-trace round trip).
+// scheduling seam, event-churn counters, the summarize() rollup, the
+// tracer ring-buffer drop accounting (counter + chrome-trace round trip),
+// and the simulate phase of runs that drive no simulator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <map>
 #include <sstream>
@@ -11,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/runner.h"
 #include "obs/chrome_trace.h"
 #include "obs/json_check.h"
 #include "obs/metrics.h"
@@ -242,6 +245,25 @@ TEST(ProfTest, HeapAllocsPerEventFlagsOnlyAboveTenPercent) {
   EXPECT_FALSE(heap_allocs_per_event(s) > kHighHeapAllocsPerEvent);
   s.heap_allocs = 101;
   EXPECT_TRUE(heap_allocs_per_event(s) > kHighHeapAllocsPerEvent);
+}
+
+// Runs with no simulator still account their sampling loops as the
+// simulate phase, so fiveg_prof can say where their wall time goes.
+TEST(ProfTest, SimulatorFreeRunsRecordASimulatePhase) {
+  core::RunnerOptions opt;
+  opt.only_names = {"fig10_harq_retx", "ho_event_mix"};
+  const core::RunSummary summary = core::Runner(opt).run();
+  ASSERT_EQ(summary.results.size(), 2u);
+  for (const core::ExperimentResult& r : summary.results) {
+    ASSERT_EQ(r.status, core::RunStatus::kOk) << r.name << ": " << r.error;
+    const auto simulate = std::find_if(
+        r.profile.begin(), r.profile.end(), [](const MetricSnapshot& s) {
+          return s.name == std::string(kPhasePrefix) + "simulate";
+        });
+    ASSERT_NE(simulate, r.profile.end()) << r.name;
+    EXPECT_EQ(simulate->kind, MetricSnapshot::Kind::kDigest) << r.name;
+    EXPECT_GE(simulate->count, 1u) << r.name;
+  }
 }
 
 }  // namespace

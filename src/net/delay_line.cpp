@@ -17,14 +17,27 @@ void DelayLine::push(sim::Time at, Packet p) {
     head_ = 0;
   }
   buf_[(head_ + size_) & (buf_.size() - 1)] =
-      Entry{at, sim_->reserve_seq(), std::move(p)};
+      Entry{at, sim_->reserve_seq(at), std::move(p)};
   if (++size_ == 1) schedule_head();
+}
+
+Packet DelayLine::take_back() {
+  Entry& tail = buf_[(head_ + --size_) & (buf_.size() - 1)];
+  // last_at_ keeps the taken packet's time: a packet pushed later is due
+  // no earlier anyway (net::Link re-pushes it at the same time, or a later
+  // one at a later time).
+  if (size_ == 0) {
+    sim_->retract(head_event_);
+  } else {
+    sim_->release_reserved();
+  }
+  return std::move(tail.packet);
 }
 
 void DelayLine::schedule_head() {
   const Entry& head = buf_[head_];
-  sim_->schedule_reserved(head.at, head.seq, label_,
-                          [this] { deliver_head(); });
+  head_event_ = sim_->schedule_reserved(head.at, head.seq, label_,
+                                        [this] { deliver_head(); });
 }
 
 void DelayLine::deliver_head() {

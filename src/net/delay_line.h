@@ -36,6 +36,10 @@ class DelayLine {
   /// that is later: a packet never overtakes an earlier one.
   void push(sim::Time at, Packet p);
 
+  /// Undoes the latest push() (which must still be pending): returns its
+  /// packet and gives back its sequence number, as if never pushed.
+  Packet take_back();
+
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
  private:
@@ -53,6 +57,7 @@ class DelayLine {
   const char* label_;
   PacketSink* sink_;
   sim::Time last_at_ = 0;
+  sim::EventId head_event_ = 0;  // the head's pending delivery
   // Ring of entries that doubles when full: nothing is allocated until the
   // first packet, and storage stays within twice the high-water mark.
   // The capacity is a power of two, so indices wrap with a mask.

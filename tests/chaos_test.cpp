@@ -550,7 +550,7 @@ TEST(EnergyChaosTest, ReplayResidenciesCoverEveryModel) {
 
 // --- parsim: the fault campaign on the parallel lock-step core ---
 
-// Three domain-pinned link worlds, one per sim::ParSim lane, offered
+// Three link worlds, one per sim::ParSim lane, offered
 // packets through a burst-loss window. Returns a canonical transcript
 // (per-lane ledgers + merged deterministic metrics); every partition must
 // keep packet conservation and the transcript must not depend on the
@@ -582,7 +582,6 @@ std::string run_partitioned_fault_links(int threads) {
       lcfg.rate_bps = 12e6;
       lcfg.queue_bytes = 8 * 1500;
       lcfg.name = "chaos-lane" + std::to_string(k);
-      lcfg.domain = k;
       w.link = std::make_unique<net::Link>(&par.lane(k), lcfg, w.sink.get());
       net::Link* link = w.link.get();
       for (int i = 0; i < 400; ++i) {

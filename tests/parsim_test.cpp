@@ -13,8 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "net/link.h"
-#include "net/packet.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/prof.h"
@@ -392,34 +390,6 @@ TEST(ParSimTest, MergedMetricsIncludeParsimCounters) {
     if (s.name == "sim.parsim.windows") windows = s.value;
   }
   EXPECT_GE(windows, 1.0);
-}
-
-TEST(ParSimTest, DomainPinnedLinkRejectsForeignLaneSend) {
-  ParSimConfig cfg;
-  cfg.lanes = 2;
-  cfg.threads = 2;
-  cfg.lookahead = kLook;
-  ParSim par(cfg);
-
-  std::unique_ptr<net::Link> link;
-  par.with_lane(1, [&] {
-    net::Link::Config lcfg;
-    lcfg.name = "pinned";
-    lcfg.domain = 1;
-    link = std::make_unique<net::Link>(&par.lane(1), lcfg);
-  });
-
-  // Same-lane traffic is fine...
-  par.lane(1).schedule_at(10 * kMicrosecond, [&] { link->send(net::Packet{}); });
-  par.run_until(100 * kMicrosecond);
-  EXPECT_EQ(link->delivered_packets() + link->queue_packets() +
-                link->dropped_packets(),
-            0u + 1u);
-
-  // ...but a direct call from lane 0 is a partition-affinity violation:
-  // cross-lane packets must go through ParSim::send.
-  par.lane(0).schedule_at(300 * kMicrosecond, [&] { link->send(net::Packet{}); });
-  EXPECT_THROW(par.run_until(kMillisecond), std::logic_error);
 }
 
 TEST(ParSimTest, CurrentLaneTracksScope) {

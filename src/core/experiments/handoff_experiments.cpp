@@ -277,7 +277,7 @@ void run_ho_event_mix(const ExperimentContext& ctx) {
 
   std::uint64_t n_a1 = 0, n_a2 = 0, n_a3 = 0, n_a5 = 0, n_b1 = 0;
   const double speed = 1.8;  // m/s
-  int serving_pci = -1;  // sticky, like a real attached UE
+  const ran::Cell* serving_cell = nullptr;  // sticky, like an attached UE
   {
     // No simulator runs here, so the sampling loop is the simulate phase.
     const obs::prof::ScopedPhase phase("simulate");
@@ -285,32 +285,26 @@ void run_ho_event_mix(const ExperimentContext& ctx) {
       const auto at = static_cast<sim::Time>(d / speed * sim::kSecond);
       const geo::Point p = route.position_at(d);
       const auto nr = dep.measure(radio::Rat::kNr, p);
-      const ran::CellMeasurement* serving = nullptr;
-      const ran::CellMeasurement* neighbor = nullptr;
-      for (const auto& m : nr) {
-        if (m.cell->pci == serving_pci) serving = &m;
-      }
-      if (serving == nullptr) {  // initial camp / reselection after loss
+      ran::ServingAndBestOther cells =
+          ran::serving_and_best_other(nr, serving_cell);
+      if (cells.serving == nullptr) {  // initial camp / reselection after loss
+        const ran::CellMeasurement* strongest = nullptr;
         for (const auto& m : nr) {
-          if (serving == nullptr || m.rsrp_dbm > serving->rsrp_dbm) {
-            serving = &m;
+          if (strongest == nullptr || m.rsrp_dbm > strongest->rsrp_dbm) {
+            strongest = &m;
           }
         }
-        serving_pci = serving->cell->pci;
+        serving_cell = strongest->cell;
+        cells = ran::serving_and_best_other(nr, serving_cell);
       }
-      for (const auto& m : nr) {
-        if (m.cell->pci == serving_pci) continue;
-        if (neighbor == nullptr || m.rsrq_db > neighbor->rsrq_db) {
-          neighbor = &m;
-        }
-      }
+      const auto [serving, neighbor] = cells;
       if (neighbor == nullptr) continue;
       const auto lte = dep.best(radio::Rat::kLte, p);
       n_a1 += a1.update(at, serving->rsrq_db);
       n_a2 += a2.update(at, serving->rsrq_db);
       if (a3.update(at, serving->rsrq_db, neighbor->rsrq_db)) {
         ++n_a3;
-        serving_pci = neighbor->cell->pci;  // the gNB executes the A3 HO
+        serving_cell = neighbor->cell;  // the gNB executes the A3 HO
       }
       n_a5 += a5.update(at, serving->rsrq_db, neighbor->rsrq_db);
       n_b1 += b1.update(at, lte.rsrq_db);

@@ -13,12 +13,7 @@ namespace {
 // Delay after hand-off completion at which "quality after" is sampled.
 constexpr sim::Time kQualityAfterDelay = sim::from_millis(500);
 
-// The serving cell's measurement and the best other cell's by RSRQ (null
-// when absent). The strict `>` keeps the first of equal-RSRQ cells.
-struct ServingAndBestOther {
-  const CellMeasurement* serving = nullptr;
-  const CellMeasurement* best_other = nullptr;
-};
+}  // namespace
 
 ServingAndBestOther serving_and_best_other(
     const std::vector<CellMeasurement>& meas, const Cell* serving) {
@@ -33,8 +28,6 @@ ServingAndBestOther serving_and_best_other(
   }
   return out;
 }
-
-}  // namespace
 
 HandoffEngine::HandoffEngine(sim::Simulator* simulator,
                              const Deployment* deployment,

@@ -23,6 +23,17 @@
 
 namespace fiveg::ran {
 
+/// The serving cell's measurement and the best other cell's by RSRQ (null
+/// when absent). The strict `>` keeps the first of equal-RSRQ cells.
+struct ServingAndBestOther {
+  const CellMeasurement* serving = nullptr;
+  const CellMeasurement* best_other = nullptr;
+};
+
+/// Splits `meas` into `serving`'s measurement and the best other cell's.
+[[nodiscard]] ServingAndBestOther serving_and_best_other(
+    const std::vector<CellMeasurement>& meas, const Cell* serving);
+
 /// One executed hand-off.
 struct HandoffRecord {
   sim::Time trigger_at = 0;

@@ -60,9 +60,8 @@ void write_csv_row(std::ostream& os, const std::string& figure,
   os << figure << ',' << metric << ',' << json_number(value) << '\n';
 }
 
-// Parses a fiveg-runall/v3 or v4 document into `out` (error or figures).
-// v4 is a strict superset of v3: it only adds timing-gated fields the
-// report never reads.
+// Parses the body of a fiveg-runall/v5 document (the caller has checked
+// the schema) into `out` (error or figures).
 void build_from_runall(const obs::JsonValue& doc, BuildResult& out) {
   const obs::JsonValue* experiments = doc.get("experiments");
   if (experiments == nullptr ||

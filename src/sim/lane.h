@@ -1,7 +1,6 @@
 // Partition (lane) identity for the parallel event core — split out of
-// parsim.h so domain-tagged components (ran::UeCohort, net::Link) can
-// declare and verify their lane affinity without depending on the whole
-// scheduler.
+// parsim.h so a domain-tagged component (ran::UeCohort) can declare and
+// verify its lane affinity without depending on the whole scheduler.
 #pragma once
 
 namespace fiveg::sim {

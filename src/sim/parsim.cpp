@@ -14,6 +14,7 @@
 #include "fault/fault.h"
 #include "obs/obs.h"
 #include "obs/prof.h"
+#include "sim/callable.h"
 #include "sim/rng.h"
 
 namespace fiveg::sim {
@@ -43,26 +44,6 @@ struct ParSim::Lane {
   std::unique_ptr<fault::Runtime> fault;
   std::unique_ptr<Simulator> sim;
 
-  // Staged cross-lane traffic, drained at the window barrier. Written
-  // only by the one thread running this lane's current window; the
-  // barrier's mutex hand-off orders it against the control thread.
-  struct StagedSend {
-    int src_lane = kNoLane;
-    int to_lane = kNoLane;
-    Time at = 0;
-    const char* label = nullptr;
-    Callable action;
-    std::uint64_t ticket = 0;
-  };
-  struct StagedCancel {
-    std::uint64_t seq = 0;
-    CrossEventId id;
-  };
-  std::vector<StagedSend> outbox;
-  std::vector<StagedCancel> cancels;
-  std::uint64_t send_seq = 0;
-  std::uint64_t cancel_seq = 0;
-
   // Aggregated on whichever worker ran each window; summed at finish().
   std::uint64_t heap_allocs = 0;
   std::exception_ptr error;
@@ -82,30 +63,19 @@ struct ParSim::Pool {
 namespace {
 
 // Which lane the current thread is executing for (see current_lane()).
-// `staging` is true only inside a lane window, where cross-lane traffic
-// must go through the mailbox instead of direct queue insertion.
-struct TlsLane {
-  ParSim* owner = nullptr;
-  ParSim::Lane* lane = nullptr;
-  int index = kNoLane;
-  bool staging = false;
-};
-thread_local TlsLane tls_lane;
+thread_local int tls_lane = kNoLane;
 
 struct TlsLaneGuard {
-  TlsLaneGuard(ParSim* owner, ParSim::Lane* lane, int index, bool staging) {
-    prev = tls_lane;
-    tls_lane = TlsLane{owner, lane, index, staging};
-  }
+  explicit TlsLaneGuard(int index) : prev(tls_lane) { tls_lane = index; }
   ~TlsLaneGuard() { tls_lane = prev; }
   TlsLaneGuard(const TlsLaneGuard&) = delete;
   TlsLaneGuard& operator=(const TlsLaneGuard&) = delete;
-  TlsLane prev;
+  int prev;
 };
 
 }  // namespace
 
-int current_lane() noexcept { return tls_lane.index; }
+int current_lane() noexcept { return tls_lane; }
 
 ParSim::ParSim(const ParSimConfig& config) : config_(config) {
   if (config_.lanes < 1) {
@@ -214,72 +184,14 @@ void ParSim::with_lane(int k, const std::function<void()>& fn) {
   Lane& lane = *lanes_[static_cast<std::size_t>(k)];
   obs::ScopedObs scope(lane.tracer.get(), lane.metrics.get());
   fault::ScopedFaults faults(lane.fault.get());
-  TlsLaneGuard tls(this, &lane, k, /*staging=*/false);
+  TlsLaneGuard tls(k);
   const std::uint64_t heap0 = Callable::heap_fallbacks();
   fn();
   lane.heap_allocs += Callable::heap_fallbacks() - heap0;
 }
 
-CrossEventId ParSim::send(int to_lane, Time at, const char* label,
-                          Callable&& action) {
-  if (to_lane != kControlLane && (to_lane < 0 || to_lane >= lanes())) {
-    throw std::out_of_range("parsim: send target lane out of range");
-  }
-  if (tls_lane.staging && tls_lane.owner == this) {
-    Lane& src = *tls_lane.lane;
-    const Time horizon = saturating_add(src.sim->now(), config_.lookahead);
-    if (at < horizon) {
-      std::string msg =
-          "parsim: cross-lane send below the lookahead horizon (target ";
-      msg += std::to_string(at);
-      msg += " ns < sender now + lookahead = ";
-      msg += std::to_string(horizon);
-      msg += " ns); raise the delay or the partitioning is invalid";
-      throw std::logic_error(msg);
-    }
-    const std::uint64_t ticket = ++src.send_seq;
-    src.outbox.push_back(Lane::StagedSend{src.index, to_lane, at, label,
-                                          std::move(action), ticket});
-    return CrossEventId{src.index, ticket};
-  }
-  if (tls_lane.staging) {
-    throw std::logic_error(
-        "parsim: send() from a lane of a different ParSim");
-  }
-  // Control lane or outside run_until(): every lane is quiescent, insert
-  // directly (no lookahead constraint — this is the serial region).
-  Simulator& target = to_lane == kControlLane
-                          ? *control_
-                          : *lanes_[static_cast<std::size_t>(to_lane)]->sim;
-  const std::uint64_t ticket = ++control_send_seq_;
-  const EventId id = target.schedule_at(at, label, std::move(action));
-  resolved_[{kControlLane, ticket}] = Resolved{to_lane, id, at};
-  return CrossEventId{kControlLane, ticket};
-}
-
-void ParSim::cancel(const CrossEventId& id) {
-  if (tls_lane.staging && tls_lane.owner == this) {
-    Lane& src = *tls_lane.lane;
-    src.cancels.push_back(Lane::StagedCancel{++src.cancel_seq, id});
-    return;
-  }
-  if (tls_lane.staging) {
-    throw std::logic_error(
-        "parsim: cancel() from a lane of a different ParSim");
-  }
-  ++control_cancels_;
-  const auto it = resolved_.find({id.src_lane, id.ticket});
-  if (it == resolved_.end()) return;  // unknown / already cancelled
-  Simulator& target =
-      it->second.to_lane == kControlLane
-          ? *control_
-          : *lanes_[static_cast<std::size_t>(it->second.to_lane)]->sim;
-  target.cancel(it->second.id);  // generation-checked: fired -> no-op
-  resolved_.erase(it);
-}
-
 void ParSim::step_control() {
-  TlsLaneGuard tls(this, nullptr, kControlLane, /*staging=*/false);
+  TlsLaneGuard tls(kControlLane);
   const std::uint64_t heap0 = Callable::heap_fallbacks();
   control_->step();
   control_heap_allocs_ += Callable::heap_fallbacks() - heap0;
@@ -288,7 +200,7 @@ void ParSim::step_control() {
 void ParSim::run_lane_window(Lane& lane, Time end_exclusive) {
   obs::ScopedObs scope(lane.tracer.get(), lane.metrics.get());
   fault::ScopedFaults faults(lane.fault.get());
-  TlsLaneGuard tls(this, &lane, lane.index, /*staging=*/true);
+  TlsLaneGuard tls(lane.index);
   const std::uint64_t heap0 = Callable::heap_fallbacks();
   try {
     lane.sim->run_window(end_exclusive);
@@ -365,64 +277,6 @@ void ParSim::shutdown_workers() {
   pool_.reset();
 }
 
-void ParSim::drain_mailbox(Time window_start) {
-  // Canonical apply order — (time, source lane, ticket) for sends, then
-  // (source lane, op ticket) for cancels — fixes the target-queue seq
-  // numbers independent of which worker staged what first.
-  std::vector<Lane::StagedSend*> sends;
-  std::vector<std::pair<int, Lane::StagedCancel*>> cancels;
-  for (auto& lane : lanes_) {
-    for (auto& s : lane->outbox) sends.push_back(&s);
-    for (auto& c : lane->cancels) cancels.push_back({lane->index, &c});
-  }
-  std::sort(sends.begin(), sends.end(),
-            [](const Lane::StagedSend* a, const Lane::StagedSend* b) {
-              if (a->at != b->at) return a->at < b->at;
-              if (a->src_lane != b->src_lane) {
-                return a->src_lane < b->src_lane;
-              }
-              return a->ticket < b->ticket;
-            });
-  std::sort(cancels.begin(), cancels.end(),
-            [](const auto& a, const auto& b) {
-              if (a.first != b.first) return a.first < b.first;
-              return a.second->seq < b.second->seq;
-            });
-  for (Lane::StagedSend* s : sends) {
-    Simulator& target =
-        s->to_lane == kControlLane
-            ? *control_
-            : *lanes_[static_cast<std::size_t>(s->to_lane)]->sim;
-    const EventId id =
-        target.schedule_at(s->at, s->label, std::move(s->action));
-    resolved_[{s->src_lane, s->ticket}] = Resolved{s->to_lane, id, s->at};
-  }
-  for (const auto& [src, c] : cancels) {
-    (void)src;
-    const auto it = resolved_.find({c->id.src_lane, c->id.ticket});
-    if (it == resolved_.end()) continue;
-    Simulator& target =
-        it->second.to_lane == kControlLane
-            ? *control_
-            : *lanes_[static_cast<std::size_t>(it->second.to_lane)]->sim;
-    target.cancel(it->second.id);
-    resolved_.erase(it);
-  }
-  for (auto& lane : lanes_) {
-    lane->outbox.clear();
-    lane->cancels.clear();
-  }
-  // Events before the current window start have fired or been cancelled;
-  // a future cancel of them is a no-op either way, so their entries can
-  // go. Only bother when the map has grown.
-  if (resolved_.size() > 1024) {
-    for (auto it = resolved_.begin(); it != resolved_.end();) {
-      it = it->second.at < window_start ? resolved_.erase(it)
-                                        : std::next(it);
-    }
-  }
-}
-
 void ParSim::rethrow_lane_error() {
   for (auto& lane : lanes_) {
     if (lane->error) {
@@ -463,7 +317,6 @@ void ParSim::run_until(Time deadline) {
     }
     run_lanes_window(end_exclusive);
     ++windows_;
-    drain_mailbox(t_min);
     rethrow_lane_error();
   }
   control_->advance_to(deadline);
@@ -512,20 +365,8 @@ void ParSim::finish() {
     parent_metrics_
         ->counter(obs::prof::kHeapAllocMetric, obs::MetricClock::kWall)
         .add(heap);
-    // Deterministic structure counters (identical for any thread count).
-    // Cross-lane traffic is summed from the per-lane ticket counters —
-    // each mutated only by the thread that ran the lane's window — plus
-    // the control thread's, so no shared counter is touched inside a
-    // window.
-    std::uint64_t cross_sends = control_send_seq_;
-    std::uint64_t cross_cancels = control_cancels_;
-    for (const auto& lane : lanes_) {
-      cross_sends += lane->send_seq;
-      cross_cancels += lane->cancel_seq;
-    }
+    // Deterministic structure counter (identical for any thread count).
     parent_metrics_->counter("sim.parsim.windows").add(windows_);
-    parent_metrics_->counter("sim.parsim.cross_sends").add(cross_sends);
-    parent_metrics_->counter("sim.parsim.cross_cancels").add(cross_cancels);
     parent_metrics_
         ->gauge("sim.parsim.threads", obs::MetricClock::kWall)
         .set(static_cast<double>(effective_threads_));

@@ -10,19 +10,15 @@
 // structure (propagation + wireline delays bound how soon one partition
 // can affect another). Inside a window every lane runs its own (time, seq)
 // FIFO queue sequentially; windows from different lanes run on worker
-// threads. Because a cross-lane send must land at least `lookahead` after
-// its sender's clock, no event scheduled during a window can fall inside
-// that same window on another lane — the conservative-synchronisation
-// invariant that makes the parallel schedule equivalent to the serial one.
+// threads. Lanes exchange no events: the lookahead sets the window width,
+// and is the bound any future cross-lane exchange must respect.
 //
 // Determinism contract: the merged output is a pure function of the event
 // content, never of thread scheduling. Each lane gets its own
 // obs::MetricsRegistry / obs::Tracer / fault::Runtime (installed
 // thread-locally around every lane window, so handle-caching layers stay
 // lane-local); finish() folds them into the creating scope in lane-index
-// order. Cross-lane mailboxes are drained at window barriers in a
-// canonical (time, source lane, ticket) order before seq numbers are
-// assigned. Running with --sim-threads 1 executes the identical window
+// order. Running with --sim-threads 1 executes the identical window
 // schedule inline, which is why any thread count produces byte-identical
 // KPIs, traces and goldens.
 //
@@ -33,12 +29,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
-#include <utility>
 #include <vector>
 
-#include "sim/callable.h"
 #include "sim/lane.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
@@ -55,24 +48,13 @@ struct ParSimConfig {
   /// Worker threads for lane windows; <= 0 means hardware concurrency.
   /// Clamped to `lanes`. The thread count never affects output.
   int threads = 1;
-  /// Conservative cross-lane influence bound: a send() from inside a lane
-  /// must target a time >= sender now + lookahead. Clamped to >= 1 ns.
+  /// Conservative cross-lane influence bound: the width of a lock-step
+  /// window. Clamped to >= 1 ns.
   Time lookahead = kMillisecond;
-};
-
-/// Handle for a cross-lane event, usable with ParSim::cancel from any
-/// lane. (source lane, per-source ticket) — stable across thread counts.
-struct CrossEventId {
-  int src_lane = kNoLane;
-  std::uint64_t ticket = 0;
 };
 
 class ParSim {
  public:
-  // Opaque partition state; defined in parsim.cpp (the thread-local lane
-  // context needs to name it).
-  struct Lane;
-
   /// Captures the calling thread's obs::Scope and fault::Runtime as the
   /// "parent" context, then builds per-lane registries/tracers/fault
   /// runtimes and one Simulator per lane (each lane's fault runtime is a
@@ -87,11 +69,8 @@ class ParSim {
     return static_cast<int>(lanes_.size());
   }
   [[nodiscard]] Time lookahead() const noexcept { return config_.lookahead; }
-  /// True when lane windows will run on worker threads (fallback not
-  /// taken). Purely informational: output is identical either way.
-  [[nodiscard]] bool parallel_active() const noexcept {
-    return effective_threads_ > 1;
-  }
+  /// Worker threads for lane windows; 1 when the fallback is taken.
+  /// Purely informational: output is identical either way.
   [[nodiscard]] int effective_threads() const noexcept {
     return effective_threads_;
   }
@@ -115,21 +94,6 @@ class ParSim {
   /// cache must point into the lane's registry, not the experiment's.
   void with_lane(int k, const std::function<void()>& fn);
 
-  /// Schedules `action` on `to_lane` (a lane index or kControlLane) at
-  /// absolute time `at`. From inside a lane window the send is staged and
-  /// applied at the next barrier, and `at` must be >= the sender's now()
-  /// + lookahead (throws std::logic_error below the horizon — that is the
-  /// conservative invariant, not a tunable). From the control lane or
-  /// from outside run_until() the event is inserted immediately.
-  CrossEventId send(int to_lane, Time at, const char* label,
-                    Callable&& action);
-
-  /// Cancels a cross-lane event. Staged like send() when called from a
-  /// lane window; a cancel that reaches the barrier after its event fired
-  /// is a deterministic no-op (events closer than the lookahead horizon
-  /// cannot be recalled — same outcome for every thread count).
-  void cancel(const CrossEventId& id);
-
   /// Advances every lane to `deadline` (inclusive, like
   /// Simulator::run_until) through the lock-step window schedule, then
   /// idle-advances all clocks to `deadline`. Rethrows the first lane
@@ -144,10 +108,12 @@ class ParSim {
   void finish();
 
  private:
+  // Partition state, defined in parsim.cpp.
+  struct Lane;
+
   void run_lane_window(Lane& lane, Time end_exclusive);
   void run_lanes_window(Time end_exclusive);
   void step_control();
-  void drain_mailbox(Time window_start);
   void rethrow_lane_error();
   void ensure_workers();
   void shutdown_workers();
@@ -158,11 +124,6 @@ class ParSim {
   int effective_threads_ = 1;
   std::uint64_t windows_ = 0;
   std::uint64_t control_heap_allocs_ = 0;
-  // Cancels issued from the serial region (control thread only). Staged
-  // sends/cancels are counted on their Lane (send_seq / cancel_seq, each
-  // mutated only by the thread running that lane's window) and the totals
-  // are summed race-free in finish(); direct sends reuse control_send_seq_.
-  std::uint64_t control_cancels_ = 0;
   bool finished_ = false;
 
   // Parent context captured at construction (all may be null).
@@ -176,15 +137,6 @@ class ParSim {
   // this header (and out of every Simulator user).
   struct Pool;
   std::unique_ptr<Pool> pool_;
-
-  // Cross-lane bookkeeping (control thread only, mutated at barriers).
-  struct Resolved {
-    int to_lane = kNoLane;
-    EventId id = 0;
-    Time at = 0;
-  };
-  std::map<std::pair<int, std::uint64_t>, Resolved> resolved_;
-  std::uint64_t control_send_seq_ = 0;
 };
 
 }  // namespace fiveg::sim

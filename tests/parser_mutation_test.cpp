@@ -1,10 +1,12 @@
-// Seeded mutation tests for the two user-supplied JSON formats: fault plans
-// (fiveg-faults/v1, fault::FaultPlan::parse_json) and campaign manifests
-// (fiveg-campaign/v1, core::parse_manifest). Each parser is fed thousands
-// of deterministic mutants of a committed example file (bit flips,
-// truncation at every byte offset, splices of two pieces of the seed, and
-// duplicated array elements) and must keep its error contract on every one.
-// Under the ASan/UBSan build a crash or undefined behaviour fails the test.
+// Seeded mutation tests for the user-supplied and on-disk formats: fault
+// plans (fiveg-faults/v1, fault::FaultPlan::parse_json), campaign manifests
+// (fiveg-campaign/v1, core::parse_manifest), golden baselines
+// (fiveg-golden/v1, report::parse_golden) and qdisc specs
+// (net::parse_qdisc_spec). Each parser is fed thousands of deterministic
+// mutants of a committed seed (bit flips, truncation at every byte offset,
+// splices of two pieces of the seed, and duplicated array elements) and
+// must keep its error contract on every one. Under the ASan/UBSan build a
+// crash or undefined behaviour fails the test.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -19,6 +21,9 @@
 
 #include "core/campaign.h"
 #include "fault/fault.h"
+#include "net/aqm.h"
+#include "obs/json_check.h"
+#include "report/report.h"
 #include "sim/rng.h"
 
 namespace fiveg {
@@ -27,12 +32,15 @@ namespace {
 constexpr std::uint64_t kMutationSeed = 0x5eed2026;
 constexpr std::size_t kMinMutants = 2000;
 
-std::string read_data(const std::string& name) {
-  std::ifstream in(std::string(FIVEG_TEST_DATA_DIR) + "/" + name,
-                   std::ios::binary);
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
   std::ostringstream text;
   text << in.rdbuf();
   return text.str();
+}
+
+std::string read_data(const std::string& name) {
+  return read_file(std::string(FIVEG_TEST_DATA_DIR) + "/" + name);
 }
 
 // The [begin, end) spans of the elements of every array in `json`, found
@@ -173,6 +181,98 @@ TEST(ParserMutationTest, ManifestMutantsKeepTheErrorContract) {
     }
   }
   EXPECT_GT(accepted, 1u);
+  EXPECT_LT(accepted, all.size());
+}
+
+// Contract: for every mutant obs::json_parse accepts, parse_golden returns
+// true, or false with a non-empty error, and never throws.
+TEST(ParserMutationTest, GoldenMutantsKeepTheErrorContract) {
+  const std::string seed =
+      read_file(std::string(FIVEG_GOLDEN_DIR) + "/fig10_harq_retx.json");
+  {
+    const auto doc = obs::json_parse(seed);
+    ASSERT_NE(doc, nullptr);
+    report::GoldenFigure golden;
+    std::string error;
+    ASSERT_TRUE(report::parse_golden(*doc, &golden, &error)) << error;
+    ASSERT_EQ(golden.id, "fig10_harq_retx");
+  }
+  const std::vector<std::string> all = mutants(seed);
+  ASSERT_GE(all.size(), kMinMutants);
+  std::size_t json_ok = 0;
+  std::size_t accepted = 0;
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    try {
+      const auto doc = obs::json_parse(all[i]);
+      if (doc == nullptr) continue;
+      ++json_ok;
+      report::GoldenFigure golden;
+      std::string error;
+      if (report::parse_golden(*doc, &golden, &error)) {
+        ++accepted;
+      } else {
+        EXPECT_FALSE(error.empty()) << "mutant " << i << ": " << all[i];
+      }
+    } catch (...) {
+      ADD_FAILURE() << "mutant " << i << " threw:\n" << all[i];
+    }
+  }
+  // Flips inside names and numbers keep the document valid and the
+  // golden well-formed; flips in the schema string or a "value" key keep
+  // it valid JSON but not a golden.
+  EXPECT_GT(accepted, 1u);
+  EXPECT_LT(accepted, json_ok);
+}
+
+// Contract: parse_qdisc_spec accepts exactly the eight spellings
+// {droptail,codel,fq_codel,red} with an optional "+ecn", fills `out`
+// with that kind and flag, and leaves `out` untouched otherwise.
+TEST(ParserMutationTest, QdiscSpecMutantsKeepTheErrorContract) {
+  struct Spelling {
+    const char* name;
+    net::QdiscKind kind;
+  };
+  const Spelling kinds[] = {{"droptail", net::QdiscKind::kDropTail},
+                            {"codel", net::QdiscKind::kCoDel},
+                            {"fq_codel", net::QdiscKind::kFqCoDel},
+                            {"red", net::QdiscKind::kRed}};
+  // Two sentinels that differ in every field, so an untouched `out` is
+  // told apart from one overwritten with a valid spelling's config.
+  const net::QdiscConfig sentinels[] = {{net::QdiscKind::kRed, true},
+                                        {net::QdiscKind::kDropTail, false}};
+  std::vector<std::string> all;
+  for (const char* seed : {"codel+ecn", "fq_codel"}) {
+    for (std::string& m : mutants(seed)) all.push_back(std::move(m));
+  }
+  ASSERT_GE(all.size(), kMinMutants);
+  std::size_t accepted = 0;
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    const std::string& spec = all[i];
+    const Spelling* expected = nullptr;
+    bool ecn = false;
+    for (const Spelling& k : kinds) {
+      if (spec == k.name) expected = &k;
+      if (spec == std::string(k.name) + "+ecn") {
+        expected = &k;
+        ecn = true;
+      }
+    }
+    bool ok = false;
+    for (const net::QdiscConfig& sentinel : sentinels) {
+      net::QdiscConfig out = sentinel;
+      ok = net::parse_qdisc_spec(spec, &out);
+      EXPECT_EQ(ok, expected != nullptr) << "mutant " << i << ": " << spec;
+      const net::QdiscConfig want =
+          expected != nullptr ? net::QdiscConfig{expected->kind, ecn}
+                              : sentinel;
+      EXPECT_EQ(out.kind, want.kind) << "mutant " << i << ": " << spec;
+      EXPECT_EQ(out.ecn, want.ecn) << "mutant " << i << ": " << spec;
+    }
+    if (ok) ++accepted;
+  }
+  // The seeds, the truncation "codel" and splices such as "codel" +
+  // "codel+ecn" are spellings; nearly every other mutant is not.
+  EXPECT_GT(accepted, 3u);
   EXPECT_LT(accepted, all.size());
 }
 

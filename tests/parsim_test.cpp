@@ -40,10 +40,11 @@ std::uint64_t lcg_next(std::uint64_t* s) {
 
 // Canonical transcript of one randomized multi-lane run: per-lane event
 // logs (lane-local, so no cross-thread interleaving ambiguity), the
-// merged deterministic metrics, the merged trace and the window/event
-// totals. Two transcripts compare with ==.
+// control lane's log, the merged deterministic metrics, the merged trace
+// and the window/event totals. Two transcripts compare with ==.
 struct Transcript {
   std::vector<std::vector<std::string>> lane_log;
+  std::vector<std::string> control_log;
   std::string metrics;  // parent-registry kSim snapshot, flattened
   std::string profile;  // parent-registry kWall churn counters
   std::vector<std::string> trace;
@@ -52,7 +53,8 @@ struct Transcript {
   std::uint64_t trace_dropped = 0;
 
   bool operator==(const Transcript& o) const {
-    return lane_log == o.lane_log && metrics == o.metrics &&
+    return lane_log == o.lane_log && control_log == o.control_log &&
+           metrics == o.metrics &&
            profile == o.profile && trace == o.trace && windows == o.windows &&
            executed == o.executed && trace_dropped == o.trace_dropped;
   }
@@ -83,12 +85,13 @@ std::string churn_of(const obs::MetricsRegistry& reg) {
 }
 
 // Runs the reference randomized workload: `lanes` self-rescheduling event
-// chains with jittered spacing, cross-lane sends at the lookahead horizon
-// (a fraction of them cancelled from a third lane), per-lane metric
-// emissions that collide on shared names, and a deliberately tiny parent
-// trace ring so drop accounting is exercised too.
+// chains with jittered spacing, per-lane metric emissions that collide on
+// shared names, control-lane events at seeded random times (each cuts the
+// window it falls into), and a deliberately tiny parent trace ring so drop
+// accounting is exercised too.
 Transcript run_workload(int lanes, int threads, std::uint64_t seed,
-                        std::size_t trace_capacity = 1 << 12) {
+                        std::size_t trace_capacity = 1 << 12,
+                        Time lookahead = kLook) {
   obs::MetricsRegistry parent_reg;
   obs::Tracer parent_trace(trace_capacity);
   obs::ScopedObs scope(&parent_trace, &parent_reg);
@@ -99,7 +102,7 @@ Transcript run_workload(int lanes, int threads, std::uint64_t seed,
   ParSimConfig cfg;
   cfg.lanes = lanes;
   cfg.threads = threads;
-  cfg.lookahead = kLook;
+  cfg.lookahead = lookahead;
   ParSim par(cfg);
 
   struct LaneState {
@@ -107,11 +110,6 @@ Transcript run_workload(int lanes, int threads, std::uint64_t seed,
     std::uint64_t ticks = 0;
   };
   std::vector<LaneState> state(static_cast<std::size_t>(lanes));
-  // Per-lane cancel pools: lane events run concurrently, so each lane
-  // may only touch its own slot (shared state would be a data race AND
-  // a determinism leak).
-  std::vector<std::vector<CrossEventId>> cancellable(
-      static_cast<std::size_t>(lanes));
   // The chains must outlive the loop body: scheduled copies re-schedule
   // by reference to these slots.
   std::vector<std::function<void()>> chains(static_cast<std::size_t>(lanes));
@@ -119,8 +117,7 @@ Transcript run_workload(int lanes, int threads, std::uint64_t seed,
   const Time deadline = 20 * kMillisecond;
   for (int k = 0; k < lanes; ++k) {
     state[static_cast<std::size_t>(k)].rng = seed + 1000ull * (k + 1);
-    // Each lane's chain: log, emit metrics/trace, reschedule with jitter,
-    // occasionally send across (target >= now + lookahead always).
+    // Each lane's chain: log, emit metrics/trace, reschedule with jitter.
     chains[static_cast<std::size_t>(k)] = [&, k] {
       auto& st = state[static_cast<std::size_t>(k)];
       auto& log = out.lane_log[static_cast<std::size_t>(k)];
@@ -134,26 +131,6 @@ Transcript run_workload(int lanes, int threads, std::uint64_t seed,
       obs::metrics()->gauge("work.last_draw").set(
           static_cast<double>(draw % 1024));
       obs::tracer()->instant(self.now(), "work.tick", "sim");
-      if (lanes > 1 && draw % 7 == 0) {
-        const int to = static_cast<int>(draw / 7 % static_cast<unsigned>(lanes));
-        const Time at = self.now() + kLook + Time(100 + draw % 5000);
-        const CrossEventId id =
-            par.send(to, at, "x.ping", [&out, to, at] {
-              out.lane_log[static_cast<std::size_t>(to)].push_back(
-                  "x@" + std::to_string(at));
-            });
-        if (draw % 3 == 0) {
-          cancellable[static_cast<std::size_t>(k)].push_back(id);
-        }
-      }
-      auto& own_cancels = cancellable[static_cast<std::size_t>(k)];
-      if (!own_cancels.empty() && draw % 11 == 0) {
-        // Cross-partition cancel: may be too late (then a deterministic
-        // no-op) or in time (then the ping never fires) — either way the
-        // outcome is a pure function of the timeline.
-        par.cancel(own_cancels.back());
-        own_cancels.pop_back();
-      }
       const Time next = self.now() + 5 * kMicrosecond + Time(draw % 40000);
       if (next <= deadline) {
         self.schedule_at(next, "work.chain",
@@ -164,6 +141,28 @@ Transcript run_workload(int lanes, int threads, std::uint64_t seed,
       par.lane(k).schedule_at(Time(1000) * (k + 1), "work.chain", [&chains, k] {
         chains[static_cast<std::size_t>(k)]();
       });
+    });
+  }
+
+  // Control events run on the calling thread between windows, in the
+  // parent scope; their times come from the seed, not from any lane. The
+  // window cut at t_control runs every lane event before the control time
+  // and none at or after it, so each control event finds every lane clock
+  // behind its own, and logs how many lane events ran before it.
+  std::uint64_t control_rng = seed;
+  for (int i = 0; i < 24; ++i) {
+    const Time at =
+        Time(lcg_next(&control_rng) % static_cast<std::uint64_t>(deadline)) +
+        1;
+    par.control().schedule_at(at, "work.control", [&out, &par, &state] {
+      for (int k = 0; k < par.lanes(); ++k) {
+        EXPECT_LT(par.lane(k).now(), par.control().now()) << "lane " << k;
+      }
+      std::uint64_t ticks = 0;
+      for (const LaneState& st : state) ticks += st.ticks;
+      out.control_log.push_back("t=" + std::to_string(par.control().now()) +
+                                " ticks=" + std::to_string(ticks));
+      obs::metrics()->counter("work.control").add(1);
     });
   }
 
@@ -187,17 +186,15 @@ TEST(ParSimTest, FallsBackToSerialWhenStructureIsTooTight) {
   cfg.threads = 8;
   cfg.lookahead = kMinParallelLookahead - 1;
   ParSim tight(cfg);
-  EXPECT_FALSE(tight.parallel_active());
   EXPECT_EQ(tight.effective_threads(), 1);
 
   cfg.lookahead = kLook;
   cfg.lanes = 1;  // a single lane never parallelises
   ParSim single(cfg);
-  EXPECT_FALSE(single.parallel_active());
+  EXPECT_EQ(single.effective_threads(), 1);
 
   cfg.lanes = 4;
   ParSim par(cfg);
-  EXPECT_TRUE(par.parallel_active());
   EXPECT_EQ(par.effective_threads(), 4);
   EXPECT_EQ(par.lanes(), 4);
 }
@@ -238,96 +235,6 @@ TEST(ParSimTest, ControlRunsBeforeLaneEventsAtEqualTimestamps) {
       << "control events at time T must run before lane events at T";
 }
 
-TEST(ParSimTest, CrossLaneSendLandsAtRequestedTime) {
-  ParSimConfig cfg;
-  cfg.lanes = 2;
-  cfg.threads = 2;
-  cfg.lookahead = kLook;
-  ParSim par(cfg);
-  Time landed_at = 0;
-  Time sent_from = 0;
-  par.lane(0).schedule_at(50 * kMicrosecond, [&] {
-    sent_from = par.lane(0).now();
-    par.send(1, sent_from + kLook + 10, "x.hop", [&] {
-      landed_at = par.lane(1).now();
-    });
-  });
-  par.run_until(kMillisecond);
-  EXPECT_EQ(sent_from, 50 * kMicrosecond);
-  EXPECT_EQ(landed_at, 50 * kMicrosecond + kLook + 10);
-}
-
-TEST(ParSimTest, SendBelowLookaheadHorizonThrows) {
-  ParSimConfig cfg;
-  cfg.lanes = 2;
-  cfg.threads = 2;
-  cfg.lookahead = kLook;
-  ParSim par(cfg);
-  par.lane(0).schedule_at(10 * kMicrosecond, [&] {
-    par.send(1, par.lane(0).now() + kLook - 1, "x.early", [] {});
-  });
-  EXPECT_THROW(par.run_until(kMillisecond), std::logic_error);
-}
-
-TEST(ParSimTest, CancelAcrossPartitionInTimeStopsTheEvent) {
-  ParSimConfig cfg;
-  cfg.lanes = 3;
-  cfg.threads = 4;
-  cfg.lookahead = kLook;
-  ParSim par(cfg);
-  bool fired = false;
-  CrossEventId id;
-  par.lane(0).schedule_at(10 * kMicrosecond, [&] {
-    id = par.send(1, kMillisecond, "x.victim", [&] { fired = true; });
-  });
-  // Lane 2 cancels well before the victim's timestamp; both the send and
-  // the cancel cross a partition boundary.
-  par.lane(2).schedule_at(400 * kMicrosecond, [&] { par.cancel(id); });
-  par.run_until(2 * kMillisecond);
-  EXPECT_FALSE(fired);
-}
-
-TEST(ParSimTest, CancelArrivingAfterFireIsDeterministicNoop) {
-  ParSimConfig cfg;
-  cfg.lanes = 2;
-  cfg.threads = 2;
-  cfg.lookahead = kLook;
-  ParSim par(cfg);
-  bool fired = false;
-  CrossEventId id;
-  par.lane(0).schedule_at(10 * kMicrosecond, [&] {
-    id = par.send(1, 10 * kMicrosecond + kLook + 5, "x.victim",
-                  [&] { fired = true; });
-  });
-  // By the time this cancel reaches a barrier the victim has fired:
-  // events inside the lookahead horizon cannot be recalled.
-  par.lane(0).schedule_at(kMillisecond, [&] { par.cancel(id); });
-  par.run_until(2 * kMillisecond);
-  EXPECT_TRUE(fired);
-}
-
-TEST(ParSimTest, SameTimeCrossSendsApplyInSourceLaneTicketOrder) {
-  ParSimConfig cfg;
-  cfg.lanes = 3;
-  cfg.threads = 4;
-  cfg.lookahead = kLook;
-  ParSim par(cfg);
-  std::vector<int> order;
-  const Time at = kMillisecond;
-  // Two lanes target lane 2 at the identical timestamp: the canonical
-  // merge applies (at, src_lane, ticket) order, so lane 0's sends land
-  // before lane 1's, and a lane's own sends keep ticket order.
-  par.lane(1).schedule_at(10 * kMicrosecond, [&] {
-    par.send(2, at, "x.b1", [&] { order.push_back(10); });
-    par.send(2, at, "x.b2", [&] { order.push_back(11); });
-  });
-  par.lane(0).schedule_at(20 * kMicrosecond, [&] {
-    par.send(2, at, "x.a1", [&] { order.push_back(0); });
-  });
-  par.run_until(2 * kMillisecond);
-  EXPECT_EQ(order, (std::vector<int>{0, 10, 11}));
-}
-
 TEST(ParSimTest, RandomizedWorkloadBitIdenticalAcrossThreadCounts) {
   for (const std::uint64_t seed : {7ull, 42ull, 9001ull}) {
     for (const int lanes : {2, 3, 5}) {
@@ -345,9 +252,12 @@ TEST(ParSimTest, FallbackLookaheadStillBitIdentical) {
   // A lookahead below the parallel floor forces the inline schedule; the
   // transcript must still match a nominally-threaded run bit for bit.
   const std::uint64_t seed = 1234;
-  const Transcript ref = run_workload(3, 1, seed);
-  const Transcript got = run_workload(3, 8, seed);
+  const Time tight = kMinParallelLookahead - 1;
+  const Transcript ref = run_workload(3, 1, seed, 1 << 12, tight);
+  const Transcript got = run_workload(3, 8, seed, 1 << 12, tight);
   EXPECT_TRUE(ref == got);
+  EXPECT_GT(ref.windows, run_workload(3, 1, seed).windows)
+      << "narrower windows must take more of them";
 }
 
 TEST(ParSimTest, ChurnAndDropAccountingIsThreadCountInvariant) {
@@ -370,6 +280,7 @@ TEST(ParSimTest, WindowAndEventTotalsAreStructural) {
   EXPECT_EQ(a.executed, b.executed);
   EXPECT_GT(a.windows, 0u);
   EXPECT_GT(a.executed, 0u);
+  EXPECT_EQ(a.control_log.size(), 24u);
 }
 
 TEST(ParSimTest, MergedMetricsIncludeParsimCounters) {

@@ -2,9 +2,10 @@
 // measurement path: a 1k-UE mixed cohort (85% stationary, 10% walkers,
 // 5% drivers) on the 19-site hex grid, swept for several sample periods.
 // The scalar baseline advances the same positions and calls the per-UE
-// measure_cells() loop; the batch path runs UeCohort::measure_batch with
-// its exact row cache. Both fill their rows through the same
-// co-site-sharing sweep (measure_cells_row).
+// measure_cells() loop, one RAT at a time; the batch path runs
+// UeCohort::measure_batch with its exact row cache, which fills a stale
+// UE's LTE and NR rows in one Deployment::measure_rows() pass. Both run
+// the same row kernel (ran::measure_row).
 //
 // Both paths print a checksum summed in UE-index order over every
 // (ue, cell) rsrp/sinr value. The batch path is exact (cached rows are pure

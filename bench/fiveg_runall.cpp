@@ -19,6 +19,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -40,7 +41,7 @@ Runs the full experiment registry (every reproduced table/figure) across a
 thread pool. Output on stdout is byte-identical for any --jobs value at the
 same seed; per-experiment timing is printed to stderr.
 
-options:
+options (each one that takes a value may be given once):
   --jobs N      worker threads (default: hardware concurrency; 1 = serial)
   --sim-threads N
                 intra-experiment lane workers for the parallel event core
@@ -183,10 +184,17 @@ int main(int argc, char** argv) {
   bool include_timing = true;
   bool quiet = false;
   bool list_only = false;
+  // Every flag that takes a value takes one: a second occurrence is a usage
+  // error rather than a silent last-one-wins.
+  std::set<std::string> valued_flags_seen;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto need_value = [&]() -> const char* {
+      if (!valued_flags_seen.insert(arg).second) {
+        std::cerr << arg << " given more than once\n";
+        std::exit(2);
+      }
       if (i + 1 >= argc) {
         std::cerr << "missing value for " << arg << "\n";
         std::exit(2);

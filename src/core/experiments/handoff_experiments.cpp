@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <map>
 #include <ostream>
+#include <vector>
 
 #include "app/iperf.h"
 #include "core/experiment.h"
@@ -278,13 +279,14 @@ void run_ho_event_mix(const ExperimentContext& ctx) {
   std::uint64_t n_a1 = 0, n_a2 = 0, n_a3 = 0, n_a5 = 0, n_b1 = 0;
   const double speed = 1.8;  // m/s
   const ran::Cell* serving_cell = nullptr;  // sticky, like an attached UE
+  std::vector<ran::CellMeasurement> lte_meas, nr;
   {
     // No simulator runs here, so the sampling loop is the simulate phase.
     const obs::prof::ScopedPhase phase("simulate");
     for (double d = 0; d < route.length_m(); d += speed * 0.1) {
       const auto at = static_cast<sim::Time>(d / speed * sim::kSecond);
       const geo::Point p = route.position_at(d);
-      const auto nr = dep.measure(radio::Rat::kNr, p);
+      dep.measure_into(p, lte_meas, nr);
       ran::ServingAndBestOther cells =
           ran::serving_and_best_other(nr, serving_cell);
       if (cells.serving == nullptr) {  // initial camp / reselection after loss
@@ -299,7 +301,7 @@ void run_ho_event_mix(const ExperimentContext& ctx) {
       }
       const auto [serving, neighbor] = cells;
       if (neighbor == nullptr) continue;
-      const auto lte = dep.best(radio::Rat::kLte, p);
+      const auto lte = ran::best_of(dep.carrier(radio::Rat::kLte), lte_meas);
       n_a1 += a1.update(at, serving->rsrq_db);
       n_a2 += a2.update(at, serving->rsrq_db);
       if (a3.update(at, serving->rsrq_db, neighbor->rsrq_db)) {

@@ -27,6 +27,7 @@ struct Point {
 [[nodiscard]] double azimuth_deg(const Point& from, const Point& to) noexcept;
 
 /// Smallest absolute angular difference between two azimuths, in [0, 180].
+/// Bit-identical to reducing |a - b| with std::fmod(., 360) first.
 [[nodiscard]] double angle_diff_deg(double a_deg, double b_deg) noexcept;
 
 /// A straight path between two points (transmitter -> receiver).

@@ -1,5 +1,6 @@
 #include "radio/link_budget.h"
 
+#include <cmath>
 
 #include "radio/pathloss.h"
 
@@ -24,18 +25,21 @@ const ShadowingField& RadioEnvironment::field_for(
   return c.rat == Rat::kLte ? shadow_lte_ : shadow_nr_;
 }
 
-RadioEnvironment::LinkTerms RadioEnvironment::link_terms(
-    const geo::Point& site, const geo::Point& ue,
-    double freq_ghz) const noexcept {
-  const geo::Segment path{site, ue};
-  const bool los = campus_->has_los(path);
-  return LinkTerms{geo::azimuth_deg(site, ue),
-                   campus_pathloss_db(path.length(), freq_ghz, los)};
+MastLink RadioEnvironment::mast_link(const geo::Point& mast,
+                                     const geo::Point& ue) const noexcept {
+  const geo::Segment path{mast, ue};
+  const double d = path_distance_m(path.length());
+  return MastLink{campus_->has_los(path), geo::azimuth_deg(mast, ue), d,
+                  std::log10(d)};
 }
 
 double RadioEnvironment::rsrp_dbm(const CarrierConfig& c, const TxSite& tx,
                                   const geo::Point& ue) const noexcept {
-  const LinkTerms lt = link_terms(tx.pos, ue, c.freq_ghz);
+  // The independent scalar reference: one site, one band, every term from
+  // scratch (the row kernel shares the geometry across sectors and bands).
+  const geo::Segment path{tx.pos, ue};
+  const double pl =
+      campus_pathloss_db(path.length(), c.freq_ghz, campus_->has_los(path));
   // Outdoor blockage is statistically inside the NLoS fit; explicit
   // penetration applies only when the UE itself is indoors (O2I).
   double pen = campus_->o2i_loss_db(ue, c.freq_ghz);
@@ -45,10 +49,8 @@ double RadioEnvironment::rsrp_dbm(const CarrierConfig& c, const TxSite& tx,
   // The shadowing field is sampled at the UE end; using one end keeps the
   // field consistent when comparing co-sited cells from the same spot.
   const double shadow = field_for(c).at(ue);
-  // gain_toward(a, b) is gain_dbi(azimuth_deg(a, b)) by definition, so
-  // applying the pattern to the link's azimuth is the same value.
   return c.tx_re_power_dbm +
-         (tx.antenna.gain_dbi(lt.az) - lt.pl - pen - shadow);
+         (tx.antenna.gain_toward(tx.pos, ue) - pl - pen - shadow);
 }
 
 }  // namespace fiveg::radio

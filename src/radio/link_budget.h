@@ -2,20 +2,25 @@
 // and shadowing into the KPIs the paper measures — RSRP, SINR, RSRQ and
 // achievable bit-rate — for any transmitter/UE position pair.
 //
-// The batched `rsrp_dbm_all` computes the per-UE terms (O2I penetration,
-// shadowing) once per call and shares the site-geometry terms (azimuth and
-// path loss) between co-sited sectors. Sums are evaluated in the original
-// expression order, so results are bit-identical to the one-site-at-a-time
-// path. The environment holds no mutable state: const queries may be shared
-// across threads.
+// A row of RSRP values is computed in two halves. The band-independent
+// half is one MastLink per mast position: the LoS walk, the azimuth toward
+// the UE, the clamped distance and its logarithm. Every sector and every
+// band on that mast shares it, which is how one pass serves the LTE and NR
+// rows of a UE. The per-band half (`rsrp_row`) adds the band's log10 f,
+// O2I penetration and shadowing, once per row, and each sector's antenna
+// gain. Every element keeps the expression association of the scalar
+// `rsrp_dbm()`, so both paths return the same bits. The environment holds
+// no mutable state: const queries may be shared across threads.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 
 #include "fault/fault.h"
 #include "geo/campus.h"
 #include "radio/antenna.h"
 #include "radio/carrier.h"
+#include "radio/pathloss.h"
 #include "radio/shadowing.h"
 
 namespace fiveg::radio {
@@ -24,6 +29,14 @@ namespace fiveg::radio {
 struct TxSite {
   geo::Point pos;
   SectorAntenna antenna;
+};
+
+/// What every sector and band on one mast shares toward one UE position.
+struct MastLink {
+  bool los = false;
+  double azimuth_deg = 0.0;  // of the UE, seen from the mast
+  double d_m = 1.0;          // path_distance_m(): clamped to >= 1 m
+  double log10_d = 0.0;      // log10(d_m)
 };
 
 /// Radio propagation environment over a campus. Holds per-band shadowing
@@ -37,31 +50,34 @@ class RadioEnvironment {
   [[nodiscard]] double rsrp_dbm(const CarrierConfig& c, const TxSite& tx,
                                 const geo::Point& ue) const noexcept;
 
-  /// Batched RSRP toward every site in [first, last): `proj` maps each
-  /// element to a `const TxSite&`. Writes one dBm value per site to `out`,
-  /// each bit-identical to the corresponding rsrp_dbm() call. Per-UE
-  /// penetration and shadowing are evaluated once, and consecutive sites
-  /// at one position (co-sited sectors) share one LoS + path-loss lookup.
+  /// The band-independent geometry of the link from `mast` to `ue`.
+  [[nodiscard]] MastLink mast_link(const geo::Point& mast,
+                                   const geo::Point& ue) const noexcept;
+
+  /// One band's RSRP row: the sector at position i of [first, last)
+  /// (`antenna` maps the element to its `const SectorAntenna&`) hangs on
+  /// the mast whose link is links[mast_of[i]]. Writes one dBm value per
+  /// sector to `out`, each bit-identical to the rsrp_dbm() call for that
+  /// sector. The band's log10 f, O2I penetration and shadowing are
+  /// evaluated once per row.
   template <class Iter, class Proj>
-  void rsrp_dbm_all(const CarrierConfig& c, Iter first, Iter last, Proj proj,
-                    const geo::Point& ue, double* out) const {
+  void rsrp_row(const CarrierConfig& c, Iter first, Iter last, Proj antenna,
+                const std::uint32_t* mast_of, const MastLink* links,
+                const geo::Point& ue, double* out) const {
+    const double log10_f = std::log10(c.freq_ghz);
     double pen = campus_->o2i_loss_db(ue, c.freq_ghz);
     // Coverage-hole windows add a flat shadowing offset on top of the O2I
     // term; inert (and bit-identical) when no fault runtime is installed.
     if (fault_ != nullptr) pen += fault_->coverage_offset_db();
     const double shadow = field_for(c).at(ue);
-    const geo::Point* prev = nullptr;
-    LinkTerms lt{};
     for (Iter it = first; it != last; ++it) {
-      const TxSite& tx = proj(*it);
-      if (prev == nullptr || !(tx.pos == *prev)) {
-        lt = link_terms(tx.pos, ue, c.freq_ghz);
-        prev = &tx.pos;
-      }
+      const MastLink& l = links[*mast_of++];
+      const double pl =
+          campus_pathloss_db_from_logs(l.d_m, l.log10_d, log10_f, l.los);
       // Same association as rsrp_dbm(): tx power + (((gain - pl) - pen) -
       // shadow), so each element is bit-identical to the scalar call.
       *out++ = c.tx_re_power_dbm +
-               (tx.antenna.gain_dbi(lt.az) - lt.pl - pen - shadow);
+               (antenna(*it).gain_dbi(l.azimuth_deg) - pl - pen - shadow);
     }
   }
 
@@ -72,17 +88,6 @@ class RadioEnvironment {
  private:
   [[nodiscard]] const ShadowingField& field_for(
       const CarrierConfig& c) const noexcept;
-
-  // The site-geometry half of a link budget: azimuth toward the UE and the
-  // LoS/NLoS path loss. Both depend only on (site position, UE, frequency);
-  // the antenna pattern is applied per sector on top.
-  struct LinkTerms {
-    double az = 0.0;
-    double pl = 0.0;
-  };
-  [[nodiscard]] LinkTerms link_terms(const geo::Point& site,
-                                     const geo::Point& ue,
-                                     double freq_ghz) const noexcept;
 
   const geo::CampusMap* campus_;
   ShadowingField shadow_lte_;

@@ -20,4 +20,18 @@ namespace fiveg::radio {
 [[nodiscard]] double campus_pathloss_db(double d_m, double freq_ghz,
                                         bool line_of_sight) noexcept;
 
+/// The distance every model here evaluates a link at: `d_m` clamped to
+/// >= 1 m.
+[[nodiscard]] double path_distance_m(double d_m) noexcept;
+
+/// campus_pathloss_db with its logarithms supplied: `d_m` is a
+/// path_distance_m() result, `log10_d` = log10(d_m) and `log10_f` =
+/// log10(freq_ghz). campus_pathloss_db is this function on its own
+/// arguments, so both return the same bits; callers that evaluate several
+/// bands over one link, or one band over many links, take each logarithm
+/// once.
+[[nodiscard]] double campus_pathloss_db_from_logs(double d_m, double log10_d,
+                                                  double log10_f,
+                                                  bool line_of_sight) noexcept;
+
 }  // namespace fiveg::radio

@@ -64,20 +64,42 @@ void derive_interference(const double* rsrp_dbm, double* lin_scratch,
   }
 }
 
-void measure_cells_row(const radio::RadioEnvironment& env,
-                       const radio::CarrierConfig& carrier,
-                       const std::vector<Cell>& cells, const geo::Point& pos,
-                       double* rsrp_dbm, double* sinr_db, double* rsrq_db,
-                       double* lin_scratch) {
-  // Batched RSRP: the per-UE link-budget terms are evaluated once for the
-  // whole cell list and co-sited sectors share their geometry terms.
-  env.rsrp_dbm_all(
+std::uint32_t mast_index(std::vector<geo::Point>& masts,
+                         const geo::Point& pos) {
+  // Newest first: cell lists keep a mast's sectors together, so the match
+  // is almost always the last mast added.
+  for (std::size_t m = masts.size(); m-- > 0;) {
+    if (masts[m] == pos) return static_cast<std::uint32_t>(m);
+  }
+  masts.push_back(pos);
+  return static_cast<std::uint32_t>(masts.size() - 1);
+}
+
+void measure_row(const radio::RadioEnvironment& env,
+                 const radio::CarrierConfig& carrier,
+                 const std::vector<Cell>& cells, const std::uint32_t* mast_of,
+                 const radio::MastLink* links, const geo::Point& pos,
+                 MeasRow out, double* lin_scratch) {
+  env.rsrp_row(
       carrier, cells.begin(), cells.end(),
-      [](const Cell& c) -> const radio::TxSite& { return c.site; }, pos,
-      rsrp_dbm);
-  derive_interference(rsrp_dbm, lin_scratch, cells.size(),
-                      carrier.noise_per_re_dbm(), kInterfererLoad, sinr_db,
-                      rsrq_db);
+      [](const Cell& c) -> const radio::SectorAntenna& {
+        return c.site.antenna;
+      },
+      mast_of, links, pos, out.rsrp_dbm);
+  derive_interference(out.rsrp_dbm, lin_scratch, cells.size(),
+                      carrier.noise_per_re_dbm(), kInterfererLoad,
+                      out.sinr_db, out.rsrq_db);
+}
+
+void unpack_row(const std::vector<Cell>& cells, const MeasRow& row,
+                std::vector<CellMeasurement>& out) {
+  out.resize(cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    out[i].cell = &cells[i];
+    out[i].rsrp_dbm = row.rsrp_dbm[i];
+    out[i].rsrq_db = row.rsrq_db[i];
+    out[i].sinr_db = row.sinr_db[i];
+  }
 }
 
 void measure_cells(const radio::RadioEnvironment& env,
@@ -86,24 +108,31 @@ void measure_cells(const radio::RadioEnvironment& env,
                    std::vector<CellMeasurement>& out) {
   // Scratch buffers are reused across calls (coverage sweeps call this
   // once per sample) and fully rewritten, so results don't depend on them.
+  static thread_local std::vector<geo::Point> masts;
+  static thread_local std::vector<std::uint32_t> mast_of;
+  static thread_local std::vector<radio::MastLink> links;
   static thread_local std::vector<double> rsrp;
   static thread_local std::vector<double> lin;
   static thread_local std::vector<double> sinr;
   static thread_local std::vector<double> rsrq;
   const std::size_t n = cells.size();
+  masts.clear();
+  mast_of.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    mast_of[i] = mast_index(masts, cells[i].site.pos);
+  }
+  links.resize(masts.size());
+  for (std::size_t m = 0; m < masts.size(); ++m) {
+    links[m] = env.mast_link(masts[m], ue);
+  }
   rsrp.resize(n);
   lin.resize(n);
   sinr.resize(n);
   rsrq.resize(n);
-  measure_cells_row(env, carrier, cells, ue, rsrp.data(), sinr.data(),
-                    rsrq.data(), lin.data());
-  out.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i].cell = &cells[i];
-    out[i].rsrp_dbm = rsrp[i];
-    out[i].rsrq_db = rsrq[i];
-    out[i].sinr_db = sinr[i];
-  }
+  const MeasRow row{rsrp.data(), sinr.data(), rsrq.data()};
+  measure_row(env, carrier, cells, mast_of.data(), links.data(), ue, row,
+              lin.data());
+  unpack_row(cells, row, out);
 }
 
 std::vector<CellMeasurement> measure_cells(
@@ -114,18 +143,23 @@ std::vector<CellMeasurement> measure_cells(
   return out;
 }
 
+CellMeasurement best_of(const radio::CarrierConfig& carrier,
+                        const std::vector<CellMeasurement>& meas) {
+  CellMeasurement best;
+  for (const CellMeasurement& m : meas) {
+    if (best.cell == nullptr || m.rsrp_dbm > best.rsrp_dbm) best = m;
+  }
+  observe_serving_cell(carrier, best);
+  return best;
+}
+
 CellMeasurement best_cell(const radio::RadioEnvironment& env,
                           const radio::CarrierConfig& carrier,
                           const std::vector<Cell>& cells,
                           const geo::Point& ue) {
   static thread_local std::vector<CellMeasurement> scratch;
   measure_cells(env, carrier, cells, ue, scratch);
-  CellMeasurement best;
-  for (const CellMeasurement& m : scratch) {
-    if (best.cell == nullptr || m.rsrp_dbm > best.rsrp_dbm) best = m;
-  }
-  observe_serving_cell(carrier, best);
-  return best;
+  return best_of(carrier, scratch);
 }
 
 }  // namespace fiveg::ran

@@ -22,6 +22,27 @@ Deployment::Deployment(const geo::CampusMap* campus, std::uint64_t seed,
   if (lte_cells_.empty() || nr_cells_.empty()) {
     throw std::invalid_argument("Deployment needs cells for both RATs");
   }
+  for (const Cell& c : lte_cells_) {
+    lte_mast_.push_back(mast_index(masts_, c.site.pos));
+  }
+  for (const Cell& c : nr_cells_) {
+    nr_mast_.push_back(mast_index(masts_, c.site.pos));
+  }
+}
+
+void Deployment::measure_rows(const geo::Point& ue, RowScratch& scratch,
+                              MeasRow lte, MeasRow nr) const {
+  // Every mast carries a cell of one RAT or both, so the two rows need
+  // every link between them.
+  scratch.links.resize(masts_.size());
+  for (std::size_t m = 0; m < masts_.size(); ++m) {
+    scratch.links[m] = env_.mast_link(masts_[m], ue);
+  }
+  scratch.lin.resize(std::max(lte_cells_.size(), nr_cells_.size()));
+  measure_row(env_, lte_carrier_, lte_cells_, lte_mast_.data(),
+              scratch.links.data(), ue, lte, scratch.lin.data());
+  measure_row(env_, nr_carrier_, nr_cells_, nr_mast_.data(),
+              scratch.links.data(), ue, nr, scratch.lin.data());
 }
 
 std::vector<CellMeasurement> Deployment::measure(radio::Rat rat,
@@ -32,6 +53,24 @@ std::vector<CellMeasurement> Deployment::measure(radio::Rat rat,
 void Deployment::measure_into(radio::Rat rat, const geo::Point& ue,
                               std::vector<CellMeasurement>& out) const {
   measure_cells(env_, carrier(rat), cells(rat), ue, out);
+}
+
+void Deployment::measure_into(const geo::Point& ue,
+                              std::vector<CellMeasurement>& lte,
+                              std::vector<CellMeasurement>& nr) const {
+  // Rewritten in full by every call, so results never depend on it.
+  struct Scratch {
+    RowScratch row;
+    std::vector<double> lte[3], nr[3];  // rsrp, sinr, rsrq
+  };
+  static thread_local Scratch s;
+  for (std::vector<double>& v : s.lte) v.resize(lte_cells_.size());
+  for (std::vector<double>& v : s.nr) v.resize(nr_cells_.size());
+  const MeasRow lte_row{s.lte[0].data(), s.lte[1].data(), s.lte[2].data()};
+  const MeasRow nr_row{s.nr[0].data(), s.nr[1].data(), s.nr[2].data()};
+  measure_rows(ue, s.row, lte_row, nr_row);
+  unpack_row(lte_cells_, lte_row, lte);
+  unpack_row(nr_cells_, nr_row, nr);
 }
 
 CellMeasurement Deployment::best(radio::Rat rat, const geo::Point& ue) const {

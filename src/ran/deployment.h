@@ -15,10 +15,24 @@
 namespace fiveg::ran {
 
 /// Immutable campus network: sites, sectors and the propagation env.
+///
+/// At construction it builds a mast table: the distinct cell positions
+/// (matched with exact ==, not by site_id) and, per RAT, each cell's index
+/// into it. measure_rows() computes one radio::MastLink per mast and hands
+/// it to all the sectors, of either RAT, on that mast. The table is
+/// immutable and every query writes only caller-owned or thread-local
+/// scratch, so one Deployment may serve many threads.
 class Deployment {
  public:
   Deployment(const geo::CampusMap* campus, std::uint64_t seed,
              std::vector<Cell> lte_cells, std::vector<Cell> nr_cells);
+
+  /// Caller-owned scratch for measure_rows(): the per-mast links and the
+  /// linear-mW buffer, sized on use.
+  struct RowScratch {
+    std::vector<radio::MastLink> links;
+    std::vector<double> lin;
+  };
 
   [[nodiscard]] const geo::CampusMap& campus() const noexcept {
     return *campus_;
@@ -33,6 +47,18 @@ class Deployment {
       radio::Rat rat) const noexcept {
     return rat == radio::Rat::kLte ? lte_carrier_ : nr_carrier_;
   }
+  /// The distinct mast positions, in first-seen order over the LTE cells
+  /// and then the NR cells.
+  [[nodiscard]] const std::vector<geo::Point>& masts() const noexcept {
+    return masts_;
+  }
+
+  /// Both RATs' measurement rows at `ue` in one pass (cells in cells(rat)
+  /// order): each mast's link is computed once and shared by its LTE and
+  /// NR cells. Every value is bit-identical to rsrp_dbm() per cell
+  /// followed by derive_interference(), per RAT.
+  void measure_rows(const geo::Point& ue, RowScratch& scratch, MeasRow lte,
+                    MeasRow nr) const;
 
   /// Measures all cells of `rat` from `ue`.
   [[nodiscard]] std::vector<CellMeasurement> measure(
@@ -42,6 +68,10 @@ class Deployment {
   /// (mobility steps, cohort baselines) stay allocation-free.
   void measure_into(radio::Rat rat, const geo::Point& ue,
                     std::vector<CellMeasurement>& out) const;
+
+  /// Both RATs at `ue` from one measure_rows() pass.
+  void measure_into(const geo::Point& ue, std::vector<CellMeasurement>& lte,
+                    std::vector<CellMeasurement>& nr) const;
 
   /// Strongest cell of `rat` at `ue`.
   [[nodiscard]] CellMeasurement best(radio::Rat rat,
@@ -66,6 +96,10 @@ class Deployment {
   radio::CarrierConfig nr_carrier_;
   std::vector<Cell> lte_cells_;
   std::vector<Cell> nr_cells_;
+  std::vector<geo::Point> masts_;
+  // Each cell's index into masts_, in cells(rat) order.
+  std::vector<std::uint32_t> lte_mast_;
+  std::vector<std::uint32_t> nr_mast_;
 };
 
 /// Builds the paper's deployment on `campus`: 13 eNB sites on a jittered

@@ -123,8 +123,7 @@ void HandoffEngine::step() {
   if (walked > route_->length_m()) return;  // route done: stop sampling
 
   const geo::Point pos = route_->position_at(walked);
-  dep_->measure_into(radio::Rat::kLte, pos, lte_meas_);
-  dep_->measure_into(radio::Rat::kNr, pos, nr_meas_);
+  dep_->measure_into(pos, lte_meas_, nr_meas_);
   const auto& lte_meas = lte_meas_;
   const auto& nr_meas = nr_meas_;
   if (trace_ != nullptr) {

@@ -19,7 +19,6 @@ UeCohort::UeCohort(const Deployment* deployment, CohortConfig config,
       fault_(fault::runtime()) {
   lte_.n_cells = dep_->cells(radio::Rat::kLte).size();
   nr_.n_cells = dep_->cells(radio::Rat::kNr).size();
-  lin_scratch_.resize(std::max(lte_.n_cells, nr_.n_cells));
 
   const std::string& name = config_.name;
   sweep_counter_ = obs::labeled("ran.cohort.sweeps", {{"cohort", name}});
@@ -72,6 +71,10 @@ int UeCohort::add_stationary(geo::Point pos) {
     b->key_offset_db.resize(x_.size());
     b->valid.resize(x_.size(), 0);
   }
+  rows_x_.push_back(0);
+  rows_y_.push_back(0);
+  rows_offset_db_.push_back(0.0);
+  rows_filled_.push_back(0);
   return ue;
 }
 
@@ -97,14 +100,6 @@ void UeCohort::advance_positions(sim::Time at) {
   }
 }
 
-void UeCohort::fill_row(radio::Rat rat, MeasBlock& block, std::size_t ue) {
-  const std::size_t n = block.n_cells;
-  measure_cells_row(dep_->env(), dep_->carrier(rat), dep_->cells(rat),
-                    {x_[ue], y_[ue]}, block.rsrp_dbm.data() + ue * n,
-                    block.sinr_db.data() + ue * n,
-                    block.rsrq_db.data() + ue * n, lin_scratch_.data());
-}
-
 const UeCohort::MeasBlock& UeCohort::measure_batch(radio::Rat rat) {
   MeasBlock& block = rat == radio::Rat::kLte ? lte_ : nr_;
   const double offset =
@@ -112,17 +107,28 @@ const UeCohort::MeasBlock& UeCohort::measure_batch(radio::Rat rat) {
   for (std::size_t u = 0; u < x_.size(); ++u) {
     const auto xb = std::bit_cast<std::uint64_t>(x_[u]);
     const auto yb = std::bit_cast<std::uint64_t>(y_[u]);
+    // Accounting: this RAT's request against its own last request.
     if (block.valid[u] != 0 && block.key_x[u] == xb && block.key_y[u] == yb &&
         block.key_offset_db[u] == offset) {
       ++stats_.rows_reused;
+    } else {
+      block.key_x[u] = xb;
+      block.key_y[u] = yb;
+      block.key_offset_db[u] = offset;
+      block.valid[u] = 1;
+      ++stats_.rows_computed;
+    }
+    // Contents: both rows were last filled at one key; refill both when
+    // the UE has left it.
+    if (rows_filled_[u] != 0 && rows_x_[u] == xb && rows_y_[u] == yb &&
+        rows_offset_db_[u] == offset) {
       continue;
     }
-    fill_row(rat, block, u);
-    block.key_x[u] = xb;
-    block.key_y[u] = yb;
-    block.key_offset_db[u] = offset;
-    block.valid[u] = 1;
-    ++stats_.rows_computed;
+    dep_->measure_rows({x_[u], y_[u]}, scratch_, lte_.row(u), nr_.row(u));
+    rows_x_[u] = xb;
+    rows_y_[u] = yb;
+    rows_offset_db_[u] = offset;
+    rows_filled_[u] = 1;
   }
   return block;
 }

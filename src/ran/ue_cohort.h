@@ -5,13 +5,16 @@
 // per-UE mobility events.
 //
 // The measurement half fills flat per-RAT rows (rsrp/sinr/rsrq, one value
-// per (UE, cell)) through ran::measure_cells_row, in UE-index order. Rows
-// are pure functions of (UE position bits, fault coverage offset), so a
-// row whose key is unchanged since the last sweep is reused verbatim —
-// exact, because a recompute would bit-identically reproduce it — and
-// every computed value matches the per-site RadioEnvironment::rsrp_dbm()
-// reference followed by derive_interference() bit for bit (property tested
-// in tests/cohort_test.cpp).
+// per (UE, cell)) in UE-index order. A stale UE gets both RATs' rows from
+// one Deployment::measure_rows() pass, so each mast's geometry is computed
+// once for the LTE and the NR row. Rows are pure functions of (UE position
+// bits, fault coverage offset), so a row whose key is unchanged is reused
+// verbatim — exact, because a recompute would bit-identically reproduce
+// it — and every computed value matches the per-site
+// RadioEnvironment::rsrp_dbm() reference followed by derive_interference()
+// bit for bit (property tested in tests/cohort_test.cpp). The
+// rows_computed/rows_reused accounting is per RAT and per request: filling
+// the other RAT's row early counts nothing until that RAT is asked for.
 //
 // The trigger half iterates UEs in index order (so hand-off latency draws
 // consume the cohort's single RNG in a deterministic sequence) and applies
@@ -61,12 +64,18 @@ class UeCohort {
   struct MeasBlock {
     std::size_t n_cells = 0;
     std::vector<double> rsrp_dbm, sinr_db, rsrq_db;
-    // Row-cache keys: exact position bit patterns and the fault coverage
-    // offset the row was computed under. A key match means a recompute
-    // would return the identical bits, so the row is reused as-is.
+    // Accounting keys: the exact position bit patterns and fault coverage
+    // offset of the last measure_batch() for this RAT. A request at the
+    // same key counts as reused, any other as computed.
     std::vector<std::uint64_t> key_x, key_y;
     std::vector<double> key_offset_db;
     std::vector<std::uint8_t> valid;
+
+    /// Where `ue`'s row is written.
+    [[nodiscard]] MeasRow row(std::size_t ue) {
+      return {rsrp_dbm.data() + ue * n_cells, sinr_db.data() + ue * n_cells,
+              rsrq_db.data() + ue * n_cells};
+    }
   };
 
   /// Deterministic sweep accounting (pure function of the run).
@@ -98,7 +107,8 @@ class UeCohort {
   /// Moves every routed UE to its position at `at`.
   void advance_positions(sim::Time at);
 
-  /// Fills (or reuses) every UE's measurement row for `rat`.
+  /// Fills (or reuses) every UE's measurement row for `rat`. A UE whose
+  /// rows are stale gets both RATs' rows in one pass.
   const MeasBlock& measure_batch(radio::Rat rat);
 
   /// One full sweep at `now`: positions, both RAT measurement batches,
@@ -132,7 +142,6 @@ class UeCohort {
   [[nodiscard]] bool cell_live(const Cell& cell) const noexcept {
     return fault_ == nullptr || !fault_->cell_down(cell.pci);
   }
-  void fill_row(radio::Rat rat, MeasBlock& block, std::size_t ue);
   void trigger_phase(sim::Time now);
   void apply_handoff(std::size_t ue, HandoffType type, int target,
                      sim::Time now);
@@ -161,7 +170,12 @@ class UeCohort {
   std::vector<geo::Route> routes_;
 
   MeasBlock lte_, nr_;
-  std::vector<double> lin_scratch_;
+  // The key (position bits, fault offset) both blocks' rows of a UE were
+  // last filled at; rows are always filled for both RATs together.
+  std::vector<std::uint64_t> rows_x_, rows_y_;
+  std::vector<double> rows_offset_db_;
+  std::vector<std::uint8_t> rows_filled_;
+  Deployment::RowScratch scratch_;
 
   Stats stats_;
 

@@ -1,12 +1,16 @@
-// Property tests for the city-scale UE core: the co-site-sharing sweep
-// and the batched SoA rows must be bit-identical to the per-site path,
-// the row cache must reuse only when a recompute would reproduce the row,
-// and the extracted a3_step/nsa_step helpers must match their stateful
-// counterparts.
+// Property tests for the city-scale UE core: the row kernel (one mast
+// geometry pass shared by sectors and RATs) and the batched SoA rows must
+// be bit-identical to the per-site path, the row cache must reuse only
+// when a recompute would reproduce the row, its accounting must stay per
+// RAT, and the extracted a3_step/nsa_step helpers must match their
+// stateful counterparts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -36,10 +40,70 @@ std::vector<geo::Point> random_ues(const geo::CampusMap& campus,
   return ues;
 }
 
-// measure_cells (one co-site-sharing sweep per UE) vs. the per-site
-// reference: rsrp_dbm() per cell, then derive_interference(). Across
-// campus sizes, RATs and indoor/outdoor mixes. EXPECT_EQ on doubles is
-// exact: any bit difference between the paths fails.
+// The per-site reference for one RAT at `ue`: rsrp_dbm() per cell, then
+// derive_interference(). Returns rsrp, sinr, rsrq concatenated.
+std::vector<double> reference_row(const Deployment& dep, radio::Rat rat,
+                                  const geo::Point& ue) {
+  const std::vector<Cell>& cells = dep.cells(rat);
+  const radio::CarrierConfig& carrier = dep.carrier(rat);
+  const std::size_t n = cells.size();
+  std::vector<double> v(3 * n), lin(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    v[i] = dep.env().rsrp_dbm(carrier, cells[i].site, ue);
+  }
+  derive_interference(v.data(), lin.data(), n, carrier.noise_per_re_dbm(),
+                      kInterfererLoad, v.data() + n, v.data() + 2 * n);
+  return v;
+}
+
+std::vector<double> flatten(const std::vector<CellMeasurement>& meas) {
+  const std::size_t n = meas.size();
+  std::vector<double> v(3 * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    v[i] = meas[i].rsrp_dbm;
+    v[n + i] = meas[i].sinr_db;
+    v[2 * n + i] = meas[i].rsrq_db;
+  }
+  return v;
+}
+
+// Every row path — the both-RAT pass, the one-RAT Deployment queries and
+// measure_cells on the cell list — against the per-site reference, with
+// EXPECT_EQ on every double (any bit difference fails).
+void expect_rows_match_reference(const Deployment& dep,
+                                 const std::vector<geo::Point>& ues) {
+  Deployment::RowScratch scratch;
+  std::vector<CellMeasurement> lte_meas, nr_meas, one;
+  for (const geo::Point& ue : ues) {
+    std::vector<double> rows[2];
+    for (const radio::Rat rat : {radio::Rat::kLte, radio::Rat::kNr}) {
+      rows[rat == radio::Rat::kNr].resize(3 * dep.cells(rat).size());
+    }
+    const auto row_of = [](std::vector<double>& v) {
+      const std::size_t n = v.size() / 3;
+      return MeasRow{v.data(), v.data() + n, v.data() + 2 * n};
+    };
+    dep.measure_rows(ue, scratch, row_of(rows[0]), row_of(rows[1]));
+    dep.measure_into(ue, lte_meas, nr_meas);
+    for (const radio::Rat rat : {radio::Rat::kLte, radio::Rat::kNr}) {
+      const std::vector<Cell>& cells = dep.cells(rat);
+      const radio::CarrierConfig& carrier = dep.carrier(rat);
+      const std::vector<double> ref = reference_row(dep, rat, ue);
+      EXPECT_EQ(rows[rat == radio::Rat::kNr], ref);
+      EXPECT_EQ(flatten(rat == radio::Rat::kLte ? lte_meas : nr_meas), ref);
+      dep.measure_into(rat, ue, one);
+      EXPECT_EQ(flatten(one), ref);
+      EXPECT_EQ(flatten(measure_cells(dep.env(), carrier, cells, ue)), ref);
+      const CellMeasurement best = dep.best(rat, ue);
+      ASSERT_NE(best.cell, nullptr);
+      const std::size_t n = cells.size();
+      EXPECT_EQ(best.rsrp_dbm, *std::max_element(ref.begin(), ref.begin() + n));
+    }
+  }
+}
+
+// The city grid, both RATs on every mast, across campus sizes and
+// indoor/outdoor mixes.
 TEST(CohortBatchTest, SweepMatchesPerSiteReferenceBitExact) {
   const struct {
     double width_m, height_m, open_frac;
@@ -57,31 +121,9 @@ TEST(CohortBatchTest, SweepMatchesPerSiteReferenceBitExact) {
     grid.rings = c.rings;
     const Deployment dep =
         make_city_deployment(&campus, sim::Rng(seed).fork("dep"), grid);
+    EXPECT_EQ(dep.masts().size(), c.rings == 1 ? 7u : 19u);
     sim::Rng rng = sim::Rng(seed).fork("ues");
-    const std::vector<geo::Point> ues = random_ues(campus, rng, c.n_ue);
-
-    for (const radio::Rat rat : {radio::Rat::kLte, radio::Rat::kNr}) {
-      const std::vector<Cell>& cells = dep.cells(rat);
-      const radio::CarrierConfig& carrier = dep.carrier(rat);
-      const std::size_t n = cells.size();
-      std::vector<double> rsrp(n), lin(n), sinr(n), rsrq(n);
-      for (const geo::Point& ue : ues) {
-        const auto swept = measure_cells(dep.env(), carrier, cells, ue);
-        ASSERT_EQ(swept.size(), n);
-        for (std::size_t i = 0; i < n; ++i) {
-          rsrp[i] = dep.env().rsrp_dbm(carrier, cells[i].site, ue);
-        }
-        derive_interference(rsrp.data(), lin.data(), n,
-                            carrier.noise_per_re_dbm(), kInterfererLoad,
-                            sinr.data(),
-                            rsrq.data());
-        for (std::size_t i = 0; i < n; ++i) {
-          EXPECT_EQ(swept[i].rsrp_dbm, rsrp[i]);
-          EXPECT_EQ(swept[i].sinr_db, sinr[i]);
-          EXPECT_EQ(swept[i].rsrq_db, rsrq[i]);
-        }
-      }
-    }
+    expect_rows_match_reference(dep, random_ues(campus, rng, c.n_ue));
   }
 }
 
@@ -108,6 +150,80 @@ TEST(CohortBatchTest, ScratchOverloadMatches) {
   }
 }
 
+// The paper campus: 13 LTE masts of 2 or 3 sectors, NR on a strict subset
+// of 6 of them.
+TEST(CohortBatchTest, RowKernelMatchesReferenceOnPaperCampus) {
+  const core::Scenario sc(42);
+  const Deployment& dep = sc.deployment();
+  EXPECT_EQ(dep.masts().size(), 13u);
+  EXPECT_EQ(dep.site_count(radio::Rat::kNr), 6);
+  sim::Rng rng = sim::Rng(42).fork("ues");
+  expect_rows_match_reference(dep, random_ues(sc.campus(), rng, 150));
+}
+
+// Masts are matched by exact position, not by site_id or by order:
+// co-sited cells interleaved with other masts' cells, an NR-only mast,
+// site_ids that lie, and two masts one ulp apart.
+TEST(CohortBatchTest, RowKernelMatchesReferenceOnInterleavedMasts) {
+  const geo::CampusMap campus = geo::make_campus(sim::Rng(5));
+  const geo::Rect& b = campus.bounds();
+  const geo::Point a{b.min.x + 100.0, b.min.y + 200.0};
+  const geo::Point c{b.min.x + 400.0, b.min.y + 700.0};
+  const geo::Point d{b.min.x + 250.0, b.min.y + 450.0};
+  const geo::Point a_next{std::nextafter(a.x, 1e9), a.y};
+  const geo::Point nr_only{b.min.x + 60.0, b.min.y + 880.0};
+  const auto cell = [](int pci, radio::Rat rat, geo::Point pos, double az) {
+    return Cell{pci, /*site_id=*/7, rat, {pos, radio::SectorAntenna(az)}};
+  };
+  const std::vector<Cell> lte = {
+      cell(1, radio::Rat::kLte, a, 10.0),
+      cell(2, radio::Rat::kLte, c, 130.0),
+      cell(3, radio::Rat::kLte, a, 250.0),
+      cell(4, radio::Rat::kLte, d, 0.0),
+      cell(5, radio::Rat::kLte, c, 310.0),
+      cell(6, radio::Rat::kLte, a_next, 90.0),
+      cell(7, radio::Rat::kLte, a, 170.0),
+  };
+  const std::vector<Cell> nr = {
+      cell(11, radio::Rat::kNr, c, 45.0),
+      cell(12, radio::Rat::kNr, nr_only, 200.0),
+      cell(13, radio::Rat::kNr, a, 100.0),
+      cell(14, radio::Rat::kNr, c, 225.0),
+      cell(15, radio::Rat::kNr, a_next, 300.0),
+  };
+  const Deployment dep(&campus, 99, lte, nr);
+  EXPECT_EQ(dep.masts(), (std::vector<geo::Point>{a, c, d, a_next, nr_only}));
+  sim::Rng rng = sim::Rng(5).fork("ues");
+  std::vector<geo::Point> ues = random_ues(campus, rng, 150);
+  // On a mast and within a metre of one (the clamped distance).
+  ues.insert(ues.end(), {a, c, nr_only, {a.x + 0.5, a.y}, {c.x, c.y - 0.2}});
+  expect_rows_match_reference(dep, ues);
+}
+
+// An open coverage-hole window: the fault offset enters every row path
+// the same way it enters the reference.
+TEST(CohortBatchTest, RowKernelMatchesReferenceUnderCoverageOffset) {
+  fault::FaultPlan plan;
+  plan.add({.kind = fault::FaultKind::kCoverageHole,
+            .begin = sim::kSecond,
+            .end = 100 * sim::kSecond,
+            .offset_db = 17.5});
+  fault::Runtime rt(&plan, 3);
+  fault::ScopedFaults scoped(&rt);
+  sim::Simulator simr;
+  fault::arm(simr);
+  simr.run_until(2 * sim::kSecond);
+  ASSERT_NE(rt.coverage_offset_db(), 0.0);
+
+  const core::CityScenario city(7);
+  sim::Rng rng = sim::Rng(7).fork("ues");
+  expect_rows_match_reference(city.deployment(),
+                              random_ues(city.campus(), rng, 60));
+  const core::Scenario paper(7);
+  expect_rows_match_reference(paper.deployment(),
+                              random_ues(paper.campus(), rng, 60));
+}
+
 // The geometry and radio layers hold no mutable state, so one deployment
 // may serve several threads at once: four threads sweeping the Fig. 2 grid
 // (50x46, both RATs) against one shared Scenario must each reproduce a
@@ -125,6 +241,20 @@ TEST(CohortBatchTest, SharedDeploymentSweepsMatchSerialAcrossThreads) {
                              b.min.y + (r + 0.5) * b.height() / 46};
           for (const CellMeasurement& m :
                measure_cells(dep.env(), dep.carrier(rat), dep.cells(rat), p)) {
+            values.insert(values.end(), {m.rsrp_dbm, m.sinr_db, m.rsrq_db});
+          }
+        }
+      }
+    }
+    // The Deployment's own both-RAT pass over the same grid.
+    std::vector<CellMeasurement> lte, nr;
+    for (int r = 0; r < 46; ++r) {
+      for (int c = 0; c < 50; ++c) {
+        dep.measure_into({b.min.x + (c + 0.5) * b.width() / 50,
+                          b.min.y + (r + 0.5) * b.height() / 46},
+                         lte, nr);
+        for (const auto* meas : {&lte, &nr}) {
+          for (const CellMeasurement& m : *meas) {
             values.insert(values.end(), {m.rsrp_dbm, m.sinr_db, m.rsrq_db});
           }
         }
@@ -195,6 +325,118 @@ TEST_F(CohortFixture, CohortRowsMatchScalarAcrossSweeps) {
       }
     }
   }
+}
+
+// The row accounting of a cohort that filled each RAT's rows on their own:
+// a request for a RAT counts as reused when that RAT's last request was at
+// the same key (position bits, fault offset), else as computed.
+struct PerRatAccounting {
+  struct Key {
+    double x, y, offset;
+    bool operator==(const Key& o) const {
+      return std::memcmp(this, &o, sizeof(Key)) == 0;
+    }
+  };
+  std::vector<std::optional<Key>> last[2];
+  std::uint64_t computed = 0, reused = 0;
+
+  void request(const UeCohort& cohort, radio::Rat rat, double offset) {
+    std::vector<std::optional<Key>>& keys = last[rat == radio::Rat::kNr];
+    keys.resize(cohort.size());
+    for (std::size_t u = 0; u < cohort.size(); ++u) {
+      const Key k{cohort.position(u).x, cohort.position(u).y, offset};
+      if (keys[u] == k) {
+        ++reused;
+      } else {
+        keys[u] = k;
+        ++computed;
+      }
+    }
+  }
+};
+
+// rows_computed/rows_reused keep their per-RAT, per-request meaning for
+// every call order, though a stale UE now gets both rows in one pass, and
+// the block a call returns holds that RAT's rows at the UE's current
+// position. The last order moves UEs away and back between requests of the
+// two RATs, so a RAT's own key matches again while the shared fill has
+// moved on.
+TEST_F(CohortFixture, RowAccountingIsPerRatForEveryCallOrder) {
+  enum class Op { kAdvance, kLte, kNr, kSweep };
+  struct Step {
+    Op op;
+    int at_s = 0;  // kAdvance and kSweep: the time, in seconds
+  };
+  // L and N request one RAT's rows; A(s) advances to s seconds, S(s)
+  // sweeps at s seconds.
+  const Step L{Op::kLte}, N{Op::kNr};
+  const auto A = [](int at_s) { return Step{Op::kAdvance, at_s}; };
+  const auto S = [](int at_s) { return Step{Op::kSweep, at_s}; };
+  // Four sample periods: advance to each, then `per_period` at that time.
+  const auto repeat = [&](std::vector<Step> per_period) {
+    std::vector<Step> steps;
+    for (int t = 0; t < 4; ++t) {
+      steps.push_back(A(t));
+      for (Step step : per_period) {
+        step.at_s = t;
+        steps.push_back(step);
+      }
+    }
+    return steps;
+  };
+  int order = 0;
+  const auto check = [&](const std::vector<Step>& steps) {
+    SCOPED_TRACE("order " + std::to_string(order++));
+    UeCohort cohort = make_cohort(12, 6);
+    PerRatAccounting model;
+    const auto check_block = [&](radio::Rat rat) {
+      const UeCohort::MeasBlock& block = cohort.block(rat);
+      const std::size_t n = block.n_cells;
+      for (std::size_t u = 0; u < cohort.size(); ++u) {
+        const std::vector<double> ref =
+            flatten(dep_.measure(rat, cohort.position(u)));
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(block.rsrp_dbm[u * n + i], ref[i]);
+          ASSERT_EQ(block.sinr_db[u * n + i], ref[n + i]);
+          ASSERT_EQ(block.rsrq_db[u * n + i], ref[2 * n + i]);
+        }
+      }
+    };
+    for (const Step& step : steps) {
+      switch (step.op) {
+        case Op::kAdvance:
+          cohort.advance_positions(step.at_s * sim::kSecond);
+          break;
+        case Op::kLte:
+        case Op::kNr: {
+          const radio::Rat rat =
+              step.op == Op::kLte ? radio::Rat::kLte : radio::Rat::kNr;
+          const UeCohort::MeasBlock& block = cohort.measure_batch(rat);
+          EXPECT_EQ(&block, &cohort.block(rat));
+          model.request(cohort, rat, 0.0);
+          check_block(rat);
+          break;
+        }
+        case Op::kSweep:
+          cohort.sweep(step.at_s * sim::kSecond);
+          model.request(cohort, radio::Rat::kLte, 0.0);
+          model.request(cohort, radio::Rat::kNr, 0.0);
+          check_block(radio::Rat::kLte);
+          check_block(radio::Rat::kNr);
+          break;
+      }
+      ASSERT_EQ(cohort.stats().rows_computed, model.computed);
+      ASSERT_EQ(cohort.stats().rows_reused, model.reused);
+    }
+    EXPECT_GT(model.reused, 0u);
+  };
+  check(repeat({L, N}));
+  check(repeat({N, L}));
+  check(repeat({L, L}));
+  check(repeat({N}));
+  check(repeat({L, N, S(0)}));  // perfbench city_cohort
+  // Away and back between requests of the two RATs.
+  check({A(1), L, A(2), N, A(1), L, N, A(2), L, N, S(3), N});
 }
 
 // Stationary UEs never recompute after the first sweep; the reused rows

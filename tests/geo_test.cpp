@@ -1,7 +1,11 @@
 // Unit tests for the geometry, building and campus models.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "geo/building.h"
 #include "geo/campus.h"
@@ -29,6 +33,48 @@ TEST(GeometryTest, AngleDiffWrapsAround) {
   EXPECT_DOUBLE_EQ(angle_diff_deg(0, 180), 180.0);
   EXPECT_DOUBLE_EQ(angle_diff_deg(90, 90), 0.0);
   EXPECT_DOUBLE_EQ(angle_diff_deg(720, 0), 0.0);
+}
+
+// The fmod-free reduction must return the bits of the plain definition,
+// fmod(|a - b|, 360) folded into [0, 180], everywhere: on the branch
+// boundaries, past them, for signed zeros, NaN and infinities, and on
+// random pairs.
+TEST(GeometryTest, AngleDiffMatchesFmodDefinitionBitExact) {
+  const auto reference = [](double a, double b) {
+    const double d = std::fmod(std::fabs(a - b), 360.0);
+    return d > 180.0 ? 360.0 - d : d;
+  };
+  const auto same_bits = [](double x, double y) {
+    return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+  };
+  using limits = std::numeric_limits<double>;
+  std::vector<double> edges = {0.0, -0.0, 180.0, 360.0, 540.0, 720.0, 1080.0};
+  for (const double at : {180.0, 360.0, 720.0}) {
+    edges.push_back(std::nextafter(at, 0.0));
+    edges.push_back(std::nextafter(at, 1e9));
+  }
+  edges.insert(edges.end(), {1e17, 1e300, limits::max(), limits::denorm_min(),
+                             limits::quiet_NaN(), limits::infinity()});
+  for (const double a : edges) {
+    for (const double b : {0.0, -0.0, 90.0, -360.0}) {
+      for (const double x : {a, -a}) {
+        EXPECT_TRUE(same_bits(angle_diff_deg(x, b), reference(x, b)))
+            << "a=" << x << " b=" << b;
+        EXPECT_TRUE(same_bits(angle_diff_deg(b, x), reference(b, x)))
+            << "a=" << b << " b=" << x;
+      }
+    }
+  }
+  sim::Rng rng(360);
+  for (int i = 0; i < 200000; ++i) {
+    // Azimuths as the antenna sees them (one in [0, 360), the boresight
+    // anywhere in a few turns), then wider spreads.
+    const double scale = i % 3 == 0 ? 360.0 : (i % 3 == 1 ? 1500.0 : 1e6);
+    const double a = rng.uniform(0.0, 360.0);
+    const double b = rng.uniform(-scale, scale);
+    ASSERT_TRUE(same_bits(angle_diff_deg(a, b), reference(a, b)))
+        << "a=" << a << " b=" << b;
+  }
 }
 
 TEST(GeometryTest, SegmentInterpolation) {

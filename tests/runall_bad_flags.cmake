@@ -2,12 +2,13 @@
 # coerced: a non-finite --timeout, an --jobs/--sim-threads value outside
 # int, and a negative --seed or --shard count. A campaign cell axis
 # (--qdisc, --faults) given next to --manifest, which supplies its own,
-# is a usage error too, and so are the removed --progress and --metrics
+# is a usage error too, and so are a flag that takes a value given twice
+# (the error names the flag) and the removed --progress and --metrics
 # flags (unknown options). Each fiveg_runall case runs with --list, which
-# would otherwise exit 0 without running anything. The
-# tools take the same strict parser: fiveg_trace_check --min-events and
-# fiveg_prof --top run against an empty trace and an empty ledger, which
-# both pass with valid flags. Runs as a ctest test:
+# would otherwise exit 0 without running anything. The tools take the
+# same strict parser: fiveg_trace_check --min-events and fiveg_prof --top
+# run against an empty trace and an empty ledger, which both pass with
+# valid flags. Runs as a ctest test:
 #   cmake -DRUNALL=<fiveg_runall> -DTRACE_CHECK=<fiveg_trace_check>
 #         -DPROF=<fiveg_prof> -DDATA_DIR=<tests/data> -DWORK_DIR=<dir>
 #         -P runall_bad_flags.cmake
@@ -39,6 +40,10 @@ set(cases
   "RUNALL|--shard:0/-1"
   "RUNALL|${manifest}|--qdisc:codel"
   "RUNALL|${manifest}|--faults:${DATA_DIR}/chaos_plan.json"
+  "RUNALL|--filter:ho_event_mix|--filter:fig23"
+  "RUNALL|--seed:1|--seed:2"
+  "RUNALL|--jobs:2|--jobs:2"
+  "RUNALL|--timeout:5|--timeout:0"
   "TRACE_CHECK|--min-events:x"
   "PROF|--top:-1")
 
@@ -72,6 +77,17 @@ foreach(entry IN LISTS cases)
       "want 2 (usage error); stderr: ${err}")
   endif()
   string(STRIP "${err}" err)
+  # A repeated flag must be the error reported, by name.
+  list(LENGTH argv argc)
+  if(argc EQUAL 4)
+    list(GET argv 0 first_flag)
+    list(GET argv 2 second_flag)
+    if(second_flag STREQUAL first_flag AND
+       NOT err MATCHES "${first_flag} given more than once")
+      message(FATAL_ERROR "${name} ${shown}: stderr does not name the "
+        "repeated flag: ${err}")
+    endif()
+  endif()
   message(STATUS "ok: ${name} ${shown} -> exit 2 (${err})")
 endforeach()
 
